@@ -5,34 +5,22 @@
 //! strong-scaling configurations).
 //!
 //! One emulator per (model, GPU, microbatch count) is characterized once
-//! and reused across all three artifacts.
+//! and reused across all three artifacts. Stdout is recorded in
+//! `results/emulation_suite.txt`.
 //!
 //! With `--metrics`, characterization telemetry is recorded and the
 //! metrics snapshot is printed to **stderr**; stdout stays byte-identical
-//! to the metrics-free run (the golden-trace CI gate relies on this).
-//! With `--bench-json <path>`, the machine-readable suite results (wall
-//! time, energy totals, bloat breakdown) are written as JSON — stdout is
-//! untouched either way.
+//! to the metrics-free run (a CI check relies on this).
 //!
 //! Run: `cargo run --release -p perseus-bench --bin emulation_suite \
-//!        [-- --metrics] [--bench-json BENCH_perseus.json]`
+//!        [-- --metrics] [--serve 127.0.0.1:9184]`
 
-use perseus_bench::SuiteTelemetry;
+use perseus_bench::{usage_exit, SuiteTelemetry};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let suite = SuiteTelemetry::from_args(&args);
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let tel = suite.telemetry().clone();
-    let stdout = std::io::stdout();
-    let entries = perseus_bench::emulation_suite_report_with(&mut stdout.lock(), &tel)
+    let suite = SuiteTelemetry::from_args(&args).unwrap_or_else(|e| usage_exit(&e));
+    perseus_bench::emulation_suite_report_with(&mut std::io::stdout().lock(), suite.telemetry())
         .expect("write to stdout");
-    if let Some(path) = bench_json {
-        perseus_bench::write_bench_json(path.as_ref(), &entries).expect("write bench json");
-    }
     suite.finish();
 }

@@ -4,29 +4,25 @@
 //! with per-kind and per-stage detail and a machine-checkable claim line
 //! (both bloat components nonzero). Stdout is golden-gated in CI.
 //!
-//! * `--svg <path>` additionally renders the stacked-bar chart.
+//! * `--svg <path>` additionally renders the stacked-bar chart; `--svg`
+//!   without a path exits 2.
 //! * `--metrics` records characterization telemetry and prints the
 //!   snapshot to **stderr**; stdout stays byte-identical.
 //!
 //! Run: `cargo run --release -p perseus-bench --bin fig7_breakdown \
 //!        [-- --svg fig7.svg] [--metrics]`
 
-use perseus_bench::SuiteTelemetry;
+use perseus_bench::{flag_value, usage_exit, SuiteTelemetry};
 use perseus_viz::{breakdown_svg, BreakdownBar, BreakdownPlot};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let suite = SuiteTelemetry::from_args(&args);
-    let svg_path = args
-        .iter()
-        .position(|a| a == "--svg")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let tel = suite.telemetry().clone();
+    let suite = SuiteTelemetry::from_args(&args).unwrap_or_else(|e| usage_exit(&e));
+    let svg_path = flag_value(&args, "--svg").unwrap_or_else(|e| usage_exit(&e));
 
-    let stdout = std::io::stdout();
-    let rows = perseus_bench::fig7_breakdown_report_with(&mut stdout.lock(), &tel)
-        .expect("write to stdout");
+    let rows =
+        perseus_bench::fig7_breakdown_report_with(&mut std::io::stdout().lock(), suite.telemetry())
+            .expect("write to stdout");
 
     if let Some(path) = svg_path {
         let svg = breakdown_svg(&BreakdownPlot {
@@ -42,7 +38,7 @@ fn main() {
                 })
                 .collect(),
         });
-        std::fs::write(&path, svg).expect("write svg");
+        std::fs::write(path, svg).expect("write svg");
     }
     suite.finish();
 }

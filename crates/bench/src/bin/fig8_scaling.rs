@@ -8,11 +8,11 @@
 //!
 //! Run: `cargo run --release -p perseus-bench --bin fig8_scaling [-- --metrics]`
 
-use perseus_bench::SuiteTelemetry;
+use perseus_bench::{usage_exit, SuiteTelemetry};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let suite = SuiteTelemetry::from_args(&args);
+    let suite = SuiteTelemetry::from_args(&args).unwrap_or_else(|e| usage_exit(&e));
     let tel = suite.telemetry().clone();
     let stdout = std::io::stdout();
     perseus_bench::fig8_scaling_report_with(&mut stdout.lock(), &tel).expect("write to stdout");

@@ -13,12 +13,12 @@
 //!
 //! Run: `cargo run --release -p perseus-bench --bin fig9_frontier [-- --appendix] [-- --metrics]`
 
-use perseus_bench::SuiteTelemetry;
+use perseus_bench::{usage_exit, SuiteTelemetry};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let appendix = args.iter().any(|a| a == "--appendix");
-    let suite = SuiteTelemetry::from_args(&args);
+    let suite = SuiteTelemetry::from_args(&args).unwrap_or_else(|e| usage_exit(&e));
     let tel = suite.telemetry().clone();
     let stdout = std::io::stdout();
     perseus_bench::fig9_report_with(&mut stdout.lock(), appendix, &tel).expect("write to stdout");

@@ -1,6 +1,7 @@
 //! Renders SVG figures into `results/`: the Figure 1 timelines (max
-//! frequency vs Perseus schedule, power-colored) and the Figure 9
-//! frontiers (Perseus vs the Zeus baselines).
+//! frequency vs Perseus schedule, power-colored), the Figure 9
+//! frontiers (Perseus vs the Zeus baselines), and the Kareus attribution
+//! bars of the Figure 8 sweep (static-sleep joules as their own segment).
 //!
 //! Run: `cargo run --release -p perseus-bench --bin render_figures`
 
@@ -12,7 +13,10 @@ use perseus_core::{FrontierOptions, Planner};
 use perseus_gpu::GpuSpec;
 use perseus_models::zoo;
 use perseus_pipeline::ScheduleKind;
-use perseus_viz::{frontier_svg, timeline_svg, FrontierPlot, Series, TimelineStyle};
+use perseus_telemetry::Telemetry;
+use perseus_viz::{
+    breakdown_svg, frontier_svg, timeline_svg, BreakdownPlot, FrontierPlot, Series, TimelineStyle,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     fs::create_dir_all("results")?;
@@ -125,5 +129,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     fs::write("results/fig9a_frontier.svg", svg)?;
     println!("wrote results/fig9a_frontier.svg");
+
+    // ---- Kareus attribution at straggler slowdown 1.2 ----
+    let sweep = perseus_bench::kareus_report_with(&mut std::io::sink(), &Telemetry::disabled())?;
+    let svg = breakdown_svg(&BreakdownPlot {
+        title: "Kareus attribution (slowdown 1.2)".into(),
+        bars: sweep.bars,
+    });
+    fs::write("results/kareus_breakdown.svg", svg)?;
+    println!("wrote results/kareus_breakdown.svg");
     Ok(())
 }

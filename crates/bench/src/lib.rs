@@ -2,23 +2,22 @@
 //!
 //! One binary per table/figure of the paper's evaluation (§6); see
 //! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for the
-//! paper-vs-measured record. Shared plumbing lives here: the workload
-//! matrix of Appendix B Tables 8–10 and small formatting helpers.
+//! paper-vs-measured record. The [`claims`] registry checks every written
+//! contract of the reproduction in one run. Shared plumbing lives here:
+//! the workload matrix of Appendix B Tables 8–10 and the flag parsing.
 
-mod bench_json;
+pub mod claims;
 mod reports;
 mod suite;
 
-pub use bench_json::{render_bench_json, write_bench_json, BenchEntry};
 pub use reports::{
-    breakdown_reports_with, emulation_suite_report, emulation_suite_report_with,
-    fig7_breakdown_report, fig7_breakdown_report_with, fig8_scaling_report,
-    fig8_scaling_report_with, fig9_report, fig9_report_with, kareus_report, kareus_report_with,
-    table3_report, table3_report_with, BreakdownRow,
+    breakdown_reports_with, emulation_suite_report_with, fig7_breakdown_report_with,
+    fig8_scaling_report_with, fig9_report_with, kareus_report_with, table3_report_with,
+    BreakdownRow, KareusSweep,
 };
-pub use suite::SuiteTelemetry;
+pub use suite::{flag_value, usage_exit, SuiteTelemetry};
 
-use perseus_cluster::{ClusterConfig, Emulator, EmulatorError, Policy};
+use perseus_cluster::{ClusterConfig, Emulator, EmulatorError};
 use perseus_core::FrontierOptions;
 use perseus_gpu::GpuSpec;
 use perseus_models::{zoo, ModelSpec};
@@ -150,21 +149,4 @@ pub fn testbed_emulator_with(
         },
         telemetry,
     )
-}
-
-/// Formats a savings/slowdown pair the way the paper's tables do.
-pub fn fmt_pct(x: f64) -> String {
-    format!("{x:5.1}")
-}
-
-/// Convenience: intrinsic savings (no straggler) of a policy.
-///
-/// # Errors
-///
-/// Propagates emulation failures.
-pub fn intrinsic_savings(
-    emu: &Emulator,
-    policy: Policy,
-) -> Result<perseus_cluster::Savings, EmulatorError> {
-    emu.savings(policy, None)
 }

@@ -1,14 +1,14 @@
 //! Writer-based report generators behind the experiment binaries.
 //!
-//! Each `*_report` function renders one table/figure of the paper into any
-//! [`Write`] sink. The binaries stream them to stdout; the golden-trace
+//! Each `*_report_with` function renders one table/figure of the paper
+//! into any [`Write`] sink, recording characterization counters into a
+//! telemetry handle. The binaries stream them to stdout; the golden-trace
 //! regression tests render them into buffers and compare byte-for-byte
 //! against committed fixtures — so a bin run and a test run are the same
 //! code path by construction.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::time::Instant;
 
 use perseus_baselines::{AllMaxFreq, ZeusGlobal, ZeusPerStage};
 use perseus_cluster::{
@@ -19,23 +19,15 @@ use perseus_gpu::GpuSpec;
 use perseus_models::{zoo, ModelSpec};
 use perseus_pipeline::ScheduleKind;
 use perseus_telemetry::Telemetry;
+use perseus_viz::BreakdownBar;
 
-use crate::bench_json::BenchEntry;
 use crate::{a100_workloads, a40_workloads, testbed_emulator_with};
 
 /// Table 3: intrinsic energy-bloat reduction (no stragglers) and iteration
-/// slowdown — Perseus vs EnvPipe on the §6.2 testbeds.
-///
-/// # Errors
-///
-/// Propagates write failures from `out`.
-pub fn table3_report(out: &mut impl Write) -> io::Result<()> {
-    table3_report_with(out, &Telemetry::disabled())
-}
-
-/// [`table3_report`] recording characterization counters into `telemetry`.
-/// The rendered table is byte-identical whether telemetry is enabled or
-/// disabled — the golden-trace tests pin that down.
+/// slowdown — Perseus vs EnvPipe on the §6.2 testbeds — recording
+/// characterization counters into `telemetry`. The rendered table is
+/// byte-identical whether telemetry is enabled or disabled — the
+/// golden-trace tests pin that down.
 ///
 /// # Errors
 ///
@@ -200,17 +192,8 @@ fn frontier_csv(out: &mut impl Write, cfg: &Fig9Config, telemetry: &Telemetry) -
 
 /// Figure 9 (and Appendix G Figures 11/12 with `appendix`): iteration
 /// time–energy frontiers of Perseus versus the Zeus-derived baselines, as
-/// CSV series.
-///
-/// # Errors
-///
-/// Propagates write failures from `out`.
-pub fn fig9_report(out: &mut impl Write, appendix: bool) -> io::Result<()> {
-    fig9_report_with(out, appendix, &Telemetry::disabled())
-}
-
-/// [`fig9_report`] recording characterization counters into `telemetry`;
-/// the CSV output is byte-identical either way.
+/// CSV series, recording characterization counters into `telemetry`; the
+/// CSV output is byte-identical either way.
 ///
 /// # Errors
 ///
@@ -315,29 +298,14 @@ fn suite_emulator(
     .expect("emulator builds")
 }
 
-/// The §6.3 large-scale emulation suite: Table 6, Figure 7, and Figure 8.
-/// Returns the machine-readable [`BenchEntry`] rows the `--bench-json`
-/// flag serializes (one aggregate plus one per model).
+/// The §6.3 large-scale emulation suite: Table 6, Figure 7, and Figure 8,
+/// recording characterization counters into `telemetry`; the report is
+/// byte-identical either way.
 ///
 /// # Errors
 ///
 /// Propagates write failures from `out`.
-pub fn emulation_suite_report(out: &mut impl Write) -> io::Result<Vec<BenchEntry>> {
-    emulation_suite_report_with(out, &Telemetry::disabled())
-}
-
-/// [`emulation_suite_report`] recording characterization counters into
-/// `telemetry`; the report is byte-identical either way.
-///
-/// # Errors
-///
-/// Propagates write failures from `out`.
-pub fn emulation_suite_report_with(
-    out: &mut impl Write,
-    telemetry: &Telemetry,
-) -> io::Result<Vec<BenchEntry>> {
-    let suite_start = Instant::now();
-    let mut char_time = [0.0f64; SUITE_MODELS.len()];
+pub fn emulation_suite_report_with(out: &mut impl Write, telemetry: &Telemetry) -> io::Result<()> {
     let scaling = strong_scaling_table5();
 
     // ---- Table 6: intrinsic savings vs #microbatches ----
@@ -362,11 +330,9 @@ pub fn emulation_suite_report_with(
             )?;
             for cfg in scaling.iter().rev() {
                 // rev(): ascending microbatch count 12, 24, 48, 96
-                let t0 = Instant::now();
                 let emu = emus
                     .entry((mi, gi, cfg.n_microbatches))
                     .or_insert_with(|| suite_emulator(*ctor, gpu.clone(), cfg, telemetry));
-                char_time[mi] += t0.elapsed().as_secs_f64();
                 let s = emu.savings(Policy::Perseus, None).expect("savings");
                 write!(out, " {:>8.2}", s.savings_pct)?;
             }
@@ -455,36 +421,7 @@ pub fn emulation_suite_report_with(
     writeln!(
         out,
         "figure), then wane; fewer microbatches (more pipelines) => higher savings %."
-    )?;
-
-    // ---- Machine-readable entries (never written to `out`: the stdout
-    // report stays byte-identical with or without --bench-json) ----
-    let mut entries = Vec::new();
-    let mut aggregate = EnergyBreakdown::default();
-    for (mi, (name, _)) in SUITE_MODELS.iter().enumerate() {
-        let attr = emus[&(mi, 0usize, 96usize)]
-            .attribute(
-                Policy::Perseus,
-                Some(StragglerCause::Slowdown { degree: 1.2 }),
-            )
-            .expect("attribution")
-            .total();
-        aggregate.accumulate(attr);
-        entries.push(BenchEntry::from_breakdown(
-            format!("emulation_suite/{name}"),
-            char_time[mi],
-            &attr,
-        ));
-    }
-    entries.insert(
-        0,
-        BenchEntry::from_breakdown(
-            "emulation_suite",
-            suite_start.elapsed().as_secs_f64(),
-            &aggregate,
-        ),
-    );
-    Ok(entries)
+    )
 }
 
 /// Cache of the A100 suite emulators the breakdown reports share, keyed
@@ -666,18 +603,9 @@ fn fig8_scaling_impl(
 
 /// The Figure 7 attribution breakdown: cluster energy of the §6.3 M=96
 /// A100 workloads split into useful / intrinsic / extrinsic joules under
-/// all-max and Perseus at straggler slowdown 1.2. Returns the rows for
-/// SVG rendering.
-///
-/// # Errors
-///
-/// Propagates write failures from `out`.
-pub fn fig7_breakdown_report(out: &mut impl Write) -> io::Result<Vec<BreakdownRow>> {
-    fig7_breakdown_report_with(out, &Telemetry::disabled())
-}
-
-/// [`fig7_breakdown_report`] recording characterization counters into
-/// `telemetry`; the report is byte-identical either way.
+/// all-max and Perseus at straggler slowdown 1.2, recording
+/// characterization counters into `telemetry`; the report is
+/// byte-identical either way. Returns the rows for SVG rendering.
 ///
 /// # Errors
 ///
@@ -691,17 +619,8 @@ pub fn fig7_breakdown_report_with(
 
 /// The Figure 8 attribution scaling sweep: extrinsic share of total
 /// bloat versus straggler slowdown across the Table 5 strong-scaling
-/// configurations, under all-max attribution.
-///
-/// # Errors
-///
-/// Propagates write failures from `out`.
-pub fn fig8_scaling_report(out: &mut impl Write) -> io::Result<()> {
-    fig8_scaling_report_with(out, &Telemetry::disabled())
-}
-
-/// [`fig8_scaling_report`] recording characterization counters into
-/// `telemetry`; the report is byte-identical either way.
+/// configurations, under all-max attribution, recording characterization
+/// counters into `telemetry`; the report is byte-identical either way.
 ///
 /// # Errors
 ///
@@ -728,30 +647,6 @@ pub fn breakdown_reports_with(
     Ok(rows)
 }
 
-/// The Kareus suite: joint dynamic + static planning versus
-/// frequency-only Perseus across the Figure 8 strong-scaling sweep.
-///
-/// Both policies ride the *same* Pareto frontier (Kareus starts from the
-/// Perseus characterization and only fills bubbles with sleep), so every
-/// cell compares identical iteration times; the delta is purely the
-/// static energy reclaimed from `P_blocking`. Two machine-checked claim
-/// lines gate CI:
-///
-/// 1. Kareus cluster joules never exceed Perseus at any (config,
-///    slowdown) cell, and
-/// 2. Kareus is *strictly* cheaper on every no-straggler cell whose
-///    pipeline has bubbles long enough to amortize a sleep state's
-///    entry + exit latency.
-///
-/// Returns the machine-readable entries `--bench-json` serializes.
-///
-/// # Errors
-///
-/// Propagates write failures from `out`.
-pub fn kareus_report(out: &mut impl Write) -> io::Result<Vec<BenchEntry>> {
-    kareus_report_with(out, &Telemetry::disabled())
-}
-
 /// Cluster-scaled joules of one attribution kind: non-straggler pipelines
 /// replicated, the straggler added, multiplied by the tensor-parallel
 /// degree — the same arithmetic as [`ClusterAttribution::total`].
@@ -762,27 +657,49 @@ fn cluster_kind_j(a: &ClusterAttribution, kind: EnergyKind) -> f64 {
     (non + s) * a.tensor_parallel as f64
 }
 
-/// [`kareus_report`] recording characterization counters into
-/// `telemetry`; the report is byte-identical either way.
+/// What the Kareus sweep found besides its printed table.
+#[derive(Debug, Clone)]
+pub struct KareusSweep {
+    /// One Kareus attribution bar per (model, config) cell at straggler
+    /// slowdown 1.2, with the static-sleep joules split out of useful.
+    pub bars: Vec<BreakdownBar>,
+    /// Kareus cluster joules never exceed Perseus at any (config,
+    /// slowdown) cell.
+    pub never_costlier: bool,
+    /// Kareus is strictly cheaper on every no-straggler cell whose plan
+    /// has bubbles long enough to amortize a sleep state's entry + exit
+    /// latency.
+    pub strict_where_amortized: bool,
+}
+
+/// The Kareus sweep: joint dynamic + static planning versus
+/// frequency-only Perseus across the Figure 8 strong-scaling sweep,
+/// recording characterization counters into `telemetry`; the table is
+/// byte-identical either way.
+///
+/// Both policies ride the *same* Pareto frontier (Kareus starts from the
+/// Perseus characterization and only fills bubbles with sleep), so every
+/// cell compares identical iteration times; the delta is purely the
+/// static energy reclaimed from `P_blocking`. The returned verdicts are
+/// the `kareus` group of [`crate::claims`]; the bars are the
+/// `render_figures` Kareus chart.
 ///
 /// # Errors
 ///
 /// Propagates write failures from `out`.
-pub fn kareus_report_with(
-    out: &mut impl Write,
-    telemetry: &Telemetry,
-) -> io::Result<Vec<BenchEntry>> {
-    let suite_start = Instant::now();
+pub fn kareus_report_with(out: &mut impl Write, telemetry: &Telemetry) -> io::Result<KareusSweep> {
     let mut cache = BreakdownCache::new();
     let scaling = strong_scaling_table5();
     let degrees = [1.05, 1.1, 1.2, 1.3, 1.4, 1.5];
-    let mut dominance_holds = true;
-    let mut strict_holds = true;
-    let mut entries = Vec::new();
+    let mut sweep = KareusSweep {
+        bars: Vec::new(),
+        never_costlier: true,
+        strict_where_amortized: true,
+    };
 
     writeln!(
         out,
-        "== Kareus: joint frequency + sleep planning vs frequency-only Perseus =="
+        "Kareus: joint frequency + sleep planning vs frequency-only Perseus"
     )?;
     writeln!(
         out,
@@ -818,7 +735,7 @@ pub fn kareus_report_with(
                     .expect("report")
                     .total_j();
                 let kareus = emu.report(Policy::Kareus, cause).expect("report").total_j();
-                dominance_holds &= kareus <= perseus + 1e-9;
+                sweep.never_costlier &= kareus <= perseus + 1e-9;
                 if ci == 0 {
                     no_straggler_saved = perseus - kareus;
                 }
@@ -832,7 +749,7 @@ pub fn kareus_report_with(
                 .sleep_plan(None)
                 .map_or(0, perseus_core::SleepPlan::window_count);
             if windows > 0 {
-                strict_holds &= no_straggler_saved > 0.0;
+                sweep.strict_where_amortized &= no_straggler_saved > 0.0;
             }
             writeln!(out, " {windows:>9}")?;
 
@@ -842,55 +759,19 @@ pub fn kareus_report_with(
                     Some(StragglerCause::Slowdown { degree: 1.2 }),
                 )
                 .expect("attribution");
-            let attr = attribution.total();
+            let total = attribution.total();
             let sleep_j = cluster_kind_j(&attribution, EnergyKind::StaticSleep);
-            let perseus_ref = emu
-                .report(
-                    Policy::Perseus,
-                    Some(StragglerCause::Slowdown { degree: 1.2 }),
-                )
-                .expect("report")
-                .total_j();
-            entries.push(
-                BenchEntry::from_breakdown(
-                    format!(
-                        "kareus_suite/{name}/{}gpus_m{}",
-                        cfg.n_gpus, cfg.n_microbatches
-                    ),
-                    0.0,
-                    &attr,
-                )
-                .with_extra("perseus_total_j", perseus_ref)
-                .with_extra("saved_vs_perseus_j", perseus_ref - attr.total_j())
-                .with_extra("static_sleep_j", sleep_j)
-                .with_extra("sleep_windows", windows as f64),
-            );
+            sweep.bars.push(BreakdownBar {
+                label: format!("{name} {} GPUs M{}", cfg.n_gpus, cfg.n_microbatches),
+                // StaticSleep books as useful (a parked GPU does the
+                // cheapest possible thing); split it out so the chart
+                // shows where Kareus parks.
+                useful_j: total.useful_j - sleep_j,
+                intrinsic_j: total.intrinsic_j,
+                extrinsic_j: total.extrinsic_j,
+                sleep_j,
+            });
         }
     }
-    writeln!(
-        out,
-        "\nclaim (kareus/1): kareus cluster joules <= perseus at every cell: {}",
-        if dominance_holds { "HOLDS" } else { "VIOLATED" }
-    )?;
-    writeln!(
-        out,
-        "claim (kareus/2): strictly cheaper wherever bubbles amortize sleep latency: {}",
-        if strict_holds { "HOLDS" } else { "VIOLATED" }
-    )?;
-    if !(dominance_holds && strict_holds) {
-        return Err(io::Error::other("kareus claim gate violated"));
-    }
-    entries.insert(
-        0,
-        BenchEntry {
-            name: "kareus_suite".into(),
-            wall_time_s: suite_start.elapsed().as_secs_f64(),
-            total_energy_j: entries.iter().map(|e| e.total_energy_j).sum(),
-            useful_j: entries.iter().map(|e| e.useful_j).sum(),
-            intrinsic_j: entries.iter().map(|e| e.intrinsic_j).sum(),
-            extrinsic_j: entries.iter().map(|e| e.extrinsic_j).sum(),
-            extras: Vec::new(),
-        },
-    );
-    Ok(entries)
+    Ok(sweep)
 }

@@ -936,7 +936,7 @@ mod fingerprint_and_cache {
         let mut db = ProfileDb::new();
         for &i in order {
             let (k, p) = &pairs[i];
-            db.insert(k.clone(), p.clone());
+            db.insert(*k, p.clone());
         }
         db
     }

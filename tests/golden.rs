@@ -36,7 +36,8 @@ fn assert_matches_golden(got: &str, golden: &str, fixture: &str) {
 #[test]
 fn table3_intrinsic_matches_golden_fixture() {
     let mut buf = Vec::new();
-    perseus_bench::table3_report(&mut buf).expect("render table 3");
+    perseus_bench::table3_report_with(&mut buf, &perseus_telemetry::Telemetry::disabled())
+        .expect("render table 3");
     assert_matches_golden(
         &String::from_utf8(buf).expect("utf-8 output"),
         include_str!("golden/table3_intrinsic.txt"),
@@ -47,7 +48,8 @@ fn table3_intrinsic_matches_golden_fixture() {
 #[test]
 fn fig9_frontier_matches_golden_fixture() {
     let mut buf = Vec::new();
-    perseus_bench::fig9_report(&mut buf, false).expect("render figure 9");
+    perseus_bench::fig9_report_with(&mut buf, false, &perseus_telemetry::Telemetry::disabled())
+        .expect("render figure 9");
     assert_matches_golden(
         &String::from_utf8(buf).expect("utf-8 output"),
         include_str!("golden/fig9_frontier.txt"),
@@ -134,6 +136,35 @@ fn fig9_with_telemetry_enabled_is_byte_identical() {
         "fig9_frontier.txt",
     );
     assert!(!tel.snapshot().is_empty());
+}
+
+/// Every claim of the `perseus_bench::claims` registry — solver, fleet,
+/// kareus, obs, ha, recovery, chaos — checked on every `cargo test`. The
+/// fixture pins the verdicts and every evidence number; the `claims`
+/// binary prints the same bytes. Regenerate deliberately:
+///
+/// ```text
+/// UPDATE_GOLDEN=1 cargo test --test golden claims
+/// ```
+#[test]
+fn claims_match_golden_fixture() {
+    let mut buf = Vec::new();
+    let failed = perseus_bench::claims::run(
+        perseus_bench::claims::GROUPS,
+        &mut buf,
+        &perseus_telemetry::Telemetry::disabled(),
+    )
+    .expect("run the claims");
+    let got = String::from_utf8(buf).expect("utf-8 output");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(
+            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/claims.txt"),
+            &got,
+        )
+        .expect("write fixture");
+    }
+    assert_matches_golden(&got, include_str!("golden/claims.txt"), "claims.txt");
+    assert_eq!(failed, 0, "claims FAILED:\n{got}");
 }
 
 /// The metrics text format itself is a stable interface: a fixed metric
