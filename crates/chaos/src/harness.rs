@@ -196,6 +196,7 @@ fn accumulate(a: &mut DurabilityStats, b: DurabilityStats) {
     a.recharacterizations_replayed += b.recharacterizations_replayed;
     a.recharacterizations_avoided += b.recharacterizations_avoided;
     a.snapshots_written += b.snapshots_written;
+    a.segments_written += b.segments_written;
     a.corrupt_snapshots += b.corrupt_snapshots;
 }
 

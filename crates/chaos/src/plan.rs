@@ -94,7 +94,8 @@ pub enum FaultKind {
     /// journal to ship, so the harness rebuilds from scratch like
     /// [`FaultKind::CrashRestart`]. Never drawn by the seeded
     /// constructors (their streams are byte-stable); scheduled
-    /// explicitly via [`FaultPlan::from_events`] — the `ha_suite` path.
+    /// explicitly via [`FaultPlan::from_events`] — the path the `ha`
+    /// claims of the `claims` bin drive.
     ///
     /// [`FollowerServer::promote`]: perseus_server::FollowerServer::promote
     LeaderFailover,

@@ -88,7 +88,7 @@ fn edge_centric(pipe: &PipelineDag) -> (Dag<(), EcEdge>, Vec<(NodeId, NodeId)>) 
 /// iterations. `augmenting_paths_saved` estimates the searches a warm hit
 /// avoided as the path count of the most recent cold solve minus the hit's
 /// own count (the honest measurement — actual cold vs warm full-frontier
-/// totals — is what the `solver_suite` bench gates on).
+/// totals — is what the `solver` claims of the `claims` bin gate on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Bounded min-cut solves performed.
@@ -158,8 +158,8 @@ impl SolverArena {
 
     /// Enables or disables warm starting. Disabled, every solve rebuilds
     /// the flow network from scratch through the same code path — the cold
-    /// baseline the `solver_suite` bench compares against. Outputs are
-    /// identical either way; only the work differs.
+    /// baseline the `solver` claims of the `claims` bin compare against.
+    /// Outputs are identical either way; only the work differs.
     pub fn set_warm(&mut self, enabled: bool) {
         self.warm_enabled = enabled;
         if !enabled {

@@ -57,8 +57,9 @@ impl Persist for PlanFingerprint {
     }
 }
 
-/// FNV-1a over a 128-bit state.
-fn fnv1a_128(bytes: &[u8]) -> u128 {
+/// FNV-1a over a 128-bit state: the content hash behind
+/// [`PlanFingerprint`], also used to name content-addressed files.
+pub fn fnv1a_128(bytes: &[u8]) -> u128 {
     let mut h = FNV128_OFFSET;
     for &b in bytes {
         h ^= b as u128;

@@ -316,7 +316,8 @@ pub struct FrontierOptions {
     /// bit-identical either way — the solver extracts the minimal
     /// source-side min cut, which is unique across all maximum flows —
     /// so disabling this only buys back the cold solve cost; it exists
-    /// for the `solver_suite` baseline and for differential testing.
+    /// for the cold baseline of the `solver` claims (`claims` bin) and for
+    /// differential testing.
     pub warm_start: bool,
 }
 
@@ -619,9 +620,9 @@ impl FrontierSolver {
     /// fingerprint (so callers can invalidate the entry if the job's
     /// structure later drifts). The returned frontier is bit-identical
     /// either way: planning is deterministic in the fingerprinted inputs,
-    /// which the differential tests and the `fleet_suite` gate pin. A
-    /// fleet of a thousand jobs drawn from twenty structures holds twenty
-    /// frontier allocations, not a thousand.
+    /// which the differential tests and the `fleet` claims of the `claims`
+    /// bin pin. A fleet of a thousand jobs drawn from twenty structures
+    /// holds twenty frontier allocations, not a thousand.
     ///
     /// # Errors
     ///

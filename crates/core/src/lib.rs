@@ -60,7 +60,7 @@ pub use cut::{
 };
 pub use energy::{pipeline_energy, PipelineEnergy};
 pub use error::Error;
-pub use fingerprint::{plan_fingerprint, plan_fingerprint_with_power, PlanFingerprint};
+pub use fingerprint::{fnv1a_128, plan_fingerprint, plan_fingerprint_with_power, PlanFingerprint};
 pub use frontier::{
     characterize, EnergySchedule, FrontierOptions, FrontierPoint, FrontierSolver, ParetoFrontier,
     SolverStats,

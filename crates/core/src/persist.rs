@@ -59,7 +59,13 @@ impl Persist for FrontierPoint {
 
 impl Persist for ParetoFrontier {
     fn encode(&self, w: &mut ByteWriter) {
-        self.points().to_vec().encode(w);
+        // Same bytes as `Vec<FrontierPoint>::encode`, without cloning
+        // every schedule into a temporary vector first.
+        let points = self.points();
+        w.put_usize(points.len());
+        for p in points {
+            p.encode(w);
+        }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
         let points = Vec::<FrontierPoint>::decode(r)?;

@@ -14,7 +14,7 @@
 //! Determinism: the walk is fully determined by `(baseline, noise.seed)`.
 //! Keys are stepped in sorted order, so two drift sources built from the
 //! same inputs emit byte-identical delta streams — the property the
-//! chaos replay and `ha_suite` gates rely on.
+//! chaos replay and the `ha` claims of the `claims` bin rely on.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -15,25 +15,28 @@
 //! the gap is bridged by a checkpoint transfer
 //! ([`PerseusServer::replication_checkpoint`]): the follower installs
 //! the full-state snapshot at the leader's watermark and resumes
-//! tailing from there. Still never from genesis.
+//! tailing from there. Still never from genesis. The checkpoint shares
+//! the leader's frontier segments, so the follower persists only the
+//! small snapshot plus the segment files its directory lacks.
 //!
 //! [`FollowerServer::promote`] applies the pending tail, attaches the
 //! follower's journal + snapshot as a durable [`Store`], and flips the
 //! role to [`Role::Leader`]. Because planning is deterministic in the
 //! journaled inputs, the promoted server's
 //! [`PerseusServer::state_fingerprint`] is bit-identical to the
-//! leader's at the shipped watermark — the `ha_suite` gate.
+//! leader's at the shipped watermark — gated by the `ha` group of the
+//! `claims` bin.
 
 use std::collections::VecDeque;
 use std::path::Path;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use perseus_store::{load_snapshot, write_snapshot, Journal, Persist, Record, StoreError};
+use perseus_store::{Journal, Persist, Record, StoreError};
 use perseus_telemetry::Telemetry;
 
 use crate::server::{PerseusServer, Role, ServerError};
-use crate::store::{JournalEvent, ServerSnapshot, Store, JOURNAL_FILE, SNAPSHOT_FILE};
+use crate::store::{open_dir, write_state, JournalEvent, OpenedDir, ServerSnapshot, Store};
 
 /// Journal frame overhead per record: `len:u32 + crc:u32 + seq:u64`.
 const FRAME_OVERHEAD: u64 = 16;
@@ -70,7 +73,8 @@ pub struct PromotionReport {
 /// A replication follower: a read-only [`PerseusServer`] plus the local
 /// journal the leader's records are shipped into. See the module docs.
 pub struct FollowerServer {
-    snapshot_path: PathBuf,
+    /// The follower's store directory: journal, snapshot and segments.
+    dir: PathBuf,
     journal: Journal,
     state: PerseusServer,
     /// Shipped-but-unapplied records, oldest first.
@@ -80,6 +84,8 @@ pub struct FollowerServer {
     applied_seq: u64,
     max_lag: u64,
     n_workers: usize,
+    /// Segment files written by checkpoint installs.
+    segments_written: u64,
 }
 
 impl FollowerServer {
@@ -109,38 +115,19 @@ impl FollowerServer {
         telemetry: Telemetry,
     ) -> Result<FollowerServer, ServerError> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(StoreError::Io)?;
-        let (journal, records) = Journal::open(dir.join(JOURNAL_FILE))?;
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
+        let OpenedDir {
+            journal,
+            records,
+            snapshot,
+            ..
+        } = open_dir(dir)?;
         let state = PerseusServer::with_telemetry(n_workers, telemetry);
         state.set_role(Role::Follower);
-
-        // Tolerate a corrupt local snapshot the same way leader recovery
-        // does: fall back to journal-only replay.
-        let snapshot = match load_snapshot(&snapshot_path) {
-            Ok(None) => None,
-            Ok(Some(bytes)) => ServerSnapshot::from_bytes(&bytes).ok(),
-            Err(StoreError::Corrupt { .. }) => None,
-            Err(e) => return Err(ServerError::Store(e)),
-        };
-        let mut applied_seq = snapshot.as_ref().map_or(0, |s| s.applied_seq);
-        if let Some(snap) = snapshot {
-            state.restore_snapshot(snap);
-        }
-        for rec in &records {
-            if rec.seq <= applied_seq {
-                continue;
-            }
-            match JournalEvent::from_bytes(&rec.payload) {
-                Ok(event) => {
-                    state.replay_event(event);
-                    applied_seq = rec.seq;
-                }
-                Err(_) => break,
-            }
-        }
+        // The same recovery as a leader's: a corrupt local snapshot falls
+        // back to journal-only replay.
+        let applied_seq = state.recover_state(snapshot, &records).applied_seq;
         let follower = FollowerServer {
-            snapshot_path,
+            dir: dir.to_path_buf(),
             journal,
             state,
             pending: VecDeque::new(),
@@ -149,6 +136,7 @@ impl FollowerServer {
             applied_seq,
             max_lag: DEFAULT_MAX_LAG,
             n_workers,
+            segments_written: 0,
         };
         follower.publish_stats();
         Ok(follower)
@@ -189,6 +177,13 @@ impl FollowerServer {
     /// Highest sequence applied into the in-memory state.
     pub fn applied_seq(&self) -> u64 {
         self.applied_seq
+    }
+
+    /// Segment files this follower wrote while installing checkpoints:
+    /// one per frontier its directory lacked, so a checkpoint of
+    /// unchanged frontiers writes none.
+    pub fn segments_written(&self) -> u64 {
+        self.segments_written
     }
 
     /// Current replication position.
@@ -268,14 +263,15 @@ impl FollowerServer {
 
     /// Installs a full-state checkpoint from the leader (compaction gap
     /// bridge): the in-memory state is rebuilt from the snapshot, the
-    /// snapshot is persisted locally, the local journal drops everything
+    /// snapshot is persisted locally — only the segment files the
+    /// directory lacks are written — the local journal drops everything
     /// the checkpoint covers, and shipping resumes from the checkpoint's
     /// watermark.
     pub(crate) fn install_checkpoint(&mut self, snap: ServerSnapshot) -> Result<(), ServerError> {
         let fresh = PerseusServer::with_telemetry(self.n_workers, self.state.telemetry().clone());
         fresh.set_role(Role::Follower);
         fresh.set_leader_hint(self.state.leader_hint());
-        write_snapshot(&self.snapshot_path, &snap.to_bytes())?;
+        self.segments_written += write_state(&self.dir, &snap)?;
         self.journal.compact_below(snap.applied_seq)?;
         self.shipped_seq = snap.applied_seq;
         self.applied_seq = snap.applied_seq;
@@ -302,12 +298,12 @@ impl FollowerServer {
         let replayed_records = self.apply_all();
         let telemetry = self.state.telemetry().clone();
         let FollowerServer {
-            snapshot_path,
+            dir,
             journal,
             mut state,
             ..
         } = self;
-        let store = Arc::new(Store::new(journal, snapshot_path, telemetry));
+        let store = Arc::new(Store::new(journal, dir, telemetry));
         state.attach_store(store);
         state.set_role(Role::Leader);
         state.set_leader_hint(String::new());

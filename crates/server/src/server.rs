@@ -46,7 +46,7 @@ use perseus_core::{
 use perseus_gpu::{FreqMHz, GpuSpec, PowerStateModel};
 use perseus_pipeline::{OpKey, PipelineDag};
 use perseus_profiler::{scale_profile, ProfileDb, ProfileDelta};
-use perseus_store::{load_snapshot, write_snapshot, Journal, Persist, Record, StoreError};
+use perseus_store::{Persist, Record, StoreError};
 use perseus_telemetry::{
     span, Alert, Endpoints, FlightRecorder, FlightSnapshot, FlightSummary, IterationSample,
     ObsPipeline, SloStatus, Telemetry, TelemetryServer,
@@ -54,7 +54,8 @@ use perseus_telemetry::{
 
 use crate::replica::ReplicationStats;
 use crate::store::{
-    DurabilityStats, JobSnapshot, JournalEvent, ServerSnapshot, Store, JOURNAL_FILE, SNAPSHOT_FILE,
+    fingerprint_bytes, open_dir, DurabilityStats, JobSnapshot, JournalEvent, OpenedDir, Segment,
+    ServerSnapshot, Store,
 };
 
 /// Ring capacity of the server's flight recorder: enough to hold the
@@ -474,6 +475,23 @@ pub(crate) enum ReplayOutcome {
     Other,
 }
 
+/// What [`PerseusServer::recover_state`] restored and replayed.
+#[derive(Debug, Default)]
+pub(crate) struct Recovery {
+    /// Sequence of the last journal record the state reflects: the
+    /// snapshot's watermark, or the last record replayed past it.
+    pub applied_seq: u64,
+    /// Journal events replayed.
+    pub replayed_events: u64,
+    /// Characterizations the replay re-ran the solver for.
+    pub recharacterizations_replayed: u64,
+    /// Characterizations restored from the snapshot or answered by the
+    /// plan cache instead.
+    pub recharacterizations_avoided: u64,
+    /// A record passed its CRC but failed to decode; replay stopped there.
+    pub poisoned: bool,
+}
+
 /// An admission slot for one in-flight characterization. Decrements the
 /// server's in-flight counter on drop, so a task that is dropped unrun
 /// (worker pool shutting down) releases its slot exactly like one that
@@ -531,14 +549,15 @@ impl DriftAccum {
 
 /// Mutable per-job state, guarded by the job's `RwLock`.
 struct JobMut {
-    frontier: Option<Arc<ParetoFrontier>>,
-    /// Epoch of the submission that produced `frontier` (0 = none yet).
+    /// The characterized frontier with its sleep plans (recomputed
+    /// whenever the frontier changes, for jobs that plan sleep states).
+    /// Replaced whole, never mutated, so the segment key it caches for
+    /// durable snapshots always matches its bytes.
+    segment: Option<Arc<Segment>>,
+    /// Epoch of the submission that produced `segment` (0 = none yet).
     characterized_epoch: u64,
-    /// Profiles behind `frontier`, kept for cap-induced re-clamps.
+    /// Profiles behind `segment`, kept for cap-induced re-clamps.
     profiles: Option<ProfileDb<OpKey>>,
-    /// One [`SleepPlan`] per frontier point (same index order), when the
-    /// job plans sleep states; recomputed whenever `frontier` changes.
-    sleep: Option<Vec<SleepPlan>>,
     /// The last characterization attempt died (lost or panicked);
     /// lookups fall back to the previous frontier until a fresh
     /// submission deploys.
@@ -564,6 +583,13 @@ struct JobMut {
     /// Volatile: drift deltas arriving before the threshold trips are
     /// observation, not durable planning state.
     drift: HashMap<OpKey, DriftAccum>,
+}
+
+impl JobMut {
+    /// The characterized frontier, if any.
+    fn frontier(&self) -> Option<&Arc<ParetoFrontier>> {
+        self.segment.as_ref().map(|s| s.frontier())
+    }
 }
 
 /// One registered job: immutable identity plus lock-guarded state. Shared
@@ -615,8 +641,7 @@ impl Job {
     /// `T' = T_min × max(degree)`.
     fn effective_t_prime(state: &JobMut) -> f64 {
         let frontier = state
-            .frontier
-            .as_ref()
+            .frontier()
             .expect("deploy only after characterization");
         let worst = state.stragglers.values().copied().fold(1.0, f64::max);
         frontier.t_min() * worst
@@ -641,20 +666,16 @@ impl Job {
             }
         }
         let t_prime = Self::effective_t_prime(state);
-        let frontier = state.frontier.as_ref().expect("characterized");
-        let idx = frontier.lookup_index(t_prime);
-        let point = &frontier.points()[idx];
+        let segment = state.segment.as_ref().expect("characterized");
+        let idx = segment.frontier().lookup_index(t_prime);
+        let point = &segment.frontier().points()[idx];
         state.version += 1;
         let deployment = Deployment {
             version: state.version,
             t_prime,
             planned_time_s: point.planned_time_s,
             schedule: point.schedule.clone(),
-            sleep: state
-                .sleep
-                .as_ref()
-                .and_then(|plans| plans.get(idx))
-                .cloned(),
+            sleep: segment.sleep().and_then(|plans| plans.get(idx)).cloned(),
         };
         state.deployed = Some(deployment.clone());
         if let Some(t0) = t0 {
@@ -684,7 +705,7 @@ impl Job {
             } else {
                 state.stragglers.remove(&p.gpu_id);
             }
-            if state.frontier.is_some() {
+            if state.segment.is_some() {
                 deployments.push(self.deploy_locked(state));
             }
         }
@@ -929,81 +950,41 @@ impl PerseusServer {
         telemetry: Telemetry,
         cache: Option<Arc<PlanCache>>,
     ) -> Result<PerseusServer, ServerError> {
-        std::fs::create_dir_all(dir).map_err(StoreError::Io)?;
-        let (journal, records) = Journal::open(dir.join(JOURNAL_FILE))?;
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
+        let OpenedDir {
+            journal,
+            records,
+            snapshot,
+            corrupt_snapshot,
+        } = open_dir(dir)?;
         let mut server = PerseusServer::with_telemetry(n_workers, telemetry);
         *server.plan_cache.write() = cache;
         let store = Arc::new(Store::new(
             journal,
-            snapshot_path.clone(),
+            dir.to_path_buf(),
             server.telemetry.clone(),
         ));
-
-        // A corrupt snapshot is tolerated: fall back to journal-only
-        // replay (the journal is only compacted *after* a snapshot lands,
-        // so a snapshot that never got readable leaves the full journal).
-        let mut corrupt_snapshot = false;
-        let snapshot = match load_snapshot(&snapshot_path) {
-            Ok(None) => None,
-            Ok(Some(bytes)) => match ServerSnapshot::from_bytes(&bytes) {
-                Ok(snap) => Some(snap),
-                Err(_) => {
-                    corrupt_snapshot = true;
-                    None
-                }
-            },
-            Err(StoreError::Corrupt { .. }) => {
-                corrupt_snapshot = true;
-                None
-            }
-            Err(e) => return Err(ServerError::Store(e)),
-        };
+        // A corrupt snapshot is tolerated: `recover_state` falls back to
+        // journal-only replay (the journal is only compacted *after* a
+        // snapshot lands, so a snapshot that never got readable leaves
+        // the full journal).
         if corrupt_snapshot {
             store.corrupt_snapshots.fetch_add(1, Ordering::Relaxed);
         }
         let had_state = snapshot.is_some() || corrupt_snapshot || !records.is_empty();
-        let applied_seq = snapshot.as_ref().map_or(0, |s| s.applied_seq);
-        if let Some(snap) = snapshot {
-            store.recharacterizations_avoided.fetch_add(
-                snap.jobs.iter().filter(|j| j.frontier.is_some()).count() as u64,
-                Ordering::Relaxed,
-            );
-            server.restore_snapshot(snap);
-        }
-
-        // Replay the journal tail past the snapshot watermark. The store
-        // is still detached, so the mutators called by `replay_event`
-        // apply state without re-journaling. A record whose frame passed
-        // CRC but whose payload fails to decode poisons everything after
-        // it: stop, count it, and let the post-recovery snapshot compact
-        // it away so it is never read again.
-        for rec in &records {
-            if rec.seq <= applied_seq {
-                continue;
-            }
-            match JournalEvent::from_bytes(&rec.payload) {
-                Ok(event) => {
-                    store.replayed_events.fetch_add(1, Ordering::Relaxed);
-                    match server.replay_event(event) {
-                        ReplayOutcome::CharacterizedSolved => {
-                            store
-                                .recharacterizations_replayed
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        ReplayOutcome::CharacterizedCached => {
-                            store
-                                .recharacterizations_avoided
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        ReplayOutcome::Other => {}
-                    }
-                }
-                Err(_) => {
-                    store.truncated_records.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
+        // The store is still detached, so the mutators called by
+        // `replay_event` apply state without re-journaling.
+        let recovery = server.recover_state(snapshot, &records);
+        store
+            .replayed_events
+            .fetch_add(recovery.replayed_events, Ordering::Relaxed);
+        store
+            .recharacterizations_replayed
+            .fetch_add(recovery.recharacterizations_replayed, Ordering::Relaxed);
+        store
+            .recharacterizations_avoided
+            .fetch_add(recovery.recharacterizations_avoided, Ordering::Relaxed);
+        if recovery.poisoned {
+            store.truncated_records.fetch_add(1, Ordering::Relaxed);
         }
         if had_state {
             store.record_recovery();
@@ -1016,6 +997,39 @@ impl PerseusServer {
             server.snapshot_now()?;
         }
         Ok(server)
+    }
+
+    /// Restores `snapshot`, if any, then replays the journal `records`
+    /// past its watermark — the recovery of leader open and follower open
+    /// alike. A record whose frame passed CRC but whose payload fails to
+    /// decode poisons everything after it: replay stops there.
+    pub(crate) fn recover_state(
+        &self,
+        snapshot: Option<ServerSnapshot>,
+        records: &[Record],
+    ) -> Recovery {
+        let mut recovery = Recovery::default();
+        if let Some(snap) = snapshot {
+            recovery.applied_seq = snap.applied_seq;
+            recovery.recharacterizations_avoided =
+                snap.jobs.iter().filter(|j| j.segment.is_some()).count() as u64;
+            self.restore_snapshot(snap);
+        }
+        let watermark = recovery.applied_seq;
+        for rec in records.iter().filter(|r| r.seq > watermark) {
+            let Ok(event) = JournalEvent::from_bytes(&rec.payload) else {
+                recovery.poisoned = true;
+                break;
+            };
+            recovery.replayed_events += 1;
+            match self.replay_event(event) {
+                ReplayOutcome::CharacterizedSolved => recovery.recharacterizations_replayed += 1,
+                ReplayOutcome::CharacterizedCached => recovery.recharacterizations_avoided += 1,
+                ReplayOutcome::Other => {}
+            }
+            recovery.applied_seq = rec.seq;
+        }
+        recovery
     }
 
     /// Rebuilds the jobs map from a snapshot. Solvers are not persisted:
@@ -1038,10 +1052,9 @@ impl PerseusServer {
                 faults_injected: AtomicU64::new(0),
                 telemetry: self.telemetry.clone(),
                 state: RwLock::new(JobMut {
-                    frontier: js.frontier.map(Arc::new),
+                    segment: js.segment,
                     characterized_epoch: js.characterized_epoch,
                     profiles: js.profiles,
-                    sleep: js.sleep,
                     degraded: js.degraded,
                     stragglers: js.stragglers.into_iter().collect(),
                     pending: js
@@ -1115,7 +1128,7 @@ impl PerseusServer {
             JournalEvent::Degraded { name } => {
                 if let Ok(job) = self.job(&name) {
                     let mut state = job.state.write();
-                    if state.frontier.is_some() {
+                    if state.segment.is_some() {
                         state.degraded = true;
                     }
                 }
@@ -1170,9 +1183,8 @@ impl PerseusServer {
             return ReplayOutcome::CharacterizedSolved;
         }
         state.characterized_epoch = epoch;
-        state.frontier = Some(frontier);
+        state.segment = Some(Arc::new(Segment::new(frontier, sleep)));
         state.profiles = Some(profiles);
-        state.sleep = sleep;
         state.degraded = false;
         state.last_opts = Some(opts.clone());
         if cache.is_some() {
@@ -1319,10 +1331,9 @@ impl PerseusServer {
             faults_injected: AtomicU64::new(0),
             telemetry: self.telemetry.clone(),
             state: RwLock::new(JobMut {
-                frontier: None,
+                segment: None,
                 characterized_epoch: 0,
                 profiles: None,
-                sleep: None,
                 degraded: false,
                 stragglers: HashMap::new(),
                 pending: Vec::new(),
@@ -1547,7 +1558,7 @@ impl PerseusServer {
         });
         let mut journal = store.map(|s| s.journal.lock());
         let mut state = job.state.write();
-        if state.frontier.is_some() {
+        if state.segment.is_some() {
             state.degraded = true;
             if let (Some(store), Some(journal), Some(bytes)) =
                 (store, journal.as_mut(), bytes.as_ref())
@@ -1692,9 +1703,8 @@ impl PerseusServer {
             return Err(ServerError::Superseded(job.name.clone()));
         }
         state.characterized_epoch = epoch;
-        state.frontier = Some(frontier);
+        state.segment = Some(Arc::new(Segment::new(frontier, sleep)));
         state.profiles = Some(profiles);
-        state.sleep = sleep;
         state.degraded = false;
         state.last_opts = Some(opts.clone());
         // Epoch-based invalidation on re-characterization: when fresh
@@ -1766,7 +1776,7 @@ impl PerseusServer {
         let mut journal = self.store.as_ref().map(|s| s.journal.lock());
         let out = {
             let mut state = job.state.write();
-            if state.frontier.is_none() {
+            if state.segment.is_none() {
                 return Err(ServerError::NotCharacterized(name.to_string()));
             }
             let out = if delay_s <= 0.0 {
@@ -1914,7 +1924,8 @@ impl PerseusServer {
         let mut journal = self.store.as_ref().map(|s| s.journal.lock());
         let deployment = {
             let mut state = job.state.write();
-            let (Some(frontier), Some(profiles)) = (state.frontier.clone(), state.profiles.clone())
+            let (Some(frontier), Some(profiles)) =
+                (state.frontier().cloned(), state.profiles.clone())
             else {
                 return Err(ServerError::NotCharacterized(name.to_string()));
             };
@@ -1933,8 +1944,7 @@ impl PerseusServer {
                 });
                 (clamped, sleep)
             };
-            state.frontier = Some(Arc::new(clamped));
-            state.sleep = sleep;
+            state.segment = Some(Arc::new(Segment::new(Arc::new(clamped), sleep)));
             // Journaled only on success: a cap that failed to re-realize
             // changed nothing and replays nothing.
             if let (Some(store), Some(journal), Some(bytes)) =
@@ -1984,7 +1994,7 @@ impl PerseusServer {
         self.jobs
             .read()
             .get(name)
-            .and_then(|j| j.state.read().frontier.clone())
+            .and_then(|j| j.state.read().frontier().cloned())
     }
 
     /// Registered job names.
@@ -2025,15 +2035,18 @@ impl PerseusServer {
     /// In-flight submission counters (`next_epoch`) and volatile
     /// observability counters are excluded: they are not part of durable
     /// identity.
+    ///
+    /// Every frontier and sleep-plan byte is covered, not only the
+    /// segment key a snapshot stores, so no key is ever computed here.
     pub fn state_fingerprint(&self) -> Vec<u8> {
-        self.snapshot_jobs(true).to_bytes()
+        fingerprint_bytes(&self.snapshot_jobs(true))
     }
 
-    /// Serializes the jobs map for a snapshot or fingerprint. Jobs are
-    /// sorted by name and straggler maps by accelerator id, so equal
-    /// states always yield equal bytes. `for_fingerprint` zeroes the
-    /// in-flight submission counter (see
-    /// [`PerseusServer::state_fingerprint`]).
+    /// Freezes the jobs map for a snapshot, checkpoint or fingerprint.
+    /// Jobs are sorted by name and straggler maps by accelerator id, so
+    /// equal states always yield equal bytes. Segments are shared, not
+    /// copied. `for_fingerprint` zeroes the in-flight submission counter
+    /// (see [`PerseusServer::state_fingerprint`]).
     pub(crate) fn snapshot_jobs(&self, for_fingerprint: bool) -> Vec<JobSnapshot> {
         let jobs = self.jobs.read();
         let mut names: Vec<&String> = jobs.keys().collect();
@@ -2057,9 +2070,8 @@ impl PerseusServer {
                         job.next_epoch.load(Ordering::Relaxed)
                     },
                     characterized_epoch: state.characterized_epoch,
-                    frontier: state.frontier.as_ref().map(|f| (**f).clone()),
+                    segment: state.segment.clone(),
                     profiles: state.profiles.clone(),
-                    sleep: state.sleep.clone(),
                     degraded: state.degraded,
                     stragglers,
                     pending: state
@@ -2076,7 +2088,9 @@ impl PerseusServer {
     }
 
     /// Writes a snapshot of the full server state and compacts the
-    /// journal below its watermark. Holds the journal lock throughout —
+    /// journal below its watermark. Only segments not yet on disk are
+    /// written; unchanged frontiers cost nothing (see the
+    /// [`crate::store`] module docs). Holds the journal lock throughout —
     /// every mutator takes that lock before touching state, so the
     /// serialized state is a consistent freeze. No-op on an in-memory
     /// server.
@@ -2095,10 +2109,7 @@ impl PerseusServer {
             applied_seq: journal.next_seq().saturating_sub(1),
             jobs: self.snapshot_jobs(false),
         };
-        write_snapshot(&store.snapshot_path, &snap.to_bytes())?;
-        journal.compact_below(snap.applied_seq)?;
-        store.appends_since_snapshot.store(0, Ordering::Relaxed);
-        store.snapshots_written.fetch_add(1, Ordering::Relaxed);
+        store.snapshot_locked(&mut journal, &snap)?;
         Ok(())
     }
 
@@ -2249,7 +2260,9 @@ impl PerseusServer {
     /// follower's shipped position predates the leader's oldest surviving
     /// journal record (compaction) — the follower installs the checkpoint
     /// and resumes tailing from its watermark, never replaying from
-    /// genesis.
+    /// genesis. The checkpoint shares the leader's segments, with any
+    /// keys already computed, so the follower writes only the segment
+    /// files its directory lacks.
     pub(crate) fn replication_checkpoint(&self) -> Result<ServerSnapshot, ServerError> {
         let store = self.durable_store()?;
         let journal = store.journal.lock();

@@ -21,29 +21,47 @@
 //!
 //! # What gets snapshotted
 //!
-//! A [`ServerSnapshot`] is a compacted serialization of every job's full
-//! state — frontier, profiles, straggler/clock state, deployment — plus
-//! the `applied_seq` watermark of the last journal record it covers.
-//! Recovery loads the snapshot (falling back to journal-only replay if
-//! it is corrupt) and replays only the journal tail past the watermark,
+//! A store directory holds three kinds of file:
+//!
+//! * `server.journal` — the write-ahead journal;
+//! * `frontier-<key>.seg` — one immutable [`Segment`] per distinct
+//!   characterized plan: a job's frontier plus its Kareus sleep plans.
+//!   `<key>` is the FNV-1a-128 hash of the segment's payload, so equal
+//!   plans share one file and a file, once written, never changes;
+//! * `server.snap` — a [`ServerSnapshot`]: every job's small mutable
+//!   state (profiles, straggler/clock state, deployment) with its
+//!   segment's key, plus the `applied_seq` watermark of the last journal
+//!   record it covers.
+//!
+//! A snapshot therefore writes only the segments not yet on disk — one
+//! after each characterization, drift re-plan or frequency cap — and the
+//! small `server.snap`. A segment's key is computed once, by the first
+//! durable snapshot or checkpoint that persists it, and cached inside
+//! the segment. [`write_state`] fixes the write order and [`open_dir`]
+//! the load path. Recovery loads the snapshot (falling back to
+//! journal-only replay if it or a segment it references is missing or
+//! corrupt) and replays only the journal tail past the watermark,
 //! skipping the expensive re-characterizations the snapshot already
-//! embodies. Snapshots are written atomically and followed by journal
-//! compaction below the watermark.
+//! embodies. Journal compaction below the watermark comes last.
 //!
 //! Volatile observability counters (degraded lookups, faults absorbed)
 //! are *not* persisted — like any process-local Prometheus counter they
 //! reset on restart; the durability counters in [`DurabilityStats`]
 //! record that a restart happened.
 
-use std::path::PathBuf;
+use std::collections::{HashMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use perseus_core::{EnergySchedule, FrontierOptions, ParetoFrontier, SleepPlan};
+use perseus_core::{fnv1a_128, EnergySchedule, FrontierOptions, ParetoFrontier, SleepPlan};
 use perseus_gpu::{FreqMHz, GpuSpec, PowerStateModel};
 use perseus_pipeline::{OpKey, PipelineDag};
 use perseus_profiler::ProfileDb;
-use perseus_store::{ByteReader, ByteWriter, Journal, Persist, StoreError};
+use perseus_store::{
+    load_snapshot, write_snapshot, ByteReader, ByteWriter, Journal, Persist, Record, StoreError,
+};
 use perseus_telemetry::Telemetry;
 
 use crate::server::Deployment;
@@ -51,7 +69,14 @@ use crate::server::Deployment;
 /// File name of the write-ahead journal inside the store directory.
 pub(crate) const JOURNAL_FILE: &str = "server.journal";
 /// File name of the state snapshot inside the store directory.
-pub(crate) const SNAPSHOT_FILE: &str = "server.snap";
+const SNAPSHOT_FILE: &str = "server.snap";
+/// Segment files are named `frontier-<key>.seg`.
+const SEGMENT_PREFIX: &str = "frontier-";
+const SEGMENT_SUFFIX: &str = ".seg";
+/// First word of every `server.snap` payload. A snapshot written before
+/// frontiers moved into segments starts with its watermark instead and
+/// fails to decode, taking the corrupt-snapshot fallback.
+const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"PSEGSNAP");
 /// Default journal appends between automatic snapshots.
 pub(crate) const DEFAULT_SNAPSHOT_EVERY: u64 = 64;
 
@@ -240,7 +265,108 @@ impl Persist for Deployment {
     }
 }
 
-/// Serialized state of one job inside a [`ServerSnapshot`].
+/// Content address of a [`Segment`]: FNV-1a-128 of its payload bytes.
+/// Names the segment's file, `frontier-<32 hex digits>.seg`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct SegmentKey(u128);
+
+impl SegmentKey {
+    fn of(payload: &[u8]) -> SegmentKey {
+        SegmentKey(fnv1a_128(payload))
+    }
+
+    fn file_name(self) -> String {
+        format!("{SEGMENT_PREFIX}{:032x}{SEGMENT_SUFFIX}", self.0)
+    }
+}
+
+impl Persist for SegmentKey {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64((self.0 >> 64) as u64);
+        w.put_u64(self.0 as u64);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
+        let hi = r.get_u64()?;
+        let lo = r.get_u64()?;
+        Ok(SegmentKey((u128::from(hi) << 64) | u128::from(lo)))
+    }
+}
+
+/// A job's characterized plan: its Pareto frontier plus, for Kareus
+/// jobs, one sleep plan per frontier point (same index order). Immutable:
+/// a characterization, drift re-plan or frequency cap builds a new one,
+/// so its cached key can never describe other bytes. On disk it is one
+/// segment file named by that key, written once and shared by every
+/// snapshot and every job that references it.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    frontier: Arc<ParetoFrontier>,
+    sleep: Option<Vec<SleepPlan>>,
+    /// Set when a durable snapshot or checkpoint first persists the
+    /// segment, or at load from the file's name; never on an in-memory
+    /// server.
+    key: OnceLock<SegmentKey>,
+}
+
+impl Segment {
+    /// A segment whose key is not computed yet.
+    pub fn new(frontier: Arc<ParetoFrontier>, sleep: Option<Vec<SleepPlan>>) -> Segment {
+        Segment {
+            frontier,
+            sleep,
+            key: OnceLock::new(),
+        }
+    }
+
+    /// The characterized frontier.
+    pub fn frontier(&self) -> &Arc<ParetoFrontier> {
+        &self.frontier
+    }
+
+    /// One sleep plan per frontier point, for Kareus jobs.
+    pub fn sleep(&self) -> Option<&[SleepPlan]> {
+        self.sleep.as_deref()
+    }
+
+    /// Appends the payload: the frontier, then the sleep plans.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        self.frontier.encode(w);
+        self.sleep.encode(w);
+    }
+
+    fn payload(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        self.encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// The key, hashing the payload if no snapshot has yet.
+    fn key(&self) -> SegmentKey {
+        *self.key.get_or_init(|| SegmentKey::of(&self.payload()))
+    }
+
+    /// Decodes the payload of the segment file stored under `key`.
+    fn decode(payload: &[u8], key: SegmentKey) -> Result<Segment, StoreError> {
+        let mut r = ByteReader::new(payload);
+        let frontier = ParetoFrontier::decode(&mut r)?;
+        let sleep: Option<Vec<SleepPlan>> = Persist::decode(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(StoreError::corrupt("trailing bytes after segment payload"));
+        }
+        if sleep.as_ref().is_some_and(|s| s.len() != frontier.len()) {
+            return Err(StoreError::corrupt(
+                "segment holds a sleep plan count unlike its frontier's",
+            ));
+        }
+        Ok(Segment {
+            frontier: Arc::new(frontier),
+            sleep,
+            key: OnceLock::from(key),
+        })
+    }
+}
+
+/// State of one job inside a [`ServerSnapshot`].
 #[derive(Debug, Clone)]
 pub(crate) struct JobSnapshot {
     /// Job name.
@@ -255,12 +381,11 @@ pub(crate) struct JobSnapshot {
     pub next_epoch: u64,
     /// Epoch of the deployed frontier (0 = none).
     pub characterized_epoch: u64,
-    /// The characterized frontier, if any.
-    pub frontier: Option<ParetoFrontier>,
+    /// The characterized frontier and its sleep plans, if any, shared
+    /// with the job. `server.snap` stores only its key.
+    pub segment: Option<Arc<Segment>>,
     /// Profiles behind the frontier, if any.
     pub profiles: Option<ProfileDb<OpKey>>,
-    /// One sleep plan per frontier point, for Kareus jobs.
-    pub sleep: Option<Vec<SleepPlan>>,
     /// Degradation flag.
     pub degraded: bool,
     /// Active stragglers, sorted by accelerator id for deterministic
@@ -277,17 +402,24 @@ pub(crate) struct JobSnapshot {
     pub deployed: Option<Deployment>,
 }
 
-impl Persist for JobSnapshot {
-    fn encode(&self, w: &mut ByteWriter) {
+impl JobSnapshot {
+    /// Appends the job, with `segment` writing its segment: the key in
+    /// `server.snap`, the whole payload in the state fingerprint.
+    fn encode_with(&self, w: &mut ByteWriter, segment: fn(&Segment, &mut ByteWriter)) {
         w.put_str(&self.name);
         self.pipe.encode(w);
         self.gpu.encode(w);
         self.power.encode(w);
         w.put_u64(self.next_epoch);
         w.put_u64(self.characterized_epoch);
-        self.frontier.encode(w);
+        match &self.segment {
+            None => w.put_u8(0),
+            Some(s) => {
+                w.put_u8(1);
+                segment(s, w);
+            }
+        }
         self.profiles.encode(w);
-        self.sleep.encode(w);
         w.put_bool(self.degraded);
         self.stragglers.encode(w);
         self.pending.encode(w);
@@ -295,7 +427,13 @@ impl Persist for JobSnapshot {
         w.put_u64(self.version);
         self.deployed.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
+
+    /// Decodes a job from `server.snap`, resolving its segment key
+    /// through `segment`.
+    fn decode_with(
+        r: &mut ByteReader<'_>,
+        segment: &mut impl FnMut(SegmentKey) -> Result<Arc<Segment>, StoreError>,
+    ) -> Result<JobSnapshot, StoreError> {
         Ok(JobSnapshot {
             name: r.get_str()?,
             pipe: PipelineDag::decode(r)?,
@@ -303,9 +441,10 @@ impl Persist for JobSnapshot {
             power: Persist::decode(r)?,
             next_epoch: r.get_u64()?,
             characterized_epoch: r.get_u64()?,
-            frontier: Persist::decode(r)?,
+            segment: Option::<SegmentKey>::decode(r)?
+                .map(&mut *segment)
+                .transpose()?,
             profiles: Persist::decode(r)?,
-            sleep: Persist::decode(r)?,
             degraded: r.get_bool()?,
             stragglers: Persist::decode(r)?,
             pending: Persist::decode(r)?,
@@ -314,6 +453,18 @@ impl Persist for JobSnapshot {
             deployed: Persist::decode(r)?,
         })
     }
+}
+
+/// Bytes of `jobs` with every segment's payload inline: equal bytes ⇔
+/// bit-identical jobs. Needs no segment key, so an in-memory server
+/// never hashes.
+pub(crate) fn fingerprint_bytes(jobs: &[JobSnapshot]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_usize(jobs.len());
+    for job in jobs {
+        job.encode_with(&mut w, Segment::encode);
+    }
+    w.into_bytes()
 }
 
 /// A full server snapshot: every job's state plus the journal watermark
@@ -327,17 +478,198 @@ pub(crate) struct ServerSnapshot {
     pub jobs: Vec<JobSnapshot>,
 }
 
-impl Persist for ServerSnapshot {
-    fn encode(&self, w: &mut ByteWriter) {
+impl ServerSnapshot {
+    /// The `server.snap` payload: format marker, watermark, then every
+    /// job with its segment key.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(SNAPSHOT_FORMAT);
         w.put_u64(self.applied_seq);
-        self.jobs.encode(w);
+        w.put_usize(self.jobs.len());
+        for job in &self.jobs {
+            job.encode_with(&mut w, |s, w| s.key().encode(w));
+        }
+        w.into_bytes()
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        Ok(ServerSnapshot {
-            applied_seq: r.get_u64()?,
-            jobs: Persist::decode(r)?,
+
+    /// Decodes a `server.snap` payload, resolving segment keys through
+    /// `segment`.
+    fn from_bytes(
+        bytes: &[u8],
+        mut segment: impl FnMut(SegmentKey) -> Result<Arc<Segment>, StoreError>,
+    ) -> Result<ServerSnapshot, StoreError> {
+        let mut r = ByteReader::new(bytes);
+        if r.get_u64()? != SNAPSHOT_FORMAT {
+            return Err(StoreError::corrupt(
+                "snapshot predates frontier segments or is not a server snapshot",
+            ));
+        }
+        let applied_seq = r.get_u64()?;
+        let n = r.get_len(1)?;
+        let mut jobs = Vec::with_capacity(n);
+        for _ in 0..n {
+            jobs.push(JobSnapshot::decode_with(&mut r, &mut segment)?);
+        }
+        if !r.is_exhausted() {
+            return Err(StoreError::corrupt("trailing bytes after snapshot"));
+        }
+        Ok(ServerSnapshot { applied_seq, jobs })
+    }
+}
+
+/// A store directory as found at open: the journal (torn tail already
+/// truncated), its valid records, and the snapshot with its segments.
+pub(crate) struct OpenedDir {
+    /// The open journal.
+    pub journal: Journal,
+    /// Every valid journal record, in order.
+    pub records: Vec<Record>,
+    /// The snapshot, if one loaded.
+    pub snapshot: Option<ServerSnapshot>,
+    /// A snapshot existed but was unusable; recovery replays the journal
+    /// alone.
+    pub corrupt_snapshot: bool,
+}
+
+/// Opens the store directory `dir` (creating it if needed): the journal,
+/// then `server.snap` and every segment it references — the one load
+/// path of leader and follower alike.
+///
+/// The snapshot counts as corrupt, never as an error, when `server.snap`
+/// or any segment it references is torn, fails its checksum or does not
+/// decode, when a referenced segment is missing, and when `server.snap`
+/// is missing although segments exist and the journal no longer starts
+/// at its first record (a snapshot was written and compacted it).
+///
+/// # Errors
+///
+/// [`StoreError::Io`] on filesystem failures, [`StoreError::Corrupt`] if
+/// the journal's header is destroyed.
+pub(crate) fn open_dir(dir: &Path) -> Result<OpenedDir, StoreError> {
+    std::fs::create_dir_all(dir)?;
+    let (journal, records) = Journal::open(dir.join(JOURNAL_FILE))?;
+    let (snapshot, corrupt_snapshot) = match load_state(dir) {
+        Ok(Some(snap)) => (Some(snap), false),
+        Ok(None) => {
+            let from_genesis = records.first().is_some_and(|r| r.seq == 1);
+            (None, !from_genesis && has_segments(dir)?)
+        }
+        Err(e @ StoreError::Io(_)) => return Err(e),
+        Err(_) => (None, true),
+    };
+    Ok(OpenedDir {
+        journal,
+        records,
+        snapshot,
+        corrupt_snapshot,
+    })
+}
+
+/// Loads `server.snap` and its segments; every error but
+/// [`StoreError::Io`] makes the snapshot corrupt (see [`open_dir`]). A
+/// segment two jobs share is read once.
+fn load_state(dir: &Path) -> Result<Option<ServerSnapshot>, StoreError> {
+    let Some(bytes) = load_snapshot(&dir.join(SNAPSHOT_FILE))? else {
+        return Ok(None);
+    };
+    let mut loaded: HashMap<SegmentKey, Arc<Segment>> = HashMap::new();
+    ServerSnapshot::from_bytes(&bytes, |key| {
+        if let Some(seg) = loaded.get(&key) {
+            return Ok(Arc::clone(seg));
+        }
+        let path = dir.join(key.file_name());
+        let payload = load_snapshot(&path)?
+            .ok_or_else(|| StoreError::corrupt(format!("segment {} is missing", path.display())))?;
+        let seg = Arc::new(Segment::decode(&payload, key)?);
+        loaded.insert(key, Arc::clone(&seg));
+        Ok(seg)
+    })
+    .map(Some)
+}
+
+/// Persists `snap` into the store directory `dir`, in crash-safe order:
+///
+/// 1. every referenced segment the directory lacks is written and
+///    fsynced (its key computed now if no earlier snapshot did), and the
+///    directory is synced;
+/// 2. `server.snap` is atomically replaced;
+/// 3. segments it no longer references and temp files of interrupted
+///    writes are deleted, after a directory sync makes step 2 durable.
+///
+/// A crash anywhere leaves the previous `server.snap` and every segment
+/// it references readable. The caller compacts the journal after this
+/// returns, last. Returns the number of segment files written.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] if a segment or `server.snap` cannot be written.
+/// Deletion is best effort: a file that cannot be removed is garbage the
+/// next snapshot retries, never state anyone reads.
+pub(crate) fn write_state(dir: &Path, snap: &ServerSnapshot) -> Result<u64, StoreError> {
+    let mut referenced: HashSet<SegmentKey> = HashSet::new();
+    let mut written = 0;
+    for seg in snap.jobs.iter().filter_map(|j| j.segment.as_deref()) {
+        // The first persist encodes the payload once, for both the hash
+        // and the file; later snapshots find the key cached.
+        let mut payload = None;
+        let key = *seg.key.get_or_init(|| {
+            let bytes = seg.payload();
+            let key = SegmentKey::of(&bytes);
+            payload = Some(bytes);
+            key
+        });
+        let path = dir.join(key.file_name());
+        if referenced.insert(key) && !path.exists() {
+            write_snapshot(&path, &payload.unwrap_or_else(|| seg.payload()))?;
+            written += 1;
+        }
+    }
+    if written > 0 {
+        sync_dir(dir)?;
+    }
+    write_snapshot(&dir.join(SNAPSHOT_FILE), &snap.to_bytes())?;
+
+    let keep: HashSet<String> = referenced.iter().map(|k| k.file_name()).collect();
+    let stale: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .filter(|entry| {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            let ours = name.starts_with(SEGMENT_PREFIX) || name.starts_with("server.");
+            (ours && name.ends_with(".tmp"))
+                || (is_segment_file(&name) && !keep.contains(name.as_ref()))
         })
+        .map(|entry| entry.path())
+        .collect();
+    if !stale.is_empty() {
+        sync_dir(dir)?;
+        for path in stale {
+            let _ = std::fs::remove_file(path);
+        }
     }
+    Ok(written)
+}
+
+/// Whether `name` is a segment file's name, `frontier-<key>.seg`.
+fn is_segment_file(name: &str) -> bool {
+    name.starts_with(SEGMENT_PREFIX) && name.ends_with(SEGMENT_SUFFIX)
+}
+
+/// Whether `dir` holds any segment file.
+fn has_segments(dir: &Path) -> Result<bool, StoreError> {
+    Ok(std::fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .any(|entry| is_segment_file(&entry.file_name().to_string_lossy())))
+}
+
+/// Makes the directory entries created or renamed so far durable, so a
+/// later rename or unlink cannot reach the disk before them.
+fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
 }
 
 /// Durability counters of a durable server, surfaced in
@@ -368,6 +700,9 @@ pub struct DurabilityStats {
     pub recharacterizations_avoided: u64,
     /// Snapshots written by this process.
     pub snapshots_written: u64,
+    /// Segment files those snapshots wrote: one per frontier not yet on
+    /// disk, so a snapshot of unchanged frontiers writes none.
+    pub segments_written: u64,
     /// 1 if recovery found the snapshot corrupt and fell back to
     /// journal-only replay.
     pub corrupt_snapshots: u64,
@@ -381,8 +716,8 @@ pub struct DurabilityStats {
 pub(crate) struct Store {
     /// The write-ahead journal. Guards all mutating critical sections.
     pub journal: Mutex<Journal>,
-    /// Path of the snapshot file.
-    pub snapshot_path: PathBuf,
+    /// The store directory: journal, snapshot and segment files.
+    dir: PathBuf,
     /// Appends between automatic snapshots.
     pub snapshot_every: AtomicU64,
     /// Appends since the last snapshot (triggers auto-snapshot).
@@ -396,17 +731,18 @@ pub(crate) struct Store {
     pub recharacterizations_replayed: AtomicU64,
     pub recharacterizations_avoided: AtomicU64,
     pub snapshots_written: AtomicU64,
+    pub segments_written: AtomicU64,
     pub corrupt_snapshots: AtomicU64,
     telemetry: Telemetry,
 }
 
 impl Store {
-    /// Wraps an opened journal.
-    pub fn new(journal: Journal, snapshot_path: PathBuf, telemetry: Telemetry) -> Store {
+    /// Wraps the journal opened in the store directory `dir`.
+    pub fn new(journal: Journal, dir: PathBuf, telemetry: Telemetry) -> Store {
         let stats = journal.stats();
         let store = Store {
             journal: Mutex::new(journal),
-            snapshot_path,
+            dir,
             snapshot_every: AtomicU64::new(DEFAULT_SNAPSHOT_EVERY),
             appends_since_snapshot: AtomicU64::new(0),
             journal_appends: AtomicU64::new(0),
@@ -417,6 +753,7 @@ impl Store {
             recharacterizations_replayed: AtomicU64::new(0),
             recharacterizations_avoided: AtomicU64::new(0),
             snapshots_written: AtomicU64::new(0),
+            segments_written: AtomicU64::new(0),
             corrupt_snapshots: AtomicU64::new(0),
             telemetry,
         };
@@ -446,6 +783,22 @@ impl Store {
         }
     }
 
+    /// Persists `snap` ([`write_state`]), then compacts the journal the
+    /// caller holds locked below the snapshot's watermark — last, so a
+    /// failed snapshot leaves the full journal behind it.
+    pub fn snapshot_locked(
+        &self,
+        journal: &mut Journal,
+        snap: &ServerSnapshot,
+    ) -> Result<(), StoreError> {
+        let written = write_state(&self.dir, snap)?;
+        self.segments_written.fetch_add(written, Ordering::Relaxed);
+        journal.compact_below(snap.applied_seq)?;
+        self.appends_since_snapshot.store(0, Ordering::Relaxed);
+        self.snapshots_written.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Records that a recovery ran (existing state was found and
     /// restored).
     pub fn record_recovery(&self) {
@@ -468,6 +821,7 @@ impl Store {
             recharacterizations_replayed: self.recharacterizations_replayed.load(Ordering::Relaxed),
             recharacterizations_avoided: self.recharacterizations_avoided.load(Ordering::Relaxed),
             snapshots_written: self.snapshots_written.load(Ordering::Relaxed),
+            segments_written: self.segments_written.load(Ordering::Relaxed),
             corrupt_snapshots: self.corrupt_snapshots.load(Ordering::Relaxed),
         }
     }

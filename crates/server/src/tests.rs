@@ -755,9 +755,15 @@ fn client_status_surfaces_job_status() {
 }
 
 mod durability {
-    use perseus_core::FrontierOptions;
+    use std::path::Path;
+    use std::sync::Arc;
+
+    use perseus_core::{FrontierOptions, PlanCache};
     use perseus_gpu::{FreqMHz, GpuSpec};
-    use perseus_store::Journal;
+    use perseus_pipeline::{CompKind, OpKey};
+    use perseus_profiler::ProfileDelta;
+    use perseus_store::{Journal, Persist};
+    use perseus_telemetry::Telemetry;
 
     use super::{model_profiles, pipe, unique_test_dir};
     use crate::server::{JobSpec, PerseusServer, ServerError};
@@ -781,14 +787,76 @@ mod durability {
     }
 
     fn register(server: &PerseusServer) {
+        register_named(server, "gpt");
+    }
+
+    fn register_named(server: &PerseusServer, name: &str) {
         server
             .register_job(JobSpec {
-                name: "gpt".into(),
+                name: name.into(),
                 pipe: pipe(),
                 gpu: GpuSpec::a100_pcie(),
                 power_states: None,
             })
             .unwrap();
+    }
+
+    /// A durable server holding job "gpt" with a deployed frontier, and
+    /// automatic snapshots off: the test decides when one is written.
+    fn characterized_server(dir: &Path) -> PerseusServer {
+        let server = PerseusServer::open_with(dir, 1, Telemetry::disabled()).unwrap();
+        server.set_snapshot_every(u64::MAX);
+        register(&server);
+        server
+            .submit_profiles(
+                "gpt",
+                model_profiles(&GpuSpec::a100_pcie()),
+                &FrontierOptions::default(),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        server
+    }
+
+    /// Drifts job "gpt" past the re-plan threshold and waits for the
+    /// re-characterization.
+    fn drift_replan(server: &PerseusServer) {
+        let delta = ProfileDelta {
+            key: OpKey {
+                stage: 0,
+                chunk: 0,
+                kind: CompKind::Forward,
+            },
+            time_factor: 1.10,
+            energy_factor: 1.08,
+        };
+        server
+            .ingest_drift("gpt", &[delta])
+            .unwrap()
+            .expect("threshold crossed")
+            .wait()
+            .unwrap();
+    }
+
+    /// The segment files of a store directory, sorted by name.
+    fn segment_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("frontier-") && n.ends_with(".seg"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Copies every file of `src` into `dst`.
+    fn copy_dir(src: &Path, dst: &Path) {
+        std::fs::create_dir_all(dst).unwrap();
+        for entry in std::fs::read_dir(src).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+        }
     }
 
     /// Drives a durable server through one scripted history covering every
@@ -1103,6 +1171,225 @@ mod durability {
         assert_eq!(recovered.durability().replayed_events, 0);
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fingerprint covers the frontier's bytes themselves, not just
+    /// the segment key a snapshot stores.
+    #[test]
+    fn fingerprint_covers_every_frontier_byte() {
+        let server = PerseusServer::with_workers(1);
+        register(&server);
+        server
+            .submit_profiles(
+                "gpt",
+                model_profiles(&GpuSpec::a100_pcie()),
+                &FrontierOptions::default(),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        let frontier = server.frontier("gpt").unwrap().to_bytes();
+        let fp = server.state_fingerprint();
+        assert!(fp.windows(frontier.len()).any(|w| w == frontier));
+    }
+
+    /// Write-once: a snapshot of unchanged frontiers writes no segment;
+    /// a drift re-plan writes exactly one, and the segment it replaced
+    /// is deleted once the next snapshot lands.
+    #[test]
+    fn snapshots_write_each_frontier_segment_once() {
+        let dir = unique_test_dir("write-once");
+        let server = characterized_server(&dir);
+        server.snapshot_now().unwrap();
+        let first = segment_files(&dir);
+        assert_eq!(first.len(), 1);
+        assert_eq!(server.durability().segments_written, 1);
+
+        // Straggler and clock changes leave the frontier alone: the next
+        // snapshot rewrites only `server.snap`.
+        server.set_straggler("gpt", 0, 0.0, 1.2).unwrap();
+        server.advance_time("gpt", 5.0).unwrap();
+        server.snapshot_now().unwrap();
+        let stats = server.durability();
+        assert_eq!(stats.snapshots_written, 2);
+        assert_eq!(stats.segments_written, 1);
+        assert_eq!(segment_files(&dir), first);
+
+        drift_replan(&server);
+        assert_eq!(server.drift_replans(), 1);
+        assert_eq!(
+            segment_files(&dir),
+            first,
+            "segments are written by snapshots, not by re-plans"
+        );
+        server.snapshot_now().unwrap();
+        assert_eq!(server.durability().segments_written, 2);
+        let second = segment_files(&dir);
+        assert_eq!(second.len(), 1, "the replaced segment is deleted");
+        assert_ne!(second, first);
+
+        let want = server.state_fingerprint();
+        drop(server);
+        let recovered = PerseusServer::recover(&dir).unwrap();
+        assert_eq!(recovered.state_fingerprint(), want);
+        let stats = recovered.durability();
+        assert_eq!(stats.corrupt_snapshots, 0);
+        assert_eq!(stats.recharacterizations_avoided, 1);
+        // The recovery snapshot found the loaded segment on disk.
+        assert_eq!(stats.segments_written, 0);
+        assert_eq!(segment_files(&dir), second);
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two jobs sharing one frontier through a plan-cache hit share one
+    /// segment file, on disk and again after recovery.
+    #[test]
+    fn jobs_sharing_a_cached_frontier_share_one_segment() {
+        let dir = unique_test_dir("shared-segment");
+        let server = PerseusServer::open_with_cache(
+            &dir,
+            1,
+            Telemetry::disabled(),
+            Arc::new(PlanCache::new()),
+        )
+        .unwrap();
+        server.set_snapshot_every(u64::MAX);
+        let gpu = GpuSpec::a100_pcie();
+        for name in ["a", "b"] {
+            register_named(&server, name);
+            server
+                .submit_profiles(name, model_profiles(&gpu), &FrontierOptions::default())
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        assert!(Arc::ptr_eq(
+            &server.frontier("a").unwrap(),
+            &server.frontier("b").unwrap()
+        ));
+        server.snapshot_now().unwrap();
+        assert_eq!(server.durability().segments_written, 1);
+        assert_eq!(segment_files(&dir).len(), 1);
+
+        let want = server.state_fingerprint();
+        drop(server);
+        let recovered = PerseusServer::recover(&dir).unwrap();
+        assert_eq!(recovered.state_fingerprint(), want);
+        assert_eq!(recovered.durability().recharacterizations_avoided, 2);
+        assert!(Arc::ptr_eq(
+            &recovered.frontier("a").unwrap(),
+            &recovered.frontier("b").unwrap()
+        ));
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash after a snapshot's new segment is on disk but before
+    /// `server.snap` is renamed leaves an orphan segment and a torn temp
+    /// file. Recovery ignores both, lands on the journaled state, and its
+    /// own snapshot adopts the orphan and removes the temp files and any
+    /// segment nothing references.
+    #[test]
+    fn orphan_segments_and_stale_temp_files_do_not_change_recovery() {
+        let dir = unique_test_dir("orphan");
+        let crashed = unique_test_dir("orphan-crashed");
+        let server = characterized_server(&dir);
+        server.snapshot_now().unwrap();
+        let old = segment_files(&dir);
+        drift_replan(&server);
+        let want = server.state_fingerprint();
+        // The crash point: the re-plan is journaled, no snapshot has
+        // started yet.
+        copy_dir(&dir, &crashed);
+
+        // The uninterrupted snapshot writes the new segment first.
+        server.snapshot_now().unwrap();
+        let new = segment_files(&dir);
+        assert_ne!(new, old);
+        drop(server);
+        std::fs::copy(dir.join(&new[0]), crashed.join(&new[0])).unwrap();
+        std::fs::write(crashed.join("server.snap.tmp"), b"torn snapshot").unwrap();
+        let unreferenced = format!("frontier-{:032x}.seg", 0xDEAD_BEEF_u128);
+        std::fs::write(crashed.join(&unreferenced), b"no snapshot names this").unwrap();
+        std::fs::write(
+            crashed.join(new[0].replace(".seg", ".snap.tmp")),
+            b"torn segment",
+        )
+        .unwrap();
+
+        let recovered = PerseusServer::recover(&crashed).unwrap();
+        assert_eq!(recovered.state_fingerprint(), want);
+        let stats = recovered.durability();
+        assert_eq!(stats.corrupt_snapshots, 0);
+        assert_eq!(stats.recharacterizations_replayed, 1);
+        assert_eq!(stats.segments_written, 0, "the orphan holds these bytes");
+        assert_eq!(segment_files(&crashed), new);
+        let tmp = std::fs::read_dir(&crashed)
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .file_name()
+                    .to_string_lossy()
+                    .ends_with(".tmp")
+            })
+            .count();
+        assert_eq!(tmp, 0, "recovery's snapshot removes stale temp files");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&crashed);
+    }
+
+    /// Seeded corruption of the snapshot's files: bit flips, truncations
+    /// and deletions of `server.snap` and of the segment it references.
+    /// Opening never panics; it either counts a corrupt snapshot and
+    /// replays the journal alone, or fails with a typed store error.
+    #[test]
+    fn corrupt_snapshot_files_fall_back_without_panicking() {
+        let pristine = unique_test_dir("corrupt-src");
+        let server = characterized_server(&pristine);
+        server.set_straggler("gpt", 0, 0.0, 1.3).unwrap();
+        server.snapshot_now().unwrap();
+        drop(server);
+        let segment = segment_files(&pristine).remove(0);
+        let targets = ["server.snap".to_string(), segment];
+
+        let mut rng = SplitMix64(0x5E6_C0DE);
+        for round in 0..24u64 {
+            let dir = unique_test_dir("corrupt");
+            copy_dir(&pristine, &dir);
+            let target = &targets[(round % 2) as usize];
+            let path = dir.join(target);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mutation = (round / 2) % 3;
+            match mutation {
+                0 => {
+                    let at = rng.below(bytes.len() as u64) as usize;
+                    bytes[at] ^= 1 << rng.below(8);
+                    std::fs::write(&path, &bytes).unwrap();
+                }
+                1 => {
+                    bytes.truncate(rng.below(bytes.len() as u64) as usize);
+                    std::fs::write(&path, &bytes).unwrap();
+                }
+                _ => std::fs::remove_file(&path).unwrap(),
+            }
+            match PerseusServer::open_with(&dir, 1, Telemetry::disabled()) {
+                Ok(server) => {
+                    assert_eq!(
+                        server.durability().corrupt_snapshots,
+                        1,
+                        "round {round}: mutation {mutation} of {target}"
+                    );
+                    let _ = server.state_fingerprint();
+                }
+                Err(ServerError::Store(_)) => {}
+                Err(e) => panic!("round {round}: untyped failure {e}"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&pristine);
     }
 }
 
@@ -2282,7 +2569,6 @@ mod replication {
         let follower_dir = unique_test_dir("repl-follower");
         let leader = PerseusServer::open_with(&leader_dir, 1, Telemetry::disabled()).unwrap();
         drive_leader(&leader);
-        let want = leader.state_fingerprint();
         let watermark = leader.replication_watermark().unwrap();
 
         let leader = Arc::new(leader);
@@ -2295,17 +2581,51 @@ mod replication {
         assert_eq!(lag.shipped, watermark);
         assert!(lag.lag_records <= 2, "lag bounded by max_lag");
         assert!(lag.lag_bytes > 0);
+        assert_eq!(follower.segments_written(), 0, "records carry no segment");
+
+        // Leader snapshots compact past the follower, so each sync bridges
+        // with a checkpoint. The first writes the segment the follower's
+        // directory lacks; the second, after a snapshot of the unchanged
+        // frontier, writes none.
+        for round in 0..2u32 {
+            leader
+                .set_straggler("gpt", 3, 0.0, 1.1 + 0.1 * f64::from(round))
+                .unwrap();
+            leader.snapshot_now().unwrap();
+            replicator.sync(&mut follower).unwrap();
+            assert_eq!(follower.shipped_seq(), watermark + 1 + u64::from(round));
+            assert_eq!(follower.segments_written(), 1, "round {round}");
+        }
+        assert_eq!(leader.durability().segments_written, 1);
+        assert_eq!(
+            follower.server().state_fingerprint(),
+            leader.state_fingerprint()
+        );
+
+        // A plain tail after the checkpoints leaves records pending at the
+        // lag bound for promotion to replay.
+        for k in 0..3u32 {
+            leader
+                .set_straggler("gpt", 0, 0.0, 1.2 + 0.05 * f64::from(k))
+                .unwrap();
+        }
+        replicator.sync(&mut follower).unwrap();
+        assert_eq!(follower.stats().lag_records, 2);
+        let want = leader.state_fingerprint();
+        let watermark = leader.replication_watermark().unwrap();
 
         // Promotion replays only the bounded unapplied tail — never the
         // journal from genesis — and lands bit-identical to the leader.
         let (promoted, report) = follower.promote().unwrap();
-        assert!(report.replayed_records <= 2);
+        assert_eq!(report.replayed_records, 2);
         assert!(
             report.replayed_records < watermark,
             "promotion must not replay from genesis"
         );
         assert_eq!(promoted.state_fingerprint(), want);
         assert_eq!(promoted.role(), Role::Leader);
+        // Its post-promotion snapshot found the segment already on disk.
+        assert_eq!(promoted.durability().segments_written, 0);
         // The promoted server is live: it accepts mutations and journals
         // them into its own (now-leading) durable lineage.
         promoted.set_straggler("gpt", 1, 0.0, 1.3).unwrap();

@@ -231,7 +231,9 @@ impl Journal {
     /// Drops every record at or below `watermark` by atomically rewriting
     /// the journal (called after a snapshot covering those records). The
     /// sequence counter is preserved, so post-compaction appends continue
-    /// the same numbering.
+    /// the same numbering — and never restart at or below `watermark`,
+    /// whose numbers the snapshot owns even when this journal never held
+    /// them (a follower installing a leader's checkpoint).
     ///
     /// # Errors
     ///
@@ -275,7 +277,9 @@ impl Journal {
         let (reopened, _) = Journal::open(&self.path)?;
         self.file = reopened.file;
         self.end = reopened.end;
-        self.next_seq = next_seq.max(reopened.next_seq);
+        self.next_seq = next_seq
+            .max(reopened.next_seq)
+            .max(watermark.saturating_add(1));
         self.stats = stats;
         Ok(())
     }

@@ -43,6 +43,61 @@ fn crc32_matches_known_vectors() {
     );
 }
 
+/// The byte-at-a-time CRC-32/IEEE walk: the reference the sliced
+/// implementation must agree with on every input.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            };
+        }
+        *slot = c;
+    }
+    let mut c = !0u32;
+    for &b in data {
+        c = (c >> 8) ^ table[((c ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !c
+}
+
+/// SplitMix64 byte stream for the randomized checksum comparison.
+fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed;
+    let mut out = Vec::with_capacity(len + 8);
+    while out.len() < len {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+    }
+    out.truncate(len);
+    out
+}
+
+#[test]
+fn crc32_matches_the_bytewise_reference() {
+    for len in 0..=64 {
+        for seed in 0..4 {
+            let data = random_bytes(seed * 1000 + len as u64, len);
+            assert_eq!(crc32(&data), crc32_bytewise(&data), "length {len}");
+        }
+    }
+    // Multi-MiB buffers, with lengths that leave every tail size, and
+    // every start offset within one stride.
+    let big = random_bytes(0xC4C3_2000, 3 * 1024 * 1024 + 15);
+    for cut in [0, 1, 7, 15] {
+        let data = &big[cut..big.len() - (15 - cut)];
+        assert_eq!(crc32(data), crc32_bytewise(data), "offset {cut}");
+    }
+    assert_eq!(crc32(&big), crc32_bytewise(&big));
+}
+
 #[test]
 fn codec_round_trips_primitives_bit_exactly() {
     let mut w = ByteWriter::new();
@@ -250,6 +305,19 @@ fn journal_compaction_preserves_tail_and_sequence() {
     );
     assert_eq!(recs[0].payload, [7u8]);
     assert_eq!(recs[3].payload, b"post-compact");
+}
+
+#[test]
+fn journal_compaction_past_its_last_record_continues_after_the_watermark() {
+    // A follower's journal compacted to a leader checkpoint's watermark
+    // must not hand out the sequence numbers that checkpoint covers.
+    let scratch = Scratch::new("compact-ahead");
+    let path = scratch.path("wal");
+    let (mut j, _) = Journal::open(&path).unwrap();
+    j.append(b"one").unwrap();
+    j.compact_below(40).unwrap();
+    assert_eq!(j.next_seq(), 41);
+    assert_eq!(j.append(b"after").unwrap(), 41);
 }
 
 #[test]
