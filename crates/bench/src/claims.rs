@@ -32,8 +32,8 @@ use perseus_models::{min_imbalance_partition, zoo, ModelSpec, StageWorkloads};
 use perseus_pipeline::{OpKey, PipelineBuilder, PipelineDag, ScheduleKind};
 use perseus_profiler::{ProfileDb, ProfileDrift};
 use perseus_server::{
-    FleetConfig, FleetServer, FollowerServer, JobSpec, PerseusServer, Replicator, Role, TenantId,
-    DEFAULT_DRIFT_THRESHOLD,
+    FleetConfig, FleetServer, FollowerServer, JobSpec, PerseusServer, Replicator, Role,
+    ServerConfig, TenantId, DRIFT_THRESHOLD,
 };
 use perseus_telemetry::pipeline::series;
 use perseus_telemetry::{AlertState, ObsPipeline, PipelineConfig, SloSpec, Telemetry};
@@ -191,6 +191,14 @@ fn job_spec(name: &str, pipe: &PipelineDag) -> JobSpec {
         pipe: pipe.clone(),
         gpu: GpuSpec::a100_pcie(),
         power_states: None,
+    }
+}
+
+/// A single-worker server config; everything else at its default.
+fn one_worker() -> ServerConfig {
+    ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
     }
 }
 
@@ -430,11 +438,11 @@ fn fleet(c: &mut Checker<'_>, tel: &Telemetry) -> io::Result<()> {
         max_iters: 50_000,
         ..FrontierOptions::default()
     };
-    let fleet = FleetServer::with_telemetry(
+    let fleet = FleetServer::new(
         FleetConfig::default()
             .shards(FLEET_SHARDS)
-            .workers_per_shard(2),
-        tel.clone(),
+            .workers_per_shard(2)
+            .telemetry(tel.clone()),
     );
     let tenant_of = |i: usize| TenantId(format!("tenant-{:02}", i % 10));
     let register = |name: &str, s: &Shape| {
@@ -630,12 +638,12 @@ fn obs(c: &mut Checker<'_>, tel: &Telemetry) -> io::Result<()> {
     // Disjoint per-shard registries, so every rolled-up sample must equal
     // the sum over the per-registry samples.
     let fleet_tel = Telemetry::enabled();
-    let fleet = FleetServer::with_telemetry(
+    let fleet = FleetServer::new(
         FleetConfig::default()
             .shards(3)
             .workers_per_shard(1)
-            .sharded_telemetry(true),
-        fleet_tel.clone(),
+            .sharded_telemetry(true)
+            .telemetry(fleet_tel.clone()),
     );
     let tenant = TenantId::from("obs");
     let (pipe, profiles) = serving_job();
@@ -740,13 +748,11 @@ fn ha(c: &mut Checker<'_>, _tel: &Telemetry) -> io::Result<()> {
     // WAL-shipped follower at bounded lag; the leader dies; promote.
     let leader_dir = unique_dir("ha-leader");
     let follower_dir = unique_dir("ha-follower");
-    let leader = Arc::new(
-        PerseusServer::open_with(&leader_dir, 1, Telemetry::disabled()).expect("open leader"),
-    );
+    let leader = Arc::new(PerseusServer::open(&leader_dir, one_worker()).expect("open leader"));
     drive_history(&leader, &pipe, &profiles);
     let leader_fp = leader.state_fingerprint();
     let watermark = leader.replication_watermark().expect("watermark");
-    let mut follower = FollowerServer::open(&follower_dir).expect("open follower");
+    let mut follower = FollowerServer::open(&follower_dir, one_worker()).expect("open follower");
     follower.set_max_lag(MAX_LAG);
     let replicator = Replicator::new(Arc::clone(&leader));
     replicator.sync(&mut follower).expect("sync");
@@ -777,9 +783,11 @@ fn ha(c: &mut Checker<'_>, _tel: &Telemetry) -> io::Result<()> {
 
     // Drift accumulation → threshold trip → warm-started re-plan, epoch
     // bump, cache invalidation, and the staleness SLO.
-    let server = PerseusServer::with_workers(1);
     let cache = Arc::new(PlanCache::new());
-    server.set_plan_cache(Some(Arc::clone(&cache)));
+    let server = PerseusServer::new(ServerConfig {
+        plan_cache: Some(Arc::clone(&cache)),
+        ..one_worker()
+    });
     server.register_job(job_spec(JOB, &pipe)).expect("register");
     server
         .submit_profiles(JOB, profiles.clone(), &COARSE)
@@ -845,7 +853,7 @@ fn ha(c: &mut Checker<'_>, _tel: &Telemetry) -> io::Result<()> {
     )?;
     writeln!(
         c,
-        "drift watcher: threshold {DEFAULT_DRIFT_THRESHOLD:.2}, replans {}, staleness {staleness} \
+        "drift watcher: threshold {DRIFT_THRESHOLD:.2}, replans {}, staleness {staleness} \
          iters (bound {STALENESS_BOUND_ITERS}), warm-start hits gained {}",
         server.drift_replans(),
         after.solver.warm_start_hits - before.solver.warm_start_hits
@@ -856,16 +864,14 @@ fn ha(c: &mut Checker<'_>, _tel: &Telemetry) -> io::Result<()> {
     // (truncates like `Journal::open` always does), resync, converge.
     let leader_dir2 = unique_dir("ha-leader2");
     let follower_dir2 = unique_dir("ha-follower2");
-    let leader = Arc::new(
-        PerseusServer::open_with(&leader_dir2, 1, Telemetry::disabled()).expect("open leader"),
-    );
+    let leader = Arc::new(PerseusServer::open(&leader_dir2, one_worker()).expect("open leader"));
     leader.register_job(job_spec(JOB, &pipe)).expect("register");
     leader
         .submit_profiles(JOB, profiles.clone(), &FrontierOptions::default())
         .expect("submit")
         .wait()
         .expect("characterize");
-    let mut follower = FollowerServer::open(&follower_dir2).expect("open follower");
+    let mut follower = FollowerServer::open(&follower_dir2, one_worker()).expect("open follower");
     let replicator = Replicator::new(Arc::clone(&leader));
     replicator.sync(&mut follower).expect("sync");
     let shipped_before_tear = follower.shipped_seq();
@@ -884,7 +890,7 @@ fn ha(c: &mut Checker<'_>, _tel: &Telemetry) -> io::Result<()> {
     // Meanwhile the leader keeps mutating.
     leader.set_straggler(JOB, 3, 0.0, 1.2).expect("straggler");
     leader.advance_time(JOB, 5.0).expect("advance");
-    let mut follower = FollowerServer::open(&follower_dir2).expect("reopen follower");
+    let mut follower = FollowerServer::open(&follower_dir2, one_worker()).expect("reopen follower");
     let truncated = follower.shipped_seq() < shipped_before_tear;
     replicator.sync(&mut follower).expect("resync");
     follower.apply_all();
@@ -950,7 +956,10 @@ fn ha(c: &mut Checker<'_>, _tel: &Telemetry) -> io::Result<()> {
     // A drift watcher re-planning in-process, sharing the live telemetry
     // handle, must leave table 3 and figure 9 byte-identical.
     let active_tel = Telemetry::enabled();
-    let watched = PerseusServer::with_telemetry(1, active_tel.clone());
+    let watched = PerseusServer::new(ServerConfig {
+        telemetry: active_tel.clone(),
+        ..one_worker()
+    });
     watched
         .register_job(job_spec(JOB, &pipe))
         .expect("register");
@@ -1004,18 +1013,18 @@ fn recovery(c: &mut Checker<'_>, _tel: &Telemetry) -> io::Result<()> {
 
     // Bit-identical recovery against an uninterrupted in-memory run, via
     // snapshot + journal tail and via the journal alone.
-    let baseline = PerseusServer::with_workers(1);
+    let baseline = PerseusServer::new(one_worker());
     drive_history(&baseline, &pipe, &profiles);
     let baseline_fp = baseline.state_fingerprint();
     drop(baseline);
 
     let snap_dir = unique_dir("recovery-snap");
-    let durable =
-        PerseusServer::open_with(&snap_dir, 1, Telemetry::disabled()).expect("open durable");
+    let durable = PerseusServer::open(&snap_dir, one_worker()).expect("open durable");
     drive_history(&durable, &pipe, &profiles);
     durable.snapshot_now().expect("snapshot");
     drop(durable); // crash
-    let recovered = PerseusServer::recover(&snap_dir).expect("recover from snapshot");
+    let recovered =
+        PerseusServer::open(&snap_dir, ServerConfig::default()).expect("recover from snapshot");
     c.check(
         "post-recovery state bit-identical to uninterrupted run (snapshot)",
         recovered.state_fingerprint() == baseline_fp,
@@ -1024,12 +1033,18 @@ fn recovery(c: &mut Checker<'_>, _tel: &Telemetry) -> io::Result<()> {
     drop(recovered);
 
     let wal_dir = unique_dir("recovery-wal");
-    let durable =
-        PerseusServer::open_with(&wal_dir, 1, Telemetry::disabled()).expect("open durable");
-    durable.set_snapshot_every(u64::MAX);
+    let durable = PerseusServer::open(
+        &wal_dir,
+        ServerConfig {
+            snapshot_every: u64::MAX,
+            ..one_worker()
+        },
+    )
+    .expect("open durable");
     drive_history(&durable, &pipe, &profiles);
     drop(durable); // crash before any snapshot
-    let recovered = PerseusServer::recover(&wal_dir).expect("recover from journal");
+    let recovered =
+        PerseusServer::open(&wal_dir, ServerConfig::default()).expect("recover from journal");
     c.check(
         "post-recovery state bit-identical to uninterrupted run (journal-only)",
         recovered.state_fingerprint() == baseline_fp,

@@ -29,7 +29,7 @@ use perseus_pipeline::{CompKind, OpKey, PipelineDag};
 use perseus_profiler::{OpProfile, ProfileDb};
 use perseus_server::{
     ClientConfig, DurabilityStats, FaultInjector, FollowerServer, JobClient, JobSpec,
-    PerseusServer, Replicator, ServerError, SubmissionFault,
+    PerseusServer, Replicator, ServerConfig, ServerError, SubmissionFault,
 };
 use perseus_telemetry::{Alert, AlertState, FlightSnapshot, IterationSample};
 
@@ -87,14 +87,15 @@ pub struct ChaosConfig {
     pub reaction_delay_iters: usize,
     /// Client-side retry/timeout configuration for server traffic.
     pub retry: ClientConfig,
-    /// Where to write the flight-recorder post-mortem. Armed on the
-    /// server for containment dumps (lost/panicked characterizations),
-    /// and written by the harness at the end of any run that injected at
-    /// least one fault. `None` disables dumping; the in-memory
-    /// [`FlightSnapshot`] in the report is populated either way.
+    /// Where to write the flight-recorder post-mortem. The server is
+    /// built with it ([`ServerConfig::flight_dump`]) for containment dumps
+    /// (lost/panicked characterizations), and the harness writes it at
+    /// the end of any run that injected at least one fault. `None`
+    /// disables dumping; the in-memory [`FlightSnapshot`] in the report
+    /// is populated either way.
     pub flight_dump: Option<PathBuf>,
     /// Directory for the server's write-ahead journal + snapshots. With
-    /// `Some`, the server is built via [`PerseusServer::open_with`] and
+    /// `Some`, the server is built via [`PerseusServer::open`] and
     /// [`FaultKind::CrashRestart`] kills and recovers it in place;
     /// with `None` the server is in-memory and a crash rebuilds it from
     /// scratch. For identical seeds *without* durability faults, durable
@@ -311,30 +312,30 @@ pub fn run_chaos(emu: &mut Emulator, cfg: &ChaosConfig) -> Result<ChaosReport, C
     };
 
     // Server side: one registered job driven through the retrying client.
-    // The server shares the emulator's telemetry handle, so one snapshot
-    // covers both sides of the run (and stays inert when disabled).
-    let n_workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(4);
-    let telemetry = emu.telemetry().clone();
+    // Every incarnation — the boot, each crash-restart, each promoted
+    // follower — is built from this one config. The server shares the
+    // emulator's telemetry handle, so one snapshot covers both sides of
+    // the run (and stays inert when disabled). Containment dumps: if a
+    // characterization is lost or panics and the server absorbs it, the
+    // flight record is written immediately — the post-mortem exists even
+    // if the run never reaches its end.
+    let injector = Arc::new(ScriptedInjector::new());
+    let server_cfg = ServerConfig {
+        telemetry: emu.telemetry().clone(),
+        fault_injector: Some(Arc::clone(&injector) as Arc<dyn FaultInjector>),
+        flight_dump: cfg.flight_dump.clone(),
+        ..ServerConfig::default()
+    };
     let pipe = emu.pipe().clone();
     // The active durable directory: starts at the configured one but
     // moves to the promoted follower's after a LeaderFailover, so later
     // CrashRestarts recover the surviving lineage.
     let mut active_dir = cfg.durable_dir.clone();
-    let boot_telemetry = telemetry.clone();
-    let boot = move |dir: &Option<PathBuf>| -> Result<Arc<PerseusServer>, ChaosError> {
-        Ok(match dir {
-            Some(dir) => Arc::new(PerseusServer::open_with(
-                dir,
-                n_workers,
-                boot_telemetry.clone(),
-            )?),
-            None => Arc::new(PerseusServer::with_telemetry(
-                n_workers,
-                boot_telemetry.clone(),
-            )),
-        })
+    let boot = |dir: &Option<PathBuf>| -> Result<Arc<PerseusServer>, ChaosError> {
+        Ok(Arc::new(match dir {
+            Some(dir) => PerseusServer::open(dir, server_cfg.clone())?,
+            None => PerseusServer::new(server_cfg.clone()),
+        }))
     };
     let spec = || JobSpec {
         name: "chaos".into(),
@@ -343,12 +344,6 @@ pub fn run_chaos(emu: &mut Emulator, cfg: &ChaosConfig) -> Result<ChaosReport, C
         power_states: None,
     };
     let mut server = boot(&active_dir)?;
-    let injector = Arc::new(ScriptedInjector::new());
-    server.set_fault_injector(Some(Arc::clone(&injector) as Arc<dyn FaultInjector>));
-    // Containment dumps: if a characterization is lost or panics and the
-    // server absorbs it, the flight record is written immediately — the
-    // post-mortem exists even if the run never reaches its end.
-    server.arm_flight_dump(cfg.flight_dump.clone());
     match server.register_job(spec()) {
         // A durable directory that already holds this job (recovered
         // state, or a rerun over the same dir) is not an error.
@@ -447,9 +442,6 @@ pub fn run_chaos(emu: &mut Emulator, cfg: &ChaosConfig) -> Result<ChaosReport, C
                     drop(client);
                     drop(server);
                     server = boot(&active_dir)?;
-                    server
-                        .set_fault_injector(Some(Arc::clone(&injector) as Arc<dyn FaultInjector>));
-                    server.arm_flight_dump(cfg.flight_dump.clone());
                     match server.register_job(spec()) {
                         Err(ServerError::DuplicateJob(_)) => {}
                         other => other?,
@@ -505,8 +497,7 @@ pub fn run_chaos(emu: &mut Emulator, cfg: &ChaosConfig) -> Result<ChaosReport, C
                         // replication alone — its bounded pending tail,
                         // never the journal from genesis.
                         let follower_dir = dir.join(format!("failover-{leader_failovers}"));
-                        let mut follower =
-                            FollowerServer::open_with(&follower_dir, n_workers, telemetry.clone())?;
+                        let mut follower = FollowerServer::open(&follower_dir, server_cfg.clone())?;
                         let replicator = Replicator::new(Arc::clone(&server));
                         replicator.sync(&mut follower)?;
                         drop(replicator);
@@ -520,9 +511,6 @@ pub fn run_chaos(emu: &mut Emulator, cfg: &ChaosConfig) -> Result<ChaosReport, C
                         drop(server);
                         server = boot(&active_dir)?;
                     }
-                    server
-                        .set_fault_injector(Some(Arc::clone(&injector) as Arc<dyn FaultInjector>));
-                    server.arm_flight_dump(cfg.flight_dump.clone());
                     match server.register_job(spec()) {
                         Err(ServerError::DuplicateJob(_)) => {}
                         other => other?,

@@ -47,7 +47,7 @@ use perseus_telemetry::{
 
 use crate::client::{fnv64, ClientConfig, JobClient};
 use crate::server::{
-    CharacterizeTicket, Deployment, JobSpec, JobStatus, PerseusServer, ServerError,
+    CharacterizeTicket, Deployment, JobSpec, JobStatus, PerseusServer, ServerConfig, ServerError,
 };
 
 /// An accounting principal: the team or workload class a job bills its
@@ -82,7 +82,7 @@ impl From<String> for TenantId {
 }
 
 /// Shape of a [`FleetServer`]: shard fan-out, per-shard admission bounds,
-/// and per-tenant token-bucket quotas.
+/// per-tenant token-bucket quotas, and the telemetry handle.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of [`PerseusServer`] shards (at least 1). For a durable
@@ -112,11 +112,14 @@ pub struct FleetConfig {
     /// (the obs-suite gate). Off by default: one shared registry is
     /// cheaper and fine when nobody reads per-shard breakdowns.
     pub sharded_telemetry: bool,
+    /// Where the fleet, its shared plan cache and its shards emit
+    /// (disabled by default).
+    pub telemetry: Telemetry,
 }
 
 impl Default for FleetConfig {
     /// 4 shards × 1 worker, unbounded admission, quotas disabled,
-    /// 32 virtual nodes per shard.
+    /// 32 virtual nodes per shard, telemetry disabled.
     fn default() -> FleetConfig {
         FleetConfig {
             shards: 4,
@@ -128,6 +131,7 @@ impl Default for FleetConfig {
             lookup_cost: 0.0,
             virtual_nodes: 32,
             sharded_telemetry: false,
+            telemetry: Telemetry::disabled(),
         }
     }
 }
@@ -178,6 +182,32 @@ impl FleetConfig {
     pub fn sharded_telemetry(mut self, on: bool) -> FleetConfig {
         self.sharded_telemetry = on;
         self
+    }
+
+    /// Sets the telemetry handle the fleet, its plan cache and its shards
+    /// emit through.
+    pub fn telemetry(mut self, telemetry: Telemetry) -> FleetConfig {
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// The [`ServerConfig`] of every shard: the per-shard worker count and
+    /// in-flight bound, the shared plan cache, and the fleet's telemetry
+    /// handle — or, under `sharded_telemetry`, a private registry so the
+    /// rollup sums exactly over shards. The plan cache always keeps the
+    /// fleet handle.
+    fn shard_config(&self, cache: &Arc<PlanCache>) -> ServerConfig {
+        ServerConfig {
+            workers: self.workers_per_shard.max(1),
+            telemetry: if self.sharded_telemetry && self.telemetry.is_enabled() {
+                Telemetry::enabled()
+            } else {
+                self.telemetry.clone()
+            },
+            plan_cache: Some(Arc::clone(cache)),
+            max_inflight: self.max_inflight_per_shard,
+            ..ServerConfig::default()
+        }
     }
 }
 
@@ -250,7 +280,6 @@ pub struct FleetServer {
     cache: Arc<PlanCache>,
     tenants: Mutex<TenantState>,
     tenant_stats: Mutex<HashMap<TenantId, TenantStats>>,
-    telemetry: Telemetry,
     submitted: AtomicU64,
     admitted: AtomicU64,
     rejected_quota: AtomicU64,
@@ -262,34 +291,11 @@ pub struct FleetServer {
 impl FleetServer {
     /// An in-memory fleet (no durability) shaped by `cfg`.
     pub fn new(cfg: FleetConfig) -> FleetServer {
-        FleetServer::with_telemetry(cfg, Telemetry::disabled())
-    }
-
-    /// [`FleetServer::new`] emitting through `telemetry`; every shard and
-    /// the shared plan cache inherit the handle.
-    pub fn with_telemetry(cfg: FleetConfig, telemetry: Telemetry) -> FleetServer {
-        let cache = Arc::new(PlanCache::with_telemetry(telemetry.clone()));
+        let cache = Arc::new(PlanCache::with_telemetry(cfg.telemetry.clone()));
         let shards = (0..cfg.shards.max(1))
-            .map(|_| {
-                Arc::new(PerseusServer::with_telemetry(
-                    cfg.workers_per_shard.max(1),
-                    FleetServer::shard_telemetry(&cfg, &telemetry),
-                ))
-            })
+            .map(|_| Arc::new(PerseusServer::new(cfg.shard_config(&cache))))
             .collect();
-        FleetServer::assemble(cfg, shards, cache, telemetry)
-    }
-
-    /// The telemetry handle a new shard gets: the fleet's own handle by
-    /// default, or a private registry under `sharded_telemetry` so the
-    /// rollup sums exactly over shards. The plan cache always keeps the
-    /// fleet handle.
-    fn shard_telemetry(cfg: &FleetConfig, telemetry: &Telemetry) -> Telemetry {
-        if cfg.sharded_telemetry && telemetry.is_enabled() {
-            Telemetry::enabled()
-        } else {
-            telemetry.clone()
-        }
+        FleetServer::assemble(cfg, shards, cache)
     }
 
     /// Opens (or recovers) a durable fleet rooted at `root`: shard `i`
@@ -307,47 +313,26 @@ impl FleetServer {
     /// [`ServerError::Store`] if the root or a shard directory cannot be
     /// created or a journal cannot be opened.
     pub fn open(root: impl AsRef<Path>, cfg: FleetConfig) -> Result<FleetServer, ServerError> {
-        FleetServer::open_with(root, cfg, Telemetry::disabled())
-    }
-
-    /// [`FleetServer::open`] emitting through `telemetry`.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetServer::open`].
-    pub fn open_with(
-        root: impl AsRef<Path>,
-        cfg: FleetConfig,
-        telemetry: Telemetry,
-    ) -> Result<FleetServer, ServerError> {
         let root = root.as_ref();
         std::fs::create_dir_all(root).map_err(perseus_store::StoreError::Io)?;
         let cache = Arc::new(PlanCache::open_with(
             root.join("plan-cache.wal"),
-            telemetry.clone(),
+            cfg.telemetry.clone(),
         )?);
-        let mut shards = Vec::with_capacity(cfg.shards.max(1));
-        for i in 0..cfg.shards.max(1) {
-            shards.push(Arc::new(PerseusServer::open_with_cache(
-                root.join(format!("shard-{i}")),
-                cfg.workers_per_shard.max(1),
-                FleetServer::shard_telemetry(&cfg, &telemetry),
-                Arc::clone(&cache),
-            )?));
-        }
-        Ok(FleetServer::assemble(cfg, shards, cache, telemetry))
+        let shards = (0..cfg.shards.max(1))
+            .map(|i| {
+                PerseusServer::open(root.join(format!("shard-{i}")), cfg.shard_config(&cache))
+                    .map(Arc::new)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(FleetServer::assemble(cfg, shards, cache))
     }
 
     fn assemble(
         cfg: FleetConfig,
         shards: Vec<Arc<PerseusServer>>,
         cache: Arc<PlanCache>,
-        telemetry: Telemetry,
     ) -> FleetServer {
-        for shard in &shards {
-            shard.set_plan_cache(Some(Arc::clone(&cache)));
-            shard.set_max_inflight(cfg.max_inflight_per_shard);
-        }
         let mut ring = Vec::with_capacity(shards.len() * cfg.virtual_nodes.max(1));
         for (i, _) in shards.iter().enumerate() {
             for v in 0..cfg.virtual_nodes.max(1) {
@@ -365,7 +350,6 @@ impl FleetServer {
                 buckets: HashMap::new(),
             }),
             tenant_stats: Mutex::new(HashMap::new()),
-            telemetry,
             submitted: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             rejected_quota: AtomicU64::new(0),
@@ -434,8 +418,9 @@ impl FleetServer {
             bucket.tokens -= cost;
             Ok(())
         } else {
-            if self.telemetry.is_enabled() {
-                self.telemetry
+            if self.cfg.telemetry.is_enabled() {
+                self.cfg
+                    .telemetry
                     .counter("perseus_fleet_quota_rejections_total")
                     .inc();
             }
@@ -619,8 +604,9 @@ impl FleetServer {
     pub fn metrics_rollup(&self) -> MetricsSnapshot {
         let mut seen = std::collections::HashSet::new();
         let mut snaps: Vec<MetricsSnapshot> = Vec::with_capacity(self.shards.len() + 2);
-        if self.telemetry.is_enabled() && seen.insert(self.telemetry.registry_id()) {
-            snaps.push(self.telemetry.snapshot());
+        let tel = &self.cfg.telemetry;
+        if tel.is_enabled() && seen.insert(tel.registry_id()) {
+            snaps.push(tel.snapshot());
         }
         for shard in &self.shards {
             let tel = shard.telemetry();

@@ -17,10 +17,12 @@
 //! the simulated clock of [`perseus_gpu::SimGpu`], advanced explicitly, so
 //! the straggler `delay` semantics are exactly testable.
 //!
-//! A server opened with [`PerseusServer::open`] additionally journals
-//! every state mutation to a checksummed write-ahead log and snapshots
+//! Every [`PerseusServer`] is built from one [`ServerConfig`], fixed for
+//! its lifetime: [`PerseusServer::new`] builds an in-memory server,
+//! [`PerseusServer::open`] a durable one that additionally journals every
+//! state mutation to a checksummed write-ahead log and snapshots
 //! periodically, so a crash-and-restart reconstructs bit-identical state
-//! (see the `store` module).
+//! (see the `store` module). Opening is recovery.
 
 //! At fleet scale, the [`FleetServer`] shards job state across many
 //! [`PerseusServer`]s by consistent hashing, bounds in-flight work per
@@ -41,7 +43,7 @@ pub use fleet::{FleetConfig, FleetServer, FleetStats, TenantId};
 pub use replica::{FollowerServer, PromotionReport, ReplicationStats, Replicator, DEFAULT_MAX_LAG};
 pub use server::{
     ChaosStats, CharacterizeTicket, Deployment, FaultInjector, JobSpec, JobStatus, PerseusServer,
-    Role, ServerError, SubmissionFault, DEFAULT_DRIFT_THRESHOLD, DEFAULT_LIVENESS_TIMEOUT,
+    Role, ServerConfig, ServerError, SubmissionFault, DEFAULT_LIVENESS_TIMEOUT, DRIFT_THRESHOLD,
 };
 pub use store::DurabilityStats;
 

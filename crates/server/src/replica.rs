@@ -35,7 +35,7 @@ use std::sync::Arc;
 use perseus_store::{Journal, Persist, Record, StoreError};
 use perseus_telemetry::Telemetry;
 
-use crate::server::{PerseusServer, Role, ServerError};
+use crate::server::{PerseusServer, Role, ServerConfig, ServerError};
 use crate::store::{open_dir, write_state, JournalEvent, OpenedDir, ServerSnapshot, Store};
 
 /// Journal frame overhead per record: `len:u32 + crc:u32 + seq:u64`.
@@ -83,37 +83,23 @@ pub struct FollowerServer {
     shipped_seq: u64,
     applied_seq: u64,
     max_lag: u64,
-    n_workers: usize,
     /// Segment files written by checkpoint installs.
     segments_written: u64,
 }
 
 impl FollowerServer {
-    /// Opens (or creates) a follower rooted at `dir` with one worker and
-    /// telemetry disabled. State already in `dir` — a previous follower
-    /// lifetime, including one that crashed mid-ship — is recovered from
-    /// the local snapshot + journal; a torn shipped record is truncated
-    /// exactly like [`Journal::open`] always does, and the next
-    /// [`Replicator::sync`] re-ships the lost suffix from the leader.
+    /// Opens (or creates) a follower rooted at `dir`, its server built
+    /// from `cfg`. The config outlives checkpoint installs and is handed
+    /// on to the promoted leader. State already in `dir` — a previous
+    /// follower lifetime, including one that crashed mid-ship — is
+    /// recovered from the local snapshot + journal; a torn shipped record
+    /// is truncated exactly like [`Journal::open`] always does, and the
+    /// next [`Replicator::sync`] re-ships the lost suffix from the leader.
     ///
     /// # Errors
     ///
     /// [`ServerError::Store`] if the directory or journal is unusable.
-    pub fn open(dir: impl AsRef<Path>) -> Result<FollowerServer, ServerError> {
-        FollowerServer::open_with(dir, 1, Telemetry::disabled())
-    }
-
-    /// [`FollowerServer::open`] with an explicit worker count and
-    /// telemetry handle (both inherited by the promoted leader).
-    ///
-    /// # Errors
-    ///
-    /// As [`FollowerServer::open`].
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        n_workers: usize,
-        telemetry: Telemetry,
-    ) -> Result<FollowerServer, ServerError> {
+    pub fn open(dir: impl AsRef<Path>, cfg: ServerConfig) -> Result<FollowerServer, ServerError> {
         let dir = dir.as_ref();
         let OpenedDir {
             journal,
@@ -121,8 +107,8 @@ impl FollowerServer {
             snapshot,
             ..
         } = open_dir(dir)?;
-        let state = PerseusServer::with_telemetry(n_workers, telemetry);
-        state.set_role(Role::Follower);
+        let state = PerseusServer::new(cfg);
+        state.set_role(Role::Follower, String::new());
         // The same recovery as a leader's: a corrupt local snapshot falls
         // back to journal-only replay.
         let applied_seq = state.recover_state(snapshot, &records).applied_seq;
@@ -135,11 +121,33 @@ impl FollowerServer {
             shipped_seq: applied_seq,
             applied_seq,
             max_lag: DEFAULT_MAX_LAG,
-            n_workers,
             segments_written: 0,
         };
         follower.publish_stats();
         Ok(follower)
+    }
+
+    /// [`FollowerServer::open`] with `n_workers` planning workers,
+    /// `telemetry`, and every other value at its default. A shorthand
+    /// kept because the benchmark harness (`perfbench/`) calls it; new
+    /// code builds a [`ServerConfig`].
+    ///
+    /// # Errors
+    ///
+    /// As [`FollowerServer::open`].
+    pub fn open_with(
+        dir: impl AsRef<Path>,
+        n_workers: usize,
+        telemetry: Telemetry,
+    ) -> Result<FollowerServer, ServerError> {
+        FollowerServer::open(
+            dir,
+            ServerConfig {
+                workers: n_workers,
+                telemetry,
+                ..ServerConfig::default()
+            },
+        )
     }
 
     /// The follower's read-only server: statuses, frontiers, and
@@ -166,7 +174,7 @@ impl FollowerServer {
 
     /// Where [`ServerError::NotLeader`] answers point callers.
     pub fn set_leader_hint(&mut self, hint: impl Into<String>) {
-        self.state.set_leader_hint(hint.into());
+        self.state.set_role(Role::Follower, hint.into());
     }
 
     /// Highest sequence shipped into the local journal.
@@ -262,15 +270,14 @@ impl FollowerServer {
     }
 
     /// Installs a full-state checkpoint from the leader (compaction gap
-    /// bridge): the in-memory state is rebuilt from the snapshot, the
-    /// snapshot is persisted locally — only the segment files the
-    /// directory lacks are written — the local journal drops everything
-    /// the checkpoint covers, and shipping resumes from the checkpoint's
-    /// watermark.
+    /// bridge): the in-memory state is rebuilt — from the same
+    /// [`ServerConfig`] — from the snapshot, the snapshot is persisted
+    /// locally — only the segment files the directory lacks are written —
+    /// the local journal drops everything the checkpoint covers, and
+    /// shipping resumes from the checkpoint's watermark.
     pub(crate) fn install_checkpoint(&mut self, snap: ServerSnapshot) -> Result<(), ServerError> {
-        let fresh = PerseusServer::with_telemetry(self.n_workers, self.state.telemetry().clone());
-        fresh.set_role(Role::Follower);
-        fresh.set_leader_hint(self.state.leader_hint());
+        let fresh = PerseusServer::new(self.state.config().clone());
+        fresh.set_role(Role::Follower, self.state.leader_hint());
         self.segments_written += write_state(&self.dir, &snap)?;
         self.journal.compact_below(snap.applied_seq)?;
         self.shipped_seq = snap.applied_seq;
@@ -287,8 +294,10 @@ impl FollowerServer {
     /// `max_lag` records — never the journal from genesis) is applied,
     /// the local journal + snapshot become the promoted server's durable
     /// [`Store`], and the role flips to [`Role::Leader`]. The promoted
-    /// server's [`PerseusServer::state_fingerprint`] is bit-identical to
-    /// the old leader's at the shipped watermark.
+    /// server keeps the follower's [`ServerConfig`] — its fault injector,
+    /// snapshot cadence and the rest. Its
+    /// [`PerseusServer::state_fingerprint`] is bit-identical to the old
+    /// leader's at the shipped watermark.
     ///
     /// # Errors
     ///
@@ -296,23 +305,16 @@ impl FollowerServer {
     /// snapshot fails (the state itself is already consistent).
     pub fn promote(mut self) -> Result<(PerseusServer, PromotionReport), ServerError> {
         let replayed_records = self.apply_all();
-        let telemetry = self.state.telemetry().clone();
         let FollowerServer {
             dir,
             journal,
             mut state,
             ..
         } = self;
-        let store = Arc::new(Store::new(journal, dir, telemetry));
+        let store = Arc::new(Store::new(journal, dir, state.config()));
         state.attach_store(store);
-        state.set_role(Role::Leader);
-        state.set_leader_hint(String::new());
-        state.set_replication_stats(ReplicationStats {
-            shipped: 0,
-            applied: 0,
-            lag_records: 0,
-            lag_bytes: 0,
-        });
+        state.set_role(Role::Leader, String::new());
+        state.set_replication_stats(ReplicationStats::default());
         // Fold the promoted state into a fresh snapshot so the next open
         // of this directory recovers from it instead of the full tail.
         state.snapshot_now()?;

@@ -17,6 +17,11 @@
 //! profiles mid-training) reuse the job's edge-centric DAG and
 //! topological order instead of rebuilding them.
 //!
+//! Every server is built from one [`ServerConfig`], fixed for its
+//! lifetime. Every job-state mutation goes through one journaled-write
+//! helper, and every characterization — a worker's or a replay's — goes
+//! through one plan function (cache-or-solve, then the Kareus sleep pass).
+//!
 //! # Durability
 //!
 //! A server opened with [`PerseusServer::open`] journals every
@@ -26,18 +31,17 @@
 //! reconstructs bit-identical state — [`PerseusServer::state_fingerprint`]
 //! of a crashed-and-recovered server equals that of an uninterrupted one,
 //! and so do the deployments it issues. Servers built with
-//! [`PerseusServer::new`]/[`PerseusServer::with_workers`] are purely
-//! in-memory and skip all of this.
+//! [`PerseusServer::new`] are purely in-memory and skip all of this.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use perseus_core::{
     insert_sleep, CoreError, EnergySchedule, FrontierOptions, FrontierSolver, ParetoFrontier,
@@ -55,7 +59,7 @@ use perseus_telemetry::{
 use crate::replica::ReplicationStats;
 use crate::store::{
     fingerprint_bytes, open_dir, DurabilityStats, JobSnapshot, JournalEvent, OpenedDir, Segment,
-    ServerSnapshot, Store,
+    ServerSnapshot, Store, DEFAULT_SNAPSHOT_EVERY,
 };
 
 /// Ring capacity of the server's flight recorder: enough to hold the
@@ -70,10 +74,10 @@ const FLIGHT_CAPACITY: usize = 256;
 /// surfaces as a typed error instead of a hung client.
 pub const DEFAULT_LIVENESS_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Default drift-watcher threshold: a job re-characterizes once any
-/// computation's pending time or energy factor moves 5% from where the
-/// last plan left it (see [`PerseusServer::ingest_drift`]).
-pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.05;
+/// Drift-watcher threshold: a job re-characterizes once any computation's
+/// pending time or energy factor moves 5% from where the last plan left
+/// it (see [`PerseusServer::ingest_drift`]).
+pub const DRIFT_THRESHOLD: f64 = 0.05;
 
 /// A training job registration: the computation DAG plus the GPU model the
 /// pipeline runs on ("a training job is primarily specified by its
@@ -120,9 +124,9 @@ pub enum ServerError {
     CharacterizationPanicked(String),
     /// A client gave up after exhausting its retry budget.
     RetriesExhausted(String),
-    /// The characterization worker went silent past the liveness timeout
-    /// ([`DEFAULT_LIVENESS_TIMEOUT`] by default): neither a result nor a
-    /// channel close arrived. The submission may still land later;
+    /// The characterization worker went silent past
+    /// [`DEFAULT_LIVENESS_TIMEOUT`] in [`CharacterizeTicket::wait`]:
+    /// neither a result nor a channel close arrived. The submission may still land later;
     /// resubmitting is safe because newer epochs supersede older ones.
     WorkerLost(String),
     /// A submitted profile was structurally invalid (empty, NaN or
@@ -137,12 +141,13 @@ pub enum ServerError {
     /// The durable backing store failed (journal or snapshot I/O,
     /// unrecoverable corruption).
     Store(StoreError),
-    /// Admission control rejected the submission: the server already has
-    /// its configured maximum of characterizations in flight (see
-    /// [`PerseusServer::set_max_inflight`]). Backpressure, not failure —
-    /// the client should back off and retry ([`crate::JobClient`] does).
+    /// Admission control rejected the submission: admitting it would put
+    /// more characterizations in flight than [`ServerConfig::max_inflight`]
+    /// allows. A batch is admitted whole or not at all, so it needs one
+    /// free slot per entry. Backpressure, not failure — the client should
+    /// back off and retry ([`crate::JobClient`] does).
     Overloaded {
-        /// The job the submission targeted.
+        /// The job the submission targeted (a batch's first job).
         job: String,
         /// Characterizations in flight when the submission arrived.
         inflight: u64,
@@ -325,7 +330,6 @@ impl CharacterizeTicket {
     /// silent for [`DEFAULT_LIVENESS_TIMEOUT`] (neither a result nor a
     /// channel close — a wedged or dead worker), this resolves to
     /// [`ServerError::WorkerLost`] instead of hanging the client forever.
-    /// Use [`CharacterizeTicket::wait_live`] to pick a different bound.
     ///
     /// # Errors
     ///
@@ -333,26 +337,8 @@ impl CharacterizeTicket {
     /// submission won, [`ServerError::Shutdown`] if the server was
     /// dropped first, or [`ServerError::WorkerLost`] on liveness timeout.
     pub fn wait(self) -> Result<Deployment, ServerError> {
-        self.wait_live(DEFAULT_LIVENESS_TIMEOUT)
-    }
-
-    /// [`CharacterizeTicket::wait`] with an explicit liveness bound.
-    ///
-    /// # Errors
-    ///
-    /// As [`CharacterizeTicket::wait`]; [`ServerError::WorkerLost`] fires
-    /// after `liveness` of silence.
-    pub fn wait_live(self, liveness: Duration) -> Result<Deployment, ServerError> {
-        match self.rx.recv_timeout(liveness) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Disconnected) => Err(ServerError::Shutdown(self.job)),
-            Err(RecvTimeoutError::Timeout) => Err(ServerError::WorkerLost(self.job)),
-        }
-    }
-
-    /// The result, if the characterization has already finished.
-    pub fn try_wait(&self) -> Option<Result<Deployment, ServerError>> {
-        self.rx.try_recv().ok()
+        self.wait_timeout(DEFAULT_LIVENESS_TIMEOUT)
+            .unwrap_or(Err(ServerError::WorkerLost(self.job)))
     }
 
     /// Blocks until the characterization finishes or `timeout` elapses.
@@ -360,20 +346,12 @@ impl CharacterizeTicket {
     /// later; resubmitting is safe because newer epochs supersede older
     /// ones.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Deployment, ServerError>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.rx.try_recv() {
-                Ok(result) => return Some(result),
-                Err(TryRecvError::Disconnected) => {
-                    return Some(Err(ServerError::Shutdown(self.job.clone())))
-                }
-                Err(TryRecvError::Empty) => {
-                    if Instant::now() >= deadline {
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                }
+        match self.rx.recv_timeout(timeout) {
+            Ok(result) => Some(result),
+            Err(RecvTimeoutError::Disconnected) => {
+                Some(Err(ServerError::Shutdown(self.job.clone())))
             }
+            Err(RecvTimeoutError::Timeout) => None,
         }
     }
 
@@ -547,7 +525,9 @@ impl DriftAccum {
     }
 }
 
-/// Mutable per-job state, guarded by the job's `RwLock`.
+/// Mutable per-job state, guarded by the job's `RwLock`. The default is a
+/// freshly registered job's.
+#[derive(Default)]
 struct JobMut {
     /// The characterized frontier with its sleep plans (recomputed
     /// whenever the frontier changes, for jobs that plan sleep states).
@@ -590,6 +570,35 @@ impl JobMut {
     fn frontier(&self) -> Option<&Arc<ParetoFrontier>> {
         self.segment.as_ref().map(|s| s.frontier())
     }
+
+    /// Swaps in the plan of the winning submission `epoch`, made from
+    /// `profiles` and `opts`, and clears degradation. Returns the plan
+    /// fingerprint it replaced.
+    fn install(
+        &mut self,
+        epoch: u64,
+        planned: Planned,
+        profiles: ProfileDb<OpKey>,
+        opts: &FrontierOptions,
+    ) -> Option<PlanFingerprint> {
+        self.characterized_epoch = epoch;
+        self.segment = Some(Arc::new(planned.segment));
+        self.profiles = Some(profiles);
+        self.degraded = false;
+        self.last_opts = Some(opts.clone());
+        std::mem::replace(&mut self.plan_fingerprint, planned.fingerprint)
+    }
+}
+
+/// What [`Job::plan`] produced for one characterization.
+struct Planned {
+    /// The frontier with its sleep plans.
+    segment: Segment,
+    /// The plan cache answered; the solver did not run.
+    cache_hit: bool,
+    /// Structural fingerprint of the planning inputs; `Some` only when a
+    /// plan cache is configured.
+    fingerprint: Option<PlanFingerprint>,
 }
 
 /// One registered job: immutable identity plus lock-guarded state. Shared
@@ -615,26 +624,80 @@ struct Job {
 }
 
 impl Job {
+    /// The one constructor, for registration and snapshot restore alike.
+    /// The solver is built from the pipeline (deterministic artifacts, so
+    /// never persisted); the volatile fault counters start at zero.
+    fn new(spec: JobSpec, next_epoch: u64, state: JobMut, telemetry: &Telemetry) -> Job {
+        Job {
+            solver: FrontierSolver::with_telemetry(&spec.pipe, telemetry.clone()),
+            name: spec.name,
+            pipe: spec.pipe,
+            gpu: spec.gpu,
+            power: spec.power_states,
+            next_epoch: AtomicU64::new(next_epoch),
+            degraded_lookups: AtomicU64::new(0),
+            faults_injected: AtomicU64::new(0),
+            telemetry: telemetry.clone(),
+            state: RwLock::new(state),
+        }
+    }
+
+    /// The one plan path, shared by the worker and recovery replay: the
+    /// frontier for `profiles` — from `cache` when it holds the
+    /// structure's frontier, from the job's solver otherwise — plus its
+    /// Kareus sleep plans. A cache hit skips the solver and builds no
+    /// planning context for it; the shared frontier is bit-identical to a
+    /// fresh solve (planning is deterministic in the fingerprinted
+    /// inputs).
+    fn plan(
+        &self,
+        profiles: &ProfileDb<OpKey>,
+        opts: &FrontierOptions,
+        cache: Option<&PlanCache>,
+    ) -> Result<Planned, CoreError> {
+        let ctx = || PlanContext::new(&self.pipe, &self.gpu, profiles.clone());
+        let (frontier, cache_hit, fingerprint) = match cache {
+            Some(cache) => {
+                let (frontier, hit, fp) = self.solver.characterize_cached(
+                    &self.pipe,
+                    &self.gpu,
+                    profiles,
+                    opts,
+                    self.power.as_ref(),
+                    cache,
+                )?;
+                (frontier, hit, Some(fp))
+            }
+            None => (
+                Arc::new(self.solver.characterize(&ctx()?, opts)?),
+                false,
+                None,
+            ),
+        };
+        let sleep = match self.power {
+            Some(_) => self.sleep_plans(&ctx()?, &frontier),
+            None => None,
+        };
+        Ok(Planned {
+            segment: Segment::new(frontier, sleep),
+            cache_hit,
+            fingerprint,
+        })
+    }
+
     /// Kareus sleep plans for every point of `frontier`, when this job was
     /// registered with power states; `None` for frequency-only jobs.
     /// Derived from the frontier's schedules alone (never from `T'`), so
     /// the result is as straggler-independent as the frontier itself.
-    fn sleep_plans(
-        &self,
-        profiles: &ProfileDb<OpKey>,
-        frontier: &ParetoFrontier,
-    ) -> Result<Option<Vec<SleepPlan>>, CoreError> {
-        let Some(model) = self.power.as_ref() else {
-            return Ok(None);
-        };
-        let ctx = PlanContext::new(&self.pipe, &self.gpu, profiles.clone())?;
-        Ok(Some(
+    fn sleep_plans(&self, ctx: &PlanContext, frontier: &ParetoFrontier) -> Option<Vec<SleepPlan>> {
+        let model = self.power.as_ref()?;
+        Some(
             frontier
                 .points()
                 .iter()
-                .map(|p| insert_sleep(&ctx, &p.schedule, model))
+                .map(|p| insert_sleep(ctx, &p.schedule, model))
                 .collect(),
-        ))
+        )
     }
 
     /// Effective straggler iteration time given the active stragglers:
@@ -762,22 +825,123 @@ impl Drop for WorkerPool {
     }
 }
 
+/// The one write path: applies `mutate` to the state behind `lock` (the
+/// jobs map or one job's state) and journals `event` if it returned `Ok`.
+/// Only durable servers build and encode the event, before any lock:
+/// profile databases are the largest thing the journal carries. The
+/// journal lock is taken before `lock`, keeping the order journal → jobs
+/// map → job state, and held until the append lands, so a snapshot (which
+/// holds the journal lock) always sees state and journal agree.
+fn journaled<S, T>(
+    store: Option<&Store>,
+    lock: &RwLock<S>,
+    event: impl FnOnce() -> JournalEvent,
+    mutate: impl FnOnce(&mut S) -> Result<T, ServerError>,
+) -> Result<T, ServerError> {
+    let bytes = store.map(|_| event().to_bytes());
+    let mut journal = store.map(|s| s.journal.lock());
+    let mut state = lock.write();
+    let out = mutate(&mut state);
+    if let (Ok(_), Some(store), Some(journal), Some(bytes)) =
+        (&out, store, journal.as_mut(), bytes.as_ref())
+    {
+        store.append_locked(journal, bytes);
+    }
+    out
+}
+
+/// Everything a [`PerseusServer`] is built with, fixed for the server's
+/// lifetime: [`PerseusServer::new`] builds an in-memory server from it,
+/// [`PerseusServer::open`] a durable one. Nothing can attach a cache
+/// between a solve and its replay, or swap an injector mid-run.
+///
+/// No value here changes planned state: a plan-cache hit is bit-identical
+/// to a solve, and snapshot cadence is not part of
+/// [`PerseusServer::state_fingerprint`].
+#[derive(Clone)]
+pub struct ServerConfig {
+    /// Planning worker threads (floored at 1). Default: one per available
+    /// core, capped at 4.
+    pub workers: usize,
+    /// Where the server emits: per-job queue latency
+    /// (`perseus_server_queue_seconds`), deployment-lookup latency
+    /// (`perseus_server_lookup_seconds`), degraded lookups
+    /// (`perseus_server_degraded_lookups_total`), worker-pool occupancy
+    /// (`perseus_server_workers_busy`), a `characterize` span per
+    /// submission, and the durable store's
+    /// `perseus_store_{journal_appends,recoveries,truncated_records}_total`.
+    /// Every job's [`FrontierSolver`] inherits the handle. Default:
+    /// disabled.
+    pub telemetry: Telemetry,
+    /// The fleet-wide cross-job plan cache, consulted by every
+    /// characterization before the solver runs — recovery replay
+    /// included, so a cache recovered from its own write-ahead log (see
+    /// [`PlanCache::open`]) turns replayed re-characterizations into
+    /// lookups, counted as `recharacterizations_avoided` in
+    /// [`DurabilityStats`]. A hit is counted in the job's
+    /// [`SolverStats::cache_hits`]. Default: none.
+    pub plan_cache: Option<Arc<PlanCache>>,
+    /// Admission bound on in-flight characterizations; submissions past it
+    /// are rejected with [`ServerError::Overloaded`]. `0` (the default)
+    /// means unbounded.
+    pub max_inflight: u64,
+    /// Journal appends between automatic snapshots, which also compact
+    /// the journal (floored at 1; default 64). Low values trade journal
+    /// length for snapshot writes; tests use 1 to snapshot after every
+    /// append. Unused by in-memory servers.
+    pub snapshot_every: u64,
+    /// Decides the fault of each characterization task, consulted once
+    /// per submission. Chaos-testing hook; `None` (the default, and
+    /// production) takes the fault-free path.
+    pub fault_injector: Option<Arc<dyn FaultInjector>>,
+    /// Where to write the flight record as a JSON post-mortem when a
+    /// submission is lost or a characterization panic is contained. Dump
+    /// failures are swallowed: a broken post-mortem path must never take
+    /// down fault containment itself. Default: none (no dumps).
+    pub flight_dump: Option<PathBuf>,
+}
+
+impl Default for ServerConfig {
+    fn default() -> ServerConfig {
+        ServerConfig {
+            workers: std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(4),
+            telemetry: Telemetry::disabled(),
+            plan_cache: None,
+            max_inflight: 0,
+            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
+            fault_injector: None,
+            flight_dump: None,
+        }
+    }
+}
+
+/// Where a server stands in replication. Followers reject every public
+/// mutator with [`ServerError::NotLeader`]; replicated applies go through
+/// [`PerseusServer::replay_event`], which bypasses the guard by
+/// construction.
+struct ReplicationState {
+    role: Role,
+    /// Where [`ServerError::NotLeader`] points callers (empty = unknown).
+    leader_hint: String,
+    /// Counters mirrored from the follower machinery so [`JobStatus`] and
+    /// `/metrics` can surface them; all zero on leaders and standalone
+    /// servers.
+    stats: ReplicationStats,
+}
+
 /// The Perseus server: one per training cluster, managing any number of
 /// jobs. `Send + Sync` — share it behind an `Arc` and call it from any
 /// thread.
 pub struct PerseusServer {
+    cfg: ServerConfig,
     jobs: RwLock<HashMap<String, Arc<Job>>>,
     pool: WorkerPool,
-    /// Installed by the chaos layer; `None` in production.
-    injector: RwLock<Option<Arc<dyn FaultInjector>>>,
-    telemetry: Telemetry,
     /// Per-iteration time-series ring, fed by the training loop (the
     /// chaos harness in this repo) and dumped as a post-mortem when a
     /// submission is lost or a characterization panic is contained.
     flight: Arc<FlightRecorder>,
-    /// Where to auto-dump the flight record on containment; `None`
-    /// disables auto-dumps.
-    flight_dump: RwLock<Option<PathBuf>>,
     /// Streaming observability: ring series, drift detectors, SLO
     /// budgets. Fed by [`PerseusServer::observe_iteration`]; observe-only
     /// (never influences planning), so enabling it keeps planner output
@@ -785,104 +949,63 @@ pub struct PerseusServer {
     obs: Arc<ObsPipeline>,
     /// Whether the lookup-latency histogram of the first observed job has
     /// been attached to the pipeline's SLO engine.
-    obs_lookup_attached: std::sync::atomic::AtomicBool,
+    obs_lookup_attached: AtomicBool,
     /// Durable backing (journal + snapshots); `None` for in-memory
     /// servers. Lock order everywhere: journal → jobs map → job state.
     store: Option<Arc<Store>>,
-    /// The fleet-wide cross-job plan cache, when attached; consulted by
-    /// every characterization before the solver runs.
-    plan_cache: RwLock<Option<Arc<PlanCache>>>,
     /// Characterizations currently admitted but not yet completed.
     inflight: Arc<AtomicU64>,
     /// High-water mark of `inflight` (stress tests assert it never
     /// exceeds the configured bound).
     peak_inflight: AtomicU64,
-    /// Admission bound on in-flight characterizations; 0 = unbounded.
-    max_inflight: AtomicU64,
-    /// [`Role::Leader`] (0) or [`Role::Follower`] (1). Followers reject
-    /// every public mutator with [`ServerError::NotLeader`]; replicated
-    /// applies go through [`PerseusServer::replay_event`], which bypasses
-    /// the guard by construction.
-    role: std::sync::atomic::AtomicU8,
-    /// Where [`ServerError::NotLeader`] points callers (empty = unknown).
-    leader_hint: RwLock<String>,
-    /// Replication counters mirrored from the follower machinery so
-    /// [`JobStatus`] and `/metrics` can surface them: records shipped,
-    /// records applied, lag in records, lag in bytes. All zero on
-    /// leaders and standalone servers.
-    repl_shipped: AtomicU64,
-    repl_applied: AtomicU64,
-    repl_lag_records: AtomicU64,
-    repl_lag_bytes: AtomicU64,
-    /// Drift-watcher threshold (f64 bits): a job re-characterizes once
-    /// its largest pending per-computation drift factor deviates from 1
-    /// by at least this much.
-    drift_threshold: AtomicU64,
+    replication: RwLock<ReplicationState>,
     /// Drift-triggered re-characterizations submitted so far.
     drift_replans: AtomicU64,
 }
 
-impl Default for PerseusServer {
-    fn default() -> PerseusServer {
-        PerseusServer::new()
-    }
-}
-
 impl PerseusServer {
-    /// Creates a server with one planning worker per available core
-    /// (capped at 4) and telemetry disabled.
-    pub fn new() -> PerseusServer {
-        let n = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(4);
-        PerseusServer::with_workers(n)
-    }
-
-    /// Creates a server with an explicit planning-worker count (at least
-    /// one) and telemetry disabled.
-    pub fn with_workers(n_workers: usize) -> PerseusServer {
-        PerseusServer::with_telemetry(n_workers, Telemetry::disabled())
-    }
-
-    /// [`PerseusServer::with_workers`] emitting through `telemetry`: the
-    /// server records per-job queue latency
-    /// (`perseus_server_queue_seconds`), deployment-lookup latency
-    /// (`perseus_server_lookup_seconds`), degraded lookups
-    /// (`perseus_server_degraded_lookups_total`), worker-pool occupancy
-    /// (`perseus_server_workers_busy`), and a `characterize` span per
-    /// submission; every job's [`FrontierSolver`] inherits the handle.
-    pub fn with_telemetry(n_workers: usize, telemetry: Telemetry) -> PerseusServer {
+    /// An in-memory server built from `cfg`: it journals nothing and
+    /// starts empty.
+    pub fn new(cfg: ServerConfig) -> PerseusServer {
         PerseusServer {
             jobs: RwLock::new(HashMap::new()),
-            pool: WorkerPool::new(n_workers),
-            injector: RwLock::new(None),
-            telemetry,
+            pool: WorkerPool::new(cfg.workers),
             flight: Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)),
-            flight_dump: RwLock::new(None),
             obs: Arc::new(ObsPipeline::default()),
-            obs_lookup_attached: std::sync::atomic::AtomicBool::new(false),
+            obs_lookup_attached: AtomicBool::new(false),
             store: None,
-            plan_cache: RwLock::new(None),
             inflight: Arc::new(AtomicU64::new(0)),
             peak_inflight: AtomicU64::new(0),
-            max_inflight: AtomicU64::new(0),
-            role: std::sync::atomic::AtomicU8::new(0),
-            leader_hint: RwLock::new(String::new()),
-            repl_shipped: AtomicU64::new(0),
-            repl_applied: AtomicU64::new(0),
-            repl_lag_records: AtomicU64::new(0),
-            repl_lag_bytes: AtomicU64::new(0),
-            drift_threshold: AtomicU64::new(DEFAULT_DRIFT_THRESHOLD.to_bits()),
+            replication: RwLock::new(ReplicationState {
+                role: Role::Leader,
+                leader_hint: String::new(),
+                stats: ReplicationStats::default(),
+            }),
             drift_replans: AtomicU64::new(0),
+            cfg,
         }
     }
 
-    /// Opens (or creates) a durable server rooted at `dir` with default
-    /// worker count and telemetry disabled. If `dir` holds state from a
-    /// previous run — even one that crashed mid-write — it is recovered:
-    /// the snapshot is loaded, the journal tail is replayed, and torn or
-    /// corrupted journal suffixes are truncated away. Subsequent
-    /// deployments are bit-identical to an uninterrupted run's.
+    /// [`PerseusServer::new`] with `n_workers` planning workers and every
+    /// other value at its default. A shorthand kept because the benchmark
+    /// harness (`perfbench/`) calls it; new code builds a
+    /// [`ServerConfig`].
+    pub fn with_workers(n_workers: usize) -> PerseusServer {
+        PerseusServer::new(ServerConfig {
+            workers: n_workers,
+            ..ServerConfig::default()
+        })
+    }
+
+    /// Opens (or creates) a durable server rooted at `dir`, built from
+    /// `cfg`. Opening is recovery: if `dir` holds state from a previous
+    /// run — even one that crashed mid-write — the snapshot is loaded, the
+    /// journal tail is replayed (through `cfg.plan_cache` first, when one
+    /// is configured), and torn or corrupted journal suffixes are
+    /// truncated away. Subsequent deployments are bit-identical to an
+    /// uninterrupted run's. Recovery emits
+    /// `perseus_store_recoveries_total` /
+    /// `perseus_store_truncated_records_total`.
     ///
     /// # Errors
     ///
@@ -890,79 +1013,16 @@ impl PerseusServer {
     /// journal cannot be opened. Corruption is *not* an error: corrupt
     /// journal tails are truncated and a corrupt snapshot falls back to
     /// journal-only replay, both surfaced in [`DurabilityStats`].
-    pub fn open(dir: impl AsRef<Path>) -> Result<PerseusServer, ServerError> {
-        let n = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(4);
-        PerseusServer::open_with(dir, n, Telemetry::disabled())
-    }
-
-    /// Recovers a durable server from `dir`. Alias of
-    /// [`PerseusServer::open`] — opening *is* recovery; the name exists
-    /// for call sites whose intent is restart-after-crash.
-    ///
-    /// # Errors
-    ///
-    /// As [`PerseusServer::open`].
-    pub fn recover(dir: impl AsRef<Path>) -> Result<PerseusServer, ServerError> {
-        PerseusServer::open(dir)
-    }
-
-    /// [`PerseusServer::open`] with an explicit worker count and
-    /// telemetry handle. Recovery emits
-    /// `perseus_store_recoveries_total` / `perseus_store_truncated_records_total`;
-    /// steady-state appends emit `perseus_store_journal_appends_total`.
-    ///
-    /// # Errors
-    ///
-    /// As [`PerseusServer::open`].
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        n_workers: usize,
-        telemetry: Telemetry,
-    ) -> Result<PerseusServer, ServerError> {
-        PerseusServer::open_inner(dir.as_ref(), n_workers, telemetry, None)
-    }
-
-    /// [`PerseusServer::open_with`] with a fleet plan cache attached
-    /// *before* recovery runs: journal-tail [`JournalEvent::Characterized`]
-    /// replays consult the cache first, so a cache recovered from its own
-    /// write-ahead log (see [`PlanCache::open`]) turns replayed
-    /// re-characterizations into lookups — counted as
-    /// `recharacterizations_avoided` instead of
-    /// `recharacterizations_replayed` in [`DurabilityStats`].
-    ///
-    /// # Errors
-    ///
-    /// As [`PerseusServer::open`].
-    pub fn open_with_cache(
-        dir: impl AsRef<Path>,
-        n_workers: usize,
-        telemetry: Telemetry,
-        cache: Arc<PlanCache>,
-    ) -> Result<PerseusServer, ServerError> {
-        PerseusServer::open_inner(dir.as_ref(), n_workers, telemetry, Some(cache))
-    }
-
-    fn open_inner(
-        dir: &Path,
-        n_workers: usize,
-        telemetry: Telemetry,
-        cache: Option<Arc<PlanCache>>,
-    ) -> Result<PerseusServer, ServerError> {
+    pub fn open(dir: impl AsRef<Path>, cfg: ServerConfig) -> Result<PerseusServer, ServerError> {
+        let dir = dir.as_ref();
         let OpenedDir {
             journal,
             records,
             snapshot,
             corrupt_snapshot,
         } = open_dir(dir)?;
-        let mut server = PerseusServer::with_telemetry(n_workers, telemetry);
-        *server.plan_cache.write() = cache;
-        let store = Arc::new(Store::new(
-            journal,
-            dir.to_path_buf(),
-            server.telemetry.clone(),
-        ));
+        let mut server = PerseusServer::new(cfg);
+        let store = Arc::new(Store::new(journal, dir.to_path_buf(), &server.cfg));
         // A corrupt snapshot is tolerated: `recover_state` falls back to
         // journal-only replay (the journal is only compacted *after* a
         // snapshot lands, so a snapshot that never got readable leaves
@@ -997,6 +1057,34 @@ impl PerseusServer {
             server.snapshot_now()?;
         }
         Ok(server)
+    }
+
+    /// [`PerseusServer::open`] with `n_workers` planning workers,
+    /// `telemetry`, and every other value at its default. A shorthand
+    /// kept because the benchmark harness (`perfbench/`) calls it; new
+    /// code builds a [`ServerConfig`].
+    ///
+    /// # Errors
+    ///
+    /// As [`PerseusServer::open`].
+    pub fn open_with(
+        dir: impl AsRef<Path>,
+        n_workers: usize,
+        telemetry: Telemetry,
+    ) -> Result<PerseusServer, ServerError> {
+        PerseusServer::open(
+            dir,
+            ServerConfig {
+                workers: n_workers,
+                telemetry,
+                ..ServerConfig::default()
+            },
+        )
+    }
+
+    /// The configuration this server was built with.
+    pub(crate) fn config(&self) -> &ServerConfig {
+        &self.cfg
     }
 
     /// Restores `snapshot`, if any, then replays the journal `records`
@@ -1035,46 +1123,40 @@ impl PerseusServer {
     /// Rebuilds the jobs map from a snapshot. Solvers are not persisted:
     /// each is rebuilt from the job's pipeline (deterministic artifacts).
     /// Volatile observability counters (degraded lookups, faults
-    /// absorbed) restart at zero, like any process-local counter.
+    /// absorbed) restart at zero, like any process-local counter, and so
+    /// does the volatile planning state (plan fingerprint, last options,
+    /// drift accumulators).
     pub(crate) fn restore_snapshot(&self, snap: ServerSnapshot) {
         let mut jobs = self.jobs.write();
         for js in snap.jobs {
-            let solver = FrontierSolver::with_telemetry(&js.pipe, self.telemetry.clone());
-            let name = js.name.clone();
-            let job = Arc::new(Job {
+            let state = JobMut {
+                segment: js.segment,
+                characterized_epoch: js.characterized_epoch,
+                profiles: js.profiles,
+                degraded: js.degraded,
+                stragglers: js.stragglers.into_iter().collect(),
+                pending: js
+                    .pending
+                    .into_iter()
+                    .map(|(fire_at, gpu_id, degree)| PendingStraggler {
+                        fire_at,
+                        gpu_id,
+                        degree,
+                    })
+                    .collect(),
+                clock_s: js.clock_s,
+                version: js.version,
+                deployed: js.deployed,
+                ..JobMut::default()
+            };
+            let spec = JobSpec {
                 name: js.name,
                 pipe: js.pipe,
                 gpu: js.gpu,
-                power: js.power,
-                solver,
-                next_epoch: AtomicU64::new(js.next_epoch),
-                degraded_lookups: AtomicU64::new(0),
-                faults_injected: AtomicU64::new(0),
-                telemetry: self.telemetry.clone(),
-                state: RwLock::new(JobMut {
-                    segment: js.segment,
-                    characterized_epoch: js.characterized_epoch,
-                    profiles: js.profiles,
-                    degraded: js.degraded,
-                    stragglers: js.stragglers.into_iter().collect(),
-                    pending: js
-                        .pending
-                        .into_iter()
-                        .map(|(fire_at, gpu_id, degree)| PendingStraggler {
-                            fire_at,
-                            gpu_id,
-                            degree,
-                        })
-                        .collect(),
-                    clock_s: js.clock_s,
-                    version: js.version,
-                    deployed: js.deployed,
-                    plan_fingerprint: None,
-                    last_opts: None,
-                    drift: HashMap::new(),
-                }),
-            });
-            jobs.insert(name, job);
+                power_states: js.power,
+            };
+            let job = Job::new(spec, js.next_epoch, state, &self.cfg.telemetry);
+            jobs.insert(job.name.clone(), Arc::new(job));
         }
     }
 
@@ -1127,23 +1209,21 @@ impl PerseusServer {
             }
             JournalEvent::Degraded { name } => {
                 if let Ok(job) = self.job(&name) {
-                    let mut state = job.state.write();
-                    if state.segment.is_some() {
-                        state.degraded = true;
-                    }
+                    Self::contain_degraded(&job, self.store.as_deref());
                 }
             }
         }
         ReplayOutcome::Other
     }
 
-    /// Replays a winning characterization: re-runs the deterministic
-    /// solver on the journaled profiles and deploys, exactly as the
-    /// original worker did — unless an attached plan cache already holds
-    /// the structure's frontier, in which case the lookup replaces the
-    /// solve (the `recharacterizations_avoided` path). Skipped if the job
-    /// already carries this (or a newer) epoch — replaying a duplicated
-    /// record is a no-op, which is what makes recovery idempotent.
+    /// Replays a winning characterization through the worker's plan path
+    /// ([`Job::plan`]) and deploys, exactly as the original worker did. A
+    /// configured plan cache that already holds the structure's frontier
+    /// replaces the solve (the `recharacterizations_avoided` path). Replay
+    /// never invalidates cache entries: a durable cache journals its own
+    /// epochs and invalidations. Skipped if the job already carries this
+    /// (or a newer) epoch — replaying a duplicated record is a no-op,
+    /// which is what makes recovery idempotent.
     fn replay_characterized(
         &self,
         name: &str,
@@ -1158,38 +1238,15 @@ impl PerseusServer {
         if job.state.read().characterized_epoch >= epoch {
             return ReplayOutcome::CharacterizedSolved;
         }
-        let cache = self.plan_cache.read().clone();
-        let outcome = match cache.as_deref() {
-            Some(cache) => job.solver.characterize_cached(
-                &job.pipe,
-                &job.gpu,
-                &profiles,
-                opts,
-                job.power.as_ref(),
-                cache,
-            ),
-            None => PlanContext::new(&job.pipe, &job.gpu, profiles.clone())
-                .and_then(|ctx| job.solver.characterize(&ctx, opts))
-                .map(|f| (Arc::new(f), false, PlanFingerprint(0))),
-        };
-        let Ok((frontier, cache_hit, fp)) = outcome else {
+        let Ok(planned) = job.plan(&profiles, opts, self.cfg.plan_cache.as_deref()) else {
             return ReplayOutcome::CharacterizedSolved;
         };
-        // Sleep plans are a pure function of (profiles, frontier, power
-        // states), so replay rederives them bit-identically.
-        let sleep = job.sleep_plans(&profiles, &frontier).ok().flatten();
+        let cache_hit = planned.cache_hit;
         let mut state = job.state.write();
         if state.characterized_epoch >= epoch {
             return ReplayOutcome::CharacterizedSolved;
         }
-        state.characterized_epoch = epoch;
-        state.segment = Some(Arc::new(Segment::new(frontier, sleep)));
-        state.profiles = Some(profiles);
-        state.degraded = false;
-        state.last_opts = Some(opts.clone());
-        if cache.is_some() {
-            state.plan_fingerprint = Some(fp);
-        }
+        state.install(epoch, planned, profiles, opts);
         job.deploy_locked(&mut state);
         if cache_hit {
             ReplayOutcome::CharacterizedCached
@@ -1207,24 +1264,15 @@ impl PerseusServer {
 
     /// Snapshots the per-iteration flight record — the on-demand half of
     /// the recorder contract (the auto-dump on fault containment is the
-    /// other half; see [`PerseusServer::arm_flight_dump`]).
+    /// other half; see [`ServerConfig::flight_dump`]).
     pub fn flight_record(&self) -> FlightSnapshot {
         self.flight.snapshot()
     }
 
-    /// Arms (or, with `None`, disarms) the automatic JSON post-mortem: on
-    /// a lost submission or a contained characterization panic, the
-    /// current flight record is written to `path`. Dump failures are
-    /// swallowed — a broken post-mortem path must never take down fault
-    /// containment itself.
-    pub fn arm_flight_dump(&self, path: Option<PathBuf>) {
-        *self.flight_dump.write() = path;
-    }
-
-    /// The telemetry handle this server emits through (disabled unless
-    /// built via [`PerseusServer::with_telemetry`]).
+    /// The telemetry handle this server emits through
+    /// ([`ServerConfig::telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.cfg.telemetry
     }
 
     /// The server's streaming observability pipeline: per-metric ring
@@ -1248,17 +1296,13 @@ impl PerseusServer {
     /// objective evaluates against live lookups (first observed job wins;
     /// no-op with disabled telemetry).
     pub fn observe_iteration(&self, job: &str, sample: IterationSample) -> Vec<Alert> {
-        if self.telemetry.is_enabled()
-            && !self
-                .obs_lookup_attached
-                .swap(true, std::sync::atomic::Ordering::Relaxed)
-        {
+        let tel = &self.cfg.telemetry;
+        if tel.is_enabled() && !self.obs_lookup_attached.swap(true, Ordering::Relaxed) {
             // `histogram_with` wants 'static labels only for the keys;
             // values may borrow. Creates-or-gets: by the first observed
             // iteration the lookup path has typically registered it.
             self.obs.attach_lookup_latency(
-                self.telemetry
-                    .histogram_with("perseus_server_lookup_seconds", &[("job", job)]),
+                tel.histogram_with("perseus_server_lookup_seconds", &[("job", job)]),
             );
         }
         self.flight.record(sample);
@@ -1278,15 +1322,9 @@ impl PerseusServer {
     ) -> std::io::Result<TelemetryServer> {
         TelemetryServer::bind(
             addr,
-            Endpoints::from_telemetry(self.telemetry.clone()).with_pipeline(Arc::clone(&self.obs)),
+            Endpoints::from_telemetry(self.cfg.telemetry.clone())
+                .with_pipeline(Arc::clone(&self.obs)),
         )
-    }
-
-    /// Installs (or, with `None`, removes) the fault injector consulted
-    /// by characterization tasks. Chaos-testing hook; production servers
-    /// never call this.
-    pub fn set_fault_injector(&self, injector: Option<Arc<dyn FaultInjector>>) {
-        *self.injector.write() = injector;
     }
 
     /// Registers a job (§3.2 step ⓪) and builds its reusable
@@ -1310,55 +1348,24 @@ impl PerseusServer {
                 .validate(&spec.gpu)
                 .map_err(|e| ServerError::Core(CoreError::PowerState(e)))?;
         }
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::RegisterJob {
-                name: spec.name.clone(),
-                pipe: spec.pipe.clone(),
-                gpu: spec.gpu.clone(),
-                power: spec.power_states.clone(),
-            }
-            .to_bytes()
-        });
-        let solver = FrontierSolver::with_telemetry(&spec.pipe, self.telemetry.clone());
-        let job = Arc::new(Job {
-            name: spec.name.clone(),
-            pipe: spec.pipe,
-            gpu: spec.gpu,
-            power: spec.power_states,
-            solver,
-            next_epoch: AtomicU64::new(0),
-            degraded_lookups: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            telemetry: self.telemetry.clone(),
-            state: RwLock::new(JobMut {
-                segment: None,
-                characterized_epoch: 0,
-                profiles: None,
-                degraded: false,
-                stragglers: HashMap::new(),
-                pending: Vec::new(),
-                clock_s: 0.0,
-                version: 0,
-                deployed: None,
-                plan_fingerprint: None,
-                last_opts: None,
-                drift: HashMap::new(),
-            }),
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        {
-            let mut jobs = self.jobs.write();
-            if jobs.contains_key(&spec.name) {
-                return Err(ServerError::DuplicateJob(spec.name));
-            }
-            jobs.insert(spec.name, job);
-        }
-        if let (Some(store), Some(journal), Some(bytes)) =
-            (self.store.as_ref(), journal.as_mut(), event.as_ref())
-        {
-            store.append_locked(journal, bytes);
-        }
-        drop(journal);
+        let job = Arc::new(Job::new(spec, 0, JobMut::default(), &self.cfg.telemetry));
+        journaled(
+            self.store.as_deref(),
+            &self.jobs,
+            || JournalEvent::RegisterJob {
+                name: job.name.clone(),
+                pipe: job.pipe.clone(),
+                gpu: job.gpu.clone(),
+                power: job.power.clone(),
+            },
+            |jobs| {
+                if jobs.contains_key(&job.name) {
+                    return Err(ServerError::DuplicateJob(job.name.clone()));
+                }
+                jobs.insert(job.name.clone(), Arc::clone(&job));
+                Ok(())
+            },
+        )?;
         self.maybe_snapshot();
         Ok(())
     }
@@ -1372,7 +1379,8 @@ impl PerseusServer {
     }
 
     /// Receives the client's profiling results and schedules frontier
-    /// characterization (step ②) on the worker pool. Returns a ticket
+    /// characterization (step ②) on the worker pool: a batch of one (see
+    /// [`PerseusServer::submit_profiles_batch`]). Returns a ticket
     /// immediately; when the characterization completes it atomically
     /// swaps the job's frontier, deploys the schedule answering the
     /// current straggler state (step ③), and resolves the ticket with
@@ -1385,36 +1393,86 @@ impl PerseusServer {
     ///
     /// # Errors
     ///
-    /// [`ServerError::UnknownJob`] for unregistered names;
-    /// [`ServerError::InvalidProfile`] for structurally invalid
-    /// submissions (rejected here, before any worker time is spent);
-    /// failures of the characterization itself are delivered through the
-    /// ticket.
+    /// As [`PerseusServer::submit_profiles_batch`]; failures of the
+    /// characterization itself are delivered through the ticket.
     pub fn submit_profiles(
         &self,
         name: &str,
         profiles: ProfileDb<OpKey>,
         opts: &FrontierOptions,
     ) -> Result<CharacterizeTicket, ServerError> {
+        let mut tickets =
+            self.submit_profiles_batch(vec![(name.to_string(), profiles, opts.clone())])?;
+        Ok(tickets.pop().expect("a batch of one yields one ticket"))
+    }
+
+    /// Schedules a batch of characterizations at once on the worker pool,
+    /// all or nothing: every entry is validated, and one admission slot
+    /// per entry is claimed in a single step, before anything is
+    /// scheduled. Independent per-pipeline frontier solves proceed in
+    /// parallel across the pool's threads (each against its own job's
+    /// cached solver artifacts and per-sweep
+    /// [`perseus_core::SolverArena`]), which is the server-side
+    /// counterpart of [`perseus_core::FrontierSolver::characterize_all`].
+    /// Tickets come back in submission order; wait on them in any order.
+    ///
+    /// # Errors
+    ///
+    /// [`ServerError::NotLeader`] on a replication follower;
+    /// [`ServerError::UnknownJob`] / [`ServerError::InvalidProfile`] if
+    /// any entry is invalid (rejected here, before any worker time is
+    /// spent); [`ServerError::Overloaded`] if the batch does not fit under
+    /// [`ServerConfig::max_inflight`]. Nothing is scheduled in any of
+    /// these cases.
+    pub fn submit_profiles_batch(
+        &self,
+        submissions: Vec<(String, ProfileDb<OpKey>, FrontierOptions)>,
+    ) -> Result<Vec<CharacterizeTicket>, ServerError> {
         self.ensure_leader()?;
-        let job = self.job(name)?;
-        Self::validate_profiles(name, &profiles)?;
-        let permit = self.acquire_inflight(name)?;
-        let store = self.store.clone();
-        let cache = self.plan_cache.read().clone();
+        let jobs = submissions
+            .iter()
+            .map(|(name, profiles, _)| {
+                let job = self.job(name)?;
+                Self::validate_profiles(name, profiles)?;
+                Ok(job)
+            })
+            .collect::<Result<Vec<_>, ServerError>>()?;
+        let first = submissions.first().map_or("", |(name, _, _)| name.as_str());
+        let permits = self.acquire_inflight(first, submissions.len() as u64)?;
+        Ok(submissions
+            .into_iter()
+            .zip(jobs)
+            .zip(permits)
+            .map(|(((name, profiles, opts), job), permit)| {
+                self.schedule(name, job, profiles, opts, permit)
+            })
+            .collect())
+    }
+
+    /// Queues one admitted characterization on the worker pool and
+    /// returns its ticket.
+    fn schedule(
+        &self,
+        name: String,
+        job: Arc<Job>,
+        profiles: ProfileDb<OpKey>,
+        opts: FrontierOptions,
+        permit: InflightPermit,
+    ) -> CharacterizeTicket {
         // Epoch 1 is the first submission; `characterized_epoch` 0 means
         // "nothing deployed yet", so every first submission wins.
         let epoch = job.next_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let opts = opts.clone();
         let fault = self
-            .injector
-            .read()
+            .cfg
+            .fault_injector
             .as_ref()
-            .map_or(SubmissionFault::None, |i| i.submission_fault(name, epoch));
+            .map_or(SubmissionFault::None, |i| i.submission_fault(&name, epoch));
+        let store = self.store.clone();
+        let cache = self.cfg.plan_cache.clone();
         let (tx, rx) = unbounded();
-        let tel = self.telemetry.clone();
+        let tel = self.cfg.telemetry.clone();
         let flight = Arc::clone(&self.flight);
-        let dump_path = self.flight_dump.read().clone();
+        let dump_path = self.cfg.flight_dump.clone();
         let enqueued = tel.now();
         self.pool.submit(Box::new(move || {
             let busy = if tel.is_enabled() {
@@ -1459,38 +1517,7 @@ impl PerseusServer {
             }
             let _ = tx.send(result); // receiver may have dropped the ticket
         }));
-        Ok(CharacterizeTicket {
-            job: name.to_string(),
-            rx,
-        })
-    }
-
-    /// Batch variant of [`PerseusServer::submit_profiles`]: validates
-    /// every submission up front — all-or-nothing, so no worker time is
-    /// spent unless the whole batch is structurally sound — then schedules
-    /// all characterizations at once on the worker pool. Independent
-    /// per-pipeline frontier solves proceed in parallel across the pool's
-    /// threads (each against its own job's cached solver artifacts and
-    /// per-sweep [`perseus_core::SolverArena`]), which is the server-side
-    /// counterpart of [`perseus_core::FrontierSolver::characterize_all`].
-    /// Tickets come back in submission order; wait on them in any order.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::UnknownJob`] / [`ServerError::InvalidProfile`] if
-    /// any entry is invalid; nothing is scheduled in that case.
-    pub fn submit_profiles_batch(
-        &self,
-        submissions: Vec<(String, ProfileDb<OpKey>, FrontierOptions)>,
-    ) -> Result<Vec<CharacterizeTicket>, ServerError> {
-        for (name, profiles, _) in &submissions {
-            self.job(name)?;
-            Self::validate_profiles(name, profiles)?;
-        }
-        submissions
-            .into_iter()
-            .map(|(name, profiles, opts)| self.submit_profiles(&name, profiles, &opts))
-            .collect()
+        CharacterizeTicket { job: name, rx }
     }
 
     /// Rejects structurally invalid profile submissions at the API
@@ -1544,71 +1571,57 @@ impl PerseusServer {
         Ok(())
     }
 
-    /// Journals the degradation flag flip that fault containment just
-    /// decided on. Takes the journal lock *before* the state lock (the
-    /// invariant every mutator shares), sets the flag only if a previous
-    /// frontier exists to degrade to, and appends only when the flag was
-    /// actually set.
+    /// Marks the job degraded after fault containment, journaled — but
+    /// only if a previous frontier exists to degrade to; otherwise nothing
+    /// changes and nothing is journaled.
     fn contain_degraded(job: &Job, store: Option<&Store>) {
-        let bytes = store.map(|_| {
-            JournalEvent::Degraded {
+        let _ = journaled(
+            store,
+            &job.state,
+            || JournalEvent::Degraded {
                 name: job.name.clone(),
-            }
-            .to_bytes()
-        });
-        let mut journal = store.map(|s| s.journal.lock());
-        let mut state = job.state.write();
-        if state.segment.is_some() {
-            state.degraded = true;
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (store, journal.as_mut(), bytes.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-        }
+            },
+            |state| {
+                if state.segment.is_none() {
+                    return Err(ServerError::NotCharacterized(job.name.clone()));
+                }
+                state.degraded = true;
+                Ok(())
+            },
+        );
     }
 
-    /// Runs on a worker thread: characterize against the job's cached
-    /// solver artifacts, then swap + deploy under the write lock. Panics
-    /// — injected or genuine — are contained here so a dying
-    /// characterization never takes a worker (or the job) with it; the
-    /// job keeps serving its last deployed frontier, marked degraded.
-    ///
-    /// Only *winning* characterizations are journaled (as
-    /// [`JournalEvent::Characterized`], carrying the profiles + options
-    /// so replay re-runs the deterministic solver); superseded and failed
-    /// attempts leave no durable trace beyond the degradation flag.
-    /// Exact admission control: atomically claims an in-flight slot or
-    /// rejects with [`ServerError::Overloaded`]. `fetch_update` makes the
-    /// claim race-free — the counter never exceeds the bound, even under
-    /// concurrent submissions (the stress tests pin this via
+    /// Exact admission control: atomically claims `n` in-flight slots —
+    /// all of them or none — or rejects with [`ServerError::Overloaded`].
+    /// `fetch_update` makes the claim race-free — the counter never
+    /// exceeds the bound, even under concurrent submissions (the stress
+    /// tests pin this via
     /// [`PerseusServer::peak_inflight_characterizations`]).
-    fn acquire_inflight(&self, name: &str) -> Result<InflightPermit, ServerError> {
-        let limit = self.max_inflight.load(Ordering::Relaxed);
+    fn acquire_inflight(&self, job: &str, n: u64) -> Result<Vec<InflightPermit>, ServerError> {
+        let limit = self.cfg.max_inflight;
         let claimed = self
             .inflight
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-                if limit == 0 || v < limit {
-                    Some(v + 1)
-                } else {
-                    None
-                }
+                (limit == 0 || v + n <= limit).then_some(v + n)
             });
         match claimed {
             Ok(prev) => {
-                self.peak_inflight.fetch_max(prev + 1, Ordering::Relaxed);
-                Ok(InflightPermit {
-                    counter: Arc::clone(&self.inflight),
-                })
+                self.peak_inflight.fetch_max(prev + n, Ordering::Relaxed);
+                Ok((0..n)
+                    .map(|_| InflightPermit {
+                        counter: Arc::clone(&self.inflight),
+                    })
+                    .collect())
             }
             Err(inflight) => {
-                if self.telemetry.is_enabled() {
-                    self.telemetry
+                if self.cfg.telemetry.is_enabled() {
+                    self.cfg
+                        .telemetry
                         .counter("perseus_server_overloaded_total")
                         .inc();
                 }
                 Err(ServerError::Overloaded {
-                    job: name.to_string(),
+                    job: job.to_string(),
                     inflight,
                     limit,
                 })
@@ -1616,7 +1629,16 @@ impl PerseusServer {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Runs on a worker thread: plans through [`Job::plan`], then swaps +
+    /// deploys under the write lock. Panics — injected or genuine — are
+    /// contained here so a dying characterization never takes a worker
+    /// (or the job) with it; the job keeps serving its last deployed
+    /// frontier, marked degraded.
+    ///
+    /// Only *winning* characterizations are journaled (as
+    /// [`JournalEvent::Characterized`], carrying the profiles + options
+    /// so replay re-runs the deterministic plan path); superseded and
+    /// failed attempts leave no durable trace beyond the degradation flag.
     fn characterize_task(
         job: &Job,
         epoch: u64,
@@ -1641,90 +1663,55 @@ impl PerseusServer {
                 job.faults_injected.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // The expensive part runs without holding any job lock: straggler
-        // notifications keep being served from the previous frontier.
-        let characterized = catch_unwind(AssertUnwindSafe(|| {
+        // The expensive part — solve or cache lookup, then the Kareus
+        // pass — runs without holding any job lock: straggler
+        // notifications keep being served from the previous frontier and
+        // sleep plans.
+        let planned = catch_unwind(AssertUnwindSafe(|| {
             if fault == SubmissionFault::Panic {
                 panic!("injected chaos fault: characterization worker dies");
             }
-            // A fleet cache hit skips the solver entirely — not even the
-            // planning context (profile fits) is built; the shared
-            // frontier is bit-identical to a fresh solve (planning is
-            // deterministic in the fingerprinted inputs).
-            match cache {
-                Some(cache) => job
-                    .solver
-                    .characterize_cached(
-                        &job.pipe,
-                        &job.gpu,
-                        &profiles,
-                        opts,
-                        job.power.as_ref(),
-                        cache,
-                    )
-                    .map(|(f, _, fp)| (f, Some(fp)))
-                    .map_err(ServerError::Core),
-                None => PlanContext::new(&job.pipe, &job.gpu, profiles.clone())
-                    .and_then(|ctx| job.solver.characterize(&ctx, opts))
-                    .map(|f| (Arc::new(f), None))
-                    .map_err(ServerError::Core),
-            }
-            .and_then(|(frontier, fp)| {
-                // The Kareus pass also runs off-lock: straggler lookups
-                // keep answering from the previous frontier + sleep plans.
-                let sleep = job
-                    .sleep_plans(&profiles, &frontier)
-                    .map_err(ServerError::Core)?;
-                Ok((frontier, fp, sleep))
-            })
+            job.plan(&profiles, opts, cache)
         }));
-        let (frontier, fingerprint, sleep) = match characterized {
-            Ok(Ok(out)) => out,
-            Ok(Err(e)) => return Err(e),
+        let planned = match planned {
+            Ok(planned) => planned?,
             Err(_) => {
                 Self::contain_degraded(job, store);
                 return Err(ServerError::CharacterizationPanicked(job.name.clone()));
             }
         };
-        // Encode the journal event before taking any lock: profile
-        // databases are the largest thing the journal carries.
-        let bytes = store.map(|_| {
-            JournalEvent::Characterized {
+        let fingerprint = planned.fingerprint;
+        // The journal gets its own copy of the profiles; the job state
+        // keeps these. Only durable servers pay for the copy.
+        let journal_copy = store.map(|_| profiles.clone());
+        journaled(
+            store,
+            &job.state,
+            move || JournalEvent::Characterized {
                 name: job.name.clone(),
                 epoch,
-                profiles: profiles.clone(),
+                profiles: journal_copy.expect("only durable servers build events"),
                 opts: opts.clone(),
-            }
-            .to_bytes()
-        });
-        let mut journal = store.map(|s| s.journal.lock());
-        let mut state = job.state.write();
-        if state.characterized_epoch > epoch {
-            return Err(ServerError::Superseded(job.name.clone()));
-        }
-        state.characterized_epoch = epoch;
-        state.segment = Some(Arc::new(Segment::new(frontier, sleep)));
-        state.profiles = Some(profiles);
-        state.degraded = false;
-        state.last_opts = Some(opts.clone());
-        // Epoch-based invalidation on re-characterization: when fresh
-        // profiles move this job to a *different* structural fingerprint,
-        // the entry under the old one describes profiles the fleet has
-        // watched drift — open a new cache epoch and drop it.
-        if let (Some(cache), Some(fp)) = (cache, fingerprint) {
-            if let Some(prev) = state.plan_fingerprint {
-                if prev != fp {
-                    cache.advance_epoch();
-                    cache.invalidate(prev);
+            },
+            |state| {
+                if state.characterized_epoch > epoch {
+                    return Err(ServerError::Superseded(job.name.clone()));
                 }
-            }
-            state.plan_fingerprint = Some(fp);
-        }
-        if let (Some(store), Some(journal), Some(bytes)) = (store, journal.as_mut(), bytes.as_ref())
-        {
-            store.append_locked(journal, bytes);
-        }
-        Ok(job.deploy_locked(&mut state))
+                let prev = state.install(epoch, planned, profiles, opts);
+                // Epoch-based invalidation on re-characterization: when
+                // fresh profiles move this job to a *different* structural
+                // fingerprint, the entry under the old one describes
+                // profiles the fleet has watched drift — open a new cache
+                // epoch and drop it.
+                if let (Some(cache), Some(prev), Some(fp)) = (cache, prev, fingerprint) {
+                    if prev != fp {
+                        cache.advance_epoch();
+                        cache.invalidate(prev);
+                    }
+                }
+                Ok(job.deploy_locked(state))
+            },
+        )
     }
 
     /// Table 2 `server.set_straggler(id, delay, degree)`: a straggler on
@@ -1764,45 +1751,36 @@ impl PerseusServer {
             return Err(ServerError::InvalidDegree(degree));
         }
         let job = self.job(name)?;
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::SetStraggler {
+        let out = journaled(
+            self.store.as_deref(),
+            &job.state,
+            || JournalEvent::SetStraggler {
                 name: name.to_string(),
                 gpu_id,
                 delay_s,
                 degree,
-            }
-            .to_bytes()
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        let out = {
-            let mut state = job.state.write();
-            if state.segment.is_none() {
-                return Err(ServerError::NotCharacterized(name.to_string()));
-            }
-            let out = if delay_s <= 0.0 {
-                if degree > 1.0 {
-                    state.stragglers.insert(gpu_id, degree);
-                } else {
-                    state.stragglers.remove(&gpu_id);
+            },
+            |state| {
+                if state.segment.is_none() {
+                    return Err(ServerError::NotCharacterized(name.to_string()));
                 }
-                Some(job.deploy_locked(&mut state))
-            } else {
+                if delay_s <= 0.0 {
+                    if degree > 1.0 {
+                        state.stragglers.insert(gpu_id, degree);
+                    } else {
+                        state.stragglers.remove(&gpu_id);
+                    }
+                    return Ok(Some(job.deploy_locked(state)));
+                }
                 let fire_at = state.clock_s + delay_s;
                 state.pending.push(PendingStraggler {
                     fire_at,
                     gpu_id,
                     degree,
                 });
-                None
-            };
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (self.store.as_ref(), journal.as_mut(), event.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-            out
-        };
-        drop(journal);
+                Ok(None)
+            },
+        )?;
         self.maybe_snapshot();
         Ok(out)
     }
@@ -1822,29 +1800,21 @@ impl PerseusServer {
 
     fn advance_time_inner(&self, name: &str, dt_s: f64) -> Result<Vec<Deployment>, ServerError> {
         let job = self.job(name)?;
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::AdvanceTime {
+        let fired = journaled(
+            self.store.as_deref(),
+            &job.state,
+            || JournalEvent::AdvanceTime {
                 name: name.to_string(),
                 dt_s,
-            }
-            .to_bytes()
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        let fired = {
-            let mut state = job.state.write();
-            state.clock_s += dt_s.max(0.0);
-            // The deployments fired here are pure functions of the clock
-            // and the journaled pending set, so only the clock advance is
-            // recorded; replay re-fires them identically.
-            let fired = job.fire_due_locked(&mut state);
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (self.store.as_ref(), journal.as_mut(), event.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-            fired
-        };
-        drop(journal);
+            },
+            |state| {
+                state.clock_s += dt_s.max(0.0);
+                // The deployments fired here are pure functions of the
+                // clock and the journaled pending set, so only the clock
+                // advance is recorded; replay re-fires them identically.
+                Ok(job.fire_due_locked(state))
+            },
+        )?;
         self.maybe_snapshot();
         Ok(fired)
     }
@@ -1870,26 +1840,18 @@ impl PerseusServer {
     fn skew_clock_inner(&self, name: &str, skew_s: f64) -> Result<Vec<Deployment>, ServerError> {
         let job = self.job(name)?;
         job.faults_injected.fetch_add(1, Ordering::Relaxed);
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::SkewClock {
+        let fired = journaled(
+            self.store.as_deref(),
+            &job.state,
+            || JournalEvent::SkewClock {
                 name: name.to_string(),
                 skew_s,
-            }
-            .to_bytes()
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        let fired = {
-            let mut state = job.state.write();
-            state.clock_s = (state.clock_s + skew_s).max(0.0);
-            let fired = job.fire_due_locked(&mut state);
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (self.store.as_ref(), journal.as_mut(), event.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-            fired
-        };
-        drop(journal);
+            },
+            |state| {
+                state.clock_s = (state.clock_s + skew_s).max(0.0);
+                Ok(job.fire_due_locked(state))
+            },
+        )?;
         self.maybe_snapshot();
         Ok(fired)
     }
@@ -1914,47 +1876,31 @@ impl PerseusServer {
 
     fn apply_freq_cap_inner(&self, name: &str, cap: FreqMHz) -> Result<Deployment, ServerError> {
         let job = self.job(name)?;
-        let event = self.store.as_ref().map(|_| {
-            JournalEvent::FreqCap {
+        // Journaled only on success: a cap that failed to re-realize
+        // changed nothing and replays nothing.
+        let deployment = journaled(
+            self.store.as_deref(),
+            &job.state,
+            || JournalEvent::FreqCap {
                 name: name.to_string(),
                 cap,
-            }
-            .to_bytes()
-        });
-        let mut journal = self.store.as_ref().map(|s| s.journal.lock());
-        let deployment = {
-            let mut state = job.state.write();
-            let (Some(frontier), Some(profiles)) =
-                (state.frontier().cloned(), state.profiles.clone())
-            else {
-                return Err(ServerError::NotCharacterized(name.to_string()));
-            };
-            job.faults_injected.fetch_add(1, Ordering::Relaxed);
-            let (clamped, sleep) = {
+            },
+            |state| {
+                let (Some(frontier), Some(profiles)) =
+                    (state.frontier().cloned(), state.profiles.clone())
+                else {
+                    return Err(ServerError::NotCharacterized(name.to_string()));
+                };
+                job.faults_injected.fetch_add(1, Ordering::Relaxed);
                 let ctx = PlanContext::new(&job.pipe, &job.gpu, profiles)?;
                 let clamped = frontier.clamp_to_freq_cap(&ctx, job.gpu.clamp_freq(cap))?;
                 // Capped schedules stretch, moving and widening bubbles:
                 // re-run the Kareus pass against the capped timeline.
-                let sleep = job.power.as_ref().map(|model| {
-                    clamped
-                        .points()
-                        .iter()
-                        .map(|p| insert_sleep(&ctx, &p.schedule, model))
-                        .collect::<Vec<SleepPlan>>()
-                });
-                (clamped, sleep)
-            };
-            state.segment = Some(Arc::new(Segment::new(Arc::new(clamped), sleep)));
-            // Journaled only on success: a cap that failed to re-realize
-            // changed nothing and replays nothing.
-            if let (Some(store), Some(journal), Some(bytes)) =
-                (self.store.as_ref(), journal.as_mut(), event.as_ref())
-            {
-                store.append_locked(journal, bytes);
-            }
-            job.deploy_locked(&mut state)
-        };
-        drop(journal);
+                let sleep = job.sleep_plans(&ctx, &clamped);
+                state.segment = Some(Arc::new(Segment::new(Arc::new(clamped), sleep)));
+                Ok(job.deploy_locked(state))
+            },
+        )?;
         self.maybe_snapshot();
         Ok(deployment)
     }
@@ -1971,6 +1917,10 @@ impl PerseusServer {
     /// `deployment: None` and `epoch: 0`.
     pub fn job_status(&self, name: &str) -> Result<JobStatus, ServerError> {
         let job = self.job(name)?;
+        let (role, replication_lag) = {
+            let repl = self.replication.read();
+            (repl.role, repl.stats.lag_records)
+        };
         let state = job.state.read();
         Ok(JobStatus {
             deployment: state.deployed.clone(),
@@ -1984,8 +1934,8 @@ impl PerseusServer {
             flight: self.flight.summary(),
             durability: self.durability(),
             slo: self.obs.slo_status(),
-            role: self.role(),
-            replication_lag: self.repl_lag_records.load(Ordering::Relaxed),
+            role,
+            replication_lag,
         })
     }
 
@@ -2014,16 +1964,6 @@ impl PerseusServer {
         self.store
             .as_ref()
             .map_or_else(DurabilityStats::default, |s| s.stats())
-    }
-
-    /// Sets how many journal appends accumulate before the server folds
-    /// them into a snapshot (and compacts the journal). No-op on an
-    /// in-memory server. Low values trade journal size for snapshot
-    /// write traffic; tests use 1 to force a snapshot per mutation.
-    pub fn set_snapshot_every(&self, every: u64) {
-        if let Some(store) = self.store.as_ref() {
-            store.snapshot_every.store(every.max(1), Ordering::Relaxed);
-        }
     }
 
     /// Serializes every job's durable state into a deterministic byte
@@ -2121,9 +2061,7 @@ impl PerseusServer {
         let Some(store) = self.store.as_ref() else {
             return;
         };
-        if store.appends_since_snapshot.load(Ordering::Relaxed)
-            >= store.snapshot_every.load(Ordering::Relaxed)
-        {
+        if store.appends_since_snapshot.load(Ordering::Relaxed) >= store.snapshot_every {
             let _ = self.snapshot_now();
         }
     }
@@ -2151,77 +2089,55 @@ impl PerseusServer {
     /// Whether this server is the replication leader or a follower.
     /// Standalone servers are leaders.
     pub fn role(&self) -> Role {
-        if self.role.load(Ordering::Relaxed) == 0 {
-            Role::Leader
-        } else {
-            Role::Follower
-        }
+        self.replication.read().role
     }
 
-    /// Flips the serving role (promotion / follower construction).
-    pub(crate) fn set_role(&self, role: Role) {
-        let v = match role {
-            Role::Leader => 0,
-            Role::Follower => 1,
-        };
-        self.role.store(v, Ordering::Relaxed);
-    }
-
-    /// Sets where [`ServerError::NotLeader`] points callers.
-    pub(crate) fn set_leader_hint(&self, hint: String) {
-        *self.leader_hint.write() = hint;
+    /// Sets the serving role (promotion / follower construction) and
+    /// where [`ServerError::NotLeader`] points callers.
+    pub(crate) fn set_role(&self, role: Role, leader_hint: String) {
+        let mut repl = self.replication.write();
+        repl.role = role;
+        repl.leader_hint = leader_hint;
     }
 
     /// The configured leader hint (empty when unset).
     pub(crate) fn leader_hint(&self) -> String {
-        self.leader_hint.read().clone()
+        self.replication.read().leader_hint.clone()
     }
 
     /// Fails with [`ServerError::NotLeader`] unless this server is the
     /// leader. Every public mutator calls this; the replicated-apply path
     /// ([`PerseusServer::replay_event`]) deliberately does not.
     fn ensure_leader(&self) -> Result<(), ServerError> {
-        if self.role() == Role::Leader {
+        let repl = self.replication.read();
+        if repl.role == Role::Leader {
             return Ok(());
         }
         Err(ServerError::NotLeader {
-            hint: self.leader_hint.read().clone(),
+            hint: repl.leader_hint.clone(),
         })
     }
 
     /// Replication counters last mirrored from the follower machinery
     /// (all zero on leaders and standalone servers).
     pub fn replication_stats(&self) -> ReplicationStats {
-        ReplicationStats {
-            shipped: self.repl_shipped.load(Ordering::Relaxed),
-            applied: self.repl_applied.load(Ordering::Relaxed),
-            lag_records: self.repl_lag_records.load(Ordering::Relaxed),
-            lag_bytes: self.repl_lag_bytes.load(Ordering::Relaxed),
-        }
+        self.replication.read().stats
     }
 
     /// Mirrors follower replication counters into the server (and, with
     /// telemetry enabled, the `perseus_replication_*` gauges) so
     /// [`JobStatus::replication_lag`] and `/metrics` stay current.
     pub(crate) fn set_replication_stats(&self, stats: ReplicationStats) {
-        self.repl_shipped.store(stats.shipped, Ordering::Relaxed);
-        self.repl_applied.store(stats.applied, Ordering::Relaxed);
-        self.repl_lag_records
-            .store(stats.lag_records, Ordering::Relaxed);
-        self.repl_lag_bytes
-            .store(stats.lag_bytes, Ordering::Relaxed);
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .gauge("perseus_replication_shipped_records")
+        self.replication.write().stats = stats;
+        let tel = &self.cfg.telemetry;
+        if tel.is_enabled() {
+            tel.gauge("perseus_replication_shipped_records")
                 .set(stats.shipped as i64);
-            self.telemetry
-                .gauge("perseus_replication_applied_records")
+            tel.gauge("perseus_replication_applied_records")
                 .set(stats.applied as i64);
-            self.telemetry
-                .gauge("perseus_replication_lag_records")
+            tel.gauge("perseus_replication_lag_records")
                 .set(stats.lag_records as i64);
-            self.telemetry
-                .gauge("perseus_replication_lag_bytes")
+            tel.gauge("perseus_replication_lag_bytes")
                 .set(stats.lag_bytes as i64);
         }
     }
@@ -2289,23 +2205,6 @@ impl PerseusServer {
         self.store = Some(store);
     }
 
-    /// Sets the drift-watcher threshold: the largest pending
-    /// per-computation factor deviation a job tolerates before
-    /// [`PerseusServer::ingest_drift`] triggers re-characterization.
-    /// Non-finite or non-positive values are ignored.
-    pub fn set_drift_threshold(&self, threshold: f64) {
-        if threshold.is_finite() && threshold > 0.0 {
-            self.drift_threshold
-                .store(threshold.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// The active drift-watcher threshold
-    /// ([`DEFAULT_DRIFT_THRESHOLD`] unless overridden).
-    pub fn drift_threshold(&self) -> f64 {
-        f64::from_bits(self.drift_threshold.load(Ordering::Relaxed))
-    }
-
     /// Drift-triggered re-characterizations submitted so far.
     pub fn drift_replans(&self) -> u64 {
         self.drift_replans.load(Ordering::Relaxed)
@@ -2339,7 +2238,6 @@ impl PerseusServer {
     ) -> Result<Option<CharacterizeTicket>, ServerError> {
         self.ensure_leader()?;
         let job = self.job(name)?;
-        let threshold = self.drift_threshold();
         let replan = {
             let mut state = job.state.write();
             if state.profiles.is_none() {
@@ -2354,7 +2252,7 @@ impl PerseusServer {
                 .values()
                 .map(DriftAccum::pending_magnitude)
                 .fold(0.0, f64::max);
-            if pending < threshold {
+            if pending < DRIFT_THRESHOLD {
                 None
             } else {
                 let profiles = state.profiles.as_ref().expect("checked above");
@@ -2377,47 +2275,26 @@ impl PerseusServer {
             return Ok(None);
         };
         self.drift_replans.fetch_add(1, Ordering::Relaxed);
-        if self.telemetry.is_enabled() {
-            self.telemetry
+        if self.cfg.telemetry.is_enabled() {
+            self.cfg
+                .telemetry
                 .counter_with("perseus_server_drift_replans_total", &[("job", name)])
                 .inc();
         }
         // Drifted profiles poison structurally-shared plans fleet-wide:
         // open a new cache epoch and drop everything older (journaled as
         // `InvalidateOlderThan` by durable caches).
-        if let Some(cache) = self.plan_cache.read().clone() {
+        if let Some(cache) = &self.cfg.plan_cache {
             let epoch = cache.advance_epoch();
             cache.invalidate_older_than(epoch);
         }
         self.submit_profiles(name, profiles, &opts).map(Some)
     }
 
-    /// Attaches (or, with `None`, detaches) the fleet-wide cross-job plan
-    /// cache. Subsequent characterizations consult it before running the
-    /// solver; a hit skips the solve entirely and is counted in the job's
-    /// [`SolverStats::cache_hits`]. Detaching never invalidates — the
-    /// cache belongs to the fleet, not this server.
-    pub fn set_plan_cache(&self, cache: Option<Arc<PlanCache>>) {
-        *self.plan_cache.write() = cache;
-    }
-
-    /// The attached fleet plan cache, if any.
+    /// The configured fleet plan cache, if any
+    /// ([`ServerConfig::plan_cache`]).
     pub fn plan_cache(&self) -> Option<Arc<PlanCache>> {
-        self.plan_cache.read().clone()
-    }
-
-    /// Bounds how many characterizations may be in flight at once
-    /// (admission control); further submissions are rejected with
-    /// [`ServerError::Overloaded`] until slots free up. `0` (the default)
-    /// means unbounded. Lowering the bound never cancels work already
-    /// admitted.
-    pub fn set_max_inflight(&self, limit: u64) {
-        self.max_inflight.store(limit, Ordering::Relaxed);
-    }
-
-    /// The configured in-flight bound (`0` = unbounded).
-    pub fn max_inflight(&self) -> u64 {
-        self.max_inflight.load(Ordering::Relaxed)
+        self.cfg.plan_cache.clone()
     }
 
     /// Characterizations currently admitted but not yet completed.
@@ -2427,7 +2304,7 @@ impl PerseusServer {
 
     /// High-water mark of concurrently in-flight characterizations since
     /// this server started — the stress tests assert it never exceeds
-    /// [`PerseusServer::max_inflight`].
+    /// [`ServerConfig::max_inflight`].
     pub fn peak_inflight_characterizations(&self) -> u64 {
         self.peak_inflight.load(Ordering::Relaxed)
     }

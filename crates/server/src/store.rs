@@ -64,7 +64,7 @@ use perseus_store::{
 };
 use perseus_telemetry::Telemetry;
 
-use crate::server::Deployment;
+use crate::server::{Deployment, ServerConfig};
 
 /// File name of the write-ahead journal inside the store directory.
 pub(crate) const JOURNAL_FILE: &str = "server.journal";
@@ -718,8 +718,9 @@ pub(crate) struct Store {
     pub journal: Mutex<Journal>,
     /// The store directory: journal, snapshot and segment files.
     dir: PathBuf,
-    /// Appends between automatic snapshots.
-    pub snapshot_every: AtomicU64,
+    /// Appends between automatic snapshots
+    /// ([`ServerConfig::snapshot_every`], floored at 1).
+    pub snapshot_every: u64,
     /// Appends since the last snapshot (triggers auto-snapshot).
     pub appends_since_snapshot: AtomicU64,
     /// Counters: see [`DurabilityStats`].
@@ -737,13 +738,14 @@ pub(crate) struct Store {
 }
 
 impl Store {
-    /// Wraps the journal opened in the store directory `dir`.
-    pub fn new(journal: Journal, dir: PathBuf, telemetry: Telemetry) -> Store {
+    /// Wraps the journal opened in the store directory `dir`, with the
+    /// snapshot cadence and telemetry handle of `cfg`.
+    pub fn new(journal: Journal, dir: PathBuf, cfg: &ServerConfig) -> Store {
         let stats = journal.stats();
         let store = Store {
             journal: Mutex::new(journal),
             dir,
-            snapshot_every: AtomicU64::new(DEFAULT_SNAPSHOT_EVERY),
+            snapshot_every: cfg.snapshot_every.max(1),
             appends_since_snapshot: AtomicU64::new(0),
             journal_appends: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
@@ -755,7 +757,7 @@ impl Store {
             snapshots_written: AtomicU64::new(0),
             segments_written: AtomicU64::new(0),
             corrupt_snapshots: AtomicU64::new(0),
-            telemetry,
+            telemetry: cfg.telemetry.clone(),
         };
         if stats.truncated_records > 0 && store.telemetry.is_enabled() {
             store

@@ -9,7 +9,27 @@ use perseus_pipeline::{CompKind, OpKey, PipelineBuilder, PipelineDag, ScheduleKi
 use perseus_profiler::{OnlineProfiler, OpProfile, ProfileDb};
 
 use crate::client::{AsyncFrequencyController, ClientSession};
-use crate::server::{JobSpec, PerseusServer, ServerError};
+use crate::server::{JobSpec, PerseusServer, ServerConfig, ServerError};
+
+/// A fault injector that hands out queued faults in order, then none.
+struct Script(Mutex<std::collections::VecDeque<crate::SubmissionFault>>);
+
+impl crate::FaultInjector for Script {
+    fn submission_fault(&self, _job: &str, _epoch: u64) -> crate::SubmissionFault {
+        self.0
+            .lock()
+            .pop_front()
+            .unwrap_or(crate::SubmissionFault::None)
+    }
+}
+
+/// A single-worker server config; everything else at its default.
+fn one_worker() -> ServerConfig {
+    ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    }
+}
 
 /// A unique scratch directory per call: tag + pid + a process-wide
 /// counter, so concurrently running tests never share (or clobber) a
@@ -72,7 +92,12 @@ fn model_profiles(gpu: &GpuSpec) -> ProfileDb<OpKey> {
 }
 
 fn server_with_job() -> (PerseusServer, &'static str) {
-    let server = PerseusServer::new();
+    server_with_job_from(ServerConfig::default())
+}
+
+/// [`server_with_job`] on a server built from `cfg`.
+fn server_with_job_from(cfg: ServerConfig) -> (PerseusServer, &'static str) {
+    let server = PerseusServer::new(cfg);
     server
         .register_job(JobSpec {
             name: "gpt".into(),
@@ -120,7 +145,7 @@ fn characterize_deploys_fastest_schedule() {
 #[test]
 fn batch_submission_characterizes_all_jobs_in_parallel() {
     let gpu = GpuSpec::a100_pcie();
-    let server = PerseusServer::new();
+    let server = PerseusServer::new(ServerConfig::default());
     let names = ["gpt-a", "gpt-b", "gpt-c"];
     for name in names {
         server
@@ -516,7 +541,10 @@ fn concurrent_jobs_from_many_threads() {
     // Satellite smoke test: N threads × (register, submit, straggle, read).
     // Per-job versions must be monotonic and every observed frontier
     // complete (lookup(t_min) == fastest point).
-    let server = Arc::new(PerseusServer::with_workers(2));
+    let server = Arc::new(PerseusServer::new(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    }));
     let n_threads = 4;
     let iters = 3;
     let handles: Vec<_> = (0..n_threads)
@@ -582,14 +610,11 @@ fn faults_degrade_gracefully_and_are_counted() {
 
     use crate::{ClientConfig, FaultInjector, JobClient, SubmissionFault};
 
-    struct Script(Mutex<VecDeque<SubmissionFault>>);
-    impl FaultInjector for Script {
-        fn submission_fault(&self, _job: &str, _epoch: u64) -> SubmissionFault {
-            self.0.lock().pop_front().unwrap_or(SubmissionFault::None)
-        }
-    }
-
-    let server = Arc::new(PerseusServer::new());
+    let script = Arc::new(Script(Mutex::new(VecDeque::new())));
+    let server = Arc::new(PerseusServer::new(ServerConfig {
+        fault_injector: Some(Arc::clone(&script) as Arc<dyn FaultInjector>),
+        ..ServerConfig::default()
+    }));
     server
         .register_job(JobSpec {
             name: "gpt".into(),
@@ -598,8 +623,6 @@ fn faults_degrade_gracefully_and_are_counted() {
             power_states: None,
         })
         .unwrap();
-    let script = Arc::new(Script(Mutex::new(VecDeque::new())));
-    server.set_fault_injector(Some(Arc::clone(&script) as Arc<dyn FaultInjector>));
     let gpu = GpuSpec::a100_pcie();
     let profiles = model_profiles(&gpu);
     let opts = FrontierOptions::default();
@@ -680,13 +703,13 @@ fn faults_degrade_gracefully_and_are_counted() {
         .all(|f| *f <= gpu.clamp_freq(cap)));
     assert!(server.frontier("gpt").unwrap().t_star() >= t_star_before - 1e-9);
 
-    // Uninstalling the injector restores the fault-free path.
-    server.set_fault_injector(None);
+    // An empty script takes the fault-free path.
     server
         .submit_profiles("gpt", profiles, &opts)
         .unwrap()
         .wait()
         .unwrap();
+    assert!(!server.job_status("gpt").unwrap().degraded);
 }
 
 #[test]
@@ -726,7 +749,7 @@ fn client_status_surfaces_job_status() {
 
     use crate::{ClientConfig, JobClient};
 
-    let server = Arc::new(PerseusServer::with_workers(1));
+    let server = Arc::new(PerseusServer::new(one_worker()));
     server
         .register_job(JobSpec {
             name: "gpt".into(),
@@ -763,10 +786,9 @@ mod durability {
     use perseus_pipeline::{CompKind, OpKey};
     use perseus_profiler::ProfileDelta;
     use perseus_store::{Journal, Persist};
-    use perseus_telemetry::Telemetry;
 
-    use super::{model_profiles, pipe, unique_test_dir};
-    use crate::server::{JobSpec, PerseusServer, ServerError};
+    use super::{model_profiles, one_worker, pipe, unique_test_dir};
+    use crate::server::{JobSpec, PerseusServer, ServerConfig, ServerError};
 
     /// SplitMix64: a tiny deterministic generator for the randomized
     /// replay-idempotence test, so the test needs no RNG dependency.
@@ -801,11 +823,19 @@ mod durability {
             .unwrap();
     }
 
+    /// One worker and no automatic snapshots: the test decides when one
+    /// is written.
+    fn no_auto_snapshots() -> ServerConfig {
+        ServerConfig {
+            snapshot_every: u64::MAX,
+            ..one_worker()
+        }
+    }
+
     /// A durable server holding job "gpt" with a deployed frontier, and
     /// automatic snapshots off: the test decides when one is written.
     fn characterized_server(dir: &Path) -> PerseusServer {
-        let server = PerseusServer::open_with(dir, 1, Telemetry::disabled()).unwrap();
-        server.set_snapshot_every(u64::MAX);
+        let server = PerseusServer::open(dir, no_auto_snapshots()).unwrap();
         register(&server);
         server
             .submit_profiles(
@@ -915,15 +945,14 @@ mod durability {
     ) -> (PerseusServer, std::path::PathBuf) {
         let dir = unique_test_dir(tag);
         std::fs::write(dir.join("server.journal"), &bytes[..cut]).unwrap();
-        let server =
-            PerseusServer::open_with(&dir, 1, perseus_telemetry::Telemetry::disabled()).unwrap();
+        let server = PerseusServer::open(&dir, one_worker()).unwrap();
         (server, dir)
     }
 
     #[test]
     fn reopen_restores_bit_identical_state() {
         let dir = unique_test_dir("reopen");
-        let server = PerseusServer::open(&dir).unwrap();
+        let server = PerseusServer::open(&dir, ServerConfig::default()).unwrap();
         assert!(server.is_durable());
         let fps = scripted_history(&server);
         let before = server.state_fingerprint();
@@ -933,7 +962,7 @@ mod durability {
         server.snapshot_now().unwrap();
         drop(server);
 
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir, ServerConfig::default()).unwrap();
         assert_eq!(recovered.state_fingerprint(), before);
         let stats = recovered.durability();
         assert_eq!(stats.recoveries, 1);
@@ -962,17 +991,15 @@ mod durability {
     #[test]
     fn crash_at_every_journal_offset_recovers_a_prefix_state() {
         let dir = unique_test_dir("crashpoint");
-        let server =
-            PerseusServer::open_with(&dir, 1, perseus_telemetry::Telemetry::disabled()).unwrap();
         // Keep the whole history in the journal: no snapshot compaction.
-        server.set_snapshot_every(u64::MAX);
+        let server = PerseusServer::open(&dir, no_auto_snapshots()).unwrap();
         let fps = scripted_history(&server);
         let journal = server.journal_path().unwrap();
         drop(server);
 
         let (bytes, ends) = record_boundaries(&journal);
         assert_eq!(ends.len(), fps.len(), "one journal record per mutation");
-        let empty_fp = PerseusServer::new().state_fingerprint();
+        let empty_fp = PerseusServer::new(ServerConfig::default()).state_fingerprint();
 
         // Interior offsets are sampled (~16 per record) plus every
         // boundary±1; boundaries themselves are all checked exactly.
@@ -1023,9 +1050,7 @@ mod durability {
     #[test]
     fn corrupted_tail_recovers_by_truncation() {
         let dir = unique_test_dir("scribble");
-        let server =
-            PerseusServer::open_with(&dir, 1, perseus_telemetry::Telemetry::disabled()).unwrap();
-        server.set_snapshot_every(u64::MAX);
+        let server = PerseusServer::open(&dir, no_auto_snapshots()).unwrap();
         let gpu = GpuSpec::a100_pcie();
         register(&server);
         server
@@ -1041,7 +1066,7 @@ mod durability {
         assert_ne!(server.state_fingerprint(), at_scribble);
         drop(server);
 
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir, ServerConfig::default()).unwrap();
         assert_eq!(recovered.state_fingerprint(), at_scribble);
         let stats = recovered.durability();
         assert_eq!(stats.recoveries, 1);
@@ -1051,7 +1076,7 @@ mod durability {
 
         // Recovery folded the surviving tail into a snapshot, so the
         // second open sees a clean store.
-        let again = PerseusServer::recover(&dir).unwrap();
+        let again = PerseusServer::open(&dir, ServerConfig::default()).unwrap();
         assert_eq!(again.state_fingerprint(), at_scribble);
         assert_eq!(again.durability().truncated_records, 0);
         drop(again);
@@ -1065,7 +1090,7 @@ mod durability {
     fn destroyed_header_is_an_error_not_data_loss() {
         let dir = unique_test_dir("badheader");
         std::fs::write(dir.join("server.journal"), b"not a journal at all").unwrap();
-        let Err(err) = PerseusServer::open(&dir) else {
+        let Err(err) = PerseusServer::open(&dir, ServerConfig::default()) else {
             panic!("opening a non-journal file must fail")
         };
         assert!(matches!(err, ServerError::Store(_)));
@@ -1082,9 +1107,7 @@ mod durability {
     #[test]
     fn replay_is_idempotent_under_snapshot_journal_overlap() {
         let dir = unique_test_dir("idem");
-        let server =
-            PerseusServer::open_with(&dir, 1, perseus_telemetry::Telemetry::disabled()).unwrap();
-        server.set_snapshot_every(u64::MAX);
+        let server = PerseusServer::open(&dir, no_auto_snapshots()).unwrap();
         let fps = scripted_history(&server);
         let journal = server.journal_path().unwrap();
         drop(server);
@@ -1117,9 +1140,9 @@ mod durability {
             }
             drop(tail_journal);
 
-            let recovered = PerseusServer::recover(&sdir).unwrap();
+            let recovered = PerseusServer::open(&sdir, ServerConfig::default()).unwrap();
             let expect = if k == 0 {
-                PerseusServer::new().state_fingerprint()
+                PerseusServer::new(ServerConfig::default()).state_fingerprint()
             } else {
                 fps[k as usize - 1].clone()
             };
@@ -1150,9 +1173,14 @@ mod durability {
     #[test]
     fn aggressive_snapshot_cadence_keeps_journal_compact_and_state_exact() {
         let dir = unique_test_dir("cadence");
-        let server =
-            PerseusServer::open_with(&dir, 1, perseus_telemetry::Telemetry::disabled()).unwrap();
-        server.set_snapshot_every(1);
+        let server = PerseusServer::open(
+            &dir,
+            ServerConfig {
+                snapshot_every: 1,
+                ..one_worker()
+            },
+        )
+        .unwrap();
         let fps = scripted_history(&server);
         let stats = server.durability();
         // Every synchronous mutator folds a snapshot; the asynchronous
@@ -1166,7 +1194,7 @@ mod durability {
             ends.len() <= 1,
             "per-mutation snapshots keep at most the in-flight record journaled"
         );
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir, ServerConfig::default()).unwrap();
         assert_eq!(&recovered.state_fingerprint(), fps.last().unwrap());
         assert_eq!(recovered.durability().replayed_events, 0);
         drop(recovered);
@@ -1177,7 +1205,7 @@ mod durability {
     /// the segment key a snapshot stores.
     #[test]
     fn fingerprint_covers_every_frontier_byte() {
-        let server = PerseusServer::with_workers(1);
+        let server = PerseusServer::new(one_worker());
         register(&server);
         server
             .submit_profiles(
@@ -1230,7 +1258,7 @@ mod durability {
 
         let want = server.state_fingerprint();
         drop(server);
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir, ServerConfig::default()).unwrap();
         assert_eq!(recovered.state_fingerprint(), want);
         let stats = recovered.durability();
         assert_eq!(stats.corrupt_snapshots, 0);
@@ -1247,14 +1275,14 @@ mod durability {
     #[test]
     fn jobs_sharing_a_cached_frontier_share_one_segment() {
         let dir = unique_test_dir("shared-segment");
-        let server = PerseusServer::open_with_cache(
+        let server = PerseusServer::open(
             &dir,
-            1,
-            Telemetry::disabled(),
-            Arc::new(PlanCache::new()),
+            ServerConfig {
+                plan_cache: Some(Arc::new(PlanCache::new())),
+                ..no_auto_snapshots()
+            },
         )
         .unwrap();
-        server.set_snapshot_every(u64::MAX);
         let gpu = GpuSpec::a100_pcie();
         for name in ["a", "b"] {
             register_named(&server, name);
@@ -1274,7 +1302,7 @@ mod durability {
 
         let want = server.state_fingerprint();
         drop(server);
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir, ServerConfig::default()).unwrap();
         assert_eq!(recovered.state_fingerprint(), want);
         assert_eq!(recovered.durability().recharacterizations_avoided, 2);
         assert!(Arc::ptr_eq(
@@ -1318,7 +1346,7 @@ mod durability {
         )
         .unwrap();
 
-        let recovered = PerseusServer::recover(&crashed).unwrap();
+        let recovered = PerseusServer::open(&crashed, ServerConfig::default()).unwrap();
         assert_eq!(recovered.state_fingerprint(), want);
         let stats = recovered.durability();
         assert_eq!(stats.corrupt_snapshots, 0);
@@ -1375,7 +1403,7 @@ mod durability {
                 }
                 _ => std::fs::remove_file(&path).unwrap(),
             }
-            match PerseusServer::open_with(&dir, 1, Telemetry::disabled()) {
+            match PerseusServer::open(&dir, one_worker()) {
                 Ok(server) => {
                     assert_eq!(
                         server.durability().corrupt_snapshots,
@@ -1402,16 +1430,9 @@ mod flight {
     use perseus_gpu::GpuSpec;
     use perseus_telemetry::IterationSample;
 
-    use super::{model_profiles, pipe, unique_test_dir};
-    use crate::server::{JobSpec, PerseusServer, ServerError};
+    use super::{model_profiles, one_worker, pipe, unique_test_dir, Script};
+    use crate::server::{JobSpec, PerseusServer, ServerConfig, ServerError};
     use crate::{FaultInjector, SubmissionFault};
-
-    struct Script(Mutex<VecDeque<SubmissionFault>>);
-    impl FaultInjector for Script {
-        fn submission_fault(&self, _job: &str, _epoch: u64) -> SubmissionFault {
-            self.0.lock().pop_front().unwrap_or(SubmissionFault::None)
-        }
-    }
 
     fn sample(iteration: u64) -> IterationSample {
         IterationSample {
@@ -1431,7 +1452,7 @@ mod flight {
     #[test]
     fn flight_record_snapshots_and_appears_in_job_status() {
         let gpu = GpuSpec::a100_pcie();
-        let server = PerseusServer::with_workers(1);
+        let server = PerseusServer::new(one_worker());
         server
             .register_job(JobSpec {
                 name: "job".into(),
@@ -1454,7 +1475,17 @@ mod flight {
     #[test]
     fn containment_auto_dumps_the_flight_record() {
         let gpu = GpuSpec::a100_pcie();
-        let server = PerseusServer::with_workers(1);
+        let script = Arc::new(Script(Mutex::new(VecDeque::from([
+            SubmissionFault::None,
+            SubmissionFault::Panic,
+        ]))));
+        let dir = unique_test_dir("flight");
+        let dump = dir.join("postmortem.json");
+        let server = PerseusServer::new(ServerConfig {
+            fault_injector: Some(script as Arc<dyn FaultInjector>),
+            flight_dump: Some(dump.clone()),
+            ..one_worker()
+        });
         server
             .register_job(JobSpec {
                 name: "job".into(),
@@ -1463,14 +1494,6 @@ mod flight {
                 power_states: None,
             })
             .unwrap();
-        let script = Arc::new(Script(Mutex::new(VecDeque::from([
-            SubmissionFault::None,
-            SubmissionFault::Panic,
-        ]))));
-        server.set_fault_injector(Some(script as Arc<dyn FaultInjector>));
-        let dir = unique_test_dir("flight");
-        let dump = dir.join("postmortem.json");
-        server.arm_flight_dump(Some(dump.clone()));
 
         let opts = FrontierOptions::default();
         // Healthy submission: no dump.
@@ -1619,11 +1642,12 @@ mod fleet {
             }
         }
 
-        let (server, job) = server_with_job();
+        let (server, job) = server_with_job_from(ServerConfig {
+            max_inflight: 1,
+            fault_injector: Some(std::sync::Arc::new(DelayFirst)),
+            ..ServerConfig::default()
+        });
         let server = std::sync::Arc::new(server);
-        server.set_max_inflight(1);
-        assert_eq!(server.max_inflight(), 1);
-        server.set_fault_injector(Some(std::sync::Arc::new(DelayFirst)));
         let gpu = GpuSpec::a100_pcie();
 
         // Claims the only slot and stalls in the worker for 250 ms.
@@ -1656,6 +1680,44 @@ mod fleet {
         assert!(client.retries() > 0, "the client should have backed off");
         assert!(server.peak_inflight_characterizations() <= 1);
         assert_eq!(server.inflight_characterizations(), 0);
+    }
+
+    /// A batch needs one free slot per entry: past the bound it is
+    /// rejected whole, before any entry claims a slot or an epoch.
+    #[test]
+    fn batch_admission_is_all_or_nothing() {
+        let gpu = GpuSpec::a100_pcie();
+        let server = PerseusServer::new(ServerConfig {
+            max_inflight: 1,
+            ..ServerConfig::default()
+        });
+        for name in ["a", "b"] {
+            server.register_job(spec(name)).unwrap();
+        }
+        let batch = ["a", "b"]
+            .map(|name| (name.to_string(), model_profiles(&gpu), opts()))
+            .to_vec();
+        match server.submit_profiles_batch(batch) {
+            Err(ServerError::Overloaded {
+                job,
+                inflight,
+                limit,
+            }) => assert_eq!((job.as_str(), inflight, limit), ("a", 0, 1)),
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        assert_eq!(server.peak_inflight_characterizations(), 0);
+        assert_eq!(server.inflight_characterizations(), 0);
+        // Neither job took an epoch: each one's first submission that
+        // does get in deploys as epoch 1.
+        for name in ["a", "b"] {
+            server
+                .submit_profiles(name, model_profiles(&gpu), &opts())
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(server.job_status(name).unwrap().epoch, 1);
+        }
+        assert_eq!(server.peak_inflight_characterizations(), 1);
     }
 
     #[test]
@@ -1862,7 +1924,7 @@ mod fleet {
         // final state.
         let admitted = admitted.lock();
         for (i, shard) in fleet.shards().iter().enumerate() {
-            let replay = PerseusServer::with_workers(1);
+            let replay = PerseusServer::new(one_worker());
             for name in &names {
                 if fleet.shard_of(name) == i {
                     replay.register_job(spec(name)).unwrap();
@@ -1986,7 +2048,7 @@ mod kareus {
 
     fn kareus_server() -> (PerseusServer, &'static str) {
         let gpu = GpuSpec::a100_pcie();
-        let server = PerseusServer::new();
+        let server = PerseusServer::new(ServerConfig::default());
         server
             .register_job(JobSpec {
                 name: "gpt-kareus".into(),
@@ -2044,7 +2106,7 @@ mod kareus {
                 exit_s: 0.001,
             }],
         };
-        let server = PerseusServer::new();
+        let server = PerseusServer::new(ServerConfig::default());
         let err = server
             .register_job(JobSpec {
                 name: "bad".into(),
@@ -2081,7 +2143,7 @@ mod kareus {
         let gpu = GpuSpec::a100_pcie();
         let dir = unique_test_dir("kareus");
         let fingerprint = {
-            let server = PerseusServer::open(&dir).unwrap();
+            let server = PerseusServer::open(&dir, ServerConfig::default()).unwrap();
             server
                 .register_job(JobSpec {
                     name: "gpt-kareus".into(),
@@ -2101,7 +2163,7 @@ mod kareus {
                 .unwrap();
             server.state_fingerprint()
         };
-        let recovered = PerseusServer::recover(&dir).unwrap();
+        let recovered = PerseusServer::open(&dir, ServerConfig::default()).unwrap();
         assert_eq!(recovered.state_fingerprint(), fingerprint);
         let status = recovered.job_status("gpt-kareus").unwrap();
         assert!(status.deployment.unwrap().sleep.is_some());
@@ -2150,7 +2212,10 @@ mod obs {
     #[test]
     fn observe_iteration_populates_job_status_slo() {
         let gpu = GpuSpec::a100_pcie();
-        let server = PerseusServer::with_telemetry(1, Telemetry::enabled());
+        let server = PerseusServer::new(ServerConfig {
+            telemetry: Telemetry::enabled(),
+            ..one_worker()
+        });
         server
             .register_job(JobSpec {
                 name: "gpt".into(),
@@ -2182,7 +2247,7 @@ mod obs {
 
     #[test]
     fn server_observe_flags_drift_burst() {
-        let server = PerseusServer::new();
+        let server = PerseusServer::new(ServerConfig::default());
         let mut firing = Vec::new();
         for i in 0..200 {
             // Straggler onset at iteration 100: sync time jumps 40%.
@@ -2200,9 +2265,11 @@ mod obs {
     #[test]
     fn fleet_rollup_dedups_shared_registry() {
         let tel = Telemetry::enabled();
-        let fleet = FleetServer::with_telemetry(
-            FleetConfig::default().shards(4).workers_per_shard(1),
-            tel.clone(),
+        let fleet = FleetServer::new(
+            FleetConfig::default()
+                .shards(4)
+                .workers_per_shard(1)
+                .telemetry(tel.clone()),
         );
         let tenant = TenantId::from("search");
         let gpu = GpuSpec::a100_pcie();
@@ -2262,12 +2329,12 @@ mod obs {
     #[test]
     fn fleet_rollup_is_exact_sum_under_sharded_telemetry() {
         let fleet_tel = Telemetry::enabled();
-        let fleet = FleetServer::with_telemetry(
+        let fleet = FleetServer::new(
             FleetConfig::default()
                 .shards(3)
                 .workers_per_shard(1)
-                .sharded_telemetry(true),
-            fleet_tel.clone(),
+                .sharded_telemetry(true)
+                .telemetry(fleet_tel.clone()),
         );
         let tenant = TenantId::from("ads");
         let gpu = GpuSpec::a100_pcie();
@@ -2328,9 +2395,11 @@ mod obs {
 
     #[test]
     fn fleet_serves_rollup_over_http() {
-        let fleet = Arc::new(FleetServer::with_telemetry(
-            FleetConfig::default().shards(2).workers_per_shard(1),
-            Telemetry::enabled(),
+        let fleet = Arc::new(FleetServer::new(
+            FleetConfig::default()
+                .shards(2)
+                .workers_per_shard(1)
+                .telemetry(Telemetry::enabled()),
         ));
         let tenant = TenantId::from("search");
         let gpu = GpuSpec::a100_pcie();
@@ -2434,12 +2503,12 @@ mod replication {
     use perseus_gpu::{FreqMHz, GpuSpec};
     use perseus_pipeline::{CompKind, OpKey};
     use perseus_profiler::ProfileDelta;
-    use perseus_telemetry::Telemetry;
 
-    use super::{model_profiles, pipe, unique_test_dir};
+    use super::{model_profiles, one_worker, pipe, unique_test_dir, Script};
     use crate::replica::{FollowerServer, Replicator};
-    use crate::server::{JobSpec, PerseusServer, Role, ServerError};
+    use crate::server::{JobSpec, PerseusServer, Role, ServerConfig, ServerError};
     use crate::JobClient;
+    use crate::{FaultInjector, SubmissionFault};
 
     fn register(server: &PerseusServer) {
         server
@@ -2479,8 +2548,7 @@ mod replication {
             .wait()
             .unwrap();
 
-        server.set_role(Role::Follower);
-        server.set_leader_hint("leader-1".into());
+        server.set_role(Role::Follower, "leader-1".into());
         assert_eq!(server.role(), Role::Follower);
 
         // Every public mutator bounces with the configured hint.
@@ -2522,21 +2590,20 @@ mod replication {
         assert!(server.frontier(job).is_some());
 
         // Promotion flips the same switch back.
-        server.set_role(Role::Leader);
+        server.set_role(Role::Leader, String::new());
         assert!(server.set_straggler(job, 0, 0.0, 1.2).is_ok());
     }
 
     #[test]
     fn client_fails_over_to_resolved_leader() {
         let gpu = GpuSpec::a100_pcie();
-        let leader = Arc::new(PerseusServer::new());
+        let leader = Arc::new(PerseusServer::new(ServerConfig::default()));
         register(&leader);
 
         // A follower with the same job replicated; the client starts here.
-        let follower = Arc::new(PerseusServer::new());
+        let follower = Arc::new(PerseusServer::new(ServerConfig::default()));
         register(&follower);
-        follower.set_role(Role::Follower);
-        follower.set_leader_hint("leader-1".into());
+        follower.set_role(Role::Follower, "leader-1".into());
 
         let client = JobClient::new(Arc::clone(&follower), "gpt");
         let resolved_leader = Arc::clone(&leader);
@@ -2567,12 +2634,12 @@ mod replication {
     fn replication_round_trip_promotes_bit_identical() {
         let leader_dir = unique_test_dir("repl-leader");
         let follower_dir = unique_test_dir("repl-follower");
-        let leader = PerseusServer::open_with(&leader_dir, 1, Telemetry::disabled()).unwrap();
+        let leader = PerseusServer::open(&leader_dir, one_worker()).unwrap();
         drive_leader(&leader);
         let watermark = leader.replication_watermark().unwrap();
 
         let leader = Arc::new(leader);
-        let mut follower = FollowerServer::open(&follower_dir).unwrap();
+        let mut follower = FollowerServer::open(&follower_dir, one_worker()).unwrap();
         follower.set_max_lag(2);
         let replicator = Replicator::new(Arc::clone(&leader));
         let shipped = replicator.sync(&mut follower).unwrap();
@@ -2637,16 +2704,84 @@ mod replication {
         let _ = std::fs::remove_dir_all(&follower_dir);
     }
 
+    /// The follower's config is the promoted leader's: a checkpoint
+    /// install rebuilds the server from it, and promotion hands it on —
+    /// the injector still decides faults, and the snapshot cadence still
+    /// holds.
+    #[test]
+    fn follower_config_survives_checkpoint_and_promotion() {
+        let leader_dir = unique_test_dir("cfg-leader");
+        let follower_dir = unique_test_dir("cfg-follower");
+        // Snapshotting after every append compacts the leader's journal
+        // past the fresh follower, so the first sync installs a
+        // checkpoint.
+        let leader = Arc::new(
+            PerseusServer::open(
+                &leader_dir,
+                ServerConfig {
+                    snapshot_every: 1,
+                    ..one_worker()
+                },
+            )
+            .unwrap(),
+        );
+        drive_leader(&leader);
+        let script = Arc::new(Script(parking_lot::Mutex::new(Default::default())));
+        let mut follower = FollowerServer::open(
+            &follower_dir,
+            ServerConfig {
+                fault_injector: Some(Arc::clone(&script) as Arc<dyn FaultInjector>),
+                snapshot_every: 1,
+                ..one_worker()
+            },
+        )
+        .unwrap();
+        Replicator::new(Arc::clone(&leader))
+            .sync(&mut follower)
+            .unwrap();
+        assert_eq!(follower.segments_written(), 1, "a checkpoint was installed");
+        drop(leader);
+        let (promoted, _) = follower.promote().unwrap();
+
+        // Snapshot after every append: each mutation adds one of each.
+        let before = promoted.durability();
+        promoted.set_straggler("gpt", 1, 0.0, 1.1).unwrap();
+        promoted.advance_time("gpt", 1.0).unwrap();
+        let after = promoted.durability();
+        assert_eq!(after.journal_appends, before.journal_appends + 2);
+        assert_eq!(after.snapshots_written, before.snapshots_written + 2);
+
+        // The injector is consulted: a scripted drop degrades the job.
+        script.0.lock().push_back(SubmissionFault::Drop);
+        let err = promoted
+            .submit_profiles(
+                "gpt",
+                model_profiles(&GpuSpec::a100_pcie()),
+                &FrontierOptions::default(),
+            )
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        assert!(matches!(err, ServerError::SubmissionLost(_)));
+        let status = promoted.job_status("gpt").unwrap();
+        assert!(status.degraded);
+        assert_eq!(status.chaos.faults_injected, 1);
+
+        drop(promoted);
+        let _ = std::fs::remove_dir_all(&leader_dir);
+        let _ = std::fs::remove_dir_all(&follower_dir);
+    }
+
     #[test]
     fn follower_truncates_torn_tail_and_resyncs() {
         let leader_dir = unique_test_dir("torn-leader");
         let follower_dir = unique_test_dir("torn-follower");
-        let leader = PerseusServer::open_with(&leader_dir, 1, Telemetry::disabled()).unwrap();
+        let leader = PerseusServer::open(&leader_dir, one_worker()).unwrap();
         drive_leader(&leader);
         let leader = Arc::new(leader);
         let replicator = Replicator::new(Arc::clone(&leader));
 
-        let mut follower = FollowerServer::open(&follower_dir).unwrap();
+        let mut follower = FollowerServer::open(&follower_dir, one_worker()).unwrap();
         replicator.sync(&mut follower).unwrap();
         let synced = follower.shipped_seq();
         drop(follower);
@@ -2666,7 +2801,7 @@ mod replication {
 
         // Reopen truncates to the last valid record — the shipped
         // watermark regresses — and resync ships the gap again.
-        let mut follower = FollowerServer::open(&follower_dir).unwrap();
+        let mut follower = FollowerServer::open(&follower_dir, one_worker()).unwrap();
         assert!(
             follower.shipped_seq() < synced,
             "torn tail must drop the last shipped record"
@@ -2699,7 +2834,6 @@ mod replication {
             .wait()
             .unwrap();
         let before = server.job_status(job).unwrap();
-        server.set_drift_threshold(0.05);
 
         let delta = |tf: f64, ef: f64| ProfileDelta {
             key: OpKey {

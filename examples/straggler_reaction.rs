@@ -10,7 +10,7 @@ use perseus::gpu::{GpuSpec, SimGpu};
 use perseus::models::{min_imbalance_partition, zoo};
 use perseus::pipeline::{CompKind, OpKey, PipelineBuilder, ScheduleKind};
 use perseus::profiler::{OpProfile, ProfileDb};
-use perseus::server::{ClientSession, JobSpec, PerseusServer};
+use perseus::server::{ClientSession, JobSpec, PerseusServer, ServerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpu = GpuSpec::a40();
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pipe = PipelineBuilder::new(ScheduleKind::OneFOneB, n_stages, 8).build()?;
 
     // Server side: register the job (its computation DAG + hardware).
-    let server = PerseusServer::new();
+    let server = PerseusServer::new(ServerConfig::default());
     server.register_job(JobSpec {
         name: "bloom-3b".into(),
         pipe: pipe.clone(),

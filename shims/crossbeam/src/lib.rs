@@ -142,7 +142,17 @@ pub mod channel {
         fn drop(&mut self) {
             if self.chan.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender: wake all blocked receivers so they observe
-                // the disconnection.
+                // the disconnection. A receiver checks `senders` and goes
+                // to sleep under the queue lock, so taking that lock
+                // first orders this wake-up after any receiver that saw a
+                // live sender is asleep; notifying without it can land in
+                // between and leave that receiver blocked forever.
+                drop(
+                    self.chan
+                        .queue
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
                 self.chan.ready.notify_all();
             }
         }

@@ -8,7 +8,7 @@ use perseus::gpu::{GpuSpec, NoiseModel, SimGpu};
 use perseus::models::{min_imbalance_partition, zoo};
 use perseus::pipeline::{CompKind, OpKey, PipelineBuilder, ScheduleKind};
 use perseus::profiler::{OnlineProfiler, ProfileDb};
-use perseus::server::{ClientSession, JobSpec, PerseusServer};
+use perseus::server::{ClientSession, JobSpec, PerseusServer, ServerConfig};
 
 #[test]
 fn full_workflow_with_online_profiling() {
@@ -63,7 +63,7 @@ fn full_workflow_with_online_profiling() {
     }
 
     // Steps 2+3: the server characterizes the frontier and deploys.
-    let server = PerseusServer::new();
+    let server = PerseusServer::new(ServerConfig::default());
     server
         .register_job(JobSpec {
             name: "bert".into(),
