@@ -572,7 +572,7 @@ pub fn run_chaos(emu: &mut Emulator, cfg: &ChaosConfig) -> Result<ChaosReport, C
     // disk next to whatever the server's containment path already wrote.
     if faults_injected > 0 {
         if let Some(path) = &cfg.flight_dump {
-            let _ = server.flight_recorder().dump_to(path);
+            let _ = server.obs().flight().dump_to(path);
         }
     }
 

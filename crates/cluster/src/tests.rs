@@ -880,11 +880,12 @@ mod observed_run {
     use crate::run::{
         simulate_run, simulate_run_observed, thermal_cycle_trace, RunConfig, TraceEvent,
     };
-    use perseus_telemetry::{pipeline::series, ObsPipeline};
+    use perseus_telemetry::ObsPipeline;
 
     /// Feeding the streaming pipeline is pure observation: the summary is
-    /// bit-identical to the unobserved run, and the pipeline holds one
-    /// sample per iteration.
+    /// bit-identical to the unobserved run, and the pipeline's flight
+    /// recorder holds one sample per iteration whose energy and sync time
+    /// re-sum to the run's totals.
     #[test]
     fn observed_run_is_bit_identical_and_fills_the_store() {
         let emu = Emulator::new(small_config()).unwrap();
@@ -914,15 +915,16 @@ mod observed_run {
             assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
         }
         assert_eq!(obs.ingested(), 8);
-        let energy = obs.window(series::ENERGY_PER_ITERATION_J, 8).unwrap();
-        assert_eq!(energy.count, 8);
-        assert!((energy.mean * 8.0 - plain.total_energy_j).abs() < 1e-6);
-        let sync = obs.window(series::SYNC_TIME_S, 8).unwrap();
-        assert!((sync.mean * 8.0 - plain.total_time_s).abs() < 1e-9);
+        let record = obs.flight().snapshot();
+        assert_eq!(record.samples.len(), 8);
+        let energy: f64 = record.samples.iter().map(|s| s.total_j()).sum();
+        assert!((energy - plain.total_energy_j).abs() < 1e-6);
+        let sync: f64 = record.samples.iter().map(|s| s.sync_time_s).sum();
+        assert!((sync - plain.total_time_s).abs() < 1e-9);
     }
 
-    /// A thermal-cycling trace drives the sync-time series up and down;
-    /// the pipeline's window stats see the spread.
+    /// A thermal-cycling trace drives the sync time up and down; the
+    /// flight record sees the spread.
     #[test]
     fn observed_thermal_cycle_shows_spread() {
         let emu = Emulator::new(small_config()).unwrap();
@@ -933,7 +935,12 @@ mod observed_run {
         };
         let obs = ObsPipeline::default();
         simulate_run_observed(&emu, Policy::Perseus, &trace, &cfg, &obs).unwrap();
-        let w = obs.window(series::SYNC_TIME_S, 32).unwrap();
-        assert!(w.max > w.min, "cycling trace must move the series");
+        let record = obs.flight().snapshot();
+        assert_eq!(record.samples.len(), 32);
+        let first = record.samples[0].sync_time_s;
+        assert!(
+            record.samples.iter().any(|s| s.sync_time_s != first),
+            "cycling trace must move the sync time"
+        );
     }
 }

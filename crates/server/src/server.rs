@@ -52,8 +52,8 @@ use perseus_pipeline::{OpKey, PipelineDag};
 use perseus_profiler::{scale_profile, ProfileDb, ProfileDelta};
 use perseus_store::{Persist, Record, StoreError};
 use perseus_telemetry::{
-    span, Alert, Endpoints, FlightRecorder, FlightSnapshot, FlightSummary, IterationSample,
-    ObsPipeline, SloStatus, Telemetry, TelemetryServer,
+    span, Alert, Endpoints, FlightSnapshot, FlightSummary, IterationSample, ObsPipeline, SloStatus,
+    Telemetry, TelemetryServer,
 };
 
 use crate::replica::ReplicationStats;
@@ -61,11 +61,6 @@ use crate::store::{
     fingerprint_bytes, open_dir, DurabilityStats, JobSnapshot, JournalEvent, OpenedDir, Segment,
     ServerSnapshot, Store, DEFAULT_SNAPSHOT_EVERY,
 };
-
-/// Ring capacity of the server's flight recorder: enough to hold the
-/// recent history of any emulated training segment while staying a few
-/// tens of kilobytes.
-const FLIGHT_CAPACITY: usize = 256;
 
 /// How long [`CharacterizeTicket::wait`] is willing to sit on a silent
 /// channel before declaring the worker lost. Long enough for any real
@@ -938,13 +933,11 @@ pub struct PerseusServer {
     cfg: ServerConfig,
     jobs: RwLock<HashMap<String, Arc<Job>>>,
     pool: WorkerPool,
-    /// Per-iteration time-series ring, fed by the training loop (the
-    /// chaos harness in this repo) and dumped as a post-mortem when a
-    /// submission is lost or a characterization panic is contained.
-    flight: Arc<FlightRecorder>,
-    /// Streaming observability: ring series, drift detectors, SLO
-    /// budgets. Fed by [`PerseusServer::observe_iteration`]; observe-only
-    /// (never influences planning), so enabling it keeps planner output
+    /// Streaming observability: the flight recorder (dumped as a
+    /// post-mortem when a submission is lost or a characterization panic
+    /// is contained), drift detectors, SLO budgets. Fed by
+    /// [`PerseusServer::observe_iteration`]; observe-only (never
+    /// influences planning), so enabling it keeps planner output
     /// byte-identical.
     obs: Arc<ObsPipeline>,
     /// Whether the lookup-latency histogram of the first observed job has
@@ -970,7 +963,6 @@ impl PerseusServer {
         PerseusServer {
             jobs: RwLock::new(HashMap::new()),
             pool: WorkerPool::new(cfg.workers),
-            flight: Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)),
             obs: Arc::new(ObsPipeline::default()),
             obs_lookup_attached: AtomicBool::new(false),
             store: None,
@@ -1255,18 +1247,13 @@ impl PerseusServer {
         }
     }
 
-    /// The server's flight recorder. The training loop records one
-    /// [`perseus_telemetry::IterationSample`] per synchronized iteration;
-    /// the server only snapshots and dumps it.
-    pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
-        &self.flight
-    }
-
     /// Snapshots the per-iteration flight record — the on-demand half of
     /// the recorder contract (the auto-dump on fault containment is the
-    /// other half; see [`ServerConfig::flight_dump`]).
+    /// other half; see [`ServerConfig::flight_dump`]). The record holds
+    /// the samples [`PerseusServer::observe_iteration`] ingested, up to
+    /// [`perseus_telemetry::pipeline::FLIGHT_CAPACITY`] of the newest.
     pub fn flight_record(&self) -> FlightSnapshot {
-        self.flight.snapshot()
+        self.obs.flight().snapshot()
     }
 
     /// The telemetry handle this server emits through
@@ -1275,17 +1262,17 @@ impl PerseusServer {
         &self.cfg.telemetry
     }
 
-    /// The server's streaming observability pipeline: per-metric ring
-    /// series, EWMA/Page–Hinkley drift detectors, and the SLO engine.
+    /// The server's streaming observability pipeline: the flight
+    /// recorder, EWMA/Page–Hinkley drift detectors, and the SLO engine.
     pub fn obs(&self) -> &Arc<ObsPipeline> {
         &self.obs
     }
 
-    /// Records one synchronized training iteration for `job`: the sample
-    /// goes to the flight recorder (post-mortem ring) *and* through the
-    /// observability pipeline (series → detectors → SLO budgets). This is
-    /// the one ingest call the training loop makes per iteration; it is
-    /// observe-only — planner state and future deployments are untouched.
+    /// Records one synchronized training iteration for `job` through the
+    /// observability pipeline: flight recorder (post-mortem ring) →
+    /// detectors → SLO budgets. This is the one ingest call the training
+    /// loop makes per iteration; it is observe-only — planner state and
+    /// future deployments are untouched.
     ///
     /// Returns the alerts this sample transitioned (usually none). An
     /// unknown job name still records — observation must not depend on
@@ -1305,7 +1292,6 @@ impl PerseusServer {
                 tel.histogram_with("perseus_server_lookup_seconds", &[("job", job)]),
             );
         }
-        self.flight.record(sample);
         self.obs.ingest(&sample)
     }
 
@@ -1471,7 +1457,7 @@ impl PerseusServer {
         let cache = self.cfg.plan_cache.clone();
         let (tx, rx) = unbounded();
         let tel = self.cfg.telemetry.clone();
-        let flight = Arc::clone(&self.flight);
+        let obs = Arc::clone(&self.obs);
         let dump_path = self.cfg.flight_dump.clone();
         let enqueued = tel.now();
         self.pool.submit(Box::new(move || {
@@ -1512,7 +1498,7 @@ impl PerseusServer {
                 Err(ServerError::SubmissionLost(_) | ServerError::CharacterizationPanicked(_))
             ) {
                 if let Some(path) = &dump_path {
-                    let _ = flight.dump_to(path);
+                    let _ = obs.flight().dump_to(path);
                 }
             }
             let _ = tx.send(result); // receiver may have dropped the ticket
@@ -1931,7 +1917,7 @@ impl PerseusServer {
             },
             degraded: state.degraded,
             epoch: state.characterized_epoch,
-            flight: self.flight.summary(),
+            flight: self.obs.flight().summary(),
             durability: self.durability(),
             slo: self.obs.slo_status(),
             role,

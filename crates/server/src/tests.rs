@@ -1428,6 +1428,7 @@ mod flight {
     use parking_lot::Mutex;
     use perseus_core::FrontierOptions;
     use perseus_gpu::GpuSpec;
+    use perseus_telemetry::pipeline::FLIGHT_CAPACITY;
     use perseus_telemetry::IterationSample;
 
     use super::{model_profiles, one_worker, pipe, unique_test_dir, Script};
@@ -1462,7 +1463,7 @@ mod flight {
             })
             .unwrap();
         for i in 0..5 {
-            server.flight_recorder().record(sample(i));
+            server.observe_iteration("job", sample(i));
         }
         let snap = server.flight_record();
         assert_eq!(snap.samples.len(), 5);
@@ -1470,6 +1471,38 @@ mod flight {
         let status = server.job_status("job").unwrap();
         assert_eq!(status.flight.samples, 5);
         assert_eq!(status.flight.last_iteration, Some(4));
+    }
+
+    /// `observe_iteration` writes one structure: the pipeline's ring
+    /// holds exactly the newest ingested samples, and the pipeline's
+    /// ingest count is what the ring retained plus what it evicted.
+    #[test]
+    fn observed_samples_are_the_flight_record() {
+        let server = PerseusServer::new(one_worker());
+        let n = FLIGHT_CAPACITY as u64 + 44;
+        let samples: Vec<IterationSample> = (0..n)
+            .map(|i| IterationSample {
+                sync_time_s: 0.42 + i as f64 * 1e-3,
+                degraded: i % 7 == 0,
+                faults: i % 5,
+                ..sample(i)
+            })
+            .collect();
+        for (i, s) in samples.iter().enumerate() {
+            server.observe_iteration("job", *s);
+            let record = server.flight_record();
+            let kept = (i + 1).min(FLIGHT_CAPACITY);
+            assert_eq!(record.samples, samples[i + 1 - kept..=i]);
+            assert_eq!(
+                server.obs().ingested(),
+                record.samples.len() as u64 + record.dropped
+            );
+        }
+        let record = server.flight_record();
+        assert_eq!(record.capacity, FLIGHT_CAPACITY);
+        assert_eq!(record.dropped, 44);
+        assert_eq!(server.obs().ingested(), n);
+        assert_eq!(server.obs().flight().summary(), record.summary());
     }
 
     #[test]
@@ -1502,7 +1535,7 @@ mod flight {
             .unwrap()
             .wait()
             .unwrap();
-        server.flight_recorder().record(sample(0));
+        server.observe_iteration("job", sample(0));
         assert!(!dump.exists(), "healthy path must not dump");
 
         // Contained panic: the post-mortem lands at the armed path.
@@ -1517,7 +1550,7 @@ mod flight {
         let text = std::fs::read_to_string(&dump).expect("containment wrote the post-mortem");
         assert!(text.contains("\"samples\": ["));
         assert!(text.contains("\"iteration\": 0"));
-        assert_eq!(server.flight_recorder().dumps(), 1);
+        assert_eq!(server.obs().flight().dumps(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -2240,9 +2273,9 @@ mod obs {
             "steady state must be healthy: {:?}",
             status.slo
         );
-        // The pipeline saw every sample and the flight recorder too.
+        // The pipeline saw every sample, and its flight recorder kept them.
         assert_eq!(server.obs().ingested(), 64);
-        assert_eq!(server.flight_recorder().summary().samples, 64);
+        assert_eq!(server.obs().flight().summary().samples, 64);
     }
 
     #[test]

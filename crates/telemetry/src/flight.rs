@@ -3,6 +3,11 @@
 //! a JSON post-mortem when something goes wrong (a chaos fault fires, a
 //! characterization panics and is contained).
 //!
+//! The ring is the only per-iteration history: an [`crate::ObsPipeline`]
+//! owns one and records into it from [`crate::ObsPipeline::ingest`], so
+//! every retained sample has also passed the detectors and the SLO
+//! engine. Everyone else reads it.
+//!
 //! The recorder deliberately stores plain numbers rather than typed
 //! energy structures: telemetry sits below the planner crates in the
 //! dependency order, so the producer (the chaos harness, the server)
@@ -15,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::snapshot::format_value;
+use crate::slo::json_number;
 
 /// One iteration of the recorded time series.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -67,6 +72,24 @@ pub struct FlightSummary {
     pub last_iteration: Option<u64>,
 }
 
+impl FlightSummary {
+    /// Folds retained `samples` (oldest first) into a summary — the one
+    /// place the ring's counts are computed.
+    fn fold<'a>(samples: impl Iterator<Item = &'a IterationSample>, dropped: u64) -> FlightSummary {
+        let mut summary = FlightSummary {
+            dropped,
+            ..FlightSummary::default()
+        };
+        for s in samples {
+            summary.samples += 1;
+            summary.degraded_samples += usize::from(s.degraded);
+            summary.faults += s.faults;
+            summary.last_iteration = Some(s.iteration);
+        }
+        summary
+    }
+}
+
 /// A point-in-time copy of the recorder's ring, oldest sample first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightSnapshot {
@@ -90,7 +113,7 @@ impl FlightSnapshot {
 
     /// Retained samples recorded while the job was degraded.
     pub fn degraded_samples(&self) -> usize {
-        self.samples.iter().filter(|s| s.degraded).count()
+        self.summary().degraded_samples
     }
 
     /// Sum of the per-sample degraded-lookup deltas — equals the
@@ -102,35 +125,31 @@ impl FlightSnapshot {
 
     /// Faults across the retained samples.
     pub fn faults(&self) -> u64 {
-        self.samples.iter().map(|s| s.faults).sum()
+        self.summary().faults
     }
 
     /// The compact summary of this snapshot.
     pub fn summary(&self) -> FlightSummary {
-        FlightSummary {
-            samples: self.samples.len(),
-            dropped: self.dropped,
-            degraded_samples: self.degraded_samples(),
-            faults: self.faults(),
-            last_iteration: self.samples.last().map(|s| s.iteration),
-        }
+        FlightSummary::fold(self.samples.iter(), self.dropped)
     }
 
     /// Renders the snapshot as a self-contained JSON document — the
     /// post-mortem artifact [`FlightRecorder::dump_to`] writes. Numbers
-    /// use the same stable formatting as the metrics renderer (no
-    /// exponents, shortest roundtrip), so the output is both
+    /// use the same stable formatting as the `/alerts` and `/slo` bodies
+    /// (shortest roundtrip; non-finite values, which JSON cannot carry,
+    /// clamp to `±1e308` and NaN to `0`), so the output is both
     /// deterministic and standards-compliant JSON.
     pub fn to_json(&self) -> String {
+        let summary = self.summary();
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"capacity\": {},\n", self.capacity));
         out.push_str(&format!("  \"dropped\": {},\n", self.dropped));
         out.push_str(&format!(
             "  \"degraded_samples\": {},\n",
-            self.degraded_samples()
+            summary.degraded_samples
         ));
-        out.push_str(&format!("  \"faults\": {},\n", self.faults()));
+        out.push_str(&format!("  \"faults\": {},\n", summary.faults));
         out.push_str("  \"samples\": [");
         for (i, s) in self.samples.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -140,10 +159,10 @@ impl FlightSnapshot {
                  \"freq_max_mhz\": {}, \"degraded\": {}, \"degraded_lookups\": {}, \
                  \"faults\": {}}}",
                 s.iteration,
-                format_value(s.sync_time_s),
-                format_value(s.useful_j),
-                format_value(s.intrinsic_j),
-                format_value(s.extrinsic_j),
+                json_number(s.sync_time_s),
+                json_number(s.useful_j),
+                json_number(s.intrinsic_j),
+                json_number(s.extrinsic_j),
                 s.freq_min_mhz,
                 s.freq_max_mhz,
                 s.degraded,
@@ -162,24 +181,34 @@ impl FlightSnapshot {
 /// A fixed-capacity per-iteration flight recorder.
 ///
 /// Recording is a short critical section on a ring buffer (no
-/// allocation once the ring is warm); snapshots copy the ring out.
-/// Shared freely via `Arc` — all methods take `&self`.
+/// allocation once the ring is warm); snapshots copy the ring out, and
+/// summaries fold it in place. Only the owning [`crate::ObsPipeline`]
+/// records; every public method reads.
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
-    ring: Mutex<VecDeque<IterationSample>>,
-    dropped: AtomicU64,
+    ring: Mutex<Ring>,
     dumps: AtomicU64,
+}
+
+/// The retained samples plus the count evicted to make room for them,
+/// behind one lock so the two always agree.
+#[derive(Debug)]
+struct Ring {
+    samples: VecDeque<IterationSample>,
+    dropped: u64,
 }
 
 impl FlightRecorder {
     /// A recorder retaining the last `capacity` samples (minimum 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
+    pub(crate) fn new(capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
-            ring: Mutex::new(VecDeque::with_capacity(capacity)),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring {
+                samples: VecDeque::with_capacity(capacity),
+                dropped: 0,
+            }),
             dumps: AtomicU64::new(0),
         }
     }
@@ -189,30 +218,19 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Samples currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    /// Whether no sample has been recorded (or all were evicted — which
-    /// cannot happen, eviction implies a newer sample).
-    pub fn is_empty(&self) -> bool {
-        self.ring.lock().is_empty()
-    }
-
     /// Post-mortem dumps written so far via [`FlightRecorder::dump_to`].
     pub fn dumps(&self) -> u64 {
         self.dumps.load(Ordering::Relaxed)
     }
 
     /// Records one iteration, evicting the oldest sample when full.
-    pub fn record(&self, sample: IterationSample) {
+    pub(crate) fn record(&self, sample: IterationSample) {
         let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        if ring.samples.len() == self.capacity {
+            ring.samples.pop_front();
+            ring.dropped += 1;
         }
-        ring.push_back(sample);
+        ring.samples.push_back(sample);
     }
 
     /// Copies the ring out, oldest sample first.
@@ -220,14 +238,16 @@ impl FlightRecorder {
         let ring = self.ring.lock();
         FlightSnapshot {
             capacity: self.capacity,
-            dropped: self.dropped.load(Ordering::Relaxed),
-            samples: ring.iter().copied().collect(),
+            dropped: ring.dropped,
+            samples: ring.samples.iter().copied().collect(),
         }
     }
 
-    /// The summary of the current ring contents.
+    /// The summary of the current ring contents, folded under the lock
+    /// without copying the ring.
     pub fn summary(&self) -> FlightSummary {
-        self.snapshot().summary()
+        let ring = self.ring.lock();
+        FlightSummary::fold(ring.samples.iter(), ring.dropped)
     }
 
     /// Writes the current snapshot as a JSON post-mortem to `path`,

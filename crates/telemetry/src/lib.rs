@@ -54,18 +54,16 @@ mod sink;
 pub mod slo;
 mod snapshot;
 mod span;
-pub mod timeseries;
 
 pub use detector::{Alert, AlertEvidence, AlertLog, AlertState, Severity};
 pub use flight::{FlightRecorder, FlightSnapshot, FlightSummary, IterationSample};
 pub use http::{Endpoints, TelemetryServer};
 pub use metrics::{Counter, FloatCounter, Gauge, Histogram};
-pub use pipeline::{ObsPipeline, PipelineConfig};
+pub use pipeline::ObsPipeline;
 pub use sink::{SpanRecord, TelemetrySink, TraceWriter};
 pub use slo::{SloEngine, SloOp, SloSpec, SloStatus};
 pub use snapshot::{histogram_quantile, MetricsSnapshot, SnapshotBuilder};
 pub use span::Span;
-pub use timeseries::{SeriesConfig, TieredSeries, TimeSeriesStore, WindowStats};
 
 use std::sync::Arc;
 use std::time::Instant;

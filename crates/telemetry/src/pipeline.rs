@@ -1,35 +1,44 @@
-//! The streaming observability pipeline: registry/flight samples in,
-//! series + alerts + SLO budgets out.
+//! The streaming observability pipeline: per-iteration samples in;
+//! flight record, alerts and SLO budgets out.
 //!
 //! Data flow (DESIGN.md §5e):
 //!
 //! ```text
-//! IterationSample ─┬─▶ TimeSeriesStore (ring series, tiers, windows)
-//!                  ├─▶ EwmaDetector / PageHinkley ─▶ AlertLog
-//!                  └─▶ SloEngine (error budgets) ─▶ JobStatus / /slo
+//! IterationSample ─▶ ObsPipeline::ingest
+//!                     ├─▶ FlightRecorder (ring) ─▶ JobStatus.flight, post-mortems
+//!                     ├─▶ EwmaDetector / PageHinkley ─▶ AlertLog ─▶ /alerts
+//!                     └─▶ SloEngine (error budgets) ─▶ JobStatus.slo, /slo
 //! ```
 //!
 //! One [`ObsPipeline`] watches one job. [`ObsPipeline::ingest`] is the
 //! single entry point — the server, the chaos harness, and the cluster
-//! emulator all feed the same per-iteration sample they already hand the
-//! flight recorder, so enabling the pipeline changes *observation only*:
-//! planner outputs stay byte-identical (golden-gated).
+//! emulator all feed it the per-iteration sample, and it is the only
+//! writer of the flight recorder, so every retained sample has been seen
+//! by the detectors and the SLO engine. Enabling the pipeline changes
+//! *observation only*: planner outputs stay byte-identical
+//! (golden-gated).
 //!
 //! Everything downstream of `ingest` is deterministic in the sample
 //! sequence: same samples in, byte-identical alert stream and SLO report
 //! out. That is what the replay test locks down.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use parking_lot::Mutex;
 
 use crate::detector::{Alert, AlertLog, EwmaConfig, EwmaDetector, PageHinkley, PageHinkleyConfig};
 use crate::slo::{render_slo_json, SloEngine, SloSpec, SloStatus};
-use crate::timeseries::{SeriesConfig, TimeSeriesStore, WindowStats};
-use crate::{Histogram, IterationSample};
+use crate::{FlightRecorder, Histogram, IterationSample};
 
-/// Series names the pipeline derives from each [`IterationSample`].
+/// Samples the flight recorder retains: enough to hold the recent
+/// history of any emulated training segment while staying a few tens of
+/// kilobytes.
+pub const FLIGHT_CAPACITY: usize = 256;
+
+/// Alerts the log retains.
+const ALERT_CAPACITY: usize = 1024;
+
+/// Metric names the pipeline derives from each [`IterationSample`] (plus
+/// the sparse ones fed through [`crate::ObsPipeline::observe_metric`]):
+/// the detectors name their alerts by them and SLO specs read them.
 pub mod series {
     /// Total joules of the iteration (useful + intrinsic + extrinsic).
     pub const ENERGY_PER_ITERATION_J: &str = "energy_per_iteration_j";
@@ -48,33 +57,6 @@ pub mod series {
     /// first lookup served from the re-characterized frontier (one point
     /// per drift re-plan, fed via [`crate::ObsPipeline::observe_metric`]).
     pub const DRIFT_STALENESS_ITERS: &str = "drift_staleness_iters";
-}
-
-/// Tuning for an [`ObsPipeline`].
-#[derive(Debug, Clone)]
-pub struct PipelineConfig {
-    /// Shape of every series ring.
-    pub series: SeriesConfig,
-    /// EWMA band config for the energy and time detectors.
-    pub ewma: EwmaConfig,
-    /// Page–Hinkley config for the energy and time drift tests.
-    pub page_hinkley: PageHinkleyConfig,
-    /// Objectives the SLO engine evaluates.
-    pub slos: Vec<SloSpec>,
-    /// Alerts retained by the log.
-    pub alert_capacity: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> PipelineConfig {
-        PipelineConfig {
-            series: SeriesConfig::default(),
-            ewma: EwmaConfig::default(),
-            page_hinkley: PageHinkleyConfig::default(),
-            slos: SloSpec::perseus_defaults(),
-            alert_capacity: 1024,
-        }
-    }
 }
 
 /// Detector pair watching one derived series.
@@ -113,43 +95,47 @@ struct PipelineState {
 /// from the iteration loop, read from status endpoints.
 #[derive(Debug)]
 pub struct ObsPipeline {
-    store: TimeSeriesStore,
+    flight: FlightRecorder,
     alerts: AlertLog,
     slo: SloEngine,
     state: Mutex<PipelineState>,
-    ingested: AtomicU64,
 }
 
 impl Default for ObsPipeline {
+    /// The pipeline evaluating [`SloSpec::perseus_defaults`].
     fn default() -> ObsPipeline {
-        ObsPipeline::new(PipelineConfig::default())
+        ObsPipeline::new(SloSpec::perseus_defaults())
     }
 }
 
 impl ObsPipeline {
-    /// A fresh pipeline shaped by `cfg`.
-    pub fn new(cfg: PipelineConfig) -> ObsPipeline {
+    /// A fresh pipeline evaluating `slos`. Detector tuning, ring and
+    /// alert-log capacities are fixed: default EWMA and Page–Hinkley
+    /// configs, [`FLIGHT_CAPACITY`] samples, 1,024 alerts.
+    pub fn new(slos: Vec<SloSpec>) -> ObsPipeline {
+        let ewma = EwmaConfig::default();
         // The degraded-lookup watch needs an absolute floor: its healthy
         // baseline is exactly zero, where relative bands have no width.
         let degraded_ewma = EwmaConfig {
             abs_floor: 0.5,
-            ..cfg.ewma
+            ..ewma
         };
+        let page_hinkley = PageHinkleyConfig::default();
         ObsPipeline {
-            store: TimeSeriesStore::new(cfg.series),
-            alerts: AlertLog::new(cfg.alert_capacity),
-            slo: SloEngine::new(cfg.slos),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
+            alerts: AlertLog::new(ALERT_CAPACITY),
+            slo: SloEngine::new(slos),
             state: Mutex::new(PipelineState {
                 energy: Watch {
-                    ewma: EwmaDetector::new(series::ENERGY_PER_ITERATION_J, cfg.ewma),
+                    ewma: EwmaDetector::new(series::ENERGY_PER_ITERATION_J, ewma),
                     page_hinkley: Some(PageHinkley::new(
                         series::ENERGY_PER_ITERATION_J,
-                        cfg.page_hinkley,
+                        page_hinkley,
                     )),
                 },
                 sync_time: Watch {
-                    ewma: EwmaDetector::new(series::SYNC_TIME_S, cfg.ewma),
-                    page_hinkley: Some(PageHinkley::new(series::SYNC_TIME_S, cfg.page_hinkley)),
+                    ewma: EwmaDetector::new(series::SYNC_TIME_S, ewma),
+                    page_hinkley: Some(PageHinkley::new(series::SYNC_TIME_S, page_hinkley)),
                 },
                 degraded_rate: Watch {
                     ewma: EwmaDetector::new(series::DEGRADED_LOOKUP_RATE, degraded_ewma),
@@ -158,13 +144,7 @@ impl ObsPipeline {
                 degraded_streak: 0,
                 lookup_latency: None,
             }),
-            ingested: AtomicU64::new(0),
         }
-    }
-
-    /// The pipeline with default tuning and the Perseus SLO set.
-    pub fn perseus_defaults() -> Arc<ObsPipeline> {
-        Arc::new(ObsPipeline::default())
     }
 
     /// Attaches the lookup-latency histogram whose p99 the SLO engine
@@ -174,11 +154,11 @@ impl ObsPipeline {
         self.state.lock().lookup_latency = Some(histogram);
     }
 
-    /// Feeds one iteration through store, detectors, and SLO engine.
-    /// Returns the alerts this sample transitioned (usually none).
+    /// Records one iteration into the flight recorder, then feeds it
+    /// through the detectors and the SLO engine. Returns the alerts this
+    /// sample transitioned (usually none).
     pub fn ingest(&self, sample: &IterationSample) -> Vec<Alert> {
-        self.ingested.fetch_add(1, Ordering::Relaxed);
-        let t = sample.iteration as f64;
+        self.flight.record(*sample);
         let total_j = sample.total_j();
         let extrinsic_share = if total_j > 0.0 {
             sample.extrinsic_j / total_j
@@ -186,12 +166,6 @@ impl ObsPipeline {
             0.0
         };
         let degraded_rate = sample.degraded_lookups as f64;
-
-        self.store.push(series::ENERGY_PER_ITERATION_J, t, total_j);
-        self.store.push(series::SYNC_TIME_S, t, sample.sync_time_s);
-        self.store.push(series::EXTRINSIC_SHARE, t, extrinsic_share);
-        self.store
-            .push(series::DEGRADED_LOOKUP_RATE, t, degraded_rate);
 
         let mut fired = Vec::new();
         let mut slo_values: Vec<(&str, f64)> = vec![(series::EXTRINSIC_SHARE, extrinsic_share)];
@@ -210,12 +184,10 @@ impl ObsPipeline {
         } else if state.degraded_streak > 0 {
             let recovery = state.degraded_streak as f64;
             state.degraded_streak = 0;
-            self.store.push(series::RECOVERY_ITERS, t, recovery);
             slo_values.push((series::RECOVERY_ITERS, recovery));
         }
 
         if let Some(p99) = state.lookup_latency.as_ref().and_then(|h| h.quantile(0.99)) {
-            self.store.push(series::LOOKUP_LATENCY_P99_S, t, p99);
             slo_values.push((series::LOOKUP_LATENCY_P99_S, p99));
         }
         drop(state);
@@ -227,30 +199,27 @@ impl ObsPipeline {
         fired
     }
 
-    /// Records one point of an out-of-band metric — a series not derived
-    /// from [`IterationSample`], e.g.
-    /// [`series::DRIFT_STALENESS_ITERS`] — into the store and evaluates
-    /// any SLOs reading it. Detectors are untouched: out-of-band metrics
-    /// are sparse (one point per event), which is exactly the shape
-    /// streaming change detectors mis-read.
+    /// Evaluates one point of an out-of-band metric — one not derived
+    /// from [`IterationSample`], e.g. [`series::DRIFT_STALENESS_ITERS`] —
+    /// against any SLOs reading it ([`SloStatus::last_value`] keeps the
+    /// latest point). Detectors are untouched: out-of-band metrics are
+    /// sparse (one point per event), which is exactly the shape streaming
+    /// change detectors mis-read.
     pub fn observe_metric(&self, iteration: u64, metric: &str, value: f64) {
-        self.store.push(metric, iteration as f64, value);
         self.slo.evaluate(iteration, &[(metric, value)]);
     }
 
-    /// Samples ingested so far.
+    /// Samples ingested so far: those the flight recorder retains plus
+    /// those it evicted.
     pub fn ingested(&self) -> u64 {
-        self.ingested.load(Ordering::Relaxed)
+        let summary = self.flight.summary();
+        summary.samples as u64 + summary.dropped
     }
 
-    /// The time-series store (for window queries and series dumps).
-    pub fn store(&self) -> &TimeSeriesStore {
-        &self.store
-    }
-
-    /// Windowed aggregates of a derived series.
-    pub fn window(&self, metric: &str, window: usize) -> Option<WindowStats> {
-        self.store.window(metric, window)
+    /// The flight recorder: the last [`FLIGHT_CAPACITY`] ingested
+    /// samples, for status summaries and post-mortem dumps.
+    pub fn flight(&self) -> &FlightRecorder {
+        &self.flight
     }
 
     /// The alert log.

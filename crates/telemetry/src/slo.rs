@@ -366,10 +366,9 @@ pub(crate) fn json_string(s: &str) -> String {
     out
 }
 
-/// JSON-safe number formatting: infinities and NaN (not representable in
-/// JSON) render as very large sentinels / null-adjacent strings would
-/// break consumers, so clamp to ±1e308; everything else uses Rust's
-/// shortest-roundtrip display.
+/// JSON-safe number formatting. JSON has no infinities or NaN, so
+/// infinities clamp to `±1e308` and NaN renders as `0`; every finite
+/// value uses the metrics renderer's shortest-roundtrip display.
 pub(crate) fn json_number(v: f64) -> String {
     if v.is_nan() {
         "0".to_string()

@@ -226,11 +226,11 @@ mod flight {
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
         let rec = FlightRecorder::new(4);
-        assert!(rec.is_empty());
+        assert_eq!(rec.summary().samples, 0);
         for i in 0..10 {
             rec.record(sample(i, false));
         }
-        assert_eq!(rec.len(), 4);
+        assert_eq!(rec.summary().samples, 4);
         let snap = rec.snapshot();
         assert_eq!(snap.dropped, 6);
         let kept: Vec<u64> = snap.samples.iter().map(|s| s.iteration).collect();
@@ -239,6 +239,7 @@ mod flight {
         assert_eq!(summary.samples, 4);
         assert_eq!(summary.dropped, 6);
         assert_eq!(summary.last_iteration, Some(9));
+        assert_eq!(rec.summary(), summary, "in-place fold matches the copy's");
     }
 
     #[test]
@@ -252,7 +253,50 @@ mod flight {
         assert_eq!(snap.degraded_lookups(), 3);
         assert_eq!(snap.faults(), 3);
         assert_eq!(snap.summary().degraded_samples, 3);
+        assert_eq!(rec.summary(), snap.summary());
         assert!((snap.samples[0].total_j() - 119.5).abs() < 1e-12);
+    }
+
+    /// The training loop's numbers reach the dump unvalidated, so a
+    /// diverged iteration (infinite time, NaN joules) must still dump as
+    /// JSON a standard parser accepts.
+    #[test]
+    fn dump_of_non_finite_sample_is_valid_json() {
+        let rec = FlightRecorder::new(4);
+        rec.record(IterationSample {
+            sync_time_s: f64::INFINITY,
+            useful_j: f64::NAN,
+            extrinsic_j: f64::NEG_INFINITY,
+            ..sample(0, false)
+        });
+        let text = rec.snapshot().to_json();
+        let value = super::json::parse(&text).expect("non-finite dump must be valid JSON");
+        let obj = value.as_object().unwrap();
+        let first = obj["samples"].as_array().unwrap()[0].as_object().unwrap();
+        assert_eq!(first["sync_time_s"].as_f64(), Some(1e308));
+        assert_eq!(first["useful_j"].as_f64(), Some(0.0));
+        assert_eq!(first["extrinsic_j"].as_f64(), Some(-1e308));
+    }
+
+    /// Finite samples dump in the metrics renderer's number format:
+    /// integral values without a decimal point, the rest shortest
+    /// round-trip.
+    #[test]
+    fn dump_of_finite_samples_is_pinned() {
+        let rec = FlightRecorder::new(2);
+        for i in 0..3 {
+            rec.record(sample(i, i == 2));
+        }
+        assert_eq!(
+            rec.snapshot().to_json(),
+            "{\n  \"capacity\": 2,\n  \"dropped\": 1,\n  \"degraded_samples\": 1,\n  \"faults\": 1,\n  \"samples\": [\n    \
+             {\"iteration\": 1, \"sync_time_s\": 0.51, \"useful_j\": 100, \"intrinsic_j\": 7.5, \
+             \"extrinsic_j\": 0, \"freq_min_mhz\": 990, \"freq_max_mhz\": 1410, \"degraded\": false, \
+             \"degraded_lookups\": 0, \"faults\": 0},\n    \
+             {\"iteration\": 2, \"sync_time_s\": 0.52, \"useful_j\": 100, \"intrinsic_j\": 7.5, \
+             \"extrinsic_j\": 12, \"freq_min_mhz\": 990, \"freq_max_mhz\": 1410, \"degraded\": true, \
+             \"degraded_lookups\": 1, \"faults\": 1}\n  ]\n}\n"
+        );
     }
 
     #[test]
@@ -864,120 +908,6 @@ mod quantile_edges {
     }
 }
 
-mod timeseries {
-    use crate::timeseries::{SeriesConfig, TieredSeries, TimeSeriesStore};
-
-    fn cfg(capacity: usize, tiers: usize, factor: usize) -> SeriesConfig {
-        SeriesConfig {
-            capacity,
-            tiers,
-            factor,
-        }
-    }
-
-    #[test]
-    fn raw_ring_evicts_oldest() {
-        let mut s = TieredSeries::new(cfg(4, 1, 2));
-        for i in 0..10 {
-            s.push(i as f64, i as f64);
-        }
-        assert_eq!(s.pushed(), 10);
-        assert_eq!(s.dropped(), 6);
-        let raw = s.tier(0);
-        let values: Vec<f64> = raw.iter().map(|b| b.mean).collect();
-        assert_eq!(values, vec![6.0, 7.0, 8.0, 9.0]);
-        assert_eq!(s.last(), Some(9.0));
-    }
-
-    #[test]
-    fn tiers_fold_mean_min_max_count() {
-        let mut s = TieredSeries::new(cfg(16, 2, 4));
-        for i in 0..8 {
-            s.push(i as f64, i as f64);
-        }
-        let t1 = s.tier(1);
-        assert_eq!(t1.len(), 2, "8 points / factor 4 = 2 folded bins");
-        assert_eq!(t1[0].count, 4);
-        assert!((t1[0].mean - 1.5).abs() < 1e-12); // mean of 0..=3
-        assert_eq!(t1[0].min, 0.0);
-        assert_eq!(t1[0].max, 3.0);
-        assert!((t1[1].mean - 5.5).abs() < 1e-12); // mean of 4..=7
-        assert_eq!(t1[1].t, 7.0, "bin keeps its newest timestamp");
-    }
-
-    #[test]
-    fn third_tier_folds_tier_one_bins() {
-        let mut s = TieredSeries::new(cfg(64, 3, 2));
-        for i in 0..8 {
-            s.push(i as f64, 1.0);
-        }
-        // 8 raw → 4 tier-1 bins (factor 2) → 2 tier-2 bins.
-        assert_eq!(s.tier(1).len(), 4);
-        assert_eq!(s.tier(2).len(), 2);
-        assert_eq!(s.tier(2)[0].count, 4, "tier-2 bins cover 4 raw points");
-    }
-
-    #[test]
-    fn window_stats_cover_newest_points() {
-        let mut s = TieredSeries::new(cfg(128, 1, 2));
-        for i in 0..100 {
-            s.push(i as f64, if i < 90 { 1.0 } else { 11.0 });
-        }
-        let w = s.window(10).unwrap();
-        assert_eq!(w.count, 10);
-        assert_eq!(w.min, 11.0, "newest 10 points are all 11.0");
-        assert_eq!(w.max, 11.0);
-        assert_eq!(w.p50, 11.0);
-        assert_eq!(w.p99, 11.0);
-        let wide = s.window(100).unwrap();
-        assert_eq!(wide.min, 1.0);
-        assert!((wide.mean - (90.0 * 1.0 + 10.0 * 11.0) / 100.0).abs() < 1e-12);
-        assert_eq!(wide.p50, 1.0);
-        assert_eq!(wide.p99, 11.0);
-    }
-
-    #[test]
-    fn empty_series_has_no_window() {
-        let s = TieredSeries::new(cfg(8, 1, 2));
-        assert!(s.window(4).is_none());
-        assert_eq!(s.last(), None);
-    }
-
-    #[test]
-    fn store_creates_series_on_first_push() {
-        let store = TimeSeriesStore::new(cfg(8, 1, 2));
-        assert!(store.is_empty());
-        store.push("a", 0.0, 1.0);
-        store.push("b", 0.0, 2.0);
-        store.push("a", 1.0, 3.0);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.names(), vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(store.last("a"), Some(3.0));
-        assert_eq!(store.window("a", 8).unwrap().count, 2);
-        assert!(store.window("missing", 8).is_none());
-    }
-
-    #[test]
-    fn store_ingests_registry_snapshots_skipping_buckets() {
-        let tel = crate::Telemetry::enabled();
-        tel.counter("requests_total").add(4);
-        tel.counter_with("hits_total", &[("job", "a")]).add(2);
-        tel.histogram("lat_seconds").observe(1e-3);
-        let store = TimeSeriesStore::default();
-        store.ingest_snapshot(0.0, &tel.snapshot());
-        tel.counter("requests_total").add(1);
-        store.ingest_snapshot(1.0, &tel.snapshot());
-        assert_eq!(store.last("requests_total"), Some(5.0));
-        assert_eq!(store.last("hits_total{job=\"a\"}"), Some(2.0));
-        assert_eq!(store.last("lat_seconds_count"), Some(1.0));
-        assert!(
-            store.names().iter().all(|n| !n.contains("_bucket")),
-            "bucket samples are not ingested: {:?}",
-            store.names()
-        );
-    }
-}
-
 mod detectors {
     use crate::detector::{
         AlertState, EwmaConfig, EwmaDetector, PageHinkley, PageHinkleyConfig, Severity,
@@ -1205,7 +1135,7 @@ mod slo {
 
 mod pipeline {
     use super::json;
-    use crate::pipeline::{render_alerts_json, series, ObsPipeline};
+    use crate::pipeline::{render_alerts_json, series, ObsPipeline, FLIGHT_CAPACITY};
     use crate::{IterationSample, Telemetry};
 
     fn sample(iteration: u64, sync_time_s: f64, extrinsic_j: f64) -> IterationSample {
@@ -1245,21 +1175,21 @@ mod pipeline {
         let at = fired_at.expect("drift fires an alert");
         assert!(at <= 210, "alert within 10 iterations of onset, got {at}");
         assert!(!pipeline.firing().is_empty());
-        assert_eq!(pipeline.ingested(), 260);
-        // Derived series exist with the documented names.
-        for name in [
-            series::ENERGY_PER_ITERATION_J,
-            series::SYNC_TIME_S,
-            series::EXTRINSIC_SHARE,
-            series::DEGRADED_LOOKUP_RATE,
-        ] {
+        // Alerts name the derived series they watched.
+        for alert in pipeline.alerts() {
             assert!(
-                pipeline.store().last(name).is_some(),
-                "series {name} missing"
+                [series::ENERGY_PER_ITERATION_J, series::SYNC_TIME_S].contains(&&*alert.metric),
+                "unexpected alert metric {}",
+                alert.metric
             );
         }
-        let w = pipeline.window(series::SYNC_TIME_S, 16).unwrap();
-        assert!(w.max >= 1.6);
+        // The flight recorder kept the newest samples, drift included.
+        assert_eq!(pipeline.ingested(), 260);
+        let record = pipeline.flight().snapshot();
+        assert_eq!(record.samples.len(), FLIGHT_CAPACITY);
+        assert_eq!(record.dropped, 260 - FLIGHT_CAPACITY as u64);
+        assert_eq!(record.samples.last().map(|s| s.iteration), Some(259));
+        assert_eq!(record.samples.last().map(|s| s.sync_time_s), Some(1.6));
     }
 
     #[test]
@@ -1270,9 +1200,10 @@ mod pipeline {
             s.degraded = (10..=14).contains(&i); // a 5-iteration episode
             pipeline.ingest(&s);
         }
-        assert_eq!(pipeline.store().last(series::RECOVERY_ITERS), Some(5.0));
         let status = pipeline.slo_status();
         let recovery = status.iter().find(|s| s.name == "recovery_iters").unwrap();
+        assert_eq!(recovery.metric, series::RECOVERY_ITERS);
+        assert_eq!(recovery.last_value, Some(5.0));
         assert_eq!(recovery.ticks, 1, "one recovery episode evaluated");
         assert_eq!(recovery.violations, 1, "5 iters > the 3-iter objective");
     }
@@ -1290,12 +1221,10 @@ mod pipeline {
             .iter()
             .find(|s| s.name == "lookup_latency_p99")
             .unwrap();
+        assert_eq!(latency.metric, series::LOOKUP_LATENCY_P99_S);
         assert_eq!(latency.ticks, 1);
         assert_eq!(latency.violations, 0, "2 µs is inside the 50 µs objective");
-        assert!(pipeline
-            .store()
-            .last(series::LOOKUP_LATENCY_P99_S)
-            .is_some());
+        assert!(latency.last_value.is_some());
     }
 
     /// Satellite: no-fault soak — 10k healthy iterations, zero alerts.
