@@ -32,7 +32,7 @@ use perseus_gpu::FreqMHz;
 use perseus_pipeline::{node_start_times, CompKind};
 
 // ---------------------------------------------------------------------------
-// Policy logic (shared by the planners and the deprecated wrappers).
+// Policy logic (shared by the planners and the derived quantities).
 // ---------------------------------------------------------------------------
 
 fn all_max_schedule(ctx: &PlanContext<'_>) -> Result<EnergySchedule, CoreError> {
@@ -310,7 +310,7 @@ impl Planner for EnvPipe {
 }
 
 // ---------------------------------------------------------------------------
-// Derived quantities and deprecated pre-trait entry points.
+// Derived quantities.
 // ---------------------------------------------------------------------------
 
 /// §2.4 potential-savings bound: relative per-iteration energy reduction of

@@ -23,10 +23,7 @@ use parking_lot::Mutex;
 use perseus_cluster::{
     Emulator, EmulatorError, Policy, StragglerCause, StragglerTimeline, TraceEvent,
 };
-use perseus_gpu::GpuSpec;
-use perseus_models::StageWorkloads;
-use perseus_pipeline::{CompKind, OpKey, PipelineDag};
-use perseus_profiler::{OpProfile, ProfileDb};
+use perseus_core::model_profiles;
 use perseus_server::{
     ClientConfig, DurabilityStats, FaultInjector, FollowerServer, JobClient, JobSpec,
     PerseusServer, Replicator, ServerConfig, ServerError, SubmissionFault,
@@ -240,46 +237,6 @@ impl FaultInjector for ScriptedInjector {
         }
         fault
     }
-}
-
-/// Builds the profile database a client would submit for this pipeline —
-/// the same model-grounded profiles the emulator plans from (cf.
-/// `PlanContext::from_model_profiles`).
-pub fn model_profiles(
-    pipe: &PipelineDag,
-    gpu: &GpuSpec,
-    stages: &[StageWorkloads],
-) -> ProfileDb<OpKey> {
-    let mut db = ProfileDb::new();
-    let n = pipe.n_stages;
-    for (vs, sw) in stages.iter().enumerate() {
-        let (stage, chunk) = (vs % n, vs / n);
-        db.insert(
-            OpKey {
-                stage,
-                chunk,
-                kind: CompKind::Forward,
-            },
-            OpProfile::from_model(gpu, &sw.fwd),
-        );
-        db.insert(
-            OpKey {
-                stage,
-                chunk,
-                kind: CompKind::Backward,
-            },
-            OpProfile::from_model(gpu, &sw.bwd),
-        );
-        db.insert(
-            OpKey {
-                stage,
-                chunk,
-                kind: CompKind::Recompute,
-            },
-            OpProfile::from_model(gpu, &sw.fwd),
-        );
-    }
-    db
 }
 
 /// Runs `cfg.iterations` iterations of `emu`'s cluster under the fault

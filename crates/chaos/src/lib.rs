@@ -44,9 +44,7 @@
 mod harness;
 mod plan;
 
-pub use harness::{
-    model_profiles, run_chaos, ChaosConfig, ChaosError, ChaosReport, ScriptedInjector,
-};
+pub use harness::{run_chaos, ChaosConfig, ChaosError, ChaosReport, ScriptedInjector};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 
 #[cfg(test)]

@@ -530,7 +530,10 @@ impl Emulator {
 
     /// Emulates one synchronized iteration: non-straggler pipelines run
     /// `policy`, the straggler (if any) runs at max frequency but `cause`
-    /// inflates its iteration time, and everyone blocks until it finishes.
+    /// inflates its iteration time, and everyone blocks until the slowest
+    /// pipeline finishes — the straggler at `T'`, or the policy's own
+    /// schedule when it runs slower than that. The deployed schedule
+    /// answers the straggler's `T'` (see [`Emulator::report_with_belief`]).
     ///
     /// # Errors
     ///
@@ -540,41 +543,10 @@ impl Emulator {
         policy: Policy,
         cause: Option<StragglerCause>,
     ) -> Result<ClusterReport, EmulatorError> {
-        let ctx = self.ctx();
-        let t_prime = match cause {
-            Some(c) => Some(self.straggler_iteration_time(c)?),
-            None => None,
-        };
-        let plan = self.policy_plan(&ctx, policy)?;
-        // Sleep-capable plans (Kareus) carry a sleep schedule per frontier
-        // point; frequency-only plans return `None` and report exactly as
-        // before.
-        let non_straggler =
-            plan.select(t_prime)
-                .energy_report_with_sleep(&ctx, t_prime, plan.sleep_plan(t_prime));
-        let sync = t_prime
-            .unwrap_or(non_straggler.iter_time_s)
-            .max(non_straggler.iter_time_s);
-
-        // The straggler itself runs at max frequency; its computations are
-        // stretched to fill T' (e.g. throttled clocks), so we charge its
-        // max-frequency computation energy plus blocking to fill the gap.
-        let straggler = match t_prime {
-            Some(t) => {
-                let base = self.policy_plan(&ctx, Policy::AllMax)?;
-                let mut r = base.select(None).energy_report(&ctx, Some(t));
-                r.sync_time_s = t;
-                Some(r)
-            }
-            None => None,
-        };
-        Ok(ClusterReport {
-            non_straggler,
-            straggler,
-            sync_time_s: sync,
-            n_pipelines: self.config.n_pipelines,
-            tensor_parallel: self.config.tensor_parallel,
-        })
+        let t_prime = cause
+            .map(|c| self.straggler_iteration_time(c))
+            .transpose()?;
+        self.report_with_belief(policy, t_prime, t_prime)
     }
 
     /// Like [`Emulator::report`], but the deployed schedule answers a
@@ -601,6 +573,10 @@ impl Emulator {
         // the deployed schedule; a stale belief never re-plans sleep.
         let non_straggler =
             schedule.energy_report_with_sleep(&ctx, Some(sync), plan.sleep_plan(believed_t_prime));
+        // The straggler itself runs at max frequency; its computations are
+        // stretched to fill T' (e.g. throttled clocks), and it then waits
+        // for the sync like everyone else, so it is charged its
+        // max-frequency computation energy plus blocking up to the sync.
         let straggler = match actual_t_prime {
             Some(t) => {
                 let base = self.policy_plan(&ctx, Policy::AllMax)?;
@@ -633,31 +609,10 @@ impl Emulator {
         policy: Policy,
         cause: Option<StragglerCause>,
     ) -> Result<ClusterAttribution, EmulatorError> {
-        let ctx = self.ctx();
-        let t_prime = match cause {
-            Some(c) => Some(self.straggler_iteration_time(c)?),
-            None => None,
-        };
-        let plan = self.policy_plan(&ctx, policy)?;
-        let non_straggler = attribute_schedule_with_sleep(
-            &ctx,
-            plan.select(t_prime),
-            t_prime,
-            plan.sleep_plan(t_prime),
-        );
-        let straggler = match t_prime {
-            Some(t) => {
-                let base = self.policy_plan(&ctx, Policy::AllMax)?;
-                Some(attribute_schedule(&ctx, base.select(None), Some(t)))
-            }
-            None => None,
-        };
-        Ok(ClusterAttribution {
-            non_straggler,
-            straggler,
-            n_pipelines: self.config.n_pipelines,
-            tensor_parallel: self.config.tensor_parallel,
-        })
+        let t_prime = cause
+            .map(|c| self.straggler_iteration_time(c))
+            .transpose()?;
+        self.attribute_with_belief(policy, t_prime, t_prime)
     }
 
     /// The attribution twin of [`Emulator::report_with_belief`]: deployed

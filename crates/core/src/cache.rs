@@ -1,36 +1,37 @@
-//! The fleet-wide cross-job plan cache: [`PlanOutput`]s keyed by
+//! The fleet-wide cross-job plan cache: one shared [`ParetoFrontier`] per
 //! [`PlanFingerprint`].
 //!
 //! Planning is deterministic in its structural inputs (see
 //! [`crate::fingerprint`]), so a fleet of jobs drawn from a handful of
-//! (model, stages, schedule, GPU) structures re-derives the same plan
+//! (model, stages, schedule, GPU) structures re-derives the same frontier
 //! over and over. The cache turns that redundancy into a lookup: a
-//! fingerprint hit returns the stored plan and skips the frontier solver
-//! entirely, extending the per-job `artifact_reuses` machinery of
+//! fingerprint hit returns the stored frontier and skips the frontier
+//! solver entirely, extending the per-job `artifact_reuses` machinery of
 //! [`crate::FrontierSolver`] fleet-wide.
 //!
 //! # Semantics
 //!
+//! * **Content addressed.** The fingerprint hashes every input the
+//!   frontier depends on, so an entry can never go stale, only unused:
+//!   drifted profiles hash to a *new* fingerprint and miss. A server that
+//!   re-characterizes a job drops the entry under the job's old
+//!   fingerprint with [`PlanCache::invalidate`], which bounds memory; no
+//!   other job's entry is touched.
+//! * **One copy.** An entry is the `Arc` it was inserted with: the solving
+//!   job, every job that hits, and the cache share one allocation.
 //! * **First insert wins.** Two racing misses for the same fingerprint
 //!   both solve; whichever inserts first sticks. Both produced
-//!   bit-identical plans (determinism), so the race is observable only in
-//!   the counters — never in what a lookup returns.
-//! * **Epoch invalidation.** Every entry records the cache epoch it was
-//!   inserted in. [`PlanCache::advance_epoch`] opens a new epoch;
-//!   [`PlanCache::invalidate_older_than`] drops every entry from epochs
-//!   before a floor. A server that re-characterizes a job (fresh profiles
-//!   mid-training) targets the stale key directly with
-//!   [`PlanCache::invalidate`] — the new profiles hash to a *new*
-//!   fingerprint, so the old entry would otherwise linger forever.
+//!   bit-identical frontiers (determinism), so the race is observable only
+//!   in the counters — never in what a lookup returns.
 //! * **Durability.** A cache opened with [`PlanCache::open`] journals
-//!   every insert, invalidation, and epoch advance to its own write-ahead
-//!   log (the same checksummed, torn-tail-truncating format as the
-//!   server's). Reopening replays the log, so a crash-and-restart resumes
-//!   serving hits without re-running a single solve; recovered entries
-//!   are counted in [`PlanCacheStats::recovered_entries`].
+//!   every insert and invalidation to its own write-ahead log (the same
+//!   checksummed, torn-tail-truncating format as the server's), encoding
+//!   each frontier straight from the shared `Arc`. Reopening replays the
+//!   log, so a crash-and-restart resumes serving hits without re-running a
+//!   single solve; recovered entries are counted in
+//!   [`PlanCacheStats::recovered_entries`].
 //!
-//! Lookups and inserts cost one short mutex hold on a `HashMap` — the
-//! plans themselves live behind `Arc`s and are never copied on a hit.
+//! Lookups and inserts cost one short mutex hold on a `HashMap`.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -42,106 +43,86 @@ use perseus_telemetry::Telemetry;
 
 use crate::fingerprint::PlanFingerprint;
 use crate::frontier::ParetoFrontier;
-use crate::planner::PlanOutput;
-
-/// One cached plan plus the epoch it entered the cache in.
-struct CacheEntry {
-    plan: Arc<PlanOutput>,
-    epoch: u64,
-    /// Shared frontier view, materialized at most once: every job on
-    /// every shard that hits this entry deploys from the *same*
-    /// allocation, so a fleet of a thousand jobs over twenty structures
-    /// holds twenty frontiers, not a thousand copies.
-    frontier: Option<Arc<ParetoFrontier>>,
-}
 
 /// Map + journal, guarded together so a journaled event and the map
 /// mutation it describes are atomic with respect to other writers.
 struct CacheInner {
-    entries: HashMap<PlanFingerprint, CacheEntry>,
-    /// Epoch stamped onto new inserts; starts at 1.
-    epoch: u64,
+    entries: HashMap<PlanFingerprint, Arc<ParetoFrontier>>,
     /// Write-ahead log; `None` for an in-memory cache.
     journal: Option<Journal>,
 }
 
+impl CacheInner {
+    /// Appends `event` to the log of a durable cache. An unwritable
+    /// journal degrades durability, never serving.
+    fn log(&mut self, event: CacheEvent) {
+        if let Some(journal) = self.journal.as_mut() {
+            let _ = journal.append(&event.to_bytes());
+        }
+    }
+}
+
 /// One journaled cache mutation.
+///
+/// Tags 0, 2 and 3 belonged to the epoch-stamped format this one
+/// replaced; they decode as corrupt, so replay of an old log stops at its
+/// first such record and keeps what came before.
 enum CacheEvent {
-    /// A plan entered the cache.
+    /// A frontier entered the cache.
     Insert {
         fp: PlanFingerprint,
-        epoch: u64,
-        plan: PlanOutput,
+        frontier: Arc<ParetoFrontier>,
     },
     /// A fingerprint was invalidated.
     Invalidate { fp: PlanFingerprint },
-    /// A new epoch opened.
-    AdvanceEpoch { epoch: u64 },
-    /// Entries from epochs before `floor` were dropped.
-    InvalidateOlderThan { floor: u64 },
 }
+
+const INVALIDATE_TAG: u8 = 1;
+const INSERT_TAG: u8 = 4;
 
 impl Persist for CacheEvent {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
-            CacheEvent::Insert { fp, epoch, plan } => {
-                w.put_u8(0);
+            CacheEvent::Insert { fp, frontier } => {
+                w.put_u8(INSERT_TAG);
                 fp.encode(w);
-                w.put_u64(*epoch);
-                plan.encode(w);
+                frontier.encode(w);
             }
             CacheEvent::Invalidate { fp } => {
-                w.put_u8(1);
+                w.put_u8(INVALIDATE_TAG);
                 fp.encode(w);
-            }
-            CacheEvent::AdvanceEpoch { epoch } => {
-                w.put_u8(2);
-                w.put_u64(*epoch);
-            }
-            CacheEvent::InvalidateOlderThan { floor } => {
-                w.put_u8(3);
-                w.put_u64(*floor);
             }
         }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
-            0 => Ok(CacheEvent::Insert {
+            INSERT_TAG => Ok(CacheEvent::Insert {
                 fp: PlanFingerprint::decode(r)?,
-                epoch: r.get_u64()?,
-                plan: PlanOutput::decode(r)?,
+                frontier: Arc::new(ParetoFrontier::decode(r)?),
             }),
-            1 => Ok(CacheEvent::Invalidate {
+            INVALIDATE_TAG => Ok(CacheEvent::Invalidate {
                 fp: PlanFingerprint::decode(r)?,
-            }),
-            2 => Ok(CacheEvent::AdvanceEpoch {
-                epoch: r.get_u64()?,
-            }),
-            3 => Ok(CacheEvent::InvalidateOlderThan {
-                floor: r.get_u64()?,
             }),
             t => Err(StoreError::corrupt(format!("invalid CacheEvent tag {t}"))),
         }
     }
 }
 
-/// Counters of one [`PlanCache`], all monotone except `entries`/`epoch`.
+/// Counters of one [`PlanCache`], all monotone except `entries`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups that found a plan.
+    /// Lookups that found a frontier.
     pub hits: u64,
     /// Lookups that found nothing (the caller then solves).
     pub misses: u64,
-    /// Plans inserted (first-wins; a lost insert race does not count).
+    /// Frontiers inserted (first-wins; a lost insert race does not count).
     pub inserts: u64,
-    /// Entries dropped by targeted or epoch invalidation.
+    /// Entries dropped by [`PlanCache::invalidate`].
     pub invalidations: u64,
     /// Entries restored by journal replay at open.
     pub recovered_entries: u64,
     /// Live entries right now.
     pub entries: u64,
-    /// Current insert epoch.
-    pub epoch: u64,
 }
 
 /// The fleet-wide plan cache. `Send + Sync`; share it behind an `Arc`
@@ -174,7 +155,6 @@ impl PlanCache {
         PlanCache {
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
-                epoch: 1,
                 journal: None,
             }),
             hits: AtomicU64::new(0),
@@ -188,14 +168,15 @@ impl PlanCache {
 
     /// Opens (or creates) a durable cache journaled at `path`, telemetry
     /// disabled. Existing records are replayed: inserts restore entries,
-    /// invalidations and epoch advances re-apply, and a torn tail is
-    /// truncated exactly like the server's journal. A record whose frame
-    /// passed CRC but whose payload fails to decode stops the replay —
-    /// everything before it is kept.
+    /// invalidations re-apply, and a torn tail is truncated exactly like
+    /// the server's journal. A record whose frame passed CRC but whose
+    /// payload fails to decode — a record of the pre-content-addressed
+    /// format included — stops the replay; everything before it is kept,
+    /// and the log is rewritten as those entries so later inserts replay.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] if the journal cannot be opened.
+    /// [`StoreError`] if the journal cannot be opened or rewritten.
     pub fn open(path: impl AsRef<Path>) -> Result<PlanCache, StoreError> {
         PlanCache::open_with(path, Telemetry::disabled())
     }
@@ -209,30 +190,22 @@ impl PlanCache {
         path: impl AsRef<Path>,
         telemetry: Telemetry,
     ) -> Result<PlanCache, StoreError> {
-        let (journal, records) = Journal::open(path.as_ref())?;
+        let (mut journal, records) = Journal::open(path.as_ref())?;
         let cache = PlanCache::with_telemetry(telemetry);
         {
             let mut inner = cache.inner.lock().expect("plan cache lock");
+            let mut replayed = 0;
             for rec in &records {
                 let Ok(event) = CacheEvent::from_bytes(&rec.payload) else {
                     break;
                 };
+                replayed += 1;
                 match event {
-                    CacheEvent::Insert { fp, epoch, plan } => {
-                        inner.entries.entry(fp).or_insert(CacheEntry {
-                            plan: Arc::new(plan),
-                            epoch,
-                            frontier: None,
-                        });
+                    CacheEvent::Insert { fp, frontier } => {
+                        inner.entries.entry(fp).or_insert(frontier);
                     }
                     CacheEvent::Invalidate { fp } => {
                         inner.entries.remove(&fp);
-                    }
-                    CacheEvent::AdvanceEpoch { epoch } => {
-                        inner.epoch = inner.epoch.max(epoch);
-                    }
-                    CacheEvent::InvalidateOlderThan { floor } => {
-                        inner.entries.retain(|_, e| e.epoch >= floor);
                     }
                 }
             }
@@ -242,162 +215,64 @@ impl PlanCache {
             cache
                 .recovered
                 .store(inner.entries.len() as u64, Ordering::Relaxed);
+            if replayed < records.len() {
+                // Replay stopped at a record it cannot read. Records
+                // appended behind it would never replay either, so the log
+                // restarts as the entries recovered before it.
+                journal.compact_below(records[records.len() - 1].seq)?;
+                for (&fp, frontier) in &inner.entries {
+                    let frontier = Arc::clone(frontier);
+                    journal.append(&CacheEvent::Insert { fp, frontier }.to_bytes())?;
+                }
+            }
             inner.journal = Some(journal);
         }
         Ok(cache)
     }
 
-    /// Looks up a plan by fingerprint. A hit returns the shared plan
-    /// without copying it; a miss returns `None` and the caller solves
-    /// (then typically [`PlanCache::insert`]s).
-    pub fn get(&self, fp: PlanFingerprint) -> Option<Arc<PlanOutput>> {
-        let inner = self.inner.lock().expect("plan cache lock");
-        match inner.entries.get(&fp) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.is_enabled() {
-                    self.telemetry
-                        .counter("perseus_plan_cache_hits_total")
-                        .inc();
-                }
-                Some(Arc::clone(&entry.plan))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.is_enabled() {
-                    self.telemetry
-                        .counter("perseus_plan_cache_misses_total")
-                        .inc();
-                }
-                None
-            }
-        }
-    }
-
-    /// Looks up `fp` and returns the entry's **shared frontier view**: an
-    /// `Arc<ParetoFrontier>` materialized at most once per entry and then
-    /// handed to every subsequent hit, so N jobs deploying the same
-    /// structure share one frontier allocation instead of cloning N
-    /// copies. Counts hits and misses exactly like [`PlanCache::get`].
-    /// Returns `None` on a miss or when the cached plan is not a
-    /// frontier.
-    pub fn frontier_view(&self, fp: PlanFingerprint) -> Option<Arc<ParetoFrontier>> {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        match inner.entries.get_mut(&fp) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.is_enabled() {
-                    self.telemetry
-                        .counter("perseus_plan_cache_hits_total")
-                        .inc();
-                }
-                if entry.frontier.is_none() {
-                    entry.frontier = entry.plan.as_frontier().cloned().map(Arc::new);
-                }
-                entry.frontier.clone()
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.is_enabled() {
-                    self.telemetry
-                        .counter("perseus_plan_cache_misses_total")
-                        .inc();
-                }
-                None
-            }
-        }
-    }
-
-    /// Whether `fp` is cached, without touching the hit/miss counters.
-    pub fn contains(&self, fp: PlanFingerprint) -> bool {
-        self.inner
+    /// Looks up the frontier under `fp`. A hit returns the shared `Arc`
+    /// every other hit and the solving job hold — no copy; a miss returns
+    /// `None` and the caller solves (then [`PlanCache::insert`]s).
+    pub fn get(&self, fp: PlanFingerprint) -> Option<Arc<ParetoFrontier>> {
+        let hit = self
+            .inner
             .lock()
             .expect("plan cache lock")
             .entries
-            .contains_key(&fp)
-    }
-
-    /// Inserts a plan under `fp`, journaling it if the cache is durable.
-    /// First insert wins: if the fingerprint is already present (a racing
-    /// solver got there first), the existing entry is kept, nothing is
-    /// journaled, and the stored plan is returned — determinism makes the
-    /// two plans bit-identical anyway.
-    pub fn insert(&self, fp: PlanFingerprint, plan: PlanOutput) -> Arc<PlanOutput> {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        if let Some(existing) = inner.entries.get(&fp) {
-            return Arc::clone(&existing.plan);
-        }
-        let epoch = inner.epoch;
-        let plan = Arc::new(plan);
-        // Encode before the map mutation so the journal never records an
-        // insert the map does not reflect.
-        let bytes = inner.journal.as_ref().map(|_| {
-            CacheEvent::Insert {
-                fp,
-                epoch,
-                plan: (*plan).clone(),
-            }
-            .to_bytes()
-        });
-        if let (Some(journal), Some(bytes)) = (inner.journal.as_mut(), bytes.as_ref()) {
-            // An unwritable journal degrades durability, never serving.
-            let _ = journal.append(bytes);
-        }
-        inner.entries.insert(
-            fp,
-            CacheEntry {
-                plan: Arc::clone(&plan),
-                epoch,
-                frontier: None,
-            },
-        );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+            .get(&fp)
+            .cloned();
+        let (counter, metric) = match hit {
+            Some(_) => (&self.hits, "perseus_plan_cache_hits_total"),
+            None => (&self.misses, "perseus_plan_cache_misses_total"),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter("perseus_plan_cache_inserts_total")
-                .inc();
+            self.telemetry.counter(metric).inc();
         }
-        plan
+        hit
     }
 
-    /// [`PlanCache::insert`] for a frontier the caller already holds
-    /// behind an `Arc`: the entry's shared view *is* the caller's `Arc`,
-    /// so the solving job and every later hit deploy from one
-    /// allocation. First insert wins — if the fingerprint is already
-    /// present, the existing entry's view is returned instead.
-    pub fn insert_frontier(
+    /// Stores `frontier` under `fp`, journaling it if the cache is
+    /// durable, and returns the stored `Arc`. First insert wins: if the
+    /// fingerprint is already present (a racing solver got there first),
+    /// the existing entry is kept, nothing is journaled, and the existing
+    /// `Arc` is returned — determinism makes the two frontiers
+    /// bit-identical anyway.
+    pub fn insert(
         &self,
         fp: PlanFingerprint,
         frontier: Arc<ParetoFrontier>,
     ) -> Arc<ParetoFrontier> {
         let mut inner = self.inner.lock().expect("plan cache lock");
-        if let Some(entry) = inner.entries.get_mut(&fp) {
-            if entry.frontier.is_none() {
-                entry.frontier = entry.plan.as_frontier().cloned().map(Arc::new);
-            }
-            return entry.frontier.clone().unwrap_or(frontier);
+        if let Some(existing) = inner.entries.get(&fp) {
+            return Arc::clone(existing);
         }
-        let epoch = inner.epoch;
-        let plan = Arc::new(PlanOutput::Frontier((*frontier).clone()));
-        let bytes = inner.journal.as_ref().map(|_| {
-            CacheEvent::Insert {
-                fp,
-                epoch,
-                plan: (*plan).clone(),
-            }
-            .to_bytes()
-        });
-        if let (Some(journal), Some(bytes)) = (inner.journal.as_mut(), bytes.as_ref()) {
-            let _ = journal.append(bytes);
-        }
-        inner.entries.insert(
+        inner.log(CacheEvent::Insert {
             fp,
-            CacheEntry {
-                plan,
-                epoch,
-                frontier: Some(Arc::clone(&frontier)),
-            },
-        );
+            frontier: Arc::clone(&frontier),
+        });
+        inner.entries.insert(fp, Arc::clone(&frontier));
+        drop(inner);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         if self.telemetry.is_enabled() {
             self.telemetry
@@ -407,78 +282,15 @@ impl PlanCache {
         frontier
     }
 
-    /// Looks up `fp`, planning and inserting on a miss. Returns the
-    /// (shared) plan and whether it was a hit. The closure runs without
-    /// the cache lock held, so concurrent lookups are never blocked by a
-    /// slow solve.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the planning closure returns.
-    pub fn get_or_plan<E>(
-        &self,
-        fp: PlanFingerprint,
-        plan: impl FnOnce() -> Result<PlanOutput, E>,
-    ) -> Result<(Arc<PlanOutput>, bool), E> {
-        if let Some(hit) = self.get(fp) {
-            return Ok((hit, true));
-        }
-        let solved = plan()?;
-        Ok((self.insert(fp, solved), false))
-    }
-
     /// Drops the entry under `fp`, if any. Called by a server when a job
-    /// re-characterizes: the fresh profiles hash to a new fingerprint, so
-    /// the entry under the old one is stale for that structure.
+    /// re-characterizes onto a new fingerprint: nothing else references
+    /// the old one on that job's behalf, so the entry goes rather than
+    /// lingering forever.
     pub fn invalidate(&self, fp: PlanFingerprint) {
         let mut inner = self.inner.lock().expect("plan cache lock");
         if inner.entries.remove(&fp).is_some() {
-            let bytes = inner
-                .journal
-                .as_ref()
-                .map(|_| CacheEvent::Invalidate { fp }.to_bytes());
-            if let (Some(journal), Some(bytes)) = (inner.journal.as_mut(), bytes.as_ref()) {
-                let _ = journal.append(bytes);
-            }
+            inner.log(CacheEvent::Invalidate { fp });
             self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Opens a new insert epoch and returns it. Entries already cached
-    /// keep serving; the epoch only stamps *future* inserts, giving
-    /// [`PlanCache::invalidate_older_than`] a cutoff to sweep against.
-    pub fn advance_epoch(&self) -> u64 {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        inner.epoch += 1;
-        let epoch = inner.epoch;
-        let bytes = inner
-            .journal
-            .as_ref()
-            .map(|_| CacheEvent::AdvanceEpoch { epoch }.to_bytes());
-        if let (Some(journal), Some(bytes)) = (inner.journal.as_mut(), bytes.as_ref()) {
-            let _ = journal.append(bytes);
-        }
-        epoch
-    }
-
-    /// Drops every entry inserted before epoch `floor`. The sweep half of
-    /// epoch invalidation: advance the epoch when a fleet-wide input
-    /// changes (a driver update shifts every profile), let fresh plans
-    /// repopulate, then sweep the old epoch out.
-    pub fn invalidate_older_than(&self, floor: u64) {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        let before = inner.entries.len();
-        inner.entries.retain(|_, e| e.epoch >= floor);
-        let dropped = (before - inner.entries.len()) as u64;
-        if dropped > 0 {
-            let bytes = inner
-                .journal
-                .as_ref()
-                .map(|_| CacheEvent::InvalidateOlderThan { floor }.to_bytes());
-            if let (Some(journal), Some(bytes)) = (inner.journal.as_mut(), bytes.as_ref()) {
-                let _ = journal.append(bytes);
-            }
-            self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         }
     }
 
@@ -492,15 +304,14 @@ impl PlanCache {
 
     /// Current counters.
     pub fn stats(&self) -> PlanCacheStats {
-        let inner = self.inner.lock().expect("plan cache lock");
+        let entries = self.inner.lock().expect("plan cache lock").entries.len() as u64;
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             recovered_entries: self.recovered.load(Ordering::Relaxed),
-            entries: inner.entries.len() as u64,
-            epoch: inner.epoch,
+            entries,
         }
     }
 
@@ -513,14 +324,5 @@ impl PlanCache {
         } else {
             hits / (hits + misses)
         }
-    }
-
-    /// Whether this cache journals to disk.
-    pub fn is_durable(&self) -> bool {
-        self.inner
-            .lock()
-            .expect("plan cache lock")
-            .journal
-            .is_some()
     }
 }

@@ -136,12 +136,8 @@ impl<'a> PlanContext<'a> {
         })
     }
 
-    /// Convenience constructor for emulation: derives noise-free profiles
-    /// straight from the GPU model and per-(virtual-)stage workloads
-    /// (§6.3's profiling-grounded emulator). `stages` is indexed by the
-    /// virtual stage id `chunk · n_stages + stage` (for non-interleaved
-    /// schedules that is simply the stage index); recompute reuses the
-    /// forward workload.
+    /// Convenience constructor for emulation: plans from
+    /// [`model_profiles`] of `stages`.
     ///
     /// # Errors
     ///
@@ -159,36 +155,7 @@ impl<'a> PlanContext<'a> {
                 got: stages.len(),
             });
         }
-        let mut profiles: ProfileDb<OpKey> = ProfileDb::new();
-        let n = pipe.n_stages;
-        for (vs, sw) in stages.iter().enumerate() {
-            let (stage, chunk) = (vs % n, vs / n);
-            profiles.insert(
-                OpKey {
-                    stage,
-                    chunk,
-                    kind: CompKind::Forward,
-                },
-                OpProfile::from_model(gpu, &sw.fwd),
-            );
-            profiles.insert(
-                OpKey {
-                    stage,
-                    chunk,
-                    kind: CompKind::Backward,
-                },
-                OpProfile::from_model(gpu, &sw.bwd),
-            );
-            profiles.insert(
-                OpKey {
-                    stage,
-                    chunk,
-                    kind: CompKind::Recompute,
-                },
-                OpProfile::from_model(gpu, &sw.fwd),
-            );
-        }
-        PlanContext::new(pipe, gpu, profiles)
+        PlanContext::new(pipe, gpu, model_profiles(pipe, gpu, stages))
     }
 
     /// Planning info for `node`, if it is a computation.
@@ -226,4 +193,33 @@ impl<'a> PlanContext<'a> {
         }
         out
     }
+}
+
+/// Noise-free profiles derived straight from the GPU model and
+/// per-(virtual-)stage workloads (§6.3's profiling-grounded emulator):
+/// the profile database a client of an emulated pipeline submits.
+/// `stages` is indexed by the virtual stage id `chunk · n_stages + stage`
+/// (for non-interleaved schedules that is simply the stage index);
+/// recompute reuses the forward workload.
+pub fn model_profiles(
+    pipe: &PipelineDag,
+    gpu: &GpuSpec,
+    stages: &[perseus_models::StageWorkloads],
+) -> ProfileDb<OpKey> {
+    let mut profiles = ProfileDb::new();
+    let n = pipe.n_stages;
+    for (vs, sw) in stages.iter().enumerate() {
+        let (stage, chunk) = (vs % n, vs / n);
+        for (kind, workload) in [
+            (CompKind::Forward, &sw.fwd),
+            (CompKind::Backward, &sw.bwd),
+            (CompKind::Recompute, &sw.fwd),
+        ] {
+            profiles.insert(
+                OpKey { stage, chunk, kind },
+                OpProfile::from_model(gpu, workload),
+            );
+        }
+    }
+    profiles
 }

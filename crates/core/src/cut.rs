@@ -187,14 +187,21 @@ struct EdgeCap {
 }
 
 /// One step along the frontier: reduce the DAG's execution time with
-/// minimal energy increase (see [`get_next_pareto_with`]).
+/// minimal energy increase, solved cold (see [`get_next_pareto_arena`]).
 pub fn get_next_pareto(ctx: &PlanContext<'_>, planned: &mut [f64], tau: f64) -> CutOutcome {
     let solver = CutSolver::new(ctx.pipe);
-    get_next_pareto_with(ctx, &solver, planned, tau)
+    get_next_pareto_arena(
+        ctx,
+        &solver,
+        planned,
+        tau,
+        &mut SolverArena::new(),
+        &Telemetry::disabled(),
+    )
 }
 
-/// [`get_next_pareto`] against a prebuilt [`CutSolver`] (the fast path for
-/// the iterative sweep).
+/// [`get_next_pareto`] against a prebuilt [`CutSolver`] and a reusable
+/// [`SolverArena`] (the fast path for the iterative sweep).
 ///
 /// `planned` holds the current planned duration of every pipeline DAG node
 /// (by node index) and is modified in place on success.
@@ -223,36 +230,14 @@ pub fn get_next_pareto(ctx: &PlanContext<'_>, planned: &mut [f64], tau: f64) -> 
 /// * **Series contraction** — chains of degree-(1,1) nodes in the Critical
 ///   DAG compose as `upper = min, lower = max`; a cut crosses a chain at
 ///   its cheapest edge.
-pub fn get_next_pareto_with(
-    ctx: &PlanContext<'_>,
-    solver: &CutSolver,
-    planned: &mut [f64],
-    tau: f64,
-) -> CutOutcome {
-    get_next_pareto_traced(ctx, solver, planned, tau, &Telemetry::disabled())
-}
-
-/// [`get_next_pareto_with`] with instrumentation: counts cut solves and
-/// infeasible-retry re-solves, and threads `telemetry` into the bounded
-/// max-flow solver. Equivalent to [`get_next_pareto_arena`] against a
-/// throwaway arena (every solve cold).
-pub fn get_next_pareto_traced(
-    ctx: &PlanContext<'_>,
-    solver: &CutSolver,
-    planned: &mut [f64],
-    tau: f64,
-    telemetry: &Telemetry,
-) -> CutOutcome {
-    let mut arena = SolverArena::new();
-    get_next_pareto_arena(ctx, solver, planned, tau, &mut arena, telemetry)
-}
-
-/// [`get_next_pareto_traced`] against a reusable [`SolverArena`]: the
-/// compacted problem, solution, and cut buffers live in the arena
+///
+/// The compacted problem, solution, and cut buffers live in the arena
 /// (capacity patches instead of rebuilds), and when consecutive calls
 /// produce the same compacted topology — the common case along a frontier,
 /// where only durations drift — the max flow is warm-started from the
-/// previous iteration's flow instead of re-derived from zero.
+/// previous iteration's flow instead of re-derived from zero. `telemetry`
+/// counts cut solves and infeasible-retry re-solves and is threaded into
+/// the bounded max-flow solver.
 ///
 /// Output is bit-identical to the cold path: the solver extracts the
 /// minimal source-side min cut, which is unique across all maximum flows.

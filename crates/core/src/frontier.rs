@@ -644,7 +644,7 @@ impl FrontierSolver {
     ) -> Result<(Arc<ParetoFrontier>, bool, PlanFingerprint), CoreError> {
         let policy = if power.is_some() { "kareus" } else { "perseus" };
         let fp = plan_fingerprint_with_power(policy, pipe, gpu, profiles, opts, power);
-        if let Some(frontier) = cache.frontier_view(fp) {
+        if let Some(frontier) = cache.get(fp) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             if self.telemetry.is_enabled() {
                 self.telemetry
@@ -660,8 +660,7 @@ impl FrontierSolver {
                 .inc();
         }
         let ctx = PlanContext::new(pipe, gpu, profiles.clone())?;
-        let frontier = Arc::new(self.characterize(&ctx, opts)?);
-        let frontier = cache.insert_frontier(fp, frontier);
+        let frontier = cache.insert(fp, Arc::new(self.characterize(&ctx, opts)?));
         self.cache_inserts.fetch_add(1, Ordering::Relaxed);
         Ok((frontier, false, fp))
     }

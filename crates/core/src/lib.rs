@@ -53,10 +53,9 @@ mod planner;
 mod sleep;
 
 pub use cache::{PlanCache, PlanCacheStats};
-pub use context::{CoreError, NodePlanInfo, PlanContext};
+pub use context::{model_profiles, CoreError, NodePlanInfo, PlanContext};
 pub use cut::{
-    get_next_pareto, get_next_pareto_arena, get_next_pareto_traced, get_next_pareto_with,
-    ArenaStats, CutOutcome, CutSolver, SolverArena,
+    get_next_pareto, get_next_pareto_arena, ArenaStats, CutOutcome, CutSolver, SolverArena,
 };
 pub use energy::{pipeline_energy, PipelineEnergy};
 pub use error::Error;

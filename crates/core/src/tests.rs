@@ -908,7 +908,7 @@ mod fingerprint_and_cache {
     use crate::planner::{Perseus, PlanOutput, Planner};
     use perseus_pipeline::{CompKind, OpKey};
     use perseus_profiler::{OpProfile, ProfileDb};
-    use perseus_store::Persist;
+    use perseus_store::{Persist, StoreError};
 
     /// All (key, profile) pairs for `scales`, in natural stage/kind order.
     fn profile_pairs(gpu: &GpuSpec, scales: &[f64]) -> Vec<(OpKey, OpProfile)> {
@@ -1051,24 +1051,25 @@ mod fingerprint_and_cache {
         let cache = PlanCache::new();
         let gpu = GpuSpec::a100_pcie();
         let pipe = build_pipe(2, 4);
-        let frontier = frontier_for(&gpu, &pipe, &[1.0, 1.2], Some(5e-3));
+        let frontier = Arc::new(frontier_for(&gpu, &pipe, &[1.0, 1.2], Some(5e-3)));
         let fp = PlanFingerprint(0xdead_beef);
 
         assert!(cache.get(fp).is_none());
-        cache.insert(fp, PlanOutput::Frontier(frontier.clone()));
+        let stored = cache.insert(fp, Arc::clone(&frontier));
+        assert!(
+            Arc::ptr_eq(&stored, &frontier),
+            "insert stores the caller's Arc"
+        );
         let hit = cache.get(fp).expect("inserted entry must hit");
-        assert_eq!(
-            hit.to_bytes(),
-            PlanOutput::Frontier(frontier.clone()).to_bytes()
+        assert!(
+            Arc::ptr_eq(&hit, &frontier),
+            "a hit must not copy the frontier"
         );
         // Second insert under the same fingerprint is a no-op: the cache
-        // keeps the first plan (both were solved from identical inputs).
-        let other = frontier_for(&gpu, &pipe, &[1.3, 0.8], Some(5e-3));
-        let kept = cache.insert(fp, PlanOutput::Frontier(other));
-        assert_eq!(
-            kept.to_bytes(),
-            PlanOutput::Frontier(frontier.clone()).to_bytes()
-        );
+        // keeps the first frontier (both were solved from identical inputs).
+        let other = Arc::new(frontier_for(&gpu, &pipe, &[1.3, 0.8], Some(5e-3)));
+        let kept = cache.insert(fp, other);
+        assert!(Arc::ptr_eq(&kept, &frontier));
         let stats = cache.stats();
         assert_eq!(
             (stats.hits, stats.misses, stats.inserts, stats.entries),
@@ -1080,47 +1081,6 @@ mod fingerprint_and_cache {
         assert!(cache.get(fp).is_none());
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn get_or_plan_skips_closure_on_hit() {
-        let cache = PlanCache::new();
-        let gpu = GpuSpec::a100_pcie();
-        let pipe = build_pipe(2, 4);
-        let frontier = frontier_for(&gpu, &pipe, &[1.0, 1.2], Some(5e-3));
-        let fp = PlanFingerprint(7);
-        let mut solves = 0u32;
-        for _ in 0..3 {
-            let (_, was_hit) = cache
-                .get_or_plan::<()>(fp, || {
-                    solves += 1;
-                    Ok(PlanOutput::Frontier(frontier.clone()))
-                })
-                .unwrap();
-            assert_eq!(was_hit, solves > 0 && cache.stats().hits > 0);
-        }
-        assert_eq!(solves, 1, "only the first lookup may solve");
-    }
-
-    #[test]
-    fn epoch_invalidation_sweeps_stale_entries() {
-        let cache = PlanCache::new();
-        let gpu = GpuSpec::a100_pcie();
-        let pipe = build_pipe(2, 4);
-        let f = PlanOutput::Frontier(frontier_for(&gpu, &pipe, &[1.0, 1.2], Some(5e-3)));
-        cache.insert(PlanFingerprint(1), f.clone());
-        let e2 = cache.advance_epoch();
-        cache.insert(PlanFingerprint(2), f);
-        cache.invalidate_older_than(e2);
-        assert!(
-            cache.get(PlanFingerprint(1)).is_none(),
-            "epoch-1 entry stays"
-        );
-        assert!(
-            cache.get(PlanFingerprint(2)).is_some(),
-            "epoch-2 entry swept"
-        );
-        assert_eq!(cache.stats().epoch, e2);
     }
 
     #[test]
@@ -1160,27 +1120,35 @@ mod fingerprint_and_cache {
             (0, 1, 1)
         );
 
-        // And the cached PlanOutput is byte-identical to a fresh plan
-        // from the Perseus planner itself.
+        // And the cached frontier is byte-identical to a fresh plan from
+        // the Perseus planner itself.
         let fresh = Perseus::new(opts.clone()).plan(&ctx).unwrap();
-        assert_eq!(cache.get(fp0).unwrap().to_bytes(), fresh.to_bytes());
+        assert_eq!(
+            cache.get(fp0).unwrap().to_bytes(),
+            fresh.as_frontier().unwrap().to_bytes()
+        );
     }
 
-    #[test]
-    fn durable_cache_reopens_with_entries_intact() {
+    /// A fresh path `<tmp>/<unique dir>/plan-cache.wal` and its directory.
+    fn temp_wal(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "perseus-core-cache-{}-{}",
+            "perseus-core-{tag}-{}-{}",
             std::process::id(),
             N.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let wal = dir.join("cache.wal");
+        let wal = dir.join("plan-cache.wal");
+        (dir, wal)
+    }
 
+    #[test]
+    fn durable_cache_reopens_with_entries_intact() {
+        let (dir, wal) = temp_wal("cache");
         let gpu = GpuSpec::a100_pcie();
         let pipe = build_pipe(2, 4);
-        let plan = PlanOutput::Frontier(frontier_for(&gpu, &pipe, &[1.0, 1.2], Some(5e-3)));
+        let frontier = Arc::new(frontier_for(&gpu, &pipe, &[1.0, 1.2], Some(5e-3)));
         let fps = [
             PlanFingerprint(10),
             PlanFingerprint(20),
@@ -1188,9 +1156,8 @@ mod fingerprint_and_cache {
         ];
         {
             let cache = PlanCache::open(&wal).unwrap();
-            assert!(cache.is_durable());
             for fp in fps {
-                cache.insert(fp, plan.clone());
+                cache.insert(fp, Arc::clone(&frontier));
             }
             cache.invalidate(fps[2]);
             // Dropped without any shutdown handshake — a crash.
@@ -1199,8 +1166,183 @@ mod fingerprint_and_cache {
         let stats = cache.stats();
         assert_eq!(stats.recovered_entries, 2, "insert - invalidate survives");
         assert_eq!(cache.fingerprints(), vec![fps[0], fps[1]]);
-        assert_eq!(cache.get(fps[0]).unwrap().to_bytes(), plan.to_bytes());
+        assert_eq!(cache.get(fps[0]).unwrap().to_bytes(), frontier.to_bytes());
         assert!(cache.get(fps[2]).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Seeded damage to a `plan-cache.wal` holding inserts and
+    /// invalidations: bit flips, truncation at every record boundary and
+    /// inside every record, and an appended record of the epoch-stamped
+    /// format the log used to have. Opening never panics: it recovers
+    /// exactly the net entries of the longest intact prefix of the
+    /// records, each frontier bit-identical to the one inserted, or — for
+    /// a damaged file header only — fails with a typed error.
+    #[test]
+    fn damaged_cache_log_recovers_a_prefix_without_panicking() {
+        use std::collections::BTreeMap;
+
+        use perseus_store::{ByteWriter, Journal};
+
+        /// SplitMix64: picks the damaged bytes without an RNG dependency.
+        struct SplitMix64(u64);
+        impl SplitMix64 {
+            fn below(&mut self, n: usize) -> usize {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+            }
+        }
+
+        let (dir, wal) = temp_wal("cache-damage");
+        let gpu = GpuSpec::a100_pcie();
+        let pipe = build_pipe(2, 4);
+        let frontiers = [
+            Arc::new(frontier_for(&gpu, &pipe, &[1.0, 1.2], Some(5e-3))),
+            Arc::new(frontier_for(&gpu, &pipe, &[1.3, 0.8], Some(5e-3))),
+        ];
+        // One journal record each: `Some(i)` inserts frontier i, `None`
+        // invalidates.
+        let history: [(u128, Option<usize>); 6] = [
+            (1, Some(0)),
+            (2, Some(1)),
+            (1, None),
+            (3, Some(0)),
+            (1, Some(0)),
+            (2, None),
+        ];
+        // The net entries after each prefix of the records, as
+        // (fingerprint, frontier bytes) sorted by fingerprint.
+        let mut net = BTreeMap::new();
+        let mut prefixes = vec![Vec::new()];
+        {
+            let cache = PlanCache::open(&wal).unwrap();
+            for (fp, op) in history {
+                let fp = PlanFingerprint(fp);
+                match op {
+                    Some(i) => {
+                        cache.insert(fp, Arc::clone(&frontiers[i]));
+                        net.insert(fp, frontiers[i].to_bytes());
+                    }
+                    None => {
+                        cache.invalidate(fp);
+                        net.remove(&fp);
+                    }
+                }
+                prefixes.push(net.clone().into_iter().collect::<Vec<_>>());
+            }
+        }
+        let pristine = std::fs::read(&wal).unwrap();
+        // Record frames start after the 8-byte header; each is
+        // `len:u32le crc:u32le body[len]`.
+        let mut bounds = vec![8usize];
+        while *bounds.last().unwrap() < pristine.len() {
+            let at = *bounds.last().unwrap();
+            let len = u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap()) as usize;
+            bounds.push(at + 8 + len);
+        }
+        assert_eq!(bounds.len(), history.len() + 1, "one record per mutation");
+
+        // Opens `bytes` as the log; returns how many records' worth of
+        // entries came back, or `None` on a typed open error.
+        let recovered_prefix = |bytes: &[u8], what: &str| -> Option<usize> {
+            std::fs::write(&wal, bytes).unwrap();
+            let cache = match PlanCache::open(&wal) {
+                Ok(cache) => cache,
+                Err(StoreError::Corrupt { .. }) => return None,
+                Err(e) => panic!("{what}: untyped failure {e}"),
+            };
+            let got: Vec<_> = cache
+                .fingerprints()
+                .into_iter()
+                .map(|fp| (fp, cache.get(fp).unwrap().to_bytes()))
+                .collect();
+            assert_eq!(cache.stats().recovered_entries, got.len() as u64);
+            let k = prefixes.iter().position(|p| *p == got);
+            Some(k.unwrap_or_else(|| panic!("{what}: recovered entries match no prefix")))
+        };
+        for (i, p) in prefixes.iter().enumerate() {
+            assert!(
+                !prefixes[..i].contains(p),
+                "prefixes must be distinguishable"
+            );
+        }
+
+        let all = history.len();
+        assert_eq!(recovered_prefix(&pristine, "pristine"), Some(all));
+        for (k, &end) in bounds.iter().enumerate() {
+            let what = format!("truncated after {k} records");
+            assert_eq!(recovered_prefix(&pristine[..end], &what), Some(k));
+        }
+        let mut rng = SplitMix64(0x0C4C_4E00);
+        for k in 0..all {
+            let cut = bounds[k] + 1 + rng.below(bounds[k + 1] - bounds[k] - 1);
+            let what = format!("truncated inside record {k} at byte {cut}");
+            assert_eq!(recovered_prefix(&pristine[..cut], &what), Some(k));
+        }
+        for round in 0..64 {
+            let at = rng.below(pristine.len());
+            let mut bytes = pristine.clone();
+            bytes[at] ^= 1 << rng.below(8);
+            let what = format!("round {round}: bit flip at byte {at}");
+            // CRC32 catches every single-bit error, so the damaged record
+            // and everything after it are dropped; a damaged header is
+            // refused outright.
+            let intact = bounds.iter().rposition(|&start| start <= at);
+            assert_eq!(recovered_prefix(&bytes, &what), intact, "{what}");
+        }
+        for at in [0, 4] {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= 1;
+            let what = format!("header byte {at} flipped");
+            assert_eq!(recovered_prefix(&bytes, &what), None, "{what}");
+        }
+        // Records of the epoch-stamped format: a tag-0 insert (fingerprint,
+        // epoch, `PlanOutput`), a tag-2 epoch advance and a tag-3 sweep.
+        // CRC-valid frames, so only the payload decode can refuse one;
+        // replay stops there even when current records follow it.
+        let mut old_insert = ByteWriter::new();
+        old_insert.put_u8(0);
+        PlanFingerprint(9).encode(&mut old_insert);
+        old_insert.put_u64(1);
+        PlanOutput::Frontier((*frontiers[0]).clone()).encode(&mut old_insert);
+        let old_records = [
+            old_insert.into_bytes(),
+            vec![2, 2, 0, 0, 0, 0, 0, 0, 0],
+            vec![3, 2, 0, 0, 0, 0, 0, 0, 0],
+        ];
+        for old in &old_records {
+            for k in [all, 3] {
+                std::fs::write(&wal, &pristine[..bounds[k]]).unwrap();
+                let (mut journal, _) = Journal::open(&wal).unwrap();
+                journal.append(old).unwrap();
+                // Each body is `seq:u64le payload`.
+                for i in k..all {
+                    journal
+                        .append(&pristine[bounds[i] + 16..bounds[i + 1]])
+                        .unwrap();
+                }
+                drop(journal);
+                let bytes = std::fs::read(&wal).unwrap();
+                let what = format!("old-format tag-{} record after {k} records", old[0]);
+                assert_eq!(recovered_prefix(&bytes, &what), Some(k), "{what}");
+                // That open dropped the unreadable record from the log, so
+                // an insert made now replays at the next open.
+                PlanCache::open(&wal)
+                    .unwrap()
+                    .insert(PlanFingerprint(99), Arc::clone(&frontiers[1]));
+                let mut want: Vec<_> = prefixes[k].iter().map(|(fp, _)| *fp).collect();
+                want.push(PlanFingerprint(99));
+                want.sort();
+                assert_eq!(
+                    PlanCache::open(&wal).unwrap().fingerprints(),
+                    want,
+                    "{what}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -669,7 +669,6 @@ impl FleetServer {
                 &[],
                 stats.cache.entries as f64,
             )
-            .scalar("perseus_fleet_cache_epoch", &[], stats.cache.epoch as f64)
             .scalar("perseus_fleet_shards", &[], self.shards.len() as f64);
         // Replication posture, aggregated across shards. Gated on actual
         // replication activity so an all-leader fleet (the common case,

@@ -167,16 +167,6 @@ impl FollowerServer {
         self.publish_stats();
     }
 
-    /// The configured lag bound.
-    pub fn max_lag(&self) -> u64 {
-        self.max_lag
-    }
-
-    /// Where [`ServerError::NotLeader`] answers point callers.
-    pub fn set_leader_hint(&mut self, hint: impl Into<String>) {
-        self.state.set_role(Role::Follower, hint.into());
-    }
-
     /// Highest sequence shipped into the local journal.
     pub fn shipped_seq(&self) -> u64 {
         self.shipped_seq

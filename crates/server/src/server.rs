@@ -399,9 +399,8 @@ pub struct ChaosStats {
     pub faults_injected: u64,
 }
 
-/// Everything the server knows about one job, in one read: the unified
-/// replacement for the legacy `current_deployment` / `solver_stats` /
-/// `chaos_stats` / `is_degraded` getter quartet.
+/// Everything the server knows about one job, in one read
+/// ([`PerseusServer::job_status`]).
 #[derive(Debug, Clone)]
 pub struct JobStatus {
     /// The schedule currently deployed to the job's clients (`None` before
@@ -1684,14 +1683,12 @@ impl PerseusServer {
                     return Err(ServerError::Superseded(job.name.clone()));
                 }
                 let prev = state.install(epoch, planned, profiles, opts);
-                // Epoch-based invalidation on re-characterization: when
-                // fresh profiles move this job to a *different* structural
-                // fingerprint, the entry under the old one describes
-                // profiles the fleet has watched drift — open a new cache
-                // epoch and drop it.
+                // When fresh profiles move this job to a *different*
+                // structural fingerprint, drop the entry under the old one:
+                // it describes profiles the job has drifted away from, and
+                // would otherwise linger in the cache forever.
                 if let (Some(cache), Some(prev), Some(fp)) = (cache, prev, fingerprint) {
                     if prev != fp {
-                        cache.advance_epoch();
                         cache.invalidate(prev);
                     }
                 }
@@ -2204,10 +2201,11 @@ impl PerseusServer {
     /// threshold; then the job's current profiles are rescaled by the
     /// pending factors and resubmitted through the normal
     /// characterization path: epoch bump, warm-started solve on the
-    /// job's cached [`FrontierSolver`] artifacts, Kareus sleep plans
-    /// re-derived, and — when a fleet [`PlanCache`] is attached — a cache
-    /// epoch advance plus `InvalidateOlderThan`, because drifted profiles
-    /// invalidate structurally-shared plans fleet-wide.
+    /// job's cached [`FrontierSolver`] artifacts, and Kareus sleep plans
+    /// re-derived. The drifted profiles hash to a new fingerprint, so an
+    /// attached fleet [`PlanCache`] misses, and the job's entry under its
+    /// old fingerprint is invalidated; every other structure's entry keeps
+    /// serving hits.
     ///
     /// Returns `Ok(None)` while below threshold, `Ok(Some(ticket))` for
     /// the re-characterization it triggered.
@@ -2266,13 +2264,6 @@ impl PerseusServer {
                 .telemetry
                 .counter_with("perseus_server_drift_replans_total", &[("job", name)])
                 .inc();
-        }
-        // Drifted profiles poison structurally-shared plans fleet-wide:
-        // open a new cache epoch and drop everything older (journaled as
-        // `InvalidateOlderThan` by durable caches).
-        if let Some(cache) = &self.cfg.plan_cache {
-            let epoch = cache.advance_epoch();
-            cache.invalidate_older_than(epoch);
         }
         self.submit_profiles(name, profiles, &opts).map(Some)
     }

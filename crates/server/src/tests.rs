@@ -6,7 +6,7 @@ use perseus_core::FrontierOptions;
 use perseus_gpu::{FreqMHz, GpuSpec, SimGpu, Workload};
 use perseus_models::StageWorkloads;
 use perseus_pipeline::{CompKind, OpKey, PipelineBuilder, PipelineDag, ScheduleKind};
-use perseus_profiler::{OnlineProfiler, OpProfile, ProfileDb};
+use perseus_profiler::{OnlineProfiler, ProfileDb};
 
 use crate::client::{AsyncFrequencyController, ClientSession};
 use crate::server::{JobSpec, PerseusServer, ServerConfig, ServerError};
@@ -61,34 +61,7 @@ fn pipe() -> PipelineDag {
 }
 
 fn model_profiles(gpu: &GpuSpec) -> ProfileDb<OpKey> {
-    let mut db = ProfileDb::new();
-    for (s, sw) in stages().iter().enumerate() {
-        db.insert(
-            OpKey {
-                stage: s,
-                chunk: 0,
-                kind: CompKind::Forward,
-            },
-            OpProfile::from_model(gpu, &sw.fwd),
-        );
-        db.insert(
-            OpKey {
-                stage: s,
-                chunk: 0,
-                kind: CompKind::Backward,
-            },
-            OpProfile::from_model(gpu, &sw.bwd),
-        );
-        db.insert(
-            OpKey {
-                stage: s,
-                chunk: 0,
-                kind: CompKind::Recompute,
-            },
-            OpProfile::from_model(gpu, &sw.fwd),
-        );
-    }
-    db
+    perseus_core::model_profiles(&pipe(), gpu, &stages())
 }
 
 fn server_with_job() -> (PerseusServer, &'static str) {
@@ -2005,7 +1978,6 @@ mod fleet {
                 .wait()
                 .unwrap();
             let stats = fleet.stats();
-            assert!(fleet.plan_cache().is_durable());
             assert_eq!(stats.cache.inserts, 1);
             assert_eq!(stats.cache.hits, 1);
             let frontier = fleet
@@ -2532,9 +2504,9 @@ mod obs {
 mod replication {
     use std::sync::Arc;
 
-    use perseus_core::FrontierOptions;
+    use perseus_core::{FrontierOptions, PlanCache};
     use perseus_gpu::{FreqMHz, GpuSpec};
-    use perseus_pipeline::{CompKind, OpKey};
+    use perseus_pipeline::{CompKind, OpKey, PipelineBuilder, ScheduleKind};
     use perseus_profiler::ProfileDelta;
 
     use super::{model_profiles, one_worker, pipe, unique_test_dir, Script};
@@ -2905,5 +2877,71 @@ mod replication {
             .unwrap()
             .is_none());
         assert_eq!(server.drift_replans(), 1);
+    }
+
+    /// A drift re-plan moves only the drifting job to a new fingerprint:
+    /// the entry of every other structure keeps serving hits.
+    #[test]
+    fn drift_replan_leaves_other_structures_cached() {
+        let cache = Arc::new(PlanCache::new());
+        let server = PerseusServer::new(ServerConfig {
+            plan_cache: Some(Arc::clone(&cache)),
+            ..one_worker()
+        });
+        let gpu = GpuSpec::a100_pcie();
+        let deeper = PipelineBuilder::new(ScheduleKind::OneFOneB, 3, 6)
+            .build()
+            .unwrap();
+        for (name, pipe) in [("a", pipe()), ("b", deeper.clone()), ("c", deeper)] {
+            server
+                .register_job(JobSpec {
+                    name: name.into(),
+                    pipe,
+                    gpu: gpu.clone(),
+                    power_states: None,
+                })
+                .unwrap();
+        }
+        let submit = |name| {
+            server
+                .submit_profiles(name, model_profiles(&gpu), &FrontierOptions::default())
+                .unwrap()
+                .wait()
+                .unwrap();
+        };
+        submit("a");
+        submit("b");
+        let before = cache.fingerprints();
+        assert_eq!(before.len(), 2, "two structures, two entries");
+
+        let drift = ProfileDelta {
+            key: OpKey {
+                stage: 0,
+                chunk: 0,
+                kind: CompKind::Forward,
+            },
+            time_factor: 1.10,
+            energy_factor: 1.08,
+        };
+        server
+            .ingest_drift("a", &[drift])
+            .unwrap()
+            .expect("threshold crossed")
+            .wait()
+            .unwrap();
+        let after = cache.fingerprints();
+        assert_eq!(after.len(), 2, "a's old entry went, its drifted one came");
+        assert_eq!(cache.stats().invalidations, 1);
+        let b_fp = before.iter().find(|fp| after.contains(fp));
+        assert!(b_fp.is_some(), "b's entry must survive a's drift");
+
+        // A new job of b's structure admits from the cache, unsolved.
+        submit("c");
+        let c = server.job_status("c").unwrap().solver;
+        assert_eq!((c.runs, c.cache_hits, c.cache_misses), (0, 1, 0));
+        assert!(Arc::ptr_eq(
+            &server.frontier("b").unwrap(),
+            &server.frontier("c").unwrap()
+        ));
     }
 }

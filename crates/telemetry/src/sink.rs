@@ -9,6 +9,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::slo::json_string;
+
 /// Everything known about one closed span.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
@@ -100,8 +102,8 @@ impl TraceWriter {
             }
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}",
-                escape_json(&ev.name),
+                "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}",
+                json_string(&ev.name),
                 ev.thread,
                 ev.ts_us,
                 ev.dur_us,
@@ -112,7 +114,7 @@ impl TraceWriter {
                     if j > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
+                    let _ = write!(out, "{}:{}", json_string(k), json_string(v));
                 }
                 out.push('}');
             }
@@ -142,22 +144,4 @@ impl TelemetrySink for TraceWriter {
             args,
         });
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }

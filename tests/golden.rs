@@ -109,35 +109,6 @@ fn breakdown_reports_match_golden_fixtures() {
     }
 }
 
-// ---- Telemetry neutrality: enabling metrics may never move a digit ----
-
-#[test]
-fn table3_with_telemetry_enabled_is_byte_identical() {
-    let tel = perseus_telemetry::Telemetry::enabled();
-    let mut buf = Vec::new();
-    perseus_bench::table3_report_with(&mut buf, &tel).expect("render table 3");
-    assert_matches_golden(
-        &String::from_utf8(buf).expect("utf-8 output"),
-        include_str!("golden/table3_intrinsic.txt"),
-        "table3_intrinsic.txt",
-    );
-    // The run did record something — neutrality is not vacuous.
-    assert!(!tel.snapshot().is_empty());
-}
-
-#[test]
-fn fig9_with_telemetry_enabled_is_byte_identical() {
-    let tel = perseus_telemetry::Telemetry::enabled();
-    let mut buf = Vec::new();
-    perseus_bench::fig9_report_with(&mut buf, false, &tel).expect("render figure 9");
-    assert_matches_golden(
-        &String::from_utf8(buf).expect("utf-8 output"),
-        include_str!("golden/fig9_frontier.txt"),
-        "fig9_frontier.txt",
-    );
-    assert!(!tel.snapshot().is_empty());
-}
-
 /// Every claim of the `perseus_bench::claims` registry — solver, fleet,
 /// kareus, obs, ha, recovery, chaos — checked on every `cargo test`. The
 /// fixture pins the verdicts and every evidence number; the `claims`
