@@ -3,7 +3,8 @@
 //! DAG grows with stages × microbatches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perseus_flow::{BoundedFlowProblem, FlowGraph};
+use perseus_flow::{FlowGraph, MinCut, MinCutProblem, WarmStart};
+use perseus_telemetry::Telemetry;
 
 /// A layered network shaped like a pipeline critical DAG: `layers` ranks of
 /// `width` nodes with staggered forward edges.
@@ -47,18 +48,25 @@ fn bench_maxflow(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("bounded", format!("{layers}x{width}")),
+            BenchmarkId::new("mincut", format!("{layers}x{width}")),
             &edges,
             |b, edges| {
                 b.iter(|| {
-                    let mut p = BoundedFlowProblem::new(n);
+                    // A fresh handle misses: the cold build-and-solve.
+                    let mut p = MinCutProblem::new(n);
                     for &(u, v, cap) in edges {
-                        // Small forced flows out of the source keep the
-                        // lower-bound phase exercised yet always feasible.
-                        let lower = if u == 0 { cap * 0.05 } else { 0.0 };
-                        p.add_edge(u, v, lower, cap);
+                        p.add_edge(u, v, cap);
                     }
-                    p.solve(0, t).expect("feasible")
+                    let mut cut = MinCut::default();
+                    p.solve_warm_into(
+                        0,
+                        t,
+                        &mut WarmStart::new(),
+                        &mut cut,
+                        &Telemetry::disabled(),
+                    )
+                    .expect("valid network");
+                    cut
                 })
             },
         );

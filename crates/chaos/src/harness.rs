@@ -25,8 +25,8 @@ use perseus_cluster::{
 };
 use perseus_core::model_profiles;
 use perseus_server::{
-    ClientConfig, DurabilityStats, FaultInjector, FollowerServer, JobClient, JobSpec,
-    PerseusServer, Replicator, ServerConfig, ServerError, SubmissionFault,
+    DurabilityStats, FaultInjector, FollowerServer, JobClient, JobSpec, PerseusServer, Replicator,
+    ServerConfig, ServerError, SubmissionFault,
 };
 use perseus_telemetry::{Alert, AlertState, FlightSnapshot, IterationSample};
 
@@ -82,8 +82,6 @@ pub struct ChaosConfig {
     /// Iterations between a straggler state change and the schedule that
     /// accounts for it (mirrors `RunConfig::reaction_delay_iters`).
     pub reaction_delay_iters: usize,
-    /// Client-side retry/timeout configuration for server traffic.
-    pub retry: ClientConfig,
     /// Where to write the flight-recorder post-mortem. The server is
     /// built with it ([`ServerConfig::flight_dump`]) for containment dumps
     /// (lost/panicked characterizations), and the harness writes it at
@@ -113,7 +111,6 @@ impl Default for ChaosConfig {
             iterations: 50,
             policy: Policy::Perseus,
             reaction_delay_iters: 1,
-            retry: ClientConfig::default(),
             flight_dump: None,
             durable_dir: None,
             plan: None,
@@ -307,7 +304,7 @@ pub fn run_chaos(emu: &mut Emulator, cfg: &ChaosConfig) -> Result<ChaosReport, C
         Err(ServerError::DuplicateJob(_)) => {}
         other => other?,
     }
-    let mut client = JobClient::with_config(Arc::clone(&server), "chaos", cfg.retry);
+    let mut client = JobClient::new(Arc::clone(&server), "chaos");
     let profiles = model_profiles(emu.pipe(), &config.gpu, emu.stages());
     client.submit_profiles_with_retry(&profiles, &config.frontier)?;
 
@@ -403,7 +400,7 @@ pub fn run_chaos(emu: &mut Emulator, cfg: &ChaosConfig) -> Result<ChaosReport, C
                         Err(ServerError::DuplicateJob(_)) => {}
                         other => other?,
                     }
-                    client = JobClient::with_config(Arc::clone(&server), "chaos", cfg.retry);
+                    client = JobClient::new(Arc::clone(&server), "chaos");
                     // A durable restart recovers the frontier from disk; an
                     // in-memory restart (or a recovery whose journal lost
                     // the characterization to corruption) must re-seed.
@@ -472,7 +469,7 @@ pub fn run_chaos(emu: &mut Emulator, cfg: &ChaosConfig) -> Result<ChaosReport, C
                         Err(ServerError::DuplicateJob(_)) => {}
                         other => other?,
                     }
-                    client = JobClient::with_config(Arc::clone(&server), "chaos", cfg.retry);
+                    client = JobClient::new(Arc::clone(&server), "chaos");
                     if server.job_status("chaos")?.deployment.is_none() {
                         client.submit_profiles_with_retry(&profiles, &config.frontier)?;
                     }

@@ -420,80 +420,82 @@ mod run_simulation {
     }
 }
 
+fn schedule_bits(s: &perseus_core::EnergySchedule, out: &mut Vec<u64>) {
+    out.push(s.time_s.to_bits());
+    out.push(s.compute_j.to_bits());
+    for v in s
+        .planned
+        .iter()
+        .chain(&s.realized_dur)
+        .chain(&s.realized_energy)
+    {
+        out.push(v.to_bits());
+    }
+    for f in &s.freqs {
+        out.push(f.map_or(u64::MAX, |f| u64::from(f.0)));
+    }
+}
+
+/// Every f64 and frequency a plan carries, as exact bits — any
+/// nondeterminism shows up as a fingerprint mismatch, not a tolerance
+/// question.
+fn plan_bits(p: &perseus_core::PlanOutput) -> Vec<u64> {
+    use perseus_core::PlanOutput;
+
+    let mut bits = Vec::new();
+    match p {
+        PlanOutput::Schedule(s) => {
+            bits.push(1);
+            schedule_bits(s, &mut bits);
+        }
+        PlanOutput::Frontier(f) => {
+            bits.push(2);
+            for pt in f.points() {
+                bits.push(pt.planned_time_s.to_bits());
+                bits.push(pt.planned_energy_j.to_bits());
+                schedule_bits(&pt.schedule, &mut bits);
+            }
+        }
+        PlanOutput::Sweep {
+            schedules,
+            no_straggler_deadline_s,
+        } => {
+            bits.push(3);
+            bits.push(no_straggler_deadline_s.to_bits());
+            for s in schedules {
+                schedule_bits(s, &mut bits);
+            }
+        }
+        PlanOutput::SleepFrontier {
+            frontier, sleep, ..
+        } => {
+            bits.push(4);
+            for pt in frontier.points() {
+                bits.push(pt.planned_time_s.to_bits());
+                bits.push(pt.planned_energy_j.to_bits());
+                schedule_bits(&pt.schedule, &mut bits);
+            }
+            for plan in sleep {
+                for stage in &plan.per_stage {
+                    bits.push(stage.len() as u64);
+                    for w in stage {
+                        bits.push(w.start_s.to_bits());
+                        bits.push(w.end_s.to_bits());
+                        bits.push(w.state_power_w.to_bits());
+                    }
+                }
+            }
+        }
+    }
+    bits
+}
+
 #[test]
 fn parallel_planner_sweep_matches_sequential() {
     use std::sync::Arc;
 
     use perseus_core::parallel::parallel_map;
-    use perseus_core::{EnergySchedule, PlanOutput, Planner};
-
-    fn schedule_bits(s: &EnergySchedule, out: &mut Vec<u64>) {
-        out.push(s.time_s.to_bits());
-        out.push(s.compute_j.to_bits());
-        for v in s
-            .planned
-            .iter()
-            .chain(&s.realized_dur)
-            .chain(&s.realized_energy)
-        {
-            out.push(v.to_bits());
-        }
-        for f in &s.freqs {
-            out.push(f.map_or(u64::MAX, |f| u64::from(f.0)));
-        }
-    }
-
-    // Every f64 and frequency a plan carries, as exact bits — any
-    // nondeterminism in the parallel path shows up as a fingerprint
-    // mismatch, not a tolerance question.
-    fn fingerprint(p: &PlanOutput) -> Vec<u64> {
-        let mut bits = Vec::new();
-        match p {
-            PlanOutput::Schedule(s) => {
-                bits.push(1);
-                schedule_bits(s, &mut bits);
-            }
-            PlanOutput::Frontier(f) => {
-                bits.push(2);
-                for pt in f.points() {
-                    bits.push(pt.planned_time_s.to_bits());
-                    bits.push(pt.planned_energy_j.to_bits());
-                    schedule_bits(&pt.schedule, &mut bits);
-                }
-            }
-            PlanOutput::Sweep {
-                schedules,
-                no_straggler_deadline_s,
-            } => {
-                bits.push(3);
-                bits.push(no_straggler_deadline_s.to_bits());
-                for s in schedules {
-                    schedule_bits(s, &mut bits);
-                }
-            }
-            PlanOutput::SleepFrontier {
-                frontier, sleep, ..
-            } => {
-                bits.push(4);
-                for pt in frontier.points() {
-                    bits.push(pt.planned_time_s.to_bits());
-                    bits.push(pt.planned_energy_j.to_bits());
-                    schedule_bits(&pt.schedule, &mut bits);
-                }
-                for plan in sleep {
-                    for stage in &plan.per_stage {
-                        bits.push(stage.len() as u64);
-                        for w in stage {
-                            bits.push(w.start_s.to_bits());
-                            bits.push(w.end_s.to_bits());
-                            bits.push(w.state_power_w.to_bits());
-                        }
-                    }
-                }
-            }
-        }
-        bits
-    }
+    use perseus_core::Planner;
 
     let emu = Emulator::new(small_config()).unwrap();
     let ctx = emu.ctx();
@@ -506,10 +508,10 @@ fn parallel_planner_sweep_matches_sequential() {
     );
     let sequential: Vec<Vec<u64>> = planners
         .iter()
-        .map(|(_, p)| fingerprint(&p.plan(&ctx).unwrap()))
+        .map(|(_, p)| plan_bits(&p.plan(&ctx).unwrap()))
         .collect();
     let parallel: Vec<Vec<u64>> =
-        parallel_map(&planners, |(_, p)| fingerprint(&p.plan(&ctx).unwrap()));
+        parallel_map(&planners, |(_, p)| plan_bits(&p.plan(&ctx).unwrap()));
     for (((name, _), seq), par) in planners.iter().zip(&sequential).zip(&parallel) {
         assert_eq!(seq, par, "planner {name} diverges under parallel execution");
     }
@@ -703,7 +705,6 @@ fn simulate_run_with_ledger_is_observation_only() {
 #[test]
 fn cache_hit_plan_output_is_bitwise_identical_for_every_planner() {
     use perseus_core::plan_fingerprint;
-    use perseus_store::Persist;
 
     let emu = Emulator::new(small_config()).unwrap();
     let ctx = emu.ctx();
@@ -718,8 +719,8 @@ fn cache_hit_plan_output_is_bitwise_identical_for_every_planner() {
         let first = planner.plan(&ctx).unwrap();
         let fresh = planner.plan(&ctx).unwrap();
         assert_eq!(
-            first.to_bytes(),
-            fresh.to_bytes(),
+            plan_bits(&first),
+            plan_bits(&fresh),
             "{name}: a fresh solve diverges from the first"
         );
         fps.push(plan_fingerprint(
@@ -743,7 +744,7 @@ mod kareus {
     use super::*;
     use std::sync::Arc;
 
-    use perseus_core::{EnergyKind, KareusPlanner, PlannerCapabilities};
+    use perseus_core::{EnergyKind, KareusPlanner};
 
     #[test]
     fn kareus_never_exceeds_perseus_and_wins_on_bubbles() {
@@ -859,19 +860,11 @@ mod kareus {
     }
 
     #[test]
-    fn registry_capabilities_replace_name_matching() {
+    fn registry_plans_carry_sleep_plans_for_kareus_only() {
         let emu = Emulator::new(small_config()).unwrap();
         for (name, planner) in emu.planners().iter() {
-            let caps = planner.capabilities();
-            if name == "kareus" {
-                assert!(caps.emits_sleep_plan);
-            } else {
-                assert_eq!(caps, PlannerCapabilities::default());
-            }
-            // Capability and output agree: only sleep-capable planners
-            // produce outputs whose sleep_plan is Some.
             let plan = planner.plan(&emu.ctx()).unwrap();
-            assert_eq!(caps.emits_sleep_plan, plan.sleep_plan(None).is_some());
+            assert_eq!(plan.sleep_plan(None).is_some(), name == "kareus", "{name}");
         }
     }
 

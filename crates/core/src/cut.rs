@@ -3,7 +3,7 @@
 //! increase, via a minimum cut on the Capacity DAG.
 
 use perseus_dag::{CriticalDag, Dag, NodeId, TimingAnalysis};
-use perseus_flow::{BoundedFlowProblem, BoundedFlowSolution, WarmStart};
+use perseus_flow::{MinCut, MinCutProblem, WarmStart};
 use perseus_pipeline::PipelineDag;
 use perseus_telemetry::{span, Telemetry};
 
@@ -91,7 +91,7 @@ fn edge_centric(pipe: &PipelineDag) -> (Dag<(), EcEdge>, Vec<(NodeId, NodeId)>) 
 /// totals — is what the `solver` claims of the `claims` bin gate on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Bounded min-cut solves performed.
+    /// Min-cut solves performed.
     pub solves: u64,
     /// Solves that reused the previous iteration's flow.
     pub warm_start_hits: u64,
@@ -103,7 +103,7 @@ pub struct ArenaStats {
 
 /// Preallocated workspace for the Phillips–Dessouky iteration: every
 /// buffer `get_next_pareto_arena` needs — the compacted
-/// [`BoundedFlowProblem`], its solution, the contraction maps, cut
+/// [`MinCutProblem`], its solution, the contraction maps, cut
 /// scratch — plus the [`WarmStart`] handle that carries the previous
 /// iteration's max flow forward. Build one per pipeline characterization
 /// and reuse it across all frontier steps; consecutive steps patch
@@ -113,9 +113,8 @@ pub struct ArenaStats {
 pub struct SolverArena {
     warm: WarmStart,
     warm_enabled: bool,
-    problem: BoundedFlowProblem,
-    relaxed: BoundedFlowProblem,
-    sol: BoundedFlowSolution,
+    problem: MinCutProblem,
+    sol: MinCut,
     caps: Vec<EdgeCap>,
     contractible: Vec<bool>,
     compact: Vec<Option<usize>>,
@@ -141,9 +140,8 @@ impl SolverArena {
         SolverArena {
             warm: WarmStart::new(),
             warm_enabled: true,
-            problem: BoundedFlowProblem::default(),
-            relaxed: BoundedFlowProblem::default(),
-            sol: BoundedFlowSolution::default(),
+            problem: MinCutProblem::default(),
+            sol: MinCut::default(),
             caps: Vec::new(),
             contractible: Vec::new(),
             compact: Vec::new(),
@@ -176,8 +174,8 @@ impl SolverArena {
 /// Capacity-DAG annotation of one critical edge before contraction.
 #[derive(Debug, Clone, Copy)]
 struct EdgeCap {
-    lower: f64,
-    upper: f64,
+    /// Energy cost of speeding the edge up by τ (infinite if it cannot).
+    cap: f64,
     /// Node to speed up if a forward cut selects this edge.
     speed: Option<NodeId>,
     /// Node to slow down if a backward cut crosses this edge.
@@ -206,14 +204,13 @@ pub fn get_next_pareto(ctx: &PlanContext<'_>, planned: &mut [f64], tau: f64) -> 
 /// `planned` holds the current planned duration of every pipeline DAG node
 /// (by node index) and is modified in place on success.
 ///
-/// The capacity of each critical computation follows Appendix D Eq. 8
-/// literally: `e⁺ = e(t−τ) − e(t)` to speed up, `e⁻ = e(t) − e(t+τ)`
-/// reclaimed by slowing down, both read off the fitted exponential of the
-/// *measured computation energy*. (Augmenting these with blocking-power
-/// terms looks tempting — slowing converts blocking watts into compute
-/// watts — but it creates negative-value cuts that violate Hoffman's
-/// feasibility condition for flows with lower bounds; the paper's
-/// formulation avoids this by keeping `P_blocking` out of the capacities.)
+/// The capacity of each critical computation follows Appendix D Eq. 8:
+/// `e⁺ = e(t−τ) − e(t)` to speed up, read off the fitted exponential of
+/// the *measured computation energy*; `e⁻ = e(t) − e(t+τ)`, reclaimed by
+/// slowing down, only picks which chain member a backward cut slows.
+/// (Augmenting these with blocking-power terms looks tempting — slowing
+/// converts blocking watts into compute watts — but the paper keeps
+/// `P_blocking` out of the capacities, and so does this cut.)
 ///
 /// Engineering refinements over the paper's pseudocode (all standard in
 /// the time–cost tradeoff literature — Phillips–Dessouky / Hochbaum
@@ -221,23 +218,23 @@ pub fn get_next_pareto(ctx: &PlanContext<'_>, planned: &mut [f64], tau: f64) -> 
 ///
 /// * **Adaptive steps** — the applied step is `min(τ, smallest headroom on
 ///   the cut)`, so sub-τ duration crumbs never wedge the sweep.
-/// * **Relaxed lower bounds + stretch pass** — slowdown rewards are
-///   removed from the flow (killing the expensive feasibility phase);
+/// * **Zero lower bounds + stretch pass** — the paper's Eq. 8 lower
+///   bounds (the slowdown rewards `e⁻`) are relaxed to zero, so the cut is
+///   a plain minimum cut with no feasibility phase;
 ///   [`characterize`](crate::characterize) instead stretches every
 ///   computation into its schedule gap after each step, which dominates
 ///   any backward-crossing slowdown because fitted energy decreases on
 ///   `[t_min, t_max]`.
 /// * **Series contraction** — chains of degree-(1,1) nodes in the Critical
-///   DAG compose as `upper = min, lower = max`; a cut crosses a chain at
-///   its cheapest edge.
+///   DAG compose as `cap = min`; a cut crosses a chain at its cheapest
+///   edge.
 ///
 /// The compacted problem, solution, and cut buffers live in the arena
 /// (capacity patches instead of rebuilds), and when consecutive calls
 /// produce the same compacted topology — the common case along a frontier,
 /// where only durations drift — the max flow is warm-started from the
 /// previous iteration's flow instead of re-derived from zero. `telemetry`
-/// counts cut solves and infeasible-retry re-solves and is threaded into
-/// the bounded max-flow solver.
+/// counts cut solves and is threaded into the min-cut solver.
 ///
 /// Output is bit-identical to the cold path: the solver extracts the
 /// minimal source-side min cut, which is unique across all maximum flows.
@@ -258,7 +255,6 @@ pub fn get_next_pareto_arena(
         warm,
         warm_enabled,
         problem,
-        relaxed,
         sol,
         caps,
         contractible,
@@ -298,8 +294,8 @@ pub fn get_next_pareto_arena(
         return CutOutcome::AtMinimumTime;
     };
 
-    // Annotate each critical edge with its Eq. 8 capacity interval.
-    let inf = BoundedFlowProblem::unbounded();
+    // Annotate each critical edge with its Eq. 8 capacity.
+    let inf = MinCutProblem::unbounded();
     let tiny = tau * 1e-9;
     let cg = &crit.graph;
     caps.clear();
@@ -328,42 +324,36 @@ pub fn get_next_pareto_arena(
             } else {
                 0.0
             };
-            // Lower bounds (the Eq. 8 slowdown rewards e⁻) are relaxed
-            // to zero: the post-step stretch pass (see `characterize`)
-            // reclaims every gap a backward-crossing slowdown would
-            // have exploited, because the fitted energy is decreasing
-            // on [t_min, t_max] — zero-slack schedules dominate. This
-            // removes the expensive feasibility phase of the
-            // lower-bounded max flow while keeping the same end
-            // states. e⁻ still breaks ties for which chain member to
+            // The Eq. 8 lower bounds (the slowdown rewards e⁻) are
+            // relaxed to zero: the post-step stretch pass (see
+            // `characterize`) reclaims every gap a backward-crossing
+            // slowdown would have exploited, because the fitted energy
+            // is decreasing on [t_min, t_max] — zero-slack schedules
+            // dominate. e⁻ still breaks ties for which chain member to
             // slow when a backward cut edge does appear.
             match (can_speed, can_slow) {
                 (true, true) => EdgeCap {
-                    lower: 0.0,
-                    upper: e_plus,
+                    cap: e_plus,
                     speed: Some(*n),
                     slow: Some(*n),
                     slow_gain: e_minus,
                 },
                 // Slowest: cannot slow further, may speed.
                 (true, false) => EdgeCap {
-                    lower: 0.0,
-                    upper: e_plus,
+                    cap: e_plus,
                     speed: Some(*n),
                     slow: None,
                     slow_gain: 0.0,
                 },
                 // Fastest: cannot speed, may slow.
                 (false, true) => EdgeCap {
-                    lower: 0.0,
-                    upper: inf,
+                    cap: inf,
                     speed: None,
                     slow: Some(*n),
                     slow_gain: e_minus,
                 },
                 (false, false) => EdgeCap {
-                    lower: 0.0,
-                    upper: inf,
+                    cap: inf,
                     speed: None,
                     slow: None,
                     slow_gain: 0.0,
@@ -371,8 +361,7 @@ pub fn get_next_pareto_arena(
             }
         }
         EcEdge::Fixed(_) | EcEdge::Dep => EdgeCap {
-            lower: 0.0,
-            upper: inf,
+            cap: inf,
             speed: None,
             slow: None,
             slow_gain: 0.0,
@@ -382,9 +371,9 @@ pub fn get_next_pareto_arena(
     // Series contraction: a node (other than s/t) with exactly one
     // incoming and one outgoing edge is a pass-through; flow through a
     // chain equals flow through each of its edges, so the chain behaves
-    // like one edge with `upper = min(upper_i)` (a forward cut picks the
-    // cheapest edge to speed) and `lower = max(lower_i)` (a backward cut
-    // slows the edge with the largest reclaim).
+    // like one edge with `cap = min(cap_i)` (a forward cut picks the
+    // cheapest edge to speed; a backward cut slows the edge with the
+    // largest reclaim).
     contractible.clear();
     contractible.extend(
         cg.node_ids()
@@ -407,39 +396,29 @@ pub fn get_next_pareto_arena(
             continue;
         }
         for first in cg.out_edges(u) {
-            let mut cap = caps[first.id.index()];
+            let mut chain = caps[first.id.index()];
             let mut head = first.dst;
             while contractible[head.index()] {
                 let next = cg.out_edges(head).next().expect("out-degree 1");
                 let c = caps[next.id.index()];
-                if c.upper < cap.upper {
-                    cap.upper = c.upper;
-                    cap.speed = c.speed;
+                if c.cap < chain.cap {
+                    chain.cap = c.cap;
+                    chain.speed = c.speed;
                 }
                 // A backward cut slows ONE chain member; pick the one with
                 // the largest reclaim.
-                if c.slow_gain > cap.slow_gain {
-                    cap.slow_gain = c.slow_gain;
-                    cap.slow = c.slow;
-                }
-                if c.lower > cap.lower {
-                    cap.lower = c.lower;
+                if c.slow_gain > chain.slow_gain {
+                    chain.slow_gain = c.slow_gain;
+                    chain.slow = c.slow;
                 }
                 head = next.dst;
-            }
-            // An infeasible interval can only arise from composing a large
-            // slowdown reward with a small speedup cost along one chain —
-            // relax the reward; the cut stays valid, marginally pricier.
-            if cap.lower > cap.upper {
-                cap.lower = cap.upper;
             }
             problem.add_edge(
                 compact[u.index()].expect("non-contractible"),
                 compact[head.index()].expect("non-contractible"),
-                cap.lower,
-                cap.upper,
+                chain.cap,
             );
-            edge_meta.push((cap.speed, cap.slow));
+            edge_meta.push((chain.speed, chain.slow));
         }
     }
     let (s, t) = (
@@ -455,48 +434,23 @@ pub fn get_next_pareto_arena(
         let _span = span!(telemetry, "cut_solve");
         problem.solve_warm_into(s, t, warm, sol, telemetry)
     };
-    match solved {
-        Ok(hit) => {
-            let paths = sol.augmenting_paths;
-            stats.augmenting_paths += paths;
-            if hit {
-                stats.warm_start_hits += 1;
-                let saved = last_cold_paths.saturating_sub(paths);
-                stats.augmenting_paths_saved += saved;
-                if telemetry.is_enabled() {
-                    telemetry.counter("perseus_cut_warm_start_hits_total").inc();
-                    telemetry
-                        .counter("perseus_cut_augmenting_paths_saved_total")
-                        .add(saved);
-                }
-            } else {
-                *last_cold_paths = paths;
-            }
+    let Ok(hit) = solved else {
+        return CutOutcome::AtMinimumTime;
+    };
+    let paths = sol.augmenting_paths;
+    stats.augmenting_paths += paths;
+    if hit {
+        stats.warm_start_hits += 1;
+        let saved = last_cold_paths.saturating_sub(paths);
+        stats.augmenting_paths_saved += saved;
+        if telemetry.is_enabled() {
+            telemetry.counter("perseus_cut_warm_start_hits_total").inc();
+            telemetry
+                .counter("perseus_cut_augmenting_paths_saved_total")
+                .add(saved);
         }
-        Err(perseus_flow::FlowError::Infeasible { .. }) => {
-            // Hoffman's condition can still fail in rare configurations
-            // (a negative-value cut exists: some simultaneous speed-up /
-            // slow-down would reduce both time and fitted energy). Retry
-            // with the slowdown rewards removed: every cut is then
-            // non-negative and feasibility is guaranteed, at the cost of a
-            // (slightly) less energy-efficient step. Backward-crossing
-            // slowable edges are still slowed when applying the cut.
-            if telemetry.is_enabled() {
-                telemetry.counter("perseus_cut_resolves_total").inc();
-            }
-            relaxed.reset(n_compact);
-            for e in problem.edges() {
-                relaxed.add_edge(e.src, e.dst, 0.0, e.upper);
-            }
-            match relaxed.solve_with(s, t, telemetry) {
-                Ok(relaxed_sol) => {
-                    stats.augmenting_paths += relaxed_sol.augmenting_paths;
-                    *sol = relaxed_sol;
-                }
-                Err(_) => return CutOutcome::AtMinimumTime,
-            }
-        }
-        Err(_) => return CutOutcome::AtMinimumTime,
+    } else {
+        *last_cold_paths = paths;
     }
     if problem.cut_capacity(&sol.source_side).is_infinite() {
         return CutOutcome::AtMinimumTime;

@@ -10,9 +10,11 @@
 //!   time `τ` with minimal energy increase until `T_min` is reached.
 //! * **`GetNextPareto`** (Algorithm 2, Appendix D) — convert the pipeline
 //!   DAG to edge-centric form, keep only critical computations, annotate
-//!   flow capacities `(0, e⁺) / (e⁻, ∞) / (e⁻, e⁺)` from the fitted
-//!   exponential, and solve a minimum cut (max flow with lower bounds):
-//!   forward cut edges speed up by τ, backward cut edges slow down by τ.
+//!   each with its speed-up cost `e⁺` (∞ if it is already fastest) from
+//!   the fitted exponential, and solve a minimum cut: forward cut edges
+//!   speed up by τ, backward cut edges slow down by τ. The paper's Eq. 8
+//!   lower bounds (the slowdown rewards `e⁻`) are relaxed to zero; a
+//!   stretch pass after each step reclaims what they priced.
 //! * **Energy accounting** (Eq. 3/4) — a pipeline's energy is computation
 //!   energy plus `P_blocking` times all the time its GPUs spend blocked,
 //!   including waiting for a straggler; the frontier is characterized
@@ -68,7 +70,7 @@ pub use ledger::{
     attribute_schedule, attribute_schedule_with_sleep, BloatLedger, EnergyBreakdown, EnergyKind,
     ScheduleAttribution,
 };
-pub use planner::{Perseus, PlanOutput, Planner, PlannerCapabilities};
+pub use planner::{Perseus, PlanOutput, Planner};
 pub use sleep::{insert_sleep, KareusPlanner, SleepPlan, SleepWindow};
 
 #[cfg(test)]

@@ -4,11 +4,10 @@
 //! time/energy), so recovery restores the exact curve the crashed server
 //! had characterized without re-running the solver.
 
-use perseus_gpu::{FreqMHz, PowerStateModel};
+use perseus_gpu::FreqMHz;
 use perseus_store::{ByteReader, ByteWriter, Persist, StoreError};
 
 use crate::frontier::{EnergySchedule, FrontierOptions, FrontierPoint, ParetoFrontier};
-use crate::planner::PlanOutput;
 use crate::sleep::{SleepPlan, SleepWindow};
 
 impl Persist for EnergySchedule {
@@ -128,71 +127,6 @@ impl Persist for SleepPlan {
             per_stage.push(Vec::<SleepWindow>::decode(r)?);
         }
         Ok(SleepPlan { per_stage })
-    }
-}
-
-impl Persist for PlanOutput {
-    fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            PlanOutput::Schedule(s) => {
-                w.put_u8(0);
-                s.encode(w);
-            }
-            PlanOutput::Frontier(f) => {
-                w.put_u8(1);
-                f.encode(w);
-            }
-            PlanOutput::Sweep {
-                schedules,
-                no_straggler_deadline_s,
-            } => {
-                w.put_u8(2);
-                schedules.encode(w);
-                w.put_f64(*no_straggler_deadline_s);
-            }
-            PlanOutput::SleepFrontier {
-                frontier,
-                power,
-                sleep,
-            } => {
-                w.put_u8(3);
-                frontier.encode(w);
-                power.encode(w);
-                sleep.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        match r.get_u8()? {
-            0 => Ok(PlanOutput::Schedule(EnergySchedule::decode(r)?)),
-            1 => Ok(PlanOutput::Frontier(ParetoFrontier::decode(r)?)),
-            2 => {
-                let schedules = Vec::<EnergySchedule>::decode(r)?;
-                if schedules.is_empty() {
-                    return Err(StoreError::corrupt("sweep plan has no schedules"));
-                }
-                Ok(PlanOutput::Sweep {
-                    schedules,
-                    no_straggler_deadline_s: r.get_f64()?,
-                })
-            }
-            3 => {
-                let frontier = ParetoFrontier::decode(r)?;
-                let power = PowerStateModel::decode(r)?;
-                let sleep = Vec::<SleepPlan>::decode(r)?;
-                if sleep.len() != frontier.len() {
-                    return Err(StoreError::corrupt(
-                        "sleep plans do not match frontier point count",
-                    ));
-                }
-                Ok(PlanOutput::SleepFrontier {
-                    frontier,
-                    power,
-                    sleep,
-                })
-            }
-            t => Err(StoreError::corrupt(format!("invalid PlanOutput tag {t}"))),
-        }
     }
 }
 

@@ -155,14 +155,6 @@ impl PlanOutput {
         }
     }
 
-    /// Consumes the output into its frontier, if any.
-    pub fn into_frontier(self) -> Option<ParetoFrontier> {
-        match self {
-            PlanOutput::Frontier(f) | PlanOutput::SleepFrontier { frontier: f, .. } => Some(f),
-            _ => None,
-        }
-    }
-
     /// Consumes the output into its candidate sweep, if any.
     pub fn into_sweep(self) -> Option<Vec<EnergySchedule>> {
         match self {
@@ -221,19 +213,6 @@ impl PlanOutput {
     }
 }
 
-/// What a planner's outputs can carry, beyond the baseline "a schedule
-/// selectable by `T'`".
-///
-/// Registry consumers branch on capabilities instead of string-matching
-/// [`Planner::name`] — adding a planner never requires touching consumer
-/// `match`es again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlannerCapabilities {
-    /// The planner's outputs carry per-stage sleep schedules
-    /// ([`PlanOutput::sleep_plan`] can return `Some`).
-    pub emits_sleep_plan: bool,
-}
-
 /// An energy policy: plans the `T'`-independent artifact for one pipeline.
 ///
 /// Implementations must be `Send + Sync` — the planning server runs `plan`
@@ -242,13 +221,6 @@ pub struct PlannerCapabilities {
 pub trait Planner: Send + Sync {
     /// Stable identifier used for registry lookup and reporting.
     fn name(&self) -> &'static str;
-
-    /// What this planner's outputs carry. The default is the baseline
-    /// capability set (frequency plans only); planners that emit more
-    /// override it.
-    fn capabilities(&self) -> PlannerCapabilities {
-        PlannerCapabilities::default()
-    }
 
     /// Plans against `ctx`. The result depends only on the pipeline and
     /// its profiles, never on straggler state; selection happens in

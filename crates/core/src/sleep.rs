@@ -31,7 +31,7 @@ use perseus_pipeline::{node_schedule_gaps, node_start_times, PipeNode};
 
 use crate::context::{CoreError, PlanContext};
 use crate::frontier::{characterize, EnergySchedule, FrontierOptions};
-use crate::planner::{PlanOutput, Planner, PlannerCapabilities};
+use crate::planner::{PlanOutput, Planner};
 
 /// One sleep interval on one stage's timeline: the GPU enters the state at
 /// `start_s`, is fully awake again by `end_s`.
@@ -230,12 +230,6 @@ impl KareusPlanner {
 impl Planner for KareusPlanner {
     fn name(&self) -> &'static str {
         "kareus"
-    }
-
-    fn capabilities(&self) -> PlannerCapabilities {
-        PlannerCapabilities {
-            emits_sleep_plan: true,
-        }
     }
 
     fn plan(&self, ctx: &PlanContext<'_>) -> Result<PlanOutput, CoreError> {

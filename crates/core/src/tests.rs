@@ -905,7 +905,7 @@ mod fingerprint_and_cache {
     use super::*;
     use crate::cache::PlanCache;
     use crate::fingerprint::{plan_fingerprint, PlanFingerprint};
-    use crate::planner::{Perseus, PlanOutput, Planner};
+    use crate::planner::{Perseus, Planner};
     use perseus_pipeline::{CompKind, OpKey};
     use perseus_profiler::{OpProfile, ProfileDb};
     use perseus_store::{Persist, StoreError};
@@ -1300,14 +1300,16 @@ mod fingerprint_and_cache {
             assert_eq!(recovered_prefix(&bytes, &what), None, "{what}");
         }
         // Records of the epoch-stamped format: a tag-0 insert (fingerprint,
-        // epoch, `PlanOutput`), a tag-2 epoch advance and a tag-3 sweep.
+        // epoch, then the frontier under the plan-output tag 1), a tag-2
+        // epoch advance and a tag-3 sweep.
         // CRC-valid frames, so only the payload decode can refuse one;
         // replay stops there even when current records follow it.
         let mut old_insert = ByteWriter::new();
         old_insert.put_u8(0);
         PlanFingerprint(9).encode(&mut old_insert);
         old_insert.put_u64(1);
-        PlanOutput::Frontier((*frontiers[0]).clone()).encode(&mut old_insert);
+        old_insert.put_u8(1);
+        frontiers[0].encode(&mut old_insert);
         let old_records = [
             old_insert.into_bytes(),
             vec![2, 2, 0, 0, 0, 0, 0, 0, 0],
@@ -1428,7 +1430,7 @@ mod fingerprint_and_cache {
 mod sleep_tests {
     use super::*;
     use crate::ledger::attribute_schedule_with_sleep;
-    use crate::planner::{Perseus, PlanOutput, Planner, PlannerCapabilities};
+    use crate::planner::{Perseus, PlanOutput, Planner};
     use crate::sleep::{KareusPlanner, SleepPlan};
     use perseus_gpu::{PowerState, PowerStateModel};
 
@@ -1445,7 +1447,6 @@ mod sleep_tests {
     ) -> (ParetoFrontier, PowerStateModel, Vec<SleepPlan>) {
         let planner = KareusPlanner::new(default_opts(), power);
         assert_eq!(planner.name(), "kareus");
-        assert!(planner.capabilities().emits_sleep_plan);
         match planner.plan(ctx).unwrap() {
             PlanOutput::SleepFrontier {
                 frontier,
@@ -1603,70 +1604,6 @@ mod sleep_tests {
             planner.plan(&ctx),
             Err(crate::context::CoreError::PowerState(_))
         ));
-    }
-
-    #[test]
-    fn default_planner_capabilities_are_baseline() {
-        let perseus = Perseus::new(default_opts());
-        assert_eq!(perseus.capabilities(), PlannerCapabilities::default());
-        assert!(!perseus.capabilities().emits_sleep_plan);
-    }
-
-    #[test]
-    fn sleep_frontier_persists_and_round_trips() {
-        use perseus_store::{ByteReader, ByteWriter, Persist};
-
-        let gpu = GpuSpec::a40();
-        let pipe = build_pipe(3, 5);
-        let stages = stages_with_scales(&[1.0, 1.15, 0.9]);
-        let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
-        let planner = KareusPlanner::new(default_opts(), PowerStateModel::default_for(&gpu));
-        let plan = planner.plan(&ctx).unwrap();
-
-        let mut w = ByteWriter::new();
-        plan.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = PlanOutput::decode(&mut r).unwrap();
-        match (&plan, &back) {
-            (
-                PlanOutput::SleepFrontier {
-                    frontier: fa,
-                    power: pa,
-                    sleep: sa,
-                },
-                PlanOutput::SleepFrontier {
-                    frontier: fb,
-                    power: pb,
-                    sleep: sb,
-                },
-            ) => {
-                assert_frontiers_bit_identical(fa, fb);
-                assert_eq!(pa, pb);
-                assert_eq!(sa, sb);
-            }
-            _ => panic!("round trip changed the PlanOutput variant"),
-        }
-
-        // A truncated sleep vector is refused, not silently accepted.
-        if let PlanOutput::SleepFrontier {
-            frontier,
-            power,
-            mut sleep,
-        } = plan
-        {
-            sleep.pop();
-            let broken = PlanOutput::SleepFrontier {
-                frontier,
-                power,
-                sleep,
-            };
-            let mut w = ByteWriter::new();
-            broken.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = ByteReader::new(&bytes);
-            assert!(PlanOutput::decode(&mut r).is_err());
-        }
     }
 
     mod prop {

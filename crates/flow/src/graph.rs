@@ -1,13 +1,10 @@
 //! Residual-pair flow network with Dinic maximum flow.
 //!
-//! The network is split into an immutable [`FlowTopology`] (adjacency
-//! lists, arc heads, initial capacities) and a reusable [`ResidualState`]
-//! (current residual capacities plus solver scratch). [`FlowGraph`]
-//! composes the two behind the classic mutable-graph API, and adds the
+//! Besides the classic mutable-graph API, [`FlowGraph`] has the
 //! incremental entry points the Phillips–Dessouky loop needs: retune a
 //! single edge's capacity in place ([`FlowGraph::retune_edge`]) and
 //! re-augment from the previous flow instead of from zero
-//! ([`FlowGraph::max_flow_incremental`]).
+//! ([`FlowGraph::max_flow_incremental_with`]).
 
 use std::collections::VecDeque;
 
@@ -18,55 +15,24 @@ use crate::CAP_EPS;
 /// Marker in the drain parent chain for the virtual `s -> t` arc.
 const VIRTUAL_ARC: usize = usize::MAX;
 
-/// The structure of a flow network: node adjacency, arc endpoints, and the
-/// capacities edges were built (or last retuned) with. Never mutated by a
-/// solve — two [`ResidualState`]s over the same topology describe two
-/// flows on the same network.
-#[derive(Debug, Clone, Default)]
-pub struct FlowTopology {
+/// A flow network over nodes `0..n` using the classic residual-pair edge
+/// representation: every added edge owns a paired reverse arc, and pushing
+/// flow moves capacity between the two.
+///
+/// Capacities are `f64`; Dinic's algorithm terminates in `O(V²E)` time
+/// independent of capacity values, so real-valued capacities are safe.
+#[derive(Debug, Clone)]
+pub struct FlowGraph {
     adj: Vec<Vec<usize>>,
     /// Head node of each arc (`2e` is edge `e` forward, `2e+1` reverse).
     head: Vec<usize>,
-    /// Initial forward capacity per edge, indexed by edge handle.
-    init_fwd: Vec<f64>,
-    /// Initial reverse capacity per edge (nonzero only for residual-pair
-    /// edges added via [`FlowGraph::add_edge_with_back`]).
-    init_back: Vec<f64>,
-}
-
-impl FlowTopology {
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of added edges (not counting residual reverse arcs).
-    pub fn edge_count(&self) -> usize {
-        self.init_fwd.len()
-    }
-
-    /// Tail node of edge `e`.
-    pub fn tail(&self, e: usize) -> usize {
-        self.head[2 * e + 1]
-    }
-
-    /// Head node of edge `e`.
-    pub fn head_of(&self, e: usize) -> usize {
-        self.head[2 * e]
-    }
-}
-
-/// The mutable half of a flow network: residual capacity per arc, the
-/// usability threshold, and reusable solver scratch. Detach one with
-/// [`FlowGraph::fresh_state`] / [`FlowGraph::swap_state`] to checkpoint a
-/// flow and restore it later without reallocating.
-#[derive(Debug, Clone, Default)]
-pub struct ResidualState {
-    /// Residual capacity per arc, aligned with the topology's arcs.
+    /// Capacity each edge was built (or last retuned) with.
+    init: Vec<f64>,
+    /// Residual capacity per arc.
     cap: Vec<f64>,
     /// Absolute usability threshold: [`CAP_EPS`] × the largest capacity
     /// the network has seen (grow-only; incremental solves recompute it
-    /// from the current initial capacities instead).
+    /// from the current capacities instead).
     eps: f64,
     /// Terminals of the most recent solve; excess draining after a
     /// capacity drop needs to know where value can be given back.
@@ -80,112 +46,32 @@ pub struct ResidualState {
     parent: Vec<usize>,
 }
 
-impl ResidualState {
-    /// The absolute capacity-usability threshold currently in force.
-    pub fn eps(&self) -> f64 {
-        self.eps
-    }
-
-    /// Augmenting paths pushed by the most recent solve on this state.
-    pub fn last_augmentations(&self) -> u64 {
-        self.last_augmentations
-    }
-}
-
-/// A flow network over nodes `0..n` using the classic residual-pair edge
-/// representation: every added edge owns a paired reverse arc, and pushing
-/// flow moves capacity between the two.
-///
-/// Capacities are `f64`; Dinic's algorithm terminates in `O(V²E)` time
-/// independent of capacity values, so real-valued capacities are safe.
-#[derive(Debug, Clone)]
-pub struct FlowGraph {
-    topo: FlowTopology,
-    state: ResidualState,
-}
-
 impl FlowGraph {
     /// Creates a network with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
         FlowGraph {
-            topo: FlowTopology {
-                adj: vec![Vec::new(); n],
-                head: Vec::new(),
-                init_fwd: Vec::new(),
-                init_back: Vec::new(),
-            },
-            state: ResidualState::default(),
+            adj: vec![Vec::new(); n],
+            head: Vec::new(),
+            init: Vec::new(),
+            cap: Vec::new(),
+            eps: 0.0,
+            terminals: None,
+            last_augmentations: 0,
+            level: Vec::new(),
+            iter: Vec::new(),
+            queue: VecDeque::new(),
+            parent: Vec::new(),
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.topo.node_count()
+        self.adj.len()
     }
 
     /// Number of added edges (not counting residual reverse arcs).
     pub fn edge_count(&self) -> usize {
-        self.topo.edge_count()
-    }
-
-    /// The immutable structure of this network.
-    pub fn topology(&self) -> &FlowTopology {
-        &self.topo
-    }
-
-    /// The current residual state (read-only; mutate it through the solve
-    /// and retune methods so its invariants hold).
-    pub fn residual_state(&self) -> &ResidualState {
-        &self.state
-    }
-
-    /// A fresh state for this topology: residual capacities at their
-    /// initial values, no flow routed.
-    pub fn fresh_state(&self) -> ResidualState {
-        ResidualState {
-            cap: self
-                .topo
-                .init_fwd
-                .iter()
-                .zip(&self.topo.init_back)
-                .flat_map(|(f, b)| [*f, *b])
-                .collect(),
-            eps: self.state.eps,
-            ..ResidualState::default()
-        }
-    }
-
-    /// Swaps the current residual state with `other` (checkpoint/restore
-    /// without reallocating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` was built for a different topology (arc count
-    /// mismatch).
-    pub fn swap_state(&mut self, other: &mut ResidualState) {
-        assert_eq!(
-            other.cap.len(),
-            self.topo.head.len(),
-            "residual state belongs to a different topology"
-        );
-        std::mem::swap(&mut self.state, other);
-    }
-
-    /// Resets the residual state to the initial capacities (zero flow),
-    /// keeping every allocation.
-    pub fn reset_residual(&mut self) {
-        for (e, (f, b)) in self
-            .topo
-            .init_fwd
-            .iter()
-            .zip(&self.topo.init_back)
-            .enumerate()
-        {
-            self.state.cap[2 * e] = *f;
-            self.state.cap[2 * e + 1] = *b;
-        }
-        self.state.terminals = None;
-        self.state.last_augmentations = 0;
+        self.init.len()
     }
 
     /// Adds a directed edge `u -> v` with capacity `cap` (and a zero-capacity
@@ -195,123 +81,83 @@ impl FlowGraph {
     ///
     /// Panics if `u` or `v` is out of range or `cap` is negative/NaN.
     pub fn add_edge(&mut self, u: usize, v: usize, cap: f64) -> usize {
-        self.add_edge_with_back(u, v, cap, 0.0)
-    }
-
-    /// Adds a residual pair with nonzero initial capacity in both
-    /// directions: `u -> v` with `cap_fwd` and `v -> u` with `cap_back`.
-    ///
-    /// This directly models an edge of a *residual* network (used by the
-    /// second phase of max flow with lower bounds). The returned handle's
-    /// [`FlowGraph::flow_on`] reports **net** forward flow, which may be
-    /// negative if more flow ended up pushed backward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if endpoints are out of range or a capacity is negative/NaN.
-    pub fn add_edge_with_back(&mut self, u: usize, v: usize, cap_fwd: f64, cap_back: f64) -> usize {
         assert!(
-            u < self.topo.adj.len() && v < self.topo.adj.len(),
+            u < self.adj.len() && v < self.adj.len(),
             "endpoint out of range"
         );
-        assert!(
-            cap_fwd >= 0.0 && cap_back >= 0.0,
-            "capacities must be non-negative"
-        );
-        let id = self.topo.init_fwd.len();
-        let a = self.topo.head.len();
-        self.topo.head.push(v);
-        self.topo.head.push(u);
-        self.state.cap.push(cap_fwd);
-        self.state.cap.push(cap_back);
-        self.topo.adj[u].push(a);
-        self.topo.adj[v].push(a + 1);
-        self.topo.init_fwd.push(cap_fwd);
-        self.topo.init_back.push(cap_back);
-        let m = cap_fwd.max(cap_back);
-        if m.is_finite() && m > self.state.eps / CAP_EPS {
-            self.state.eps = m * CAP_EPS;
+        assert!(cap >= 0.0, "capacities must be non-negative");
+        let id = self.init.len();
+        let a = self.head.len();
+        self.head.push(v);
+        self.head.push(u);
+        self.cap.push(cap);
+        self.cap.push(0.0);
+        self.adj[u].push(a);
+        self.adj[v].push(a + 1);
+        self.init.push(cap);
+        if cap.is_finite() && cap > self.eps / CAP_EPS {
+            self.eps = cap * CAP_EPS;
         }
         id
     }
 
-    /// Net forward flow currently on edge `e` (initial capacity minus
-    /// remaining residual capacity).
+    /// Net forward flow currently on edge `e` (capacity minus remaining
+    /// residual capacity).
     pub fn flow_on(&self, e: usize) -> f64 {
-        self.topo.init_fwd[e] - self.state.cap[2 * e]
-    }
-
-    /// Remaining forward residual capacity of edge `e`.
-    pub fn residual_of(&self, e: usize) -> f64 {
-        self.state.cap[2 * e]
+        self.init[e] - self.cap[2 * e]
     }
 
     fn usable(&self, cap: f64) -> bool {
-        cap > self.state.eps
+        cap > self.eps
     }
 
-    /// Replaces the forward capacity of edge `e` with `new_cap`, repairing
-    /// the residual state in place so the routed flow stays feasible:
+    /// Replaces the capacity of edge `e` with `new_cap`, repairing the
+    /// residual state in place so the routed flow stays feasible:
     ///
     /// * capacity raised (or still above the carried flow) — the forward
     ///   residual grows/shrinks accordingly, `O(1)`;
     /// * capacity dropped below the carried flow — the flow on `e` is
     ///   clamped to the new capacity and the excess is drained via
     ///   reverse-BFS over flow-carrying residual arcs (rerouting it where
-    ///   possible, giving value back to the terminals where not).
+    ///   possible, giving value back to the terminals where not);
+    /// * net flow below zero (rounding crumbs only: no edge has reverse
+    ///   capacity) — the mirror image of a drop.
     ///
-    /// Follow a batch of retunes with [`FlowGraph::max_flow_incremental`]
-    /// to re-augment from the repaired flow.
+    /// Follow a batch of retunes with
+    /// [`FlowGraph::max_flow_incremental_with`] to re-augment from the
+    /// repaired flow.
     ///
     /// # Panics
     ///
     /// Panics if `e` is out of range or `new_cap` is negative/NaN.
     pub fn retune_edge(&mut self, e: usize, new_cap: f64) {
-        let back = self.topo.init_back[e];
-        self.retune_edge_with_back(e, new_cap, back);
-    }
-
-    /// [`FlowGraph::retune_edge`] for residual-pair edges: replaces both
-    /// the forward and reverse initial capacities, draining excess in
-    /// whichever direction the carried net flow now overshoots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range or a capacity is negative/NaN.
-    pub fn retune_edge_with_back(&mut self, e: usize, new_fwd: f64, new_back: f64) {
-        assert!(e < self.topo.init_fwd.len(), "edge out of range");
-        assert!(
-            new_fwd >= 0.0 && new_back >= 0.0,
-            "capacities must be non-negative"
-        );
+        assert!(e < self.init.len(), "edge out of range");
+        assert!(new_cap >= 0.0, "capacities must be non-negative");
         let f = self.flow_on(e);
-        self.topo.init_fwd[e] = new_fwd;
-        self.topo.init_back[e] = new_back;
-        // Grow-only threshold update mirroring `add_edge_with_back`;
-        // `max_flow_incremental` recomputes the exact value before the
-        // next solve so warm and cold runs classify arcs identically.
-        let m = new_fwd.max(new_back);
-        if m.is_finite() && m > self.state.eps / CAP_EPS {
-            self.state.eps = m * CAP_EPS;
+        self.init[e] = new_cap;
+        // Grow-only threshold update mirroring `add_edge`;
+        // `max_flow_incremental_with` recomputes the exact value before
+        // the next solve so warm and cold runs classify arcs identically.
+        if new_cap.is_finite() && new_cap > self.eps / CAP_EPS {
+            self.eps = new_cap * CAP_EPS;
         }
-        let (u, v) = (self.topo.head[2 * e + 1], self.topo.head[2 * e]);
-        if f > new_fwd {
+        let (u, v) = (self.head[2 * e + 1], self.head[2 * e]);
+        if f > new_cap {
             // Forward flow exceeds the new capacity: clamp it to the cap
             // and repair conservation (`u` now over-receives, `v` starves).
-            let excess = f - new_fwd;
-            self.state.cap[2 * e] = 0.0;
-            self.state.cap[2 * e + 1] = new_back + new_fwd;
+            let excess = f - new_cap;
+            self.cap[2 * e] = 0.0;
+            self.cap[2 * e + 1] = new_cap;
             self.drain(u, v, excess);
-        } else if -f > new_back {
-            // Net *backward* flow exceeds the new reverse capacity: the
-            // mirror image, with the imbalance roles swapped.
-            let excess = -f - new_back;
-            self.state.cap[2 * e] = new_fwd + new_back;
-            self.state.cap[2 * e + 1] = 0.0;
-            self.drain(v, u, excess);
+        } else if f < 0.0 {
+            // Net *backward* flow: the mirror image, with the imbalance
+            // roles swapped.
+            self.cap[2 * e] = new_cap;
+            self.cap[2 * e + 1] = 0.0;
+            self.drain(v, u, -f);
         } else {
-            self.state.cap[2 * e] = new_fwd - f;
-            self.state.cap[2 * e + 1] = new_back + f;
+            self.cap[2 * e] = new_cap - f;
+            self.cap[2 * e + 1] = f;
         }
     }
 
@@ -324,50 +170,49 @@ impl FlowGraph {
     /// reducing the flow value, which by flow decomposition is always
     /// sufficient to absorb the remaining excess.
     fn drain(&mut self, from: usize, to: usize, amount: f64) {
-        if from == to || amount <= self.state.eps {
+        if from == to || amount <= self.eps {
             // Self-loop flow never unbalances a node, and sub-epsilon
             // excess is indistinguishable from the float crumbs every
             // solve already tolerates.
             return;
         }
         let (s, t) = self
-            .state
             .terminals
             .expect("capacity dropped below a routed flow before any solve");
-        let n = self.topo.adj.len();
+        let n = self.adj.len();
         let mut remaining = amount;
-        while remaining > self.state.eps {
+        while remaining > self.eps {
             // BFS recording the arc used to enter each node; `VIRTUAL_ARC`
             // marks the s -> t hop.
-            self.state.parent.clear();
-            self.state.parent.resize(n, VIRTUAL_ARC);
-            self.state.level.clear();
-            self.state.level.resize(n, u32::MAX);
-            self.state.queue.clear();
-            self.state.level[from] = 0;
-            self.state.queue.push_back(from);
+            self.parent.clear();
+            self.parent.resize(n, VIRTUAL_ARC);
+            self.level.clear();
+            self.level.resize(n, u32::MAX);
+            self.queue.clear();
+            self.level[from] = 0;
+            self.queue.push_back(from);
             let mut found = false;
-            'bfs: while let Some(u) = self.state.queue.pop_front() {
-                if u == s && self.state.level[t] == u32::MAX && t != from {
-                    self.state.level[t] = self.state.level[u] + 1;
-                    self.state.parent[t] = VIRTUAL_ARC;
+            'bfs: while let Some(u) = self.queue.pop_front() {
+                if u == s && self.level[t] == u32::MAX && t != from {
+                    self.level[t] = self.level[u] + 1;
+                    self.parent[t] = VIRTUAL_ARC;
                     if t == to {
                         found = true;
                         break 'bfs;
                     }
-                    self.state.queue.push_back(t);
+                    self.queue.push_back(t);
                 }
-                for i in 0..self.topo.adj[u].len() {
-                    let a = self.topo.adj[u][i];
-                    let head = self.topo.head[a];
-                    if self.state.level[head] == u32::MAX && self.usable(self.state.cap[a]) {
-                        self.state.level[head] = self.state.level[u] + 1;
-                        self.state.parent[head] = a;
+                for i in 0..self.adj[u].len() {
+                    let a = self.adj[u][i];
+                    let head = self.head[a];
+                    if self.level[head] == u32::MAX && self.usable(self.cap[a]) {
+                        self.level[head] = self.level[u] + 1;
+                        self.parent[head] = a;
                         if head == to {
                             found = true;
                             break 'bfs;
                         }
-                        self.state.queue.push_back(head);
+                        self.queue.push_back(head);
                     }
                 }
             }
@@ -380,43 +225,42 @@ impl FlowGraph {
             let mut bottleneck = remaining;
             let mut node = to;
             while node != from {
-                let a = self.state.parent[node];
+                let a = self.parent[node];
                 if a == VIRTUAL_ARC {
                     node = s; // virtual hop: capacity `remaining`, no arc
                 } else {
-                    bottleneck = bottleneck.min(self.state.cap[a]);
-                    node = self.topo.head[a ^ 1];
+                    bottleneck = bottleneck.min(self.cap[a]);
+                    node = self.head[a ^ 1];
                 }
             }
             let mut node = to;
             while node != from {
-                let a = self.state.parent[node];
+                let a = self.parent[node];
                 if a == VIRTUAL_ARC {
                     node = s;
                 } else {
-                    self.state.cap[a] -= bottleneck;
-                    self.state.cap[a ^ 1] += bottleneck;
-                    node = self.topo.head[a ^ 1];
+                    self.cap[a] -= bottleneck;
+                    self.cap[a ^ 1] += bottleneck;
+                    node = self.head[a ^ 1];
                 }
             }
             remaining -= bottleneck;
         }
     }
 
-    /// Recomputes the usability threshold from the *current* initial
+    /// Recomputes the usability threshold from the *current* edge
     /// capacities, exactly as a from-scratch build over the same edges
     /// would have accumulated it. Retunes only grow the threshold; this
     /// restores the precise value so incremental and cold solves agree on
     /// which residual arcs count as exhausted.
     fn recompute_eps(&mut self) {
         let mut eps = 0.0f64;
-        for (f, b) in self.topo.init_fwd.iter().zip(&self.topo.init_back) {
-            let m = f.max(*b);
-            if m.is_finite() && m > eps / CAP_EPS {
-                eps = m * CAP_EPS;
+        for &c in &self.init {
+            if c.is_finite() && c > eps / CAP_EPS {
+                eps = c * CAP_EPS;
             }
         }
-        self.state.eps = eps;
+        self.eps = eps;
     }
 
     /// Computes the maximum `s -> t` flow with Dinic's algorithm, mutating the
@@ -438,20 +282,20 @@ impl FlowGraph {
     pub fn max_flow_with(&mut self, s: usize, t: usize, telemetry: &Telemetry) -> f64 {
         assert!(s != t, "source and sink must differ");
         assert!(
-            s < self.topo.adj.len() && t < self.topo.adj.len(),
+            s < self.adj.len() && t < self.adj.len(),
             "terminal out of range"
         );
-        self.state.terminals = Some((s, t));
+        self.terminals = Some((s, t));
         // Dinic's algorithm: repeat { BFS level graph; DFS blocking flow }.
         // Asymptotically O(V²E) and near-linear on the sparse, shallow
         // capacity DAGs Perseus produces — the paper's Edmonds–Karp bound
         // (§4.3 complexity analysis) is an upper bound we comfortably beat.
-        let n = self.topo.adj.len();
+        let n = self.adj.len();
         let mut total = 0.0;
         let mut augmentations = 0u64;
-        let mut level = std::mem::take(&mut self.state.level);
-        let mut iter = std::mem::take(&mut self.state.iter);
-        let mut queue = std::mem::take(&mut self.state.queue);
+        let mut level = std::mem::take(&mut self.level);
+        let mut iter = std::mem::take(&mut self.iter);
+        let mut queue = std::mem::take(&mut self.queue);
         level.clear();
         level.resize(n, u32::MAX);
         iter.clear();
@@ -463,9 +307,9 @@ impl FlowGraph {
             level[s] = 0;
             queue.push_back(s);
             while let Some(u) = queue.pop_front() {
-                for &a in &self.topo.adj[u] {
-                    let to = self.topo.head[a];
-                    if level[to] == u32::MAX && self.usable(self.state.cap[a]) {
+                for &a in &self.adj[u] {
+                    let to = self.head[a];
+                    if level[to] == u32::MAX && self.usable(self.cap[a]) {
                         level[to] = level[u] + 1;
                         queue.push_back(to);
                     }
@@ -477,17 +321,17 @@ impl FlowGraph {
             iter.iter_mut().for_each(|i| *i = 0);
             loop {
                 let pushed = self.dfs_blocking(s, t, f64::INFINITY, &level, &mut iter);
-                if pushed <= self.state.eps {
+                if pushed <= self.eps {
                     break;
                 }
                 total += pushed;
                 augmentations += 1;
             }
         }
-        self.state.level = level;
-        self.state.iter = iter;
-        self.state.queue = queue;
-        self.state.last_augmentations = augmentations;
+        self.level = level;
+        self.iter = iter;
+        self.queue = queue;
+        self.last_augmentations = augmentations;
         if telemetry.is_enabled() {
             telemetry.counter("perseus_flow_max_flow_calls_total").inc();
             telemetry
@@ -503,48 +347,27 @@ impl FlowGraph {
         total
     }
 
-    /// Warm-started maximum flow: re-augments from whatever feasible flow
-    /// the residual state currently carries (the previous solve, repaired
-    /// by any [`FlowGraph::retune_edge`] calls since) instead of starting
-    /// from zero. Returns the **total** `s -> t` flow value now routed —
-    /// not just the augmentation delta — so callers can compare it
-    /// directly against a from-scratch [`FlowGraph::max_flow`].
+    /// Warm-started maximum flow with instrumentation (see
+    /// [`FlowGraph::max_flow_with`]): re-augments from whatever feasible
+    /// flow the residual state currently carries (the previous solve,
+    /// repaired by any [`FlowGraph::retune_edge`] calls since) instead of
+    /// starting from zero. Afterwards the graph carries a maximum flow on
+    /// the current capacities, exactly as a from-scratch
+    /// [`FlowGraph::max_flow`] would.
     ///
     /// # Panics
     ///
     /// Panics if `s == t` or either is out of range.
-    pub fn max_flow_incremental(&mut self, s: usize, t: usize) -> f64 {
-        self.max_flow_incremental_with(s, t, &Telemetry::disabled())
-    }
-
-    /// [`FlowGraph::max_flow_incremental`] with instrumentation (see
-    /// [`FlowGraph::max_flow_with`]).
-    pub fn max_flow_incremental_with(&mut self, s: usize, t: usize, telemetry: &Telemetry) -> f64 {
+    pub fn max_flow_incremental_with(&mut self, s: usize, t: usize, telemetry: &Telemetry) {
         // Retunes leave the grow-only threshold potentially stale; restore
         // the exact from-scratch value before augmenting.
         self.recompute_eps();
-        let _delta = self.max_flow_with(s, t, telemetry);
-        self.flow_value(s)
-    }
-
-    /// Net outflow of `s` over the added edges — the value of the flow the
-    /// residual state currently carries.
-    pub fn flow_value(&self, s: usize) -> f64 {
-        let mut v = 0.0;
-        for &a in &self.topo.adj[s] {
-            let e = a / 2;
-            if a % 2 == 0 {
-                v += self.flow_on(e);
-            } else {
-                v -= self.flow_on(e);
-            }
-        }
-        v
+        self.max_flow_with(s, t, telemetry);
     }
 
     /// Augmenting paths pushed by the most recent solve on this graph.
     pub fn last_augmentations(&self) -> u64 {
-        self.state.last_augmentations
+        self.last_augmentations
     }
 
     /// One DFS augmentation along the level graph (Dinic inner loop).
@@ -559,15 +382,15 @@ impl FlowGraph {
         if u == t {
             return limit;
         }
-        while iter[u] < self.topo.adj[u].len() {
-            let a = self.topo.adj[u][iter[u]];
-            let to = self.topo.head[a];
-            let cap = self.state.cap[a];
+        while iter[u] < self.adj[u].len() {
+            let a = self.adj[u][iter[u]];
+            let to = self.head[a];
+            let cap = self.cap[a];
             if level[to] == level[u] + 1 && self.usable(cap) {
                 let pushed = self.dfs_blocking(to, t, limit.min(cap), level, iter);
-                if pushed > self.state.eps {
-                    self.state.cap[a] -= pushed;
-                    self.state.cap[a ^ 1] += pushed;
+                if pushed > self.eps {
+                    self.cap[a] -= pushed;
+                    self.cap[a ^ 1] += pushed;
                     return pushed;
                 }
             }
@@ -590,14 +413,14 @@ impl FlowGraph {
     /// stop paying two allocations per min-cut extraction.
     pub fn residual_reachable_into(&self, s: usize, seen: &mut Vec<bool>, stack: &mut Vec<usize>) {
         seen.clear();
-        seen.resize(self.topo.adj.len(), false);
+        seen.resize(self.adj.len(), false);
         stack.clear();
         stack.push(s);
         seen[s] = true;
         while let Some(u) = stack.pop() {
-            for &a in &self.topo.adj[u] {
-                let to = self.topo.head[a];
-                if !seen[to] && self.usable(self.state.cap[a]) {
+            for &a in &self.adj[u] {
+                let to = self.head[a];
+                if !seen[to] && self.usable(self.cap[a]) {
                     seen[to] = true;
                     stack.push(to);
                 }
@@ -607,12 +430,13 @@ impl FlowGraph {
 
     /// Net flow imbalance at node `v` (inflow − outflow over added edges).
     /// Zero (within tolerance) everywhere except `s` and `t` once a flow has
-    /// been established. Exposed for verification in tests.
-    pub fn imbalance(&self, v: usize) -> f64 {
+    /// been established; `-imbalance(s)` is the flow value.
+    #[cfg(test)]
+    pub(crate) fn imbalance(&self, v: usize) -> f64 {
         let mut x = 0.0;
-        for e in 0..self.topo.init_fwd.len() {
-            let to = self.topo.head[2 * e];
-            let from = self.topo.head[2 * e + 1];
+        for e in 0..self.init.len() {
+            let to = self.head[2 * e];
+            let from = self.head[2 * e + 1];
             if to == v {
                 x += self.flow_on(e);
             }

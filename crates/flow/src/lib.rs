@@ -2,16 +2,20 @@
 //!
 //! `GetNextPareto` (paper §4.3, Appendix D) finds the cheapest way to
 //! shorten every critical path by the unit time `τ` by solving a minimum
-//! cut on a *Capacity DAG* whose edges carry both **lower and upper** flow
-//! bounds. This crate implements:
+//! cut on a *Capacity DAG*. The paper bounds each edge's flow from below
+//! by its slowdown reward (Eq. 8, Algorithm 3); Perseus-rs relaxes every
+//! lower bound to zero and reclaims the slowdowns with a stretch pass
+//! after each step, so the cut is a plain minimum cut. This crate
+//! implements:
 //!
 //! * [`FlowGraph`] — a residual-pair network with Dinic max flow (the paper
 //!   analyzes Edmonds–Karp; Dinic has the same answers, faster)
-//!   ([`FlowGraph::max_flow`]) and residual reachability for min-cut
-//!   extraction,
-//! * [`BoundedFlowProblem`] — max flow with edge lower bounds via the
-//!   dummy-source/sink transformation (paper Algorithm 3), returning the
-//!   min cut of the original network.
+//!   ([`FlowGraph::max_flow`]), in-place capacity retuning with
+//!   re-augmentation from the previous flow, and residual reachability for
+//!   min-cut extraction,
+//! * [`MinCutProblem`] — the minimal source-side minimum cut of a network
+//!   whose edges may be unbounded, warm-started across consecutive solves
+//!   of one topology through a [`WarmStart`].
 //!
 //! # Examples
 //!
@@ -27,8 +31,8 @@
 //! assert_eq!(g.max_flow(s, t), 4.0);
 //! ```
 
-mod bounded;
 mod graph;
+mod mincut;
 
 /// Relative capacity epsilon: residual capacities below `CAP_EPS` × the
 /// largest edge capacity of the network are treated as exhausted.
@@ -44,20 +48,8 @@ mod graph;
 /// the final residual network.
 pub const CAP_EPS: f64 = 1e-12;
 
-/// Relative flow-conservation epsilon: feasibility checks accept a routed
-/// mass within `FLOW_EPS` × the required total (floored at 1.0 so tiny
-/// problems are not held to sub-ulp standards).
-///
-/// Why `1e-9`: the feasibility phase sums many per-edge lower bounds and
-/// compares against a max-flow total accumulated over as many
-/// augmentations; each contributes ~`1e-16` relative error, and `1e-9`
-/// gives the comparison three orders of headroom over thousands of edges
-/// while still rejecting any genuinely unroutable lower bound (which
-/// misses by whole edge-capacities, not parts per billion).
-pub const FLOW_EPS: f64 = 1e-9;
-
-pub use bounded::{BoundedEdge, BoundedFlowProblem, BoundedFlowSolution, FlowError, WarmStart};
-pub use graph::{FlowGraph, FlowTopology, ResidualState};
+pub use graph::FlowGraph;
+pub use mincut::{CutEdge, FlowError, MinCut, MinCutProblem, WarmStart};
 
 #[cfg(test)]
 mod tests;

@@ -26,13 +26,11 @@ mod memory;
 mod persist;
 mod render;
 mod schedule;
-mod trace;
 
 pub use builder::{DepKind, PipeNode, PipelineBuilder, PipelineDag, ScheduleError};
 pub use memory::{activation_memory, MemoryProfile};
 pub use render::{node_schedule_gaps, node_start_times, render_timeline};
 pub use schedule::{CompKind, Computation, Instruction, OpKey, ScheduleKind};
-pub use trace::chrome_trace_json;
 
 #[cfg(test)]
 mod tests;

@@ -81,19 +81,6 @@ impl Drop for AsyncFrequencyController {
     }
 }
 
-/// How retry delays are randomized. Private so [`ClientConfig`] can stay
-/// `Copy` and grow variants without breaking callers.
-#[derive(Debug, Clone, Copy)]
-enum Jitter {
-    /// Decorrelated jitter seeded from the job name — deterministic per
-    /// job, decorrelated across jobs (the default).
-    Auto,
-    /// Decorrelated jitter with an explicit seed (reproducible tests).
-    Seeded(u64),
-    /// Plain exponential backoff, no randomization (legacy behavior).
-    Off,
-}
-
 /// FNV-1a 64-bit — seeds per-job jitter and places jobs on the fleet's
 /// consistent-hash ring. Not cryptographic; stable across runs.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
@@ -166,7 +153,8 @@ impl DecorrelatedJitter {
 }
 
 /// Builder-style configuration of a [`JobClient`]: retry budget, per-call
-/// timeout, and backoff with decorrelated jitter.
+/// timeout, and backoff with decorrelated jitter seeded from the job name
+/// — deterministic per job, decorrelated across jobs.
 ///
 /// ```
 /// use std::time::Duration;
@@ -183,7 +171,6 @@ pub struct ClientConfig {
     base_backoff: Duration,
     max_backoff: Duration,
     timeout: Duration,
-    jitter: Jitter,
 }
 
 impl Default for ClientConfig {
@@ -195,27 +182,11 @@ impl Default for ClientConfig {
             base_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(512),
             timeout: Duration::from_millis(500),
-            jitter: Jitter::Auto,
         }
     }
 }
 
 impl ClientConfig {
-    /// Preset for Kareus jobs (registered with
-    /// [`JobSpec::power_states`](crate::JobSpec::power_states)): the
-    /// characterization a submission waits on also runs the sleep-insertion
-    /// pass over every frontier point, so the per-call timeout is doubled
-    /// (1 s) and the backoff cap raised (1024 ms). Retry budget and base
-    /// backoff match [`ClientConfig::default`]; further builder calls
-    /// refine it like any other config.
-    pub fn kareus() -> ClientConfig {
-        ClientConfig {
-            timeout: Duration::from_secs(1),
-            max_backoff: Duration::from_millis(1024),
-            ..ClientConfig::default()
-        }
-    }
-
     /// Sets the attempts per operation, including the first (floored at 1).
     pub fn retries(mut self, max_attempts: u32) -> ClientConfig {
         self.max_attempts = max_attempts.max(1);
@@ -230,9 +201,7 @@ impl ClientConfig {
         self
     }
 
-    /// Sets the minimum retry delay — the floor of every jittered draw
-    /// (and the first rung of the legacy exponential ladder when jitter is
-    /// disabled).
+    /// Sets the minimum retry delay — the floor of every jittered draw.
     pub fn backoff(mut self, base_backoff: Duration) -> ClientConfig {
         self.base_backoff = base_backoff;
         self
@@ -244,58 +213,9 @@ impl ClientConfig {
         self
     }
 
-    /// Seeds the decorrelated jitter explicitly so a test can replay the
-    /// exact delay sequence; by default the seed derives from the job name.
-    pub fn jitter_seed(mut self, seed: u64) -> ClientConfig {
-        self.jitter = Jitter::Seeded(seed);
-        self
-    }
-
-    /// Disables jitter entirely: plain exponential backoff, delay
-    /// `base × 2^attempt` capped at the max backoff.
-    pub fn no_jitter(mut self) -> ClientConfig {
-        self.jitter = Jitter::Off;
-        self
-    }
-
     /// Attempts per operation, including the first.
     pub fn max_attempts(&self) -> u32 {
         self.max_attempts
-    }
-
-    /// Per-call timeout.
-    pub fn call_timeout(&self) -> Duration {
-        self.timeout
-    }
-
-    /// Minimum retry delay.
-    pub fn base_backoff(&self) -> Duration {
-        self.base_backoff
-    }
-
-    /// Ceiling on any single retry delay.
-    pub fn backoff_cap(&self) -> Duration {
-        self.max_backoff
-    }
-
-    /// Whether retry delays are jittered.
-    pub fn jitter_enabled(&self) -> bool {
-        !matches!(self.jitter, Jitter::Off)
-    }
-
-    /// The jitter source this config produces for `job`, or `None` when
-    /// jitter is disabled.
-    fn make_jitter(&self, job: &str) -> Option<DecorrelatedJitter> {
-        let seed = match self.jitter {
-            Jitter::Auto => fnv64(job.as_bytes()),
-            Jitter::Seeded(s) => s,
-            Jitter::Off => return None,
-        };
-        Some(DecorrelatedJitter::new(
-            self.base_backoff,
-            self.max_backoff,
-            seed,
-        ))
     }
 }
 
@@ -326,7 +246,7 @@ pub struct JobClient {
     failovers: AtomicU64,
     #[allow(clippy::type_complexity)]
     resolver: Mutex<Option<Box<dyn Fn(&str) -> Option<Arc<PerseusServer>> + Send + Sync>>>,
-    jitter: Mutex<Option<DecorrelatedJitter>>,
+    jitter: Mutex<DecorrelatedJitter>,
 }
 
 impl JobClient {
@@ -342,7 +262,11 @@ impl JobClient {
         config: ClientConfig,
     ) -> JobClient {
         let job = job.into();
-        let jitter = Mutex::new(config.make_jitter(&job));
+        let jitter = Mutex::new(DecorrelatedJitter::new(
+            config.base_backoff,
+            config.max_backoff,
+            fnv64(job.as_bytes()),
+        ));
         JobClient {
             server: RwLock::new(server),
             job,
@@ -416,28 +340,16 @@ impl JobClient {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// The delay the next retry will sleep: a decorrelated-jitter draw, or
-    /// the legacy exponential ladder when jitter is disabled. Split from
-    /// [`JobClient::backoff`] so determinism tests can observe delays
-    /// without sleeping (each call advances the jitter stream).
-    pub fn next_backoff_delay(&self, attempt: u32) -> Duration {
-        match self.jitter.lock().as_mut() {
-            Some(j) => j.next_delay(),
-            None => {
-                // Exponential: base × 2^attempt, capped so chaos tests
-                // stay fast.
-                let exp = attempt.min(8);
-                self.config
-                    .base_backoff
-                    .saturating_mul(1 << exp)
-                    .min(self.config.max_backoff)
-            }
-        }
+    /// The delay the next retry will sleep: a decorrelated-jitter draw.
+    /// Split from [`JobClient::backoff`] so determinism tests can observe
+    /// delays without sleeping (each call advances the jitter stream).
+    pub fn next_backoff_delay(&self) -> Duration {
+        self.jitter.lock().next_delay()
     }
 
-    fn backoff(&self, attempt: u32) {
+    fn backoff(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(self.next_backoff_delay(attempt));
+        std::thread::sleep(self.next_backoff_delay());
     }
 
     /// Submits profiles and waits for the resulting deployment, retrying
@@ -456,7 +368,7 @@ impl JobClient {
     ) -> Result<Deployment, ServerError> {
         for attempt in 0..self.config.max_attempts.max(1) {
             if attempt > 0 {
-                self.backoff(attempt - 1);
+                self.backoff();
             }
             let server = self.server();
             let ticket = match server.submit_profiles(&self.job, profiles.clone(), opts) {
@@ -517,7 +429,7 @@ impl JobClient {
     ) -> Result<Option<Deployment>, ServerError> {
         for attempt in 0..self.config.max_attempts.max(1) {
             if attempt > 0 {
-                self.backoff(attempt - 1);
+                self.backoff();
             }
             match self
                 .server()

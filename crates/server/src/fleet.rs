@@ -17,8 +17,8 @@
 //!   [`ServerError::Overloaded`] and the [`crate::JobClient`] retries with
 //!   jittered backoff instead of queueing unboundedly.
 //! * **Per-tenant quotas** — a token bucket per [`TenantId`] rate-limits
-//!   submissions (and, optionally, lookups) so one runaway tenant cannot
-//!   starve the fleet. The bucket clock is the fleet's own deterministic
+//!   submissions, one token each, so one runaway tenant cannot starve the
+//!   fleet. The bucket clock is the fleet's own deterministic
 //!   clock, advanced explicitly via [`FleetServer::advance_clock`], so
 //!   quota behavior is exactly testable.
 //!
@@ -45,7 +45,7 @@ use perseus_telemetry::{
     SnapshotBuilder, Telemetry, TelemetryServer,
 };
 
-use crate::client::{fnv64, ClientConfig, JobClient};
+use crate::client::{fnv64, JobClient};
 use crate::server::{
     CharacterizeTicket, Deployment, JobSpec, JobStatus, PerseusServer, ServerConfig, ServerError,
 };
@@ -96,12 +96,9 @@ pub struct FleetConfig {
     /// Token-bucket capacity per tenant (burst). `f64::INFINITY` (the
     /// default) disables quotas entirely.
     pub tenant_burst: f64,
-    /// Token refill rate per tenant per second of fleet-clock time.
+    /// Token refill rate per tenant per second of fleet-clock time. One
+    /// profile submission costs one token.
     pub tenant_refill_per_s: f64,
-    /// Tokens one profile submission costs.
-    pub submit_cost: f64,
-    /// Tokens one status lookup costs (`0.0` = lookups are free).
-    pub lookup_cost: f64,
     /// Virtual nodes per shard on the consistent-hash ring. More vnodes
     /// flatten the load split at the price of a larger ring.
     pub virtual_nodes: usize,
@@ -127,8 +124,6 @@ impl Default for FleetConfig {
             max_inflight_per_shard: 0,
             tenant_burst: f64::INFINITY,
             tenant_refill_per_s: 0.0,
-            submit_cost: 1.0,
-            lookup_cost: 0.0,
             virtual_nodes: 32,
             sharded_telemetry: false,
             telemetry: Telemetry::disabled(),
@@ -161,13 +156,6 @@ impl FleetConfig {
     pub fn tenant_quota(mut self, burst: f64, refill_per_s: f64) -> FleetConfig {
         self.tenant_burst = burst;
         self.tenant_refill_per_s = refill_per_s;
-        self
-    }
-
-    /// Sets the token cost of one submission / one lookup.
-    pub fn costs(mut self, submit: f64, lookup: f64) -> FleetConfig {
-        self.submit_cost = submit;
-        self.lookup_cost = lookup;
         self
     }
 
@@ -244,8 +232,6 @@ pub struct FleetStats {
     /// Submissions rejected for any other reason (unknown job, invalid
     /// profiles, …).
     pub rejected_other: u64,
-    /// Lookups rejected by a tenant's token bucket.
-    pub lookups_rejected: u64,
     /// Shared plan-cache counters.
     pub cache: PlanCacheStats,
 }
@@ -263,8 +249,6 @@ pub struct TenantStats {
     pub rejected: u64,
     /// Status lookups made by this tenant.
     pub lookups: u64,
-    /// Lookups rejected by the tenant's quota.
-    pub lookups_rejected: u64,
 }
 
 /// The fleet front door: routes per-job operations to their home shard,
@@ -285,7 +269,6 @@ pub struct FleetServer {
     rejected_quota: AtomicU64,
     rejected_overloaded: AtomicU64,
     rejected_other: AtomicU64,
-    lookups_rejected: AtomicU64,
 }
 
 impl FleetServer {
@@ -355,7 +338,6 @@ impl FleetServer {
             rejected_quota: AtomicU64::new(0),
             rejected_overloaded: AtomicU64::new(0),
             rejected_other: AtomicU64::new(0),
-            lookups_rejected: AtomicU64::new(0),
         }
     }
 
@@ -399,9 +381,10 @@ impl FleetServer {
         }
     }
 
-    /// Charges `cost` tokens to `tenant`, refilling the bucket first.
-    fn charge(&self, tenant: &TenantId, cost: f64) -> Result<(), ServerError> {
-        if cost <= 0.0 || self.cfg.tenant_burst.is_infinite() {
+    /// Charges one submission token to `tenant`, refilling the bucket
+    /// first.
+    fn charge(&self, tenant: &TenantId) -> Result<(), ServerError> {
+        if self.cfg.tenant_burst.is_infinite() {
             return Ok(());
         }
         let mut state = self.tenants.lock();
@@ -414,8 +397,8 @@ impl FleetServer {
         bucket.tokens =
             (bucket.tokens + dt * self.cfg.tenant_refill_per_s).min(self.cfg.tenant_burst);
         bucket.last_s = clock;
-        if bucket.tokens >= cost {
-            bucket.tokens -= cost;
+        if bucket.tokens >= 1.0 {
+            bucket.tokens -= 1.0;
             Ok(())
         } else {
             if self.cfg.telemetry.is_enabled() {
@@ -460,7 +443,7 @@ impl FleetServer {
     ) -> Result<CharacterizeTicket, ServerError> {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         self.tenant_stat(tenant, |s| s.submitted += 1);
-        if let Err(e) = self.charge(tenant, self.cfg.submit_cost) {
+        if let Err(e) = self.charge(tenant) {
             self.rejected_quota.fetch_add(1, Ordering::Relaxed);
             self.tenant_stat(tenant, |s| s.rejected += 1);
             return Err(e);
@@ -484,20 +467,14 @@ impl FleetServer {
         }
     }
 
-    /// The unified status of `name`, charged to `tenant`'s lookup quota
-    /// (free under the default config).
+    /// The unified status of `name`, counted against `tenant`. Lookups
+    /// are never quota charged.
     ///
     /// # Errors
     ///
-    /// [`ServerError::QuotaExhausted`] when the tenant's bucket is dry;
     /// [`ServerError::UnknownJob`] for unregistered names.
     pub fn job_status(&self, tenant: &TenantId, name: &str) -> Result<JobStatus, ServerError> {
         self.tenant_stat(tenant, |s| s.lookups += 1);
-        if let Err(e) = self.charge(tenant, self.cfg.lookup_cost) {
-            self.lookups_rejected.fetch_add(1, Ordering::Relaxed);
-            self.tenant_stat(tenant, |s| s.lookups_rejected += 1);
-            return Err(e);
-        }
         self.shards[self.shard_of(name)].job_status(name)
     }
 
@@ -525,17 +502,12 @@ impl FleetServer {
     }
 
     /// A [`JobClient`] bound to `job`'s home shard with the default
-    /// [`ClientConfig`] — retries ride out both `Overloaded` pushback and
-    /// transient faults with per-job-seeded jitter.
+    /// [`ClientConfig`](crate::ClientConfig) — retries ride out both
+    /// `Overloaded` pushback and transient faults with per-job-seeded
+    /// jitter.
     pub fn client_for(&self, job: impl Into<String>) -> JobClient {
         let job = job.into();
         JobClient::new(Arc::clone(&self.shards[self.shard_of(&job)]), job)
-    }
-
-    /// [`FleetServer::client_for`] with an explicit [`ClientConfig`].
-    pub fn client_with_config(&self, job: impl Into<String>, config: ClientConfig) -> JobClient {
-        let job = job.into();
-        JobClient::with_config(Arc::clone(&self.shards[self.shard_of(&job)]), job, config)
     }
 
     /// Fleet-wide accounting snapshot; see [`FleetStats`] for the sum
@@ -547,7 +519,6 @@ impl FleetServer {
             rejected_quota: self.rejected_quota.load(Ordering::Relaxed),
             rejected_overloaded: self.rejected_overloaded.load(Ordering::Relaxed),
             rejected_other: self.rejected_other.load(Ordering::Relaxed),
-            lookups_rejected: self.lookups_rejected.load(Ordering::Relaxed),
             cache: self.cache.stats(),
         }
     }
@@ -633,11 +604,6 @@ impl FleetServer {
                 "perseus_fleet_rejected_other_total",
                 &[],
                 stats.rejected_other as f64,
-            )
-            .scalar(
-                "perseus_fleet_lookups_rejected_total",
-                &[],
-                stats.lookups_rejected as f64,
             )
             .scalar(
                 "perseus_fleet_cache_hits_total",
@@ -728,11 +694,6 @@ impl FleetServer {
                     "perseus_fleet_tenant_lookups_total",
                     labels,
                     s.lookups as f64,
-                )
-                .scalar(
-                    "perseus_fleet_tenant_lookups_rejected_total",
-                    labels,
-                    s.lookups_rejected as f64,
                 );
         }
         snaps.push(fleet.build());

@@ -70,6 +70,14 @@ pub struct PromotionReport {
     pub replayed_records: u64,
 }
 
+/// A shipped record waiting to be applied, decoded once on receipt.
+struct Pending {
+    seq: u64,
+    /// Payload plus frame bytes, for the lag accounting.
+    bytes: u64,
+    event: JournalEvent,
+}
+
 /// A replication follower: a read-only [`PerseusServer`] plus the local
 /// journal the leader's records are shipped into. See the module docs.
 pub struct FollowerServer {
@@ -78,7 +86,7 @@ pub struct FollowerServer {
     journal: Journal,
     state: PerseusServer,
     /// Shipped-but-unapplied records, oldest first.
-    pending: VecDeque<Record>,
+    pending: VecDeque<Pending>,
     pending_bytes: u64,
     shipped_seq: u64,
     applied_seq: u64,
@@ -198,18 +206,34 @@ impl FollowerServer {
         self.state.set_replication_stats(self.stats());
     }
 
-    /// Ingests a gap-free run of leader records: each is appended to the
-    /// local journal (ship), queued, and — once the queue exceeds
+    /// Ingests a gap-free run of leader records: each is decoded, appended
+    /// to the local journal (ship), queued, and — once the queue exceeds
     /// `max_lag` — applied oldest-first until the lag bound holds again.
     /// Records at or below the shipped watermark are skipped, so
     /// re-shipping after a retry or a torn-tail resync is idempotent.
     ///
+    /// A record that does not decode stops the run before it is shipped:
+    /// the local journal only ever holds records that replay, so reopening
+    /// the follower's directory recovers exactly the state it serves.
+    ///
     /// # Errors
     ///
-    /// [`ServerError::Store`] on journal I/O failures or on a sequence
-    /// gap (the caller should bootstrap via
-    /// [`Replicator::sync`]'s checkpoint path).
+    /// [`ServerError::Store`] on journal I/O failures, on a sequence gap
+    /// (the caller should bootstrap via [`Replicator::sync`]'s checkpoint
+    /// path), or on a record whose payload does not decode. Records before
+    /// the failing one stay shipped.
     pub fn receive(&mut self, records: &[Record]) -> Result<ReplicationStats, ServerError> {
+        let shipped = self.ship(records);
+        while self.pending.len() as u64 > self.max_lag {
+            self.apply_front();
+        }
+        self.publish_stats();
+        shipped.map(|()| self.stats())
+    }
+
+    /// The shipping half of [`FollowerServer::receive`]: decode, journal
+    /// and queue each new record, stopping at the first that fails.
+    fn ship(&mut self, records: &[Record]) -> Result<(), ServerError> {
         for rec in records {
             if rec.seq <= self.shipped_seq {
                 continue;
@@ -223,16 +247,22 @@ impl FollowerServer {
                     ),
                 }));
             }
+            let event = JournalEvent::from_bytes(&rec.payload).map_err(|e| {
+                ServerError::Store(StoreError::Corrupt {
+                    reason: format!("shipped record {} does not decode: {e}", rec.seq),
+                })
+            })?;
             self.journal.append_with_seq(rec.seq, &rec.payload)?;
             self.shipped_seq = rec.seq;
-            self.pending_bytes += rec.payload.len() as u64 + FRAME_OVERHEAD;
-            self.pending.push_back(rec.clone());
+            let bytes = rec.payload.len() as u64 + FRAME_OVERHEAD;
+            self.pending_bytes += bytes;
+            self.pending.push_back(Pending {
+                seq: rec.seq,
+                bytes,
+                event,
+            });
         }
-        while self.pending.len() as u64 > self.max_lag {
-            self.apply_front();
-        }
-        self.publish_stats();
-        Ok(self.stats())
+        Ok(())
     }
 
     /// Applies every shipped-but-unapplied record, catching the state up
@@ -247,16 +277,12 @@ impl FollowerServer {
     }
 
     fn apply_front(&mut self) {
-        let Some(rec) = self.pending.pop_front() else {
+        let Some(next) = self.pending.pop_front() else {
             return;
         };
-        self.pending_bytes = self
-            .pending_bytes
-            .saturating_sub(rec.payload.len() as u64 + FRAME_OVERHEAD);
-        if let Ok(event) = JournalEvent::from_bytes(&rec.payload) {
-            self.state.replay_event(event);
-        }
-        self.applied_seq = rec.seq;
+        self.pending_bytes = self.pending_bytes.saturating_sub(next.bytes);
+        self.state.replay_event(next.event);
+        self.applied_seq = next.seq;
     }
 
     /// Installs a full-state checkpoint from the leader (compaction gap
