@@ -139,7 +139,7 @@ fn envpipe_schedule(
     opts: EnvPipeOptions,
 ) -> Result<EnergySchedule, CoreError> {
     let n_stages = ctx.pipe.n_stages;
-    let spec = ctx.gpu;
+    let spec = &ctx.gpu;
     let fastest = ctx.fastest_durations();
     let (_, t0) = node_start_times(&ctx.pipe.dag, |id, _| fastest[id.index()]);
     let budget = t0 * (1.0 + opts.tolerance);

@@ -40,7 +40,7 @@ fn main() {
 
         println!("=== {name}: all computations at maximum frequency ===");
         let base = AllMaxFreq
-            .plan(&ctx)
+            .plan(ctx)
             .expect("all-max realizes")
             .into_schedule()
             .expect("single schedule");
@@ -59,8 +59,8 @@ fn main() {
                 100
             )
         );
-        let b = base.energy_report(&ctx, None);
-        let p = point.schedule.energy_report(&ctx, None);
+        let b = base.energy_report(ctx, None);
+        let p = point.schedule.energy_report(ctx, None);
         println!(
             "energy {:.0} J -> {:.0} J ({:.1}% saved), iteration {:.3} s -> {:.3} s\n",
             b.total_j(),

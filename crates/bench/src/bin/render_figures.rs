@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ctx = emu.ctx();
     let gpu = GpuSpec::a100_pcie();
     let base = AllMaxFreq
-        .plan(&ctx)?
+        .plan(ctx)?
         .into_schedule()
         .expect("single schedule");
     let fast = &emu.frontier().fastest().schedule;
@@ -86,27 +86,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .points()
         .iter()
         .map(|p| {
-            let r = p.schedule.energy_report(&ctx, None);
+            let r = p.schedule.energy_report(ctx, None);
             (r.iter_time_s, r.total_j())
         })
         .collect();
     let zeus_g: Vec<(f64, f64)> = ZeusGlobal
-        .plan(&ctx)?
+        .plan(ctx)?
         .into_sweep()
         .expect("sweep planner")
         .iter()
         .map(|s| {
-            let r = s.energy_report(&ctx, None);
+            let r = s.energy_report(ctx, None);
             (r.iter_time_s, r.total_j())
         })
         .collect();
     let zeus_ps: Vec<(f64, f64)> = ZeusPerStage
-        .plan(&ctx)?
+        .plan(ctx)?
         .into_sweep()
         .expect("sweep planner")
         .iter()
         .map(|s| {
-            let r = s.energy_report(&ctx, None);
+            let r = s.energy_report(ctx, None);
             (r.iter_time_s, r.total_j())
         })
         .collect();

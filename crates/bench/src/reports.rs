@@ -117,10 +117,10 @@ fn frontier_csv(out: &mut impl Write, cfg: &Fig9Config, telemetry: &Telemetry) -
     )?;
     writeln!(out, "policy,time_s,energy_j")?;
     let base = AllMaxFreq
-        .plan(&ctx)
+        .plan(ctx)
         .expect("all-max")
         .select(None)
-        .energy_report(&ctx, None);
+        .energy_report(ctx, None);
     writeln!(
         out,
         "all-max,{:.4},{:.1}",
@@ -132,16 +132,16 @@ fn frontier_csv(out: &mut impl Write, cfg: &Fig9Config, telemetry: &Telemetry) -
     let points = emu.frontier().points();
     let stride = (points.len() / 64).max(1);
     for p in points.iter().step_by(stride) {
-        let r = p.schedule.energy_report(&ctx, None);
+        let r = p.schedule.energy_report(ctx, None);
         writeln!(out, "perseus,{:.4},{:.1}", r.iter_time_s, r.total_j() * tp)?;
     }
     let zeus_global = ZeusGlobal
-        .plan(&ctx)
+        .plan(ctx)
         .expect("zeus global")
         .into_sweep()
         .expect("sweep planner");
     for s in zeus_global.iter().step_by(4) {
-        let r = s.energy_report(&ctx, None);
+        let r = s.energy_report(ctx, None);
         writeln!(
             out,
             "zeus-global,{:.4},{:.1}",
@@ -150,12 +150,12 @@ fn frontier_csv(out: &mut impl Write, cfg: &Fig9Config, telemetry: &Telemetry) -
         )?;
     }
     for s in ZeusPerStage
-        .plan(&ctx)
+        .plan(ctx)
         .expect("zeus per-stage")
         .into_sweep()
         .expect("sweep planner")
     {
-        let r = s.energy_report(&ctx, None);
+        let r = s.energy_report(ctx, None);
         writeln!(
             out,
             "zeus-per-stage,{:.4},{:.1}",
@@ -170,12 +170,12 @@ fn frontier_csv(out: &mut impl Write, cfg: &Fig9Config, telemetry: &Telemetry) -
         .frontier()
         .lookup(mid_t)
         .schedule
-        .energy_report(&ctx, None)
+        .energy_report(ctx, None)
         .total_j();
     let zeus_mid = zeus_global
         .iter()
         .filter(|s| s.time_s <= mid_t)
-        .map(|s| s.energy_report(&ctx, None).total_j())
+        .map(|s| s.energy_report(ctx, None).total_j())
         .fold(f64::INFINITY, f64::min);
     writeln!(
         out,

@@ -82,7 +82,7 @@ fn cached_select_matches_fresh_plan_across_deadline_sweep() {
     assert!(planners.len() >= 6, "default registry holds all policies");
     for (name, planner) in planners {
         let cached = emu.plan_of(Policy::custom(name)).unwrap();
-        let fresh = planner.plan(&ctx).unwrap();
+        let fresh = planner.plan(ctx).unwrap();
         for i in 0..50 {
             let t = 0.8 * t_min + (1.5 * t_star - 0.8 * t_min) * (i as f64) / 49.0;
             let a = cached.select(Some(t));

@@ -286,9 +286,14 @@ pub struct Savings {
 /// [`PlanOutput`] is computed once and cached — straggler events only
 /// re-*select* from the cached output, mirroring how the planning server
 /// reacts without replanning.
+///
+/// The planning context (pipeline, profiles, fitted curves) is built once,
+/// at construction, and kept for the emulator's lifetime: pricing an
+/// iteration never re-fits a profile.
 pub struct Emulator {
     config: ClusterConfig,
-    pipe: PipelineDag,
+    /// The one planning context; owns the emulated pipeline.
+    ctx: PlanContext<'static>,
     stages: Vec<StageWorkloads>,
     frontier: ParetoFrontier,
     planners: PlannerRegistry,
@@ -332,11 +337,9 @@ impl Emulator {
         let stages = model.stage_workloads(&partition, &config.gpu)?;
         let pipe = PipelineBuilder::new(config.schedule, config.n_stages, config.n_microbatches)
             .build()?;
-        let frontier = {
-            let ctx = PlanContext::from_model_profiles(&pipe, &config.gpu, &stages)?;
-            perseus_core::FrontierSolver::with_telemetry(&pipe, telemetry.clone())
-                .characterize(&ctx, &config.frontier)?
-        };
+        let ctx = PlanContext::from_model_profiles(&pipe, &config.gpu, &stages)?.into_owned();
+        let frontier = perseus_core::FrontierSolver::with_telemetry(&ctx.pipe, telemetry.clone())
+            .characterize(&ctx, &config.frontier)?;
         let planners = PlannerRegistry::with_defaults(config.frontier.clone(), &config.gpu);
         // Perseus is planned eagerly (it is the frontier just
         // characterized); baselines plan lazily on first use.
@@ -346,7 +349,7 @@ impl Emulator {
         )]));
         Ok(Emulator {
             config,
-            pipe,
+            ctx,
             stages,
             frontier,
             planners,
@@ -377,7 +380,7 @@ impl Emulator {
 
     /// The emulated pipeline DAG.
     pub fn pipe(&self) -> &PipelineDag {
-        &self.pipe
+        &self.ctx.pipe
     }
 
     /// Per-stage workloads after partitioning.
@@ -395,16 +398,18 @@ impl Emulator {
         &self.config
     }
 
-    /// Builds a fresh planning context (cheap; profiles are re-fitted).
-    pub fn ctx(&self) -> PlanContext<'_> {
-        PlanContext::from_model_profiles(&self.pipe, &self.config.gpu, &self.stages)
-            .expect("context construction succeeded in new()")
+    /// The planning context built at construction: the pipeline, its
+    /// model-derived profiles and their fitted curves. The same context
+    /// for the emulator's whole life — a frequency cap changes plans, not
+    /// profiles — so every call returns the same allocation.
+    pub fn ctx(&self) -> &PlanContext<'static> {
+        &self.ctx
     }
 
     /// Translates a straggler cause into the straggler's iteration time.
     pub fn straggler_iteration_time(&self, cause: StragglerCause) -> Result<f64, EmulatorError> {
-        let ctx = self.ctx();
-        let base = self.policy_plan(&ctx, Policy::AllMax)?.select(None).time_s;
+        let ctx = &self.ctx;
+        let base = self.plan_of(Policy::AllMax)?.select(None).time_s;
         Ok(match cause {
             StragglerCause::Slowdown { degree } => {
                 if degree < 1.0 {
@@ -416,7 +421,7 @@ impl Emulator {
                 // The straggler's computations all run at the capped clock.
                 let cap = self.config.gpu.clamp_freq(freq_cap);
                 let mut planned = ctx.fastest_durations();
-                for id in self.pipe.dag.node_ids() {
+                for id in ctx.pipe.dag.node_ids() {
                     if ctx.info(id).is_some() {
                         let profile = ctx.profile_of(id).expect("comp");
                         if let Some(e) = profile.entry_at(cap) {
@@ -425,7 +430,7 @@ impl Emulator {
                     }
                 }
                 let (_, t) =
-                    perseus_pipeline::node_start_times(&self.pipe.dag, |id, _| planned[id.index()]);
+                    perseus_pipeline::node_start_times(&ctx.pipe.dag, |id, _| planned[id.index()]);
                 t.max(base)
             }
             StragglerCause::IoStall { stall_s } => {
@@ -447,17 +452,34 @@ impl Emulator {
     }
 
     /// The policy's `T'`-independent plan, as [`Emulator::report`] uses
-    /// it: from the cache when present, planned through the registry
-    /// otherwise. Public so differential tests can compare the cached
-    /// artifact against a freshly planned one.
+    /// it: from the cache when present, otherwise planned through the
+    /// registry on first use and cached for the emulator's lifetime.
+    /// Public so differential tests can compare the cached artifact
+    /// against a freshly planned one.
     ///
     /// # Errors
     ///
     /// [`EmulatorError::UnknownPolicy`] for unregistered names;
     /// propagates planning failures.
     pub fn plan_of(&self, policy: Policy) -> Result<Arc<PlanOutput>, EmulatorError> {
-        let ctx = self.ctx();
-        self.policy_plan(&ctx, policy)
+        if let Some(out) = self.plan_cache.lock().get(policy.name()) {
+            return Ok(Arc::clone(out));
+        }
+        let planner = self
+            .planners
+            .get(policy.name())
+            .ok_or_else(|| EmulatorError::UnknownPolicy(policy.name().to_string()))?;
+        let mut plan = planner.plan(&self.ctx)?;
+        // Plans computed after a cap landed live under that cap too, so
+        // cached and lazily planned policies stay consistent.
+        if let Some(cap) = self.freq_cap {
+            plan = plan.clamp_freq_cap(&self.ctx, cap)?;
+        }
+        let out = Arc::new(plan);
+        self.plan_cache
+            .lock()
+            .insert(policy.name(), Arc::clone(&out));
+        Ok(out)
     }
 
     /// A datacenter frequency cap landed on the cluster (§2.3): frontier
@@ -476,14 +498,10 @@ impl Emulator {
         if self.freq_cap.is_some_and(|old| old <= cap) {
             return Ok(());
         }
-        let clamped_frontier;
+        let clamped_frontier = self.frontier.clamp_to_freq_cap(&self.ctx, cap)?;
         let mut clamped_cache = HashMap::new();
-        {
-            let ctx = self.ctx();
-            clamped_frontier = self.frontier.clamp_to_freq_cap(&ctx, cap)?;
-            for (name, plan) in self.plan_cache.lock().iter() {
-                clamped_cache.insert(*name, Arc::new(plan.clamp_freq_cap(&ctx, cap)?));
-            }
+        for (name, plan) in self.plan_cache.lock().iter() {
+            clamped_cache.insert(*name, Arc::new(plan.clamp_freq_cap(&self.ctx, cap)?));
         }
         clamped_cache.insert(
             Policy::Perseus.name(),
@@ -498,34 +516,6 @@ impl Emulator {
     /// The active datacenter frequency cap, if one was applied.
     pub fn freq_cap(&self) -> Option<FreqMHz> {
         self.freq_cap
-    }
-
-    /// The policy's `T'`-independent plan, computed through the registry
-    /// on first use and cached for the emulator's lifetime (the pipeline
-    /// and profiles never change after construction).
-    fn policy_plan(
-        &self,
-        ctx: &PlanContext<'_>,
-        policy: Policy,
-    ) -> Result<Arc<PlanOutput>, EmulatorError> {
-        if let Some(out) = self.plan_cache.lock().get(policy.name()) {
-            return Ok(Arc::clone(out));
-        }
-        let planner = self
-            .planners
-            .get(policy.name())
-            .ok_or_else(|| EmulatorError::UnknownPolicy(policy.name().to_string()))?;
-        let mut plan = planner.plan(ctx)?;
-        // Plans computed after a cap landed live under that cap too, so
-        // cached and lazily planned policies stay consistent.
-        if let Some(cap) = self.freq_cap {
-            plan = plan.clamp_freq_cap(ctx, cap)?;
-        }
-        let out = Arc::new(plan);
-        self.plan_cache
-            .lock()
-            .insert(policy.name(), Arc::clone(&out));
-        Ok(out)
     }
 
     /// Emulates one synchronized iteration: non-straggler pipelines run
@@ -563,8 +553,8 @@ impl Emulator {
         believed_t_prime: Option<f64>,
         actual_t_prime: Option<f64>,
     ) -> Result<ClusterReport, EmulatorError> {
-        let ctx = self.ctx();
-        let plan = self.policy_plan(&ctx, policy)?;
+        let ctx = &self.ctx;
+        let plan = self.plan_of(policy)?;
         let schedule = plan.select(believed_t_prime);
         // If the belief is stale the non-straggler pipeline itself may be
         // the slowest participant.
@@ -572,15 +562,15 @@ impl Emulator {
         // The sleep plan follows the *believed* selection — it ships with
         // the deployed schedule; a stale belief never re-plans sleep.
         let non_straggler =
-            schedule.energy_report_with_sleep(&ctx, Some(sync), plan.sleep_plan(believed_t_prime));
+            schedule.energy_report_with_sleep(ctx, Some(sync), plan.sleep_plan(believed_t_prime));
         // The straggler itself runs at max frequency; its computations are
         // stretched to fill T' (e.g. throttled clocks), and it then waits
         // for the sync like everyone else, so it is charged its
         // max-frequency computation energy plus blocking up to the sync.
         let straggler = match actual_t_prime {
             Some(t) => {
-                let base = self.policy_plan(&ctx, Policy::AllMax)?;
-                let mut r = base.select(None).energy_report(&ctx, Some(sync.max(t)));
+                let base = self.plan_of(Policy::AllMax)?;
+                let mut r = base.select(None).energy_report(ctx, Some(sync.max(t)));
                 r.sync_time_s = sync.max(t);
                 Some(r)
             }
@@ -628,21 +618,21 @@ impl Emulator {
         believed_t_prime: Option<f64>,
         actual_t_prime: Option<f64>,
     ) -> Result<ClusterAttribution, EmulatorError> {
-        let ctx = self.ctx();
-        let plan = self.policy_plan(&ctx, policy)?;
+        let ctx = &self.ctx;
+        let plan = self.plan_of(policy)?;
         let schedule = plan.select(believed_t_prime);
         let sync = actual_t_prime.unwrap_or(0.0).max(schedule.time_s);
         let non_straggler = attribute_schedule_with_sleep(
-            &ctx,
+            ctx,
             schedule,
             Some(sync),
             plan.sleep_plan(believed_t_prime),
         );
         let straggler = match actual_t_prime {
             Some(t) => {
-                let base = self.policy_plan(&ctx, Policy::AllMax)?;
+                let base = self.plan_of(Policy::AllMax)?;
                 Some(attribute_schedule(
-                    &ctx,
+                    ctx,
                     base.select(None),
                     Some(sync.max(t)),
                 ))

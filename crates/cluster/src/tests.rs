@@ -508,10 +508,10 @@ fn parallel_planner_sweep_matches_sequential() {
     );
     let sequential: Vec<Vec<u64>> = planners
         .iter()
-        .map(|(_, p)| plan_bits(&p.plan(&ctx).unwrap()))
+        .map(|(_, p)| plan_bits(&p.plan(ctx).unwrap()))
         .collect();
     let parallel: Vec<Vec<u64>> =
-        parallel_map(&planners, |(_, p)| plan_bits(&p.plan(&ctx).unwrap()));
+        parallel_map(&planners, |(_, p)| plan_bits(&p.plan(ctx).unwrap()));
     for (((name, _), seq), par) in planners.iter().zip(&sequential).zip(&parallel) {
         assert_eq!(seq, par, "planner {name} diverges under parallel execution");
     }
@@ -628,6 +628,118 @@ fn attribution_with_belief_matches_report_with_belief() {
     }
 }
 
+/// The planning context is built once, at construction, and kept: every
+/// call hands out the same allocation, and a frequency cap (which
+/// changes plans, not profiles) does not rebuild it.
+#[test]
+fn ctx_is_built_once_and_survives_a_freq_cap() {
+    let mut emu = Emulator::new(small_config()).unwrap();
+    let ctx: *const _ = emu.ctx();
+    let fits = emu.ctx().plan_info.as_ptr();
+    assert!(std::ptr::eq(ctx, emu.ctx()));
+    assert!(std::ptr::eq(emu.pipe(), &*emu.ctx().pipe));
+    emu.report(
+        Policy::Perseus,
+        Some(StragglerCause::Slowdown { degree: 1.2 }),
+    )
+    .unwrap();
+    let gpu = &emu.config().gpu;
+    let cap = FreqMHz((gpu.min_freq_mhz + gpu.max_freq_mhz) / 2);
+    emu.apply_freq_cap(cap).unwrap();
+    assert!(std::ptr::eq(ctx, emu.ctx()));
+    assert_eq!(
+        emu.ctx().plan_info.as_ptr(),
+        fits,
+        "a frequency cap must not rebuild the context"
+    );
+}
+
+/// Pricing through the kept context is bit-identical to pricing through a
+/// freshly built [`perseus_core::PlanContext`], the way every call priced
+/// before the context was kept, over a seeded straggler trace with stale
+/// and current beliefs.
+#[test]
+fn kept_context_prices_like_a_fresh_one_over_a_seeded_trace() {
+    use perseus_core::{attribute_schedule, attribute_schedule_with_sleep, PlanContext};
+
+    let emu = Emulator::new(small_config()).unwrap();
+    let fresh =
+        PlanContext::from_model_profiles(emu.pipe(), &emu.config().gpu, emu.stages()).unwrap();
+    // SplitMix64: the trace's straggler degrees and belief staleness.
+    let mut state = 0x5EED_u64;
+    let mut draw = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut believed = None;
+    for iter in 0..24 {
+        let r = draw();
+        let actual = match r % 3 {
+            0 => None,
+            _ => {
+                let degree = 1.0 + 0.6 * (r >> 11) as f64 / (1u64 << 53) as f64;
+                Some(
+                    emu.straggler_iteration_time(StragglerCause::Slowdown { degree })
+                        .unwrap(),
+                )
+            }
+        };
+        for policy in [Policy::Perseus, Policy::Kareus, Policy::AllMax] {
+            let report = emu.report_with_belief(policy, believed, actual).unwrap();
+            let attr = emu.attribute_with_belief(policy, believed, actual).unwrap();
+
+            let plan = emu.plan_of(policy).unwrap();
+            let schedule = plan.select(believed);
+            let sync = actual.unwrap_or(0.0).max(schedule.time_s);
+            let sleep = plan.sleep_plan(believed);
+            let base = emu.plan_of(Policy::AllMax).unwrap();
+            let straggler = actual.map(|t| {
+                let mut r = base.select(None).energy_report(&fresh, Some(sync.max(t)));
+                r.sync_time_s = sync.max(t);
+                r
+            });
+            let expected = crate::ClusterReport {
+                non_straggler: schedule.energy_report_with_sleep(&fresh, Some(sync), sleep),
+                straggler,
+                sync_time_s: sync,
+                n_pipelines: report.n_pipelines,
+                tensor_parallel: report.tensor_parallel,
+            };
+            let expected_attr = crate::ClusterAttribution {
+                non_straggler: attribute_schedule_with_sleep(&fresh, schedule, Some(sync), sleep),
+                straggler: actual
+                    .map(|t| attribute_schedule(&fresh, base.select(None), Some(sync.max(t)))),
+                n_pipelines: attr.n_pipelines,
+                tensor_parallel: attr.tensor_parallel,
+            };
+
+            // Debug prints every f64 in its shortest round-tripping form,
+            // so equal text means bit-equal joules, times and lanes.
+            let at = format!("iteration {iter}, {policy}");
+            assert_eq!(format!("{report:?}"), format!("{expected:?}"), "{at}");
+            assert_eq!(format!("{attr:?}"), format!("{expected_attr:?}"), "{at}");
+            assert_eq!(
+                report.total_j().to_bits(),
+                expected.total_j().to_bits(),
+                "{at}"
+            );
+            assert_eq!(
+                format!("{:?}", attr.total()),
+                format!("{:?}", expected_attr.total()),
+                "{at}"
+            );
+        }
+        // The next iteration's schedule answers this one's straggler, or
+        // rides a stale belief.
+        if draw() % 2 == 0 {
+            believed = actual;
+        }
+    }
+}
+
 /// A policy slower than the straggler's `T'` sets the cluster's sync
 /// point, and the straggler pipeline waits — and is charged — up to that
 /// sync, exactly as `report_with_belief` prices an accurate belief.
@@ -716,8 +828,8 @@ fn cache_hit_plan_output_is_bitwise_identical_for_every_planner() {
     for (name, planner) in emu.planners().iter() {
         // Differential: re-plan from scratch; the bytes must match the
         // first solve exactly, float for float.
-        let first = planner.plan(&ctx).unwrap();
-        let fresh = planner.plan(&ctx).unwrap();
+        let first = planner.plan(ctx).unwrap();
+        let fresh = planner.plan(ctx).unwrap();
         assert_eq!(
             plan_bits(&first),
             plan_bits(&fresh),
@@ -863,7 +975,7 @@ mod kareus {
     fn registry_plans_carry_sleep_plans_for_kareus_only() {
         let emu = Emulator::new(small_config()).unwrap();
         for (name, planner) in emu.planners().iter() {
-            let plan = planner.plan(&emu.ctx()).unwrap();
+            let plan = planner.plan(emu.ctx()).unwrap();
             assert_eq!(plan.sleep_plan(None).is_some(), name == "kareus", "{name}");
         }
     }

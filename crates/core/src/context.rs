@@ -1,6 +1,7 @@
 //! Planning context: the pipeline DAG joined with per-computation profiles
 //! and fitted time–energy curves.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use perseus_dag::NodeId;
@@ -75,12 +76,17 @@ impl From<FitError> for CoreError {
 }
 
 /// Everything the frontier algorithm needs about one pipeline.
+///
+/// A context either borrows its pipeline (the constructors) or owns it
+/// ([`PlanContext::into_owned`]): a caller that prices many iterations
+/// of one pipeline keeps one owned context instead of re-fitting every
+/// profile per call.
 #[derive(Debug)]
 pub struct PlanContext<'a> {
     /// The pipeline computation DAG.
-    pub pipe: &'a PipelineDag,
+    pub pipe: Cow<'a, PipelineDag>,
     /// The GPU the pipeline runs on (supplies `P_blocking`).
-    pub gpu: &'a GpuSpec,
+    pub gpu: GpuSpec,
     /// Per-computation-type profiles.
     pub profiles: ProfileDb<OpKey>,
     /// Resolved planning info, indexed densely by pipeline DAG node index
@@ -92,13 +98,17 @@ impl<'a> PlanContext<'a> {
     /// Builds a context from an existing profile database (e.g. produced by
     /// the client's online profiler).
     ///
+    /// A computation whose profile has a single Pareto point (a noisy
+    /// sweep can end there) has nothing to trade: it is planned pinned at
+    /// that point, `t_min == t_max`, so no cut ever speeds or slows it.
+    ///
     /// # Errors
     ///
     /// [`CoreError::MissingProfile`] if any (stage, kind) pair that occurs
     /// in the DAG has no profile, [`CoreError::Fit`] if a fit fails.
     pub fn new(
         pipe: &'a PipelineDag,
-        gpu: &'a GpuSpec,
+        gpu: &GpuSpec,
         profiles: ProfileDb<OpKey>,
     ) -> Result<PlanContext<'a>, CoreError> {
         let mut plan_info: Vec<Option<NodePlanInfo>> = vec![None; pipe.dag.node_count()];
@@ -115,7 +125,7 @@ impl<'a> PlanContext<'a> {
             let fit = match fits.get(&key) {
                 Some(fit) => *fit,
                 None => {
-                    let fit = profile.fit()?;
+                    let fit = plan_fit(profile)?;
                     fits.insert(key, fit);
                     fit
                 }
@@ -129,11 +139,22 @@ impl<'a> PlanContext<'a> {
             });
         }
         Ok(PlanContext {
-            pipe,
-            gpu,
+            pipe: Cow::Borrowed(pipe),
+            gpu: gpu.clone(),
             profiles,
             plan_info,
         })
+    }
+
+    /// This context with its pipeline owned: same profiles, same fits,
+    /// no lifetime tied to the caller's pipeline.
+    pub fn into_owned(self) -> PlanContext<'static> {
+        PlanContext {
+            pipe: Cow::Owned(self.pipe.into_owned()),
+            gpu: self.gpu,
+            profiles: self.profiles,
+            plan_info: self.plan_info,
+        }
     }
 
     /// Convenience constructor for emulation: plans from
@@ -145,7 +166,7 @@ impl<'a> PlanContext<'a> {
     /// workload per virtual stage; otherwise same as [`PlanContext::new`].
     pub fn from_model_profiles(
         pipe: &'a PipelineDag,
-        gpu: &'a GpuSpec,
+        gpu: &GpuSpec,
         stages: &[perseus_models::StageWorkloads],
     ) -> Result<PlanContext<'a>, CoreError> {
         let expected = pipe.n_stages * pipe.chunks();
@@ -192,6 +213,21 @@ impl<'a> PlanContext<'a> {
             };
         }
         out
+    }
+}
+
+/// The curve a computation is planned on: the exponential fit of its
+/// Pareto points, or, for a single point, the constant at that point's
+/// measured energy (there is no tradeoff to fit).
+fn plan_fit(profile: &OpProfile) -> Result<ExpFit, FitError> {
+    match profile.pareto() {
+        [only] => Ok(ExpFit {
+            a: 0.0,
+            b: 0.0,
+            c: only.energy_j,
+            t0: only.time_s,
+        }),
+        _ => profile.fit(),
     }
 }
 

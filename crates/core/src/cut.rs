@@ -187,7 +187,7 @@ struct EdgeCap {
 /// One step along the frontier: reduce the DAG's execution time with
 /// minimal energy increase, solved cold (see [`get_next_pareto_arena`]).
 pub fn get_next_pareto(ctx: &PlanContext<'_>, planned: &mut [f64], tau: f64) -> CutOutcome {
-    let solver = CutSolver::new(ctx.pipe);
+    let solver = CutSolver::new(&ctx.pipe);
     get_next_pareto_arena(
         ctx,
         &solver,

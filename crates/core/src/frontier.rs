@@ -108,7 +108,7 @@ impl EnergySchedule {
     /// `t_prime` (`None` = no straggler).
     pub fn energy_report(&self, ctx: &PlanContext<'_>, t_prime: Option<f64>) -> PipelineEnergy {
         pipeline_energy(
-            ctx.pipe,
+            &ctx.pipe,
             |id, _| self.realized_dur[id.index()],
             |id, _| self.realized_energy[id.index()],
             ctx.gpu.blocking_w,
@@ -616,7 +616,9 @@ impl FrontierSolver {
     /// cache (first insert wins) for every other job — on any shard,
     /// under any tenant — that shares the structure.
     ///
-    /// Returns the shared frontier, whether it was a cache hit, and the
+    /// Returns the shared frontier, the context a miss built (`None` on a
+    /// hit, which builds none; a caller that plans more from the same
+    /// profiles reuses it instead of fitting them again), and the
     /// fingerprint (so callers can invalidate the entry if the job's
     /// structure later drifts). The returned frontier is bit-identical
     /// either way: planning is deterministic in the fingerprinted inputs,
@@ -633,15 +635,22 @@ impl FrontierSolver {
     /// share a plan identity with a frequency-only job of the same
     /// structure, because its deployments (frontier + sleep schedule)
     /// differ. `None` keys exactly as before.
-    pub fn characterize_cached(
+    pub fn characterize_cached<'p>(
         &self,
-        pipe: &PipelineDag,
+        pipe: &'p PipelineDag,
         gpu: &perseus_gpu::GpuSpec,
         profiles: &perseus_profiler::ProfileDb<perseus_pipeline::OpKey>,
         opts: &FrontierOptions,
         power: Option<&perseus_gpu::PowerStateModel>,
         cache: &PlanCache,
-    ) -> Result<(Arc<ParetoFrontier>, bool, PlanFingerprint), CoreError> {
+    ) -> Result<
+        (
+            Arc<ParetoFrontier>,
+            Option<PlanContext<'p>>,
+            PlanFingerprint,
+        ),
+        CoreError,
+    > {
         let policy = if power.is_some() { "kareus" } else { "perseus" };
         let fp = plan_fingerprint_with_power(policy, pipe, gpu, profiles, opts, power);
         if let Some(frontier) = cache.get(fp) {
@@ -651,7 +660,7 @@ impl FrontierSolver {
                     .counter("perseus_solver_cache_hits_total")
                     .inc();
             }
-            return Ok((frontier, true, fp));
+            return Ok((frontier, None, fp));
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         if self.telemetry.is_enabled() {
@@ -662,7 +671,7 @@ impl FrontierSolver {
         let ctx = PlanContext::new(pipe, gpu, profiles.clone())?;
         let frontier = cache.insert(fp, Arc::new(self.characterize(&ctx, opts)?));
         self.cache_inserts.fetch_add(1, Ordering::Relaxed);
-        Ok((frontier, false, fp))
+        Ok((frontier, Some(ctx), fp))
     }
 
     /// Characterizes many independent pipelines in parallel on a scoped
@@ -694,5 +703,5 @@ pub fn characterize(
     ctx: &PlanContext<'_>,
     opts: &FrontierOptions,
 ) -> Result<ParetoFrontier, CoreError> {
-    FrontierSolver::new(ctx.pipe).characterize(ctx, opts)
+    FrontierSolver::new(&ctx.pipe).characterize(ctx, opts)
 }

@@ -234,7 +234,7 @@ impl Planner for KareusPlanner {
 
     fn plan(&self, ctx: &PlanContext<'_>) -> Result<PlanOutput, CoreError> {
         self.power
-            .validate(ctx.gpu)
+            .validate(&ctx.gpu)
             .map_err(CoreError::PowerState)?;
         let frontier = characterize(ctx, &self.opts)?;
         let sleep = frontier

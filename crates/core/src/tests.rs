@@ -102,7 +102,7 @@ fn parallel_characterize_all_matches_sequential() {
     assert_eq!(parallel.len(), jobs.len());
     for ((_, ctx, opts), result) in jobs.iter().zip(&parallel) {
         // Fresh solver per sequential run so reuse counters stay honest.
-        let sequential = FrontierSolver::new(ctx.pipe)
+        let sequential = FrontierSolver::new(&ctx.pipe)
             .characterize(ctx, opts)
             .unwrap();
         assert_frontiers_bit_identical(result.as_ref().unwrap(), &sequential);
@@ -1093,18 +1093,18 @@ mod fingerprint_and_cache {
         let cache = PlanCache::new();
 
         let cold_solver = FrontierSolver::new(&pipe);
-        let (cold, hit0, fp0) = cold_solver
+        let (cold, built0, fp0) = cold_solver
             .characterize_cached(&pipe, &gpu, &ctx.profiles, &opts, None, &cache)
             .unwrap();
-        assert!(!hit0, "empty cache cannot hit");
+        assert!(built0.is_some(), "empty cache cannot hit");
 
         // A *different* job (fresh solver — job identity lives in the
         // solver/server, never in the fingerprint) hits the shared entry.
         let warm_solver = FrontierSolver::new(&pipe);
-        let (warm, hit1, fp1) = warm_solver
+        let (warm, built1, fp1) = warm_solver
             .characterize_cached(&pipe, &gpu, &ctx.profiles, &opts, None, &cache)
             .unwrap();
-        assert!(hit1, "identical structure must hit");
+        assert!(built1.is_none(), "identical structure must hit");
         assert_eq!(fp0, fp1);
         assert!(
             Arc::ptr_eq(&cold, &warm),

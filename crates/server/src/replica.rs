@@ -212,16 +212,18 @@ impl FollowerServer {
     /// Records at or below the shipped watermark are skipped, so
     /// re-shipping after a retry or a torn-tail resync is idempotent.
     ///
-    /// A record that does not decode stops the run before it is shipped:
-    /// the local journal only ever holds records that replay, so reopening
-    /// the follower's directory recovers exactly the state it serves.
+    /// A record that fails its frame checksum or does not decode stops
+    /// the run before it is shipped: the local journal only ever holds
+    /// records the leader wrote and that replay, so reopening the
+    /// follower's directory recovers exactly the state it serves, and that
+    /// state is one the leader passed through.
     ///
     /// # Errors
     ///
     /// [`ServerError::Store`] on journal I/O failures, on a sequence gap
     /// (the caller should bootstrap via [`Replicator::sync`]'s checkpoint
-    /// path), or on a record whose payload does not decode. Records before
-    /// the failing one stay shipped.
+    /// path), or on a record whose checksum fails or whose payload does
+    /// not decode. Records before the failing one stay shipped.
     pub fn receive(&mut self, records: &[Record]) -> Result<ReplicationStats, ServerError> {
         let shipped = self.ship(records);
         while self.pending.len() as u64 > self.max_lag {
@@ -231,8 +233,9 @@ impl FollowerServer {
         shipped.map(|()| self.stats())
     }
 
-    /// The shipping half of [`FollowerServer::receive`]: decode, journal
-    /// and queue each new record, stopping at the first that fails.
+    /// The shipping half of [`FollowerServer::receive`]: check, decode,
+    /// journal and queue each new record, stopping at the first that
+    /// fails.
     fn ship(&mut self, records: &[Record]) -> Result<(), ServerError> {
         for rec in records {
             if rec.seq <= self.shipped_seq {
@@ -245,6 +248,11 @@ impl FollowerServer {
                         self.shipped_seq + 1,
                         rec.seq
                     ),
+                }));
+            }
+            if !rec.is_intact() {
+                return Err(ServerError::Store(StoreError::Corrupt {
+                    reason: format!("shipped record {} fails its checksum", rec.seq),
                 }));
             }
             let event = JournalEvent::from_bytes(&rec.payload).map_err(|e| {

@@ -639,20 +639,21 @@ impl Job {
     /// The one plan path, shared by the worker and recovery replay: the
     /// frontier for `profiles` — from `cache` when it holds the
     /// structure's frontier, from the job's solver otherwise — plus its
-    /// Kareus sleep plans. A cache hit skips the solver and builds no
-    /// planning context for it; the shared frontier is bit-identical to a
-    /// fresh solve (planning is deterministic in the fingerprinted
-    /// inputs).
+    /// Kareus sleep plans. At most one planning context is built per
+    /// plan, and a frequency-only cache hit builds none; the shared
+    /// frontier is bit-identical to a fresh solve (planning is
+    /// deterministic in the fingerprinted inputs).
     fn plan(
         &self,
         profiles: &ProfileDb<OpKey>,
         opts: &FrontierOptions,
         cache: Option<&PlanCache>,
     ) -> Result<Planned, CoreError> {
-        let ctx = || PlanContext::new(&self.pipe, &self.gpu, profiles.clone());
-        let (frontier, cache_hit, fingerprint) = match cache {
+        let build = || PlanContext::new(&self.pipe, &self.gpu, profiles.clone());
+        // `built` is the context the solve fitted; `None` only on a hit.
+        let (frontier, built, fingerprint) = match cache {
             Some(cache) => {
-                let (frontier, hit, fp) = self.solver.characterize_cached(
+                let (frontier, built, fp) = self.solver.characterize_cached(
                     &self.pipe,
                     &self.gpu,
                     profiles,
@@ -660,16 +661,26 @@ impl Job {
                     self.power.as_ref(),
                     cache,
                 )?;
-                (frontier, hit, Some(fp))
+                (frontier, built, Some(fp))
             }
-            None => (
-                Arc::new(self.solver.characterize(&ctx()?, opts)?),
-                false,
-                None,
-            ),
+            None => {
+                let ctx = build()?;
+                (
+                    Arc::new(self.solver.characterize(&ctx, opts)?),
+                    Some(ctx),
+                    None,
+                )
+            }
         };
+        let cache_hit = built.is_none();
         let sleep = match self.power {
-            Some(_) => self.sleep_plans(&ctx()?, &frontier),
+            Some(_) => {
+                let ctx = match built {
+                    Some(ctx) => ctx,
+                    None => build()?,
+                };
+                self.sleep_plans(&ctx, &frontier)
+            }
             None => None,
         };
         Ok(Planned {

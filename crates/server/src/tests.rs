@@ -3,7 +3,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use perseus_core::FrontierOptions;
-use perseus_gpu::{FreqMHz, GpuSpec, SimGpu, Workload};
+use perseus_gpu::{FreqMHz, GpuSpec, NoiseModel, SimGpu, Workload};
 use perseus_models::StageWorkloads;
 use perseus_pipeline::{CompKind, OpKey, PipelineBuilder, PipelineDag, ScheduleKind};
 use perseus_profiler::{OnlineProfiler, ProfileDb};
@@ -352,6 +352,71 @@ fn client_sweep_produces_profile() {
     let w = Workload::new(40.0, 0.004, 0.85);
     let profile = client.profile_sweep(&w, &OnlineProfiler::default());
     assert!(profile.pareto().len() > 3);
+}
+
+/// Under realistic measurement noise a frequency sweep now and then ends
+/// with a single Pareto point: one noisy fast measurement dominates every
+/// later one until the sweep's patience runs out. The server admits such
+/// a profile, so it must also plan it. Every job swept over the seeds
+/// characterizes, and a one-point computation, having nothing to trade,
+/// runs at its one measured frequency on every frontier point.
+#[test]
+fn every_swept_profile_plans_with_one_point_computations_pinned() {
+    const SEEDS: u64 = 1_000;
+    let gpu = GpuSpec::a100_pcie();
+    let pipe = pipe();
+    let profiler = OnlineProfiler::default();
+    let (server, job) = server_with_job();
+    // Coarse steps keep each characterization short; pinning does not
+    // depend on the step size.
+    let opts = FrontierOptions {
+        tau_s: Some(5e-3),
+        ..FrontierOptions::default()
+    };
+    let mut pinned_jobs = 0;
+    for seed in 0..SEEDS {
+        let mut profiles = ProfileDb::new();
+        for (stage, sw) in stages().iter().enumerate() {
+            let noise = NoiseModel::realistic(seed * 8 + stage as u64);
+            let mut device = SimGpu::new(gpu.clone()).with_noise(noise);
+            let fwd = profiler.profile(&mut device, &sw.fwd);
+            let bwd = profiler.profile(&mut device, &sw.bwd);
+            let key = |kind| OpKey {
+                stage,
+                chunk: 0,
+                kind,
+            };
+            profiles.insert(key(CompKind::Recompute), fwd.clone());
+            profiles.insert(key(CompKind::Forward), fwd);
+            profiles.insert(key(CompKind::Backward), bwd);
+        }
+        let pinned: Vec<(OpKey, FreqMHz)> = profiles
+            .iter()
+            .filter_map(|(key, p)| match p.pareto() {
+                [only] => Some((*key, only.freq)),
+                _ => None,
+            })
+            .collect();
+        server
+            .submit_profiles(job, profiles, &opts)
+            .unwrap()
+            .wait()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        if pinned.is_empty() {
+            continue;
+        }
+        pinned_jobs += 1;
+        let frontier = server.frontier(job).unwrap();
+        for (node, comp) in pipe.computations() {
+            let Some(&(_, freq)) = pinned.iter().find(|(key, _)| *key == comp.op_key()) else {
+                continue;
+            };
+            for point in frontier.points() {
+                assert_eq!(point.schedule.freq_of(node), Some(freq), "seed {seed}");
+            }
+        }
+    }
+    assert!(pinned_jobs > 0, "some seed must sweep a one-point profile");
 }
 
 #[test]
@@ -2854,52 +2919,65 @@ mod replication {
     #[test]
     fn follower_refuses_an_undecodable_record_and_reopens_to_what_it_served() {
         let leader_dir = unique_test_dir("bad-record-leader");
-        let follower_dir = unique_test_dir("bad-record-follower");
         let leader = PerseusServer::open(&leader_dir, one_worker()).unwrap();
         drive_leader(&leader);
         let pristine = leader.replication_tail(0).unwrap();
         assert_eq!(pristine.len(), 6);
 
-        // A CRC-valid frame whose payload is no journal event.
-        let mut tail = pristine.clone();
-        let bad = tail[3].seq;
-        tail[3].payload = vec![0xFF; 8];
-        let mut follower = FollowerServer::open(&follower_dir, one_worker()).unwrap();
-        follower.set_max_lag(0);
-        let err = follower.receive(&tail).unwrap_err();
-        assert!(
-            matches!(err, ServerError::Store(StoreError::Corrupt { .. })),
-            "{err}"
-        );
-        // Nothing at or after the bad record was shipped or applied.
-        assert_eq!(follower.shipped_seq(), bad - 1);
-        assert_eq!(follower.applied_seq(), bad - 1);
-        let live = follower.server().state_fingerprint();
-        drop(follower);
+        // Two bad records in one place: a CRC-valid frame whose payload is
+        // no journal event, and the next record's event under this
+        // record's CRC, which decodes but fails its checksum.
+        let bad = pristine[3].seq;
+        let mut undecodable = pristine.clone();
+        undecodable[3].payload = vec![0xFF; 8];
+        let mut body = bad.to_le_bytes().to_vec();
+        body.extend_from_slice(&undecodable[3].payload);
+        undecodable[3].crc = perseus_store::crc32(&body);
+        let mut altered = pristine.clone();
+        altered[3].payload = pristine[4].payload.clone();
+        for (case, tail) in [("undecodable", undecodable), ("altered", altered)] {
+            let follower_dir = unique_test_dir("bad-record-follower");
+            let mut follower = FollowerServer::open(&follower_dir, one_worker()).unwrap();
+            follower.set_max_lag(0);
+            let err = follower.receive(&tail).unwrap_err();
+            assert!(
+                matches!(err, ServerError::Store(StoreError::Corrupt { .. })),
+                "{case}: {err}"
+            );
+            // Nothing at or after the bad record was shipped or applied.
+            assert_eq!(follower.shipped_seq(), bad - 1, "{case}");
+            assert_eq!(follower.applied_seq(), bad - 1, "{case}");
+            let live = follower.server().state_fingerprint();
+            drop(follower);
 
-        // The directory holds exactly what the follower served.
-        let mut follower = FollowerServer::open(&follower_dir, one_worker()).unwrap();
-        assert_eq!(follower.shipped_seq(), bad - 1);
-        assert_eq!(follower.server().state_fingerprint(), live);
+            // The directory holds exactly what the follower served.
+            let mut follower = FollowerServer::open(&follower_dir, one_worker()).unwrap();
+            assert_eq!(follower.shipped_seq(), bad - 1, "{case}");
+            assert_eq!(follower.server().state_fingerprint(), live, "{case}");
 
-        // The intact record resumes shipping where the bad one stopped it.
-        follower.receive(&pristine).unwrap();
-        follower.apply_all();
-        assert_eq!(
-            follower.server().state_fingerprint(),
-            leader.state_fingerprint()
-        );
+            // The intact record resumes shipping where the bad one stopped it.
+            follower.receive(&pristine).unwrap();
+            follower.apply_all();
+            assert_eq!(
+                follower.server().state_fingerprint(),
+                leader.state_fingerprint(),
+                "{case}"
+            );
+            drop(follower);
+            let _ = std::fs::remove_dir_all(&follower_dir);
+        }
 
-        drop(follower);
         drop(leader);
         let _ = std::fs::remove_dir_all(&leader_dir);
-        let _ = std::fs::remove_dir_all(&follower_dir);
     }
 
     /// Seeded mutations of a shipped tail — bit flips, truncations and
-    /// payloads spliced from two records — never panic `receive`, and a
-    /// reopen of the follower's directory always recovers the state the
-    /// live follower serves.
+    /// payloads spliced from two records — never panic `receive`, every
+    /// shipment leaves the follower on a state that some unmutated prefix
+    /// of the tail produces (a mutated record fails its frame checksum,
+    /// even when its payload still decodes), and a reopen of the
+    /// follower's directory always recovers the state the live follower
+    /// serves.
     #[test]
     fn mutated_shipments_reopen_to_the_live_follower_state() {
         let leader_dir = unique_test_dir("mutate-leader");
@@ -2913,6 +2991,19 @@ mod replication {
             plan_cache: Some(Arc::new(PlanCache::new())),
             ..one_worker()
         };
+        // The state after each unmutated prefix of the tail.
+        let prefix_states: Vec<Vec<u8>> = (0..=pristine.len())
+            .map(|k| {
+                let dir = unique_test_dir("mutate-prefix");
+                let mut follower = FollowerServer::open(&dir, cfg.clone()).unwrap();
+                follower.receive(&pristine[..k]).unwrap();
+                follower.apply_all();
+                let state = follower.server().state_fingerprint();
+                drop(follower);
+                let _ = std::fs::remove_dir_all(&dir);
+                state
+            })
+            .collect();
         let mut rng = SplitMix64(0xF011_0BE5);
         let mut refused = 0;
         for run in 0..200 {
@@ -2949,6 +3040,10 @@ mod replication {
             }
             follower.apply_all();
             let live = follower.server().state_fingerprint();
+            assert!(
+                prefix_states.contains(&live),
+                "run {run} (kind {kind}): the follower reached a state no prefix of the tail produces"
+            );
             let shipped = follower.shipped_seq();
             drop(follower);
             let reopened = FollowerServer::open(&dir, cfg.clone()).unwrap();

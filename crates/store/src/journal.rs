@@ -39,13 +39,34 @@ const HEADER_LEN: u64 = 8;
 /// as corruption rather than an allocation request.
 const MAX_RECORD_LEN: u32 = 256 * 1024 * 1024;
 
-/// One journal record: its sequence number and opaque payload.
+/// One journal record: its sequence number, opaque payload, and the
+/// checksum its frame carried.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Strictly ascending sequence number (1-based).
     pub seq: u64,
     /// The event bytes (encoded by the journal's user).
     pub payload: Vec<u8>,
+    /// The frame's CRC-32 of `seq` (u64le) followed by `payload`. It
+    /// travels with a shipped record, so a receiver can refuse one that
+    /// was altered after it left the journal ([`Record::is_intact`]).
+    pub crc: u32,
+}
+
+impl Record {
+    /// Whether `crc` still matches `seq` and `payload`.
+    pub fn is_intact(&self) -> bool {
+        crc32(&frame_body(self.seq, &self.payload)) == self.crc
+    }
+}
+
+/// A record's frame body, the bytes its CRC covers: `seq` (u64le), then
+/// `payload`.
+fn frame_body(seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(8 + payload.len());
+    body.extend_from_slice(&seq.to_le_bytes());
+    body.extend_from_slice(payload);
+    body
 }
 
 /// Counters describing a journal's history since it was opened.
@@ -128,10 +149,11 @@ impl Journal {
             let mut pos = HEADER_LEN as usize;
             loop {
                 match next_record(&bytes, pos, next_seq) {
-                    Some((seq, payload, next_pos)) => {
+                    Some((seq, crc, payload, next_pos)) => {
                         records.push(Record {
                             seq,
                             payload: payload.to_vec(),
+                            crc,
                         });
                         next_seq = seq + 1;
                         pos = next_pos;
@@ -183,9 +205,7 @@ impl Journal {
     ///
     /// [`StoreError::Io`] on write failures.
     pub fn append_with_seq(&mut self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
-        let mut body = Vec::with_capacity(8 + payload.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(payload);
+        let body = frame_body(seq, payload);
         let mut frame = Vec::with_capacity(8 + body.len());
         frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -248,7 +268,7 @@ impl Journal {
         let mut keep: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut pos = HEADER_LEN as usize;
         let mut expect = 1u64;
-        while let Some((seq, payload, next_pos)) = next_record(&bytes, pos, expect) {
+        while let Some((seq, _, payload, next_pos)) = next_record(&bytes, pos, expect) {
             if seq > watermark {
                 keep.push((seq, payload.to_vec()));
             }
@@ -262,9 +282,7 @@ impl Journal {
             out.write_all(MAGIC)?;
             out.write_all(&VERSION.to_le_bytes())?;
             for (seq, payload) in &keep {
-                let mut body = Vec::with_capacity(8 + payload.len());
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(payload);
+                let body = frame_body(*seq, payload);
                 out.write_all(&(body.len() as u32).to_le_bytes())?;
                 out.write_all(&crc32(&body).to_le_bytes())?;
                 out.write_all(&body)?;
@@ -308,11 +326,12 @@ impl Journal {
         let mut out = Vec::new();
         let mut pos = HEADER_LEN as usize;
         let mut expect = 1u64;
-        while let Some((seq, payload, next_pos)) = next_record(&bytes, pos, expect) {
+        while let Some((seq, crc, payload, next_pos)) = next_record(&bytes, pos, expect) {
             if seq > after_seq {
                 out.push(Record {
                     seq,
                     payload: payload.to_vec(),
+                    crc,
                 });
             }
             expect = seq + 1;
@@ -338,10 +357,10 @@ impl Journal {
     }
 }
 
-/// Parses the record starting at `pos`, returning `(seq, payload,
+/// Parses the record starting at `pos`, returning `(seq, crc, payload,
 /// next_pos)` or `None` if the bytes from `pos` are not a valid record
 /// whose sequence is at least `min_seq`.
-fn next_record(bytes: &[u8], pos: usize, min_seq: u64) -> Option<(u64, &[u8], usize)> {
+fn next_record(bytes: &[u8], pos: usize, min_seq: u64) -> Option<(u64, u32, &[u8], usize)> {
     let frame_start = pos;
     if bytes.len() - frame_start < 8 {
         return None;
@@ -366,5 +385,5 @@ fn next_record(bytes: &[u8], pos: usize, min_seq: u64) -> Option<(u64, &[u8], us
         // onto stale bytes.
         return None;
     }
-    Some((seq, &body[8..], body_end))
+    Some((seq, crc, &body[8..], body_end))
 }

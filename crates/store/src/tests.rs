@@ -403,6 +403,38 @@ fn journal_tail_from_ships_exactly_the_suffix() {
 }
 
 #[test]
+fn records_carry_their_frame_checksum() {
+    let scratch = Scratch::new("record-crc");
+    let path = scratch.path("wal");
+    let (mut j, _) = Journal::open(&path).unwrap();
+    for payload in [b"one".as_ref(), b"", b"three"] {
+        j.append(payload).unwrap();
+    }
+    let shipped = j.tail_from(0).unwrap();
+    drop(j);
+    let (_, opened) = Journal::open(&path).unwrap();
+    // `open` and `tail_from` fill in the CRC the frame carried: crc32 of
+    // the sequence (u64le) followed by the payload.
+    assert_eq!(opened, shipped);
+    for rec in &shipped {
+        let mut body = rec.seq.to_le_bytes().to_vec();
+        body.extend_from_slice(&rec.payload);
+        assert_eq!(rec.crc, crc32(&body));
+        assert!(rec.is_intact());
+    }
+    // Any change to the sequence or the payload breaks it.
+    let mut altered = shipped[0].clone();
+    altered.payload[0] ^= 1;
+    assert!(!altered.is_intact());
+    let mut altered = shipped[1].clone();
+    altered.payload.push(0);
+    assert!(!altered.is_intact());
+    let mut altered = shipped[2].clone();
+    altered.seq += 1;
+    assert!(!altered.is_intact());
+}
+
+#[test]
 fn journal_tail_from_never_ships_scribbled_suffix() {
     let scratch = Scratch::new("tail-scribble");
     let path = scratch.path("wal");
