@@ -68,29 +68,44 @@ fn scripted_injector_defaults_to_fault_free() {
     assert_eq!(inj.injected(), 2);
 }
 
-/// Differential check over the whole planner registry: the cached,
-/// `T'`-independent [`PlanOutput`](perseus_core::PlanOutput) selected at a
-/// deadline must deploy exactly the schedule a fresh `plan()` would at
-/// that same deadline, across a 50-deadline sweep spanning below `T_min`
-/// to beyond `T*`.
+/// Differential check over every policy: the cached, `T'`-independent
+/// [`PlanOutput`](perseus_core::PlanOutput) selected at a deadline must
+/// deploy exactly the schedule a fresh `plan()` of the policy's planner
+/// would at that same deadline, across a 50-deadline sweep spanning below
+/// `T_min` to beyond `T*`.
 #[test]
 fn cached_select_matches_fresh_plan_across_deadline_sweep() {
+    use perseus_baselines::{AllMaxFreq, EnvPipe, MinEnergyOracle, ZeusGlobal, ZeusPerStage};
+    use perseus_core::{KareusPlanner, Perseus, Planner};
+    use perseus_gpu::PowerStateModel;
+
     let emu = Emulator::new(small_config()).unwrap();
     let ctx = emu.ctx();
     let (t_min, t_star) = (emu.frontier().t_min(), emu.frontier().t_star());
-    let planners: Vec<_> = emu.planners().iter().collect();
-    assert!(planners.len() >= 6, "default registry holds all policies");
-    for (name, planner) in planners {
-        let cached = emu.plan_of(Policy::custom(name)).unwrap();
+    let opts = emu.config().frontier.clone();
+    for policy in Policy::ALL {
+        let planner: Box<dyn Planner> = match policy {
+            Policy::AllMax => Box::new(AllMaxFreq),
+            Policy::Perseus => Box::new(Perseus::new(opts.clone())),
+            Policy::Kareus => Box::new(KareusPlanner::new(
+                opts.clone(),
+                PowerStateModel::default_for(&emu.config().gpu),
+            )),
+            Policy::EnvPipe => Box::new(EnvPipe::default()),
+            Policy::ZeusGlobal => Box::new(ZeusGlobal),
+            Policy::ZeusPerStage => Box::new(ZeusPerStage),
+            Policy::MinEnergyOracle => Box::new(MinEnergyOracle),
+        };
+        let cached = emu.plan_of(policy).unwrap();
         let fresh = planner.plan(ctx).unwrap();
         for i in 0..50 {
             let t = 0.8 * t_min + (1.5 * t_star - 0.8 * t_min) * (i as f64) / 49.0;
             let a = cached.select(Some(t));
             let b = fresh.select(Some(t));
-            assert_eq!(a.freqs, b.freqs, "{name} diverged at deadline {t}");
+            assert_eq!(a.freqs, b.freqs, "{policy} diverged at deadline {t}");
             assert!(
                 (a.time_s - b.time_s).abs() < 1e-12 && (a.compute_j - b.compute_j).abs() < 1e-12,
-                "{name} re-planned differently at deadline {t}"
+                "{policy} re-planned differently at deadline {t}"
             );
         }
     }
@@ -532,8 +547,8 @@ mod flight {
     }
 }
 
-/// Frequency caps interact with Kareus sleep: a cap re-clamps every
-/// cached plan and the kareus plan's sleep windows are recomputed against
+/// Frequency caps interact with Kareus sleep: a cap re-clamps the
+/// frontier and the kareus plan's sleep windows are recomputed against
 /// the capped (stretched) timeline. Under an identical fault plan that
 /// includes a cap and a straggler spike, the kareus run survives every
 /// fault and never spends more energy than frequency-only Perseus — the

@@ -7,20 +7,20 @@ use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use perseus_baselines::AllMaxFreq;
+use perseus_baselines::{AllMaxFreq, EnvPipe, MinEnergyOracle, ZeusGlobal, ZeusPerStage};
 use perseus_core::{
     attribute_schedule, attribute_schedule_with_sleep, BloatLedger, CoreError, EnergyBreakdown,
-    FrontierOptions, ParetoFrontier, PipelineEnergy, PlanContext, PlanOutput, Planner,
-    ScheduleAttribution,
+    FrontierOptions, FrontierPlan, FrontierSolver, ParetoFrontier, PipelineEnergy, PlanContext,
+    PlanOutput, Planner, ScheduleAttribution,
 };
-use perseus_gpu::{FreqMHz, GpuSpec};
+use perseus_gpu::{FreqMHz, GpuSpec, PowerStateModel};
 use perseus_models::{
     min_imbalance_partition, ModelError, ModelSpec, PartitionError, StageWorkloads,
 };
-use perseus_pipeline::{PipelineBuilder, PipelineDag, ScheduleError, ScheduleKind};
+use perseus_pipeline::{
+    node_start_times, PipeNode, PipelineBuilder, PipelineDag, ScheduleError, ScheduleKind,
+};
 use perseus_telemetry::Telemetry;
-
-use crate::registry::PlannerRegistry;
 
 /// Emulation input: the model, hardware, and parallelization layout.
 #[derive(Debug, Clone)]
@@ -64,8 +64,6 @@ pub enum EmulatorError {
     Core(CoreError),
     /// A straggler degree below 1.0 was requested.
     InvalidDegree(f64),
-    /// No planner is registered under the policy's name.
-    UnknownPolicy(String),
 }
 
 impl fmt::Display for EmulatorError {
@@ -76,7 +74,6 @@ impl fmt::Display for EmulatorError {
             EmulatorError::Schedule(e) => write!(f, "schedule error: {e}"),
             EmulatorError::Core(e) => write!(f, "frontier error: {e}"),
             EmulatorError::InvalidDegree(d) => write!(f, "straggler degree {d} must be >= 1"),
-            EmulatorError::UnknownPolicy(name) => write!(f, "no planner registered as {name:?}"),
         }
     }
 }
@@ -110,59 +107,58 @@ impl From<CoreError> for EmulatorError {
     }
 }
 
-/// Energy policy applied to the non-straggler pipelines: a planner name
-/// resolved through the emulator's [`PlannerRegistry`].
-///
-/// The well-known policies are associated constants
-/// (`Policy::Perseus`, `Policy::AllMax`, …), so existing call sites read
-/// exactly as they did when this was an enum; [`Policy::custom`] names a
-/// planner registered via [`Emulator::register_planner`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Policy {
-    name: &'static str,
-}
-
-#[allow(non_upper_case_globals)]
-impl Policy {
+/// Energy policy applied to the non-straggler pipelines: the closed set
+/// the emulator prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Policy {
     /// Every computation at maximum frequency (the baseline).
-    pub const AllMax: Policy = Policy {
-        name: "all_max_freq",
-    };
+    AllMax,
     /// Perseus: frontier lookup at `T_opt = min(T*, T')`.
-    pub const Perseus: Policy = Policy { name: "perseus" };
+    Perseus,
     /// Kareus: the Perseus frontier with sleep windows inserted into
     /// pipeline bubbles (joint dynamic + static planning).
-    pub const Kareus: Policy = Policy { name: "kareus" };
+    Kareus,
     /// EnvPipe: intrinsic-only heuristic, unaware of stragglers.
-    pub const EnvPipe: Policy = Policy { name: "envpipe" };
+    EnvPipe,
     /// ZeusGlobal: the lowest-energy global frequency cap whose iteration
     /// time does not exceed `T'`.
-    pub const ZeusGlobal: Policy = Policy {
-        name: "zeus_global",
-    };
+    ZeusGlobal,
     /// ZeusPerStage: per-stage clocks balancing forward times under `T'`.
-    pub const ZeusPerStage: Policy = Policy {
-        name: "zeus_per_stage",
-    };
+    ZeusPerStage,
     /// Every computation at its minimum-energy frequency (§2.4 oracle).
-    pub const MinEnergyOracle: Policy = Policy {
-        name: "min_energy_oracle",
-    };
+    MinEnergyOracle,
+}
 
-    /// A policy resolving to the planner registered under `name`.
-    pub const fn custom(name: &'static str) -> Policy {
-        Policy { name }
-    }
+impl Policy {
+    /// Every policy, in declaration order.
+    pub const ALL: [Policy; 7] = [
+        Policy::AllMax,
+        Policy::Perseus,
+        Policy::Kareus,
+        Policy::EnvPipe,
+        Policy::ZeusGlobal,
+        Policy::ZeusPerStage,
+        Policy::MinEnergyOracle,
+    ];
 
-    /// The planner name this policy resolves to.
+    /// The stable name of the planner behind this policy
+    /// ([`Planner::name`]).
     pub fn name(&self) -> &'static str {
-        self.name
+        match self {
+            Policy::AllMax => "all_max_freq",
+            Policy::Perseus => "perseus",
+            Policy::Kareus => "kareus",
+            Policy::EnvPipe => "envpipe",
+            Policy::ZeusGlobal => "zeus_global",
+            Policy::ZeusPerStage => "zeus_per_stage",
+            Policy::MinEnergyOracle => "min_energy_oracle",
+        }
     }
 }
 
 impl fmt::Display for Policy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name)
+        f.write_str(self.name())
     }
 }
 
@@ -281,23 +277,22 @@ pub struct Savings {
 
 /// The emulator: one partitioned, profiled, characterized pipeline.
 ///
-/// Policies dispatch through a [`PlannerRegistry`] (no per-policy match):
-/// a [`Policy`] is just a planner name, and each planner's
-/// [`PlanOutput`] is computed once and cached — straggler events only
-/// re-*select* from the cached output, mirroring how the planning server
-/// reacts without replanning.
+/// Each [`Policy`]'s [`PlanOutput`] is computed once, on first use, and
+/// cached — straggler events only re-*select* from the cached output,
+/// mirroring how the planning server reacts without replanning.
 ///
 /// The planning context (pipeline, profiles, fitted curves) is built once,
 /// at construction, and kept for the emulator's lifetime: pricing an
-/// iteration never re-fits a profile.
+/// iteration never re-fits a profile. So is the frontier: it is
+/// characterized once, and the Perseus and Kareus plans share its `Arc`
+/// (Kareus adds only its sleep plans).
 pub struct Emulator {
     config: ClusterConfig,
     /// The one planning context; owns the emulated pipeline.
     ctx: PlanContext<'static>,
     stages: Vec<StageWorkloads>,
-    frontier: ParetoFrontier,
-    planners: PlannerRegistry,
-    plan_cache: Mutex<HashMap<&'static str, Arc<PlanOutput>>>,
+    frontier: Arc<ParetoFrontier>,
+    plan_cache: Mutex<HashMap<Policy, Arc<PlanOutput>>>,
     /// Active datacenter frequency cap, if any; plans computed after the
     /// cap landed are clamped to it so cached and fresh plans agree.
     freq_cap: Option<FreqMHz>,
@@ -338,22 +333,14 @@ impl Emulator {
         let pipe = PipelineBuilder::new(config.schedule, config.n_stages, config.n_microbatches)
             .build()?;
         let ctx = PlanContext::from_model_profiles(&pipe, &config.gpu, &stages)?.into_owned();
-        let frontier = perseus_core::FrontierSolver::with_telemetry(&ctx.pipe, telemetry.clone())
+        let frontier = FrontierSolver::with_telemetry(&ctx.pipe, telemetry.clone())
             .characterize(&ctx, &config.frontier)?;
-        let planners = PlannerRegistry::with_defaults(config.frontier.clone(), &config.gpu);
-        // Perseus is planned eagerly (it is the frontier just
-        // characterized); baselines plan lazily on first use.
-        let plan_cache = Mutex::new(HashMap::from([(
-            Policy::Perseus.name(),
-            Arc::new(PlanOutput::Frontier(frontier.clone())),
-        )]));
         Ok(Emulator {
             config,
             ctx,
             stages,
-            frontier,
-            planners,
-            plan_cache,
+            frontier: Arc::new(frontier),
+            plan_cache: Mutex::new(HashMap::new()),
             freq_cap: None,
             telemetry,
         })
@@ -363,19 +350,6 @@ impl Emulator {
     /// emulator was built with [`Emulator::with_telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Registers `planner` so [`Policy::custom`]`(planner.name())` can
-    /// dispatch to it, replacing any planner of the same name (and
-    /// dropping that name's cached plan).
-    pub fn register_planner(&mut self, planner: Arc<dyn Planner>) {
-        self.plan_cache.lock().remove(planner.name());
-        self.planners.register(planner);
-    }
-
-    /// The planner registry policies resolve through.
-    pub fn planners(&self) -> &PlannerRegistry {
-        &self.planners
     }
 
     /// The emulated pipeline DAG.
@@ -434,6 +408,10 @@ impl Emulator {
                 t.max(base)
             }
             StragglerCause::IoStall { stall_s } => {
+                // The stalled pipeline is a different DAG over the same
+                // computations, so it is priced all-max from this
+                // context's profiles: every computation at the fastest
+                // profiled point, exactly as an all-max plan realizes it.
                 let stalled = PipelineBuilder::new(
                     self.config.schedule,
                     self.config.n_stages,
@@ -441,53 +419,76 @@ impl Emulator {
                 )
                 .with_data_loading(stall_s, self.config.gpu.blocking_w)
                 .build()?;
-                let ctx2 =
-                    PlanContext::from_model_profiles(&stalled, &self.config.gpu, &self.stages)?;
-                // Planned fresh, never from the cache: the stalled DAG is a
-                // different pipeline than the one the cache describes.
-                let t = AllMaxFreq.plan(&ctx2)?.select(None).time_s;
+                let (_, t) = node_start_times(&stalled.dag, |_, node| match node {
+                    PipeNode::Comp(c) => {
+                        let profile = ctx.profiles.get(&c.op_key()).expect("profiled op");
+                        profile
+                            .slowest_within(profile.t_min())
+                            .expect("a profile meets its own t_min")
+                            .time_s
+                    }
+                    PipeNode::Fixed { time_s, .. } => *time_s,
+                    _ => 0.0,
+                });
                 t.max(base)
             }
         })
     }
 
     /// The policy's `T'`-independent plan, as [`Emulator::report`] uses
-    /// it: from the cache when present, otherwise planned through the
-    /// registry on first use and cached for the emulator's lifetime.
-    /// Public so differential tests can compare the cached artifact
-    /// against a freshly planned one.
+    /// it: from the cache when present, otherwise planned on first use and
+    /// cached for the emulator's lifetime. Perseus and Kareus are built
+    /// from the one characterized (and, under a cap, clamped) frontier;
+    /// the baselines plan against the kept context. Public so
+    /// differential tests can compare the cached artifact against a
+    /// freshly planned one.
     ///
     /// # Errors
     ///
-    /// [`EmulatorError::UnknownPolicy`] for unregistered names;
-    /// propagates planning failures.
+    /// Propagates planning failures.
     pub fn plan_of(&self, policy: Policy) -> Result<Arc<PlanOutput>, EmulatorError> {
-        if let Some(out) = self.plan_cache.lock().get(policy.name()) {
+        if let Some(out) = self.plan_cache.lock().get(&policy) {
             return Ok(Arc::clone(out));
         }
-        let planner = self
-            .planners
-            .get(policy.name())
-            .ok_or_else(|| EmulatorError::UnknownPolicy(policy.name().to_string()))?;
-        let mut plan = planner.plan(&self.ctx)?;
+        let ctx = &self.ctx;
         // Plans computed after a cap landed live under that cap too, so
-        // cached and lazily planned policies stay consistent.
-        if let Some(cap) = self.freq_cap {
-            plan = plan.clamp_freq_cap(&self.ctx, cap)?;
-        }
+        // cached and lazily planned policies stay consistent; the frontier
+        // itself is clamped when the cap lands.
+        let baseline = |planner: &dyn Planner| -> Result<PlanOutput, CoreError> {
+            let plan = planner.plan(ctx)?;
+            match self.freq_cap {
+                Some(cap) => plan.clamp_freq_cap(ctx, cap, None),
+                None => Ok(plan),
+            }
+        };
+        let frontier = Arc::clone(&self.frontier);
+        let plan = match policy {
+            Policy::Perseus => PlanOutput::Frontier(FrontierPlan::new(frontier)),
+            Policy::Kareus => {
+                // Kareus draws from the GPU's default sleep-state menu.
+                let power = PowerStateModel::default_for(&self.config.gpu);
+                PlanOutput::Frontier(FrontierPlan::with_sleep(frontier, ctx, &power))
+            }
+            Policy::AllMax => baseline(&AllMaxFreq)?,
+            Policy::EnvPipe => baseline(&EnvPipe::default())?,
+            Policy::ZeusGlobal => baseline(&ZeusGlobal)?,
+            Policy::ZeusPerStage => baseline(&ZeusPerStage)?,
+            Policy::MinEnergyOracle => baseline(&MinEnergyOracle)?,
+        };
         let out = Arc::new(plan);
-        self.plan_cache
-            .lock()
-            .insert(policy.name(), Arc::clone(&out));
+        self.plan_cache.lock().insert(policy, Arc::clone(&out));
         Ok(out)
     }
 
     /// A datacenter frequency cap landed on the cluster (§2.3): frontier
-    /// points assigning clocks above `cap` are no longer realizable.
-    /// Every cached plan — including the characterized Perseus frontier —
-    /// is re-clamped via [`PlanOutput::clamp_freq_cap`] instead of
-    /// panicking at deploy time, and the cap is remembered so plans
-    /// computed lazily afterwards are clamped the same way. Clamping is
+    /// points assigning clocks above `cap` are no longer realizable. The
+    /// characterized frontier is re-clamped once, via
+    /// [`ParetoFrontier::clamp_to_freq_cap`], and the Perseus and Kareus
+    /// plans are rebuilt on it at their next use (Kareus re-deriving its
+    /// sleep windows against the capped timeline); every cached baseline
+    /// plan is re-clamped via [`PlanOutput::clamp_freq_cap`]. Nothing
+    /// panics at deploy time, and the cap is remembered so baselines
+    /// planned lazily afterwards are clamped the same way. Clamping is
     /// monotone, so repeated caps converge: only the lowest cap matters.
     ///
     /// # Errors
@@ -498,17 +499,17 @@ impl Emulator {
         if self.freq_cap.is_some_and(|old| old <= cap) {
             return Ok(());
         }
-        let clamped_frontier = self.frontier.clamp_to_freq_cap(&self.ctx, cap)?;
-        let mut clamped_cache = HashMap::new();
-        for (name, plan) in self.plan_cache.lock().iter() {
-            clamped_cache.insert(*name, Arc::new(plan.clamp_freq_cap(&self.ctx, cap)?));
+        let frontier = Arc::new(self.frontier.clamp_to_freq_cap(&self.ctx, cap)?);
+        let mut clamped = HashMap::new();
+        for (&policy, plan) in self.plan_cache.get_mut().iter() {
+            // Plans on the frontier are rebuilt from the clamped one on
+            // next use.
+            if plan.as_frontier().is_none() {
+                clamped.insert(policy, Arc::new(plan.clamp_freq_cap(&self.ctx, cap, None)?));
+            }
         }
-        clamped_cache.insert(
-            Policy::Perseus.name(),
-            Arc::new(PlanOutput::Frontier(clamped_frontier.clone())),
-        );
-        self.frontier = clamped_frontier;
-        *self.plan_cache.lock() = clamped_cache;
+        self.frontier = frontier;
+        *self.plan_cache.get_mut() = clamped;
         self.freq_cap = Some(cap);
         Ok(())
     }

@@ -39,7 +39,6 @@
 //! ```
 
 mod emulator;
-mod registry;
 mod run;
 mod scaling;
 
@@ -47,7 +46,6 @@ pub use emulator::{
     ClusterAttribution, ClusterConfig, ClusterReport, Emulator, EmulatorError, Policy, Savings,
     StragglerCause,
 };
-pub use registry::PlannerRegistry;
 pub use run::{
     simulate_run, simulate_run_observed, simulate_run_with_ledger, thermal_cycle_trace,
     IterationRecord, RunConfig, RunSummary, StragglerTimeline, TraceEvent,

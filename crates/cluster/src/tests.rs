@@ -1,5 +1,6 @@
-use perseus_core::FrontierOptions;
-use perseus_gpu::{FreqMHz, GpuSpec};
+use perseus_baselines::{AllMaxFreq, EnvPipe, MinEnergyOracle, ZeusGlobal, ZeusPerStage};
+use perseus_core::{FrontierOptions, KareusPlanner, Perseus, Planner};
+use perseus_gpu::{FreqMHz, GpuSpec, PowerStateModel};
 use perseus_models::zoo;
 use perseus_pipeline::ScheduleKind;
 
@@ -20,6 +21,24 @@ fn small_config() -> ClusterConfig {
             stretch: true,
             warm_start: true,
         },
+    }
+}
+
+/// The planner behind `policy`, for tests that re-plan from scratch and
+/// compare against what the emulator prices.
+fn planner_of(emu: &Emulator, policy: Policy) -> Box<dyn Planner> {
+    let opts = emu.config().frontier.clone();
+    match policy {
+        Policy::AllMax => Box::new(AllMaxFreq),
+        Policy::Perseus => Box::new(Perseus::new(opts)),
+        Policy::Kareus => Box::new(KareusPlanner::new(
+            opts,
+            PowerStateModel::default_for(&emu.config().gpu),
+        )),
+        Policy::EnvPipe => Box::new(EnvPipe::default()),
+        Policy::ZeusGlobal => Box::new(ZeusGlobal),
+        Policy::ZeusPerStage => Box::new(ZeusPerStage),
+        Policy::MinEnergyOracle => Box::new(MinEnergyOracle),
     }
 }
 
@@ -448,12 +467,22 @@ fn plan_bits(p: &perseus_core::PlanOutput) -> Vec<u64> {
             bits.push(1);
             schedule_bits(s, &mut bits);
         }
-        PlanOutput::Frontier(f) => {
+        PlanOutput::Frontier(plan) => {
             bits.push(2);
-            for pt in f.points() {
+            for pt in plan.frontier().points() {
                 bits.push(pt.planned_time_s.to_bits());
                 bits.push(pt.planned_energy_j.to_bits());
                 schedule_bits(&pt.schedule, &mut bits);
+            }
+            for sleep in plan.sleep().unwrap_or_default() {
+                for stage in &sleep.per_stage {
+                    bits.push(stage.len() as u64);
+                    for w in stage {
+                        bits.push(w.start_s.to_bits());
+                        bits.push(w.end_s.to_bits());
+                        bits.push(w.state_power_w.to_bits());
+                    }
+                }
             }
         }
         PlanOutput::Sweep {
@@ -466,54 +495,28 @@ fn plan_bits(p: &perseus_core::PlanOutput) -> Vec<u64> {
                 schedule_bits(s, &mut bits);
             }
         }
-        PlanOutput::SleepFrontier {
-            frontier, sleep, ..
-        } => {
-            bits.push(4);
-            for pt in frontier.points() {
-                bits.push(pt.planned_time_s.to_bits());
-                bits.push(pt.planned_energy_j.to_bits());
-                schedule_bits(&pt.schedule, &mut bits);
-            }
-            for plan in sleep {
-                for stage in &plan.per_stage {
-                    bits.push(stage.len() as u64);
-                    for w in stage {
-                        bits.push(w.start_s.to_bits());
-                        bits.push(w.end_s.to_bits());
-                        bits.push(w.state_power_w.to_bits());
-                    }
-                }
-            }
-        }
     }
     bits
 }
 
 #[test]
 fn parallel_planner_sweep_matches_sequential() {
-    use std::sync::Arc;
-
     use perseus_core::parallel::parallel_map;
-    use perseus_core::Planner;
 
     let emu = Emulator::new(small_config()).unwrap();
     let ctx = emu.ctx();
-    let planners: Vec<(&'static str, Arc<dyn Planner>)> = emu.planners().iter().collect();
-    assert_eq!(
-        planners.len(),
-        7,
-        "Perseus, Kareus, and the five baselines: {:?}",
-        emu.planners().names()
-    );
+    let planners: Vec<Box<dyn Planner>> =
+        Policy::ALL.iter().map(|&p| planner_of(&emu, p)).collect();
     let sequential: Vec<Vec<u64>> = planners
         .iter()
-        .map(|(_, p)| plan_bits(&p.plan(ctx).unwrap()))
+        .map(|p| plan_bits(&p.plan(ctx).unwrap()))
         .collect();
-    let parallel: Vec<Vec<u64>> =
-        parallel_map(&planners, |(_, p)| plan_bits(&p.plan(ctx).unwrap()));
-    for (((name, _), seq), par) in planners.iter().zip(&sequential).zip(&parallel) {
-        assert_eq!(seq, par, "planner {name} diverges under parallel execution");
+    let parallel: Vec<Vec<u64>> = parallel_map(&planners, |p| plan_bits(&p.plan(ctx).unwrap()));
+    for ((policy, seq), par) in Policy::ALL.iter().zip(&sequential).zip(&parallel) {
+        assert_eq!(
+            seq, par,
+            "planner {policy} diverges under parallel execution"
+        );
     }
 }
 
@@ -546,6 +549,48 @@ fn thermal_throttle_time_monotone_in_cap_depth() {
         })
         .unwrap();
     assert!((t_none - base).abs() < 1e-9);
+}
+
+/// An I/O-stall straggler is priced from the emulator's one context, bit
+/// for bit as an all-max plan on a fresh context of the stalled pipeline
+/// prices it.
+#[test]
+fn io_stall_time_matches_a_fresh_context_all_max_plan() {
+    use perseus_core::PlanContext;
+    use perseus_pipeline::PipelineBuilder;
+
+    let mut interleaved = small_config();
+    interleaved.schedule = ScheduleKind::Interleaved1F1B { chunks: 2 };
+    interleaved.n_microbatches = 8;
+    let mut recompute = small_config();
+    recompute.schedule = ScheduleKind::EarlyRecompute1F1B;
+    for config in [small_config(), interleaved, recompute] {
+        let emu = Emulator::new(config).unwrap();
+        let cfg = emu.config();
+        let base = emu.plan_of(Policy::AllMax).unwrap().select(None).time_s;
+        for stall_s in [0.0, 1e-4, 3e-3, 0.02, 0.25] {
+            let stalled = PipelineBuilder::new(cfg.schedule, cfg.n_stages, cfg.n_microbatches)
+                .with_data_loading(stall_s, cfg.gpu.blocking_w)
+                .build()
+                .unwrap();
+            let fresh = PlanContext::from_model_profiles(&stalled, &cfg.gpu, emu.stages()).unwrap();
+            let want = AllMaxFreq
+                .plan(&fresh)
+                .unwrap()
+                .select(None)
+                .time_s
+                .max(base);
+            let got = emu
+                .straggler_iteration_time(StragglerCause::IoStall { stall_s })
+                .unwrap();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{} stall {stall_s}",
+                cfg.schedule
+            );
+        }
+    }
 }
 
 #[test]
@@ -762,8 +807,7 @@ fn report_charges_the_straggler_up_to_a_slow_policys_sync() {
         straggler.sync_time_s.to_bits(),
         oracle.sync_time_s.to_bits()
     );
-    for name in emu.planners().names() {
-        let policy = Policy::custom(name);
+    for policy in Policy::ALL {
         // `{:?}` prints every f64 round-trip exact: equal text, equal bits.
         assert_eq!(
             format!("{:?}", emu.report(policy, Some(cause)).unwrap()),
@@ -771,7 +815,7 @@ fn report_charges_the_straggler_up_to_a_slow_policys_sync() {
                 "{:?}",
                 emu.report_with_belief(policy, Some(t), Some(t)).unwrap()
             ),
-            "{name}"
+            "{policy}"
         );
     }
 }
@@ -809,7 +853,7 @@ fn simulate_run_with_ledger_is_observation_only() {
     assert!(ledger.total().extrinsic_j > 0.0);
 }
 
-/// The fleet plan cache's core promise, checked across every registered
+/// The fleet plan cache's core promise, checked across every policy's
 /// planner: planning is deterministic — a re-plan is **bitwise identical**
 /// to the first solve, which is what a cache hit hands out — and the
 /// planners' fingerprints of one structure are pairwise distinct, so no
@@ -823,20 +867,20 @@ fn cache_hit_plan_output_is_bitwise_identical_for_every_planner() {
     let opts = &emu.config().frontier;
     let mut fps = Vec::new();
 
-    let names: Vec<_> = emu.planners().names();
-    assert_eq!(names.len(), 7, "expected perseus + kareus + five baselines");
-    for (name, planner) in emu.planners().iter() {
+    for policy in Policy::ALL {
         // Differential: re-plan from scratch; the bytes must match the
         // first solve exactly, float for float.
+        let planner = planner_of(&emu, policy);
         let first = planner.plan(ctx).unwrap();
         let fresh = planner.plan(ctx).unwrap();
         assert_eq!(
             plan_bits(&first),
             plan_bits(&fresh),
-            "{name}: a fresh solve diverges from the first"
+            "{policy}: a fresh solve diverges from the first"
         );
+        assert_eq!(planner.name(), policy.name());
         fps.push(plan_fingerprint(
-            name,
+            policy.name(),
             emu.pipe(),
             &emu.config().gpu,
             &ctx.profiles,
@@ -856,7 +900,7 @@ mod kareus {
     use super::*;
     use std::sync::Arc;
 
-    use perseus_core::{EnergyKind, KareusPlanner};
+    use perseus_core::{EnergyKind, FrontierPlan, PlanOutput};
 
     #[test]
     fn kareus_never_exceeds_perseus_and_wins_on_bubbles() {
@@ -917,39 +961,77 @@ mod kareus {
         );
     }
 
+    /// Sleep plans over the emulator's frontier from a state that can
+    /// never amortize inside a sub-second iteration: every plan is empty,
+    /// and the joint plan prices exactly like the Perseus report at every
+    /// straggler time.
     #[test]
     fn unamortizable_kareus_is_bit_identical_to_perseus() {
-        use perseus_gpu::{PowerState, PowerStateModel};
+        use perseus_gpu::PowerState;
 
-        let mut emu = Emulator::new(small_config()).unwrap();
-        // Replace the registry's Kareus with one whose only state can
-        // never amortize inside a sub-second iteration.
-        emu.register_planner(Arc::new(KareusPlanner::new(
-            emu.config().frontier.clone(),
-            PowerStateModel {
-                states: vec![PowerState {
-                    name: "glacial",
-                    power_w: 1.0,
-                    entry_s: 1e6,
-                    exit_s: 1e6,
-                }],
-            },
-        )));
+        let emu = Emulator::new(small_config()).unwrap();
+        let glacial = PowerStateModel {
+            states: vec![PowerState {
+                name: "glacial",
+                power_w: 1.0,
+                entry_s: 1e6,
+                exit_s: 1e6,
+            }],
+        };
+        let perseus = emu.plan_of(Policy::Perseus).unwrap();
+        let frontier = Arc::clone(perseus.as_frontier_plan().unwrap().frontier());
+        let joint = PlanOutput::Frontier(FrontierPlan::with_sleep(frontier, emu.ctx(), &glacial));
         for cause in [None, Some(StragglerCause::Slowdown { degree: 1.3 })] {
-            let perseus = emu.report(Policy::Perseus, cause).unwrap();
-            let kareus = emu.report(Policy::Kareus, cause).unwrap();
+            let t_prime = cause.map(|c| emu.straggler_iteration_time(c).unwrap());
+            let report = emu.report(Policy::Perseus, cause).unwrap();
+            let schedule = joint.select(t_prime);
+            let sleep = joint
+                .sleep_plan(t_prime)
+                .expect("a joint plan carries sleep");
+            assert!(sleep.is_empty(), "no bubble amortizes a glacial state");
+            let priced =
+                schedule.energy_report_with_sleep(emu.ctx(), Some(report.sync_time_s), Some(sleep));
             assert_eq!(
-                kareus.total_j().to_bits(),
-                perseus.total_j().to_bits(),
+                format!("{priced:?}"),
+                format!("{:?}", report.non_straggler),
                 "no profitable bubble: kareus must degenerate exactly"
             );
         }
     }
 
+    /// Kareus is the Perseus frontier plus its sleep plans: before and
+    /// after a frequency cap, the emulator's Kareus plan holds the very
+    /// allocation of the Perseus frontier, and equals a fresh
+    /// `KareusPlanner::plan` (clamped to the same cap) bit for bit.
+    #[test]
+    fn kareus_plan_is_the_perseus_frontier_plus_sleep_across_a_cap() {
+        let mut emu = Emulator::new(small_config()).unwrap();
+        let power = PowerStateModel::default_for(&emu.config().gpu);
+        let planner = KareusPlanner::new(emu.config().frontier.clone(), power.clone());
+        let fresh = planner.plan(emu.ctx()).unwrap();
+        let check = |emu: &Emulator, fresh: &PlanOutput| {
+            let kareus = emu.plan_of(Policy::Kareus).unwrap();
+            let perseus = emu.plan_of(Policy::Perseus).unwrap();
+            let shared =
+                |plan: &PlanOutput| std::ptr::eq(plan.as_frontier().unwrap(), emu.frontier());
+            assert!(shared(&kareus), "kareus holds its own frontier copy");
+            assert!(shared(&perseus), "perseus holds its own frontier copy");
+            assert!(
+                plan_bits(&kareus) == plan_bits(fresh),
+                "kareus differs from a fresh plan"
+            );
+        };
+        check(&emu, &fresh);
+        emu.apply_freq_cap(FreqMHz(800)).unwrap();
+        let cap = emu.freq_cap().unwrap();
+        let fresh = fresh.clamp_freq_cap(emu.ctx(), cap, Some(&power)).unwrap();
+        check(&emu, &fresh);
+    }
+
     #[test]
     fn freq_cap_reclamps_and_recomputes_sleep() {
         let mut emu = Emulator::new(small_config()).unwrap();
-        // Prime the cache so the cap path re-clamps a cached SleepFrontier.
+        // Prime the cache so the cap path replaces a cached Kareus plan.
         let before = emu.report(Policy::Kareus, None).unwrap();
         let cap = FreqMHz(800);
         emu.apply_freq_cap(cap).unwrap();
@@ -971,12 +1053,15 @@ mod kareus {
         assert!(sleep.window_count() > 0, "capped bubbles remain sleepable");
     }
 
+    /// Of the plans of the emulator's closed policy set, only Kareus's
+    /// carries sleep plans.
     #[test]
     fn registry_plans_carry_sleep_plans_for_kareus_only() {
         let emu = Emulator::new(small_config()).unwrap();
-        for (name, planner) in emu.planners().iter() {
-            let plan = planner.plan(emu.ctx()).unwrap();
-            assert_eq!(plan.sleep_plan(None).is_some(), name == "kareus", "{name}");
+        for policy in Policy::ALL {
+            let plan = emu.plan_of(policy).unwrap();
+            let kareus = policy == Policy::Kareus;
+            assert_eq!(plan.sleep_plan(None).is_some(), kareus, "{policy}");
         }
     }
 

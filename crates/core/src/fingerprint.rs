@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use perseus_gpu::{GpuSpec, PowerStateModel};
+use perseus_gpu::GpuSpec;
 use perseus_pipeline::{OpKey, PipelineDag};
 use perseus_profiler::ProfileDb;
 use perseus_store::{ByteReader, ByteWriter, Persist, StoreError};
@@ -73,7 +73,10 @@ pub fn fnv1a_128(bytes: &[u8]) -> u128 {
 /// `policy` is the planner's stable name ([`crate::Planner::name`];
 /// `"perseus"` for the frontier solver) and is part of the hash input so
 /// different policies planning the same pipeline never share a cache
-/// entry — their outputs differ even when their inputs coincide.
+/// entry — their outputs differ even when their inputs coincide. A
+/// Kareus job keys its frontier as `"perseus"` too: the frontier is the
+/// same, and its sleep plans are derived downstream of the cache, so the
+/// power-state model is not an input of what the key names.
 ///
 /// Invariances, by construction of the canonical encoding:
 ///
@@ -88,33 +91,11 @@ pub fn plan_fingerprint(
     profiles: &ProfileDb<OpKey>,
     opts: &FrontierOptions,
 ) -> PlanFingerprint {
-    plan_fingerprint_with_power(policy, pipe, gpu, profiles, opts, None)
-}
-
-/// [`plan_fingerprint`] extended with an optional power-state model — the
-/// sixth planning input a joint dynamic+static policy (Kareus) depends on.
-///
-/// `None` encodes exactly like [`plan_fingerprint`] (no trailing marker),
-/// so every existing frequency-only fingerprint is unchanged; `Some`
-/// appends a marker byte plus the model's canonical bytes, so two Kareus
-/// jobs differing only in sleep-state latencies never share a plan.
-pub fn plan_fingerprint_with_power(
-    policy: &str,
-    pipe: &PipelineDag,
-    gpu: &GpuSpec,
-    profiles: &ProfileDb<OpKey>,
-    opts: &FrontierOptions,
-    power: Option<&PowerStateModel>,
-) -> PlanFingerprint {
     let mut w = ByteWriter::new();
     w.put_str(policy);
     pipe.encode(&mut w);
     gpu.encode(&mut w);
     profiles.encode(&mut w);
     opts.encode(&mut w);
-    if let Some(model) = power {
-        w.put_u8(1);
-        model.encode(&mut w);
-    }
     PlanFingerprint(fnv1a_128(&w.into_bytes()))
 }

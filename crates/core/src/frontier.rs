@@ -13,7 +13,7 @@ use crate::cache::PlanCache;
 use crate::context::{CoreError, PlanContext};
 use crate::cut::{get_next_pareto_arena, CutOutcome, CutSolver, SolverArena};
 use crate::energy::{pipeline_energy, PipelineEnergy};
-use crate::fingerprint::{plan_fingerprint_with_power, PlanFingerprint};
+use crate::fingerprint::{plan_fingerprint, PlanFingerprint};
 use crate::parallel::parallel_map;
 
 /// A realized energy schedule: planned per-computation durations lowered
@@ -360,7 +360,7 @@ fn default_tau(ctx: &PlanContext<'_>) -> f64 {
 /// captured.
 fn stretch_into_slack(ctx: &PlanContext<'_>, planned: &mut [f64]) {
     let dag = &ctx.pipe.dag;
-    let (gaps, _) = node_schedule_gaps(dag, |id, _| planned[id.index()]);
+    let (_, gaps, _) = node_schedule_gaps(dag, |id, _| planned[id.index()]);
     for id in dag.node_ids() {
         let Some(info) = ctx.info(id) else { continue };
         let gap = gaps[id.index()];
@@ -626,22 +626,20 @@ impl FrontierSolver {
     /// bin pin. A fleet of a thousand jobs drawn from twenty structures
     /// holds twenty frontier allocations, not a thousand.
     ///
+    /// The key holds only what the frontier depends on. A Kareus job and
+    /// a Perseus job of one structure therefore share one solve and one
+    /// entry: the cache holds frontiers, not deployments, and each job
+    /// derives its sleep plans (if any) from the shared frontier itself.
+    ///
     /// # Errors
     ///
     /// As [`FrontierSolver::characterize`]; a hit cannot fail.
-    /// The characterized frontier itself never depends on `power` — sleep
-    /// insertion happens downstream of characterization — but the
-    /// fingerprint does: a job carrying a power-state model must never
-    /// share a plan identity with a frequency-only job of the same
-    /// structure, because its deployments (frontier + sleep schedule)
-    /// differ. `None` keys exactly as before.
     pub fn characterize_cached<'p>(
         &self,
         pipe: &'p PipelineDag,
         gpu: &perseus_gpu::GpuSpec,
         profiles: &perseus_profiler::ProfileDb<perseus_pipeline::OpKey>,
         opts: &FrontierOptions,
-        power: Option<&perseus_gpu::PowerStateModel>,
         cache: &PlanCache,
     ) -> Result<
         (
@@ -651,8 +649,7 @@ impl FrontierSolver {
         ),
         CoreError,
     > {
-        let policy = if power.is_some() { "kareus" } else { "perseus" };
-        let fp = plan_fingerprint_with_power(policy, pipe, gpu, profiles, opts, power);
+        let fp = plan_fingerprint("perseus", pipe, gpu, profiles, opts);
         if let Some(frontier) = cache.get(fp) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             if self.telemetry.is_enabled() {

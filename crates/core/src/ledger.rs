@@ -21,6 +21,7 @@
 //! residual, and a proptest pins the identity down across random
 //! schedules, frequency plans, caps, and chaos seeds.
 
+use perseus_dag::NodeId;
 use perseus_pipeline::{node_schedule_gaps, CompKind, PipeNode};
 
 use crate::context::PlanContext;
@@ -228,7 +229,7 @@ pub fn attribute_schedule_with_sleep(
     sleep: Option<&SleepPlan>,
 ) -> ScheduleAttribution {
     let dag = &ctx.pipe.dag;
-    let (gaps, makespan) = node_schedule_gaps(dag, |id, _| schedule.realized_dur[id.index()]);
+    let (_, gaps, makespan) = node_schedule_gaps(dag, |id, _| schedule.realized_dur[id.index()]);
     let sync = t_prime.map_or(makespan, |t| t.max(makespan));
     let p_blocking = ctx.gpu.blocking_w;
     let n_stages = ctx.pipe.n_stages;
@@ -246,17 +247,7 @@ pub fn attribute_schedule_with_sleep(
             PipeNode::Comp(c) => {
                 let d = schedule.realized_dur[id.index()];
                 let e = schedule.realized_energy[id.index()];
-                let info = ctx.info(id).expect("comp node has plan info");
-                let profile = ctx.profile_of(id).expect("comp node has profile");
-                // Fill the gap, but never slow past the min-energy point.
-                let deadline = gaps[id.index()].max(d).min(info.t_max.max(d));
-                let (fill_t, fill_e) = match profile.slowest_within(deadline) {
-                    // Under a frequency cap the realized point can already
-                    // be slower than the slack-filling pick; then the
-                    // instruction carries no intrinsic bloat.
-                    Ok(entry) if entry.time_s >= d => (entry.time_s, entry.energy_j),
-                    _ => (d, e),
-                };
+                let (fill_t, fill_e) = slack_fill(ctx, schedule, &gaps, id);
                 let useful = fill_e.min(e);
                 let intrinsic = (e - useful) + p_blocking * (fill_t - d);
                 busy_fill[c.stage] += fill_t;
@@ -313,6 +304,30 @@ pub fn attribute_schedule_with_sleep(
         total,
         per_stage,
         per_kind,
+    }
+}
+
+/// The slack-filling alternative of computation `id` in a realized
+/// `schedule` whose schedule gaps are `gaps`: `(duration, energy)` of the
+/// slowest profiled point that fits the gap without slowing past the
+/// min-energy duration, or the realized point when that is already slower
+/// (under a frequency cap there is nothing left to fill). The one fill
+/// rule the ledger prices intrinsic bloat against and the Kareus sleep
+/// pass finds bubbles in; the two must agree for the sleep-aware
+/// conservation identity to hold to 1e-9.
+pub(crate) fn slack_fill(
+    ctx: &PlanContext<'_>,
+    schedule: &EnergySchedule,
+    gaps: &[f64],
+    id: NodeId,
+) -> (f64, f64) {
+    let d = schedule.realized_dur[id.index()];
+    let info = ctx.info(id).expect("comp node has plan info");
+    let profile = ctx.profile_of(id).expect("comp node has profile");
+    let deadline = gaps[id.index()].max(d).min(info.t_max.max(d));
+    match profile.slowest_within(deadline) {
+        Ok(entry) if entry.time_s >= d => (entry.time_s, entry.energy_j),
+        _ => (d, schedule.realized_energy[id.index()]),
     }
 }
 

@@ -61,7 +61,7 @@ pub use cut::{
 };
 pub use energy::{pipeline_energy, PipelineEnergy};
 pub use error::Error;
-pub use fingerprint::{fnv1a_128, plan_fingerprint, plan_fingerprint_with_power, PlanFingerprint};
+pub use fingerprint::{fnv1a_128, plan_fingerprint, PlanFingerprint};
 pub use frontier::{
     characterize, EnergySchedule, FrontierOptions, FrontierPoint, FrontierSolver, ParetoFrontier,
     SolverStats,
@@ -70,7 +70,7 @@ pub use ledger::{
     attribute_schedule, attribute_schedule_with_sleep, BloatLedger, EnergyBreakdown, EnergyKind,
     ScheduleAttribution,
 };
-pub use planner::{Perseus, PlanOutput, Planner};
+pub use planner::{FrontierPlan, Perseus, PlanOutput, Planner};
 pub use sleep::{insert_sleep, KareusPlanner, SleepPlan, SleepWindow};
 
 #[cfg(test)]

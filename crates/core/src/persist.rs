@@ -4,10 +4,13 @@
 //! time/energy), so recovery restores the exact curve the crashed server
 //! had characterized without re-running the solver.
 
+use std::sync::Arc;
+
 use perseus_gpu::FreqMHz;
 use perseus_store::{ByteReader, ByteWriter, Persist, StoreError};
 
 use crate::frontier::{EnergySchedule, FrontierOptions, FrontierPoint, ParetoFrontier};
+use crate::planner::FrontierPlan;
 use crate::sleep::{SleepPlan, SleepWindow};
 
 impl Persist for EnergySchedule {
@@ -127,6 +130,28 @@ impl Persist for SleepPlan {
             per_stage.push(Vec::<SleepWindow>::decode(r)?);
         }
         Ok(SleepPlan { per_stage })
+    }
+}
+
+/// The frontier, then `Option<Vec<SleepPlan>>`: the payload of a server's
+/// `frontier-<key>.seg` file.
+impl Persist for FrontierPlan {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.frontier.encode(w);
+        self.sleep.encode(w);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
+        let frontier = ParetoFrontier::decode(r)?;
+        let sleep: Option<Vec<SleepPlan>> = Persist::decode(r)?;
+        if sleep.as_ref().is_some_and(|s| s.len() != frontier.len()) {
+            return Err(StoreError::corrupt(
+                "frontier plan holds a sleep plan count unlike its frontier's",
+            ));
+        }
+        Ok(FrontierPlan {
+            frontier: Arc::new(frontier),
+            sleep,
+        })
     }
 }
 

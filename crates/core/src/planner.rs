@@ -5,20 +5,116 @@
 //! sweep of candidate schedules — but a deployment decision always reduces
 //! to "given the straggler iteration time `T'` (or none), which schedule
 //! runs?". [`PlanOutput`] captures the three output shapes and
-//! [`PlanOutput::select`] answers that question uniformly, so the cluster
-//! emulator and the planning server can dispatch any policy through a
-//! `dyn Planner` without per-policy match arms.
+//! [`PlanOutput::select`] answers that question uniformly, so callers
+//! select from any policy's output without per-policy match arms.
 //!
 //! Crucially, every planner's output is independent of `T'`: the straggler
 //! deadline only affects *selection*, never *planning*. That makes
 //! [`PlanOutput`] cacheable — plan once per (pipeline, profiles), select
 //! per straggler event.
 
+use std::sync::Arc;
+
 use perseus_gpu::{FreqMHz, PowerStateModel};
 
 use crate::context::{CoreError, PlanContext};
-use crate::frontier::{characterize, EnergySchedule, FrontierOptions, ParetoFrontier};
+use crate::frontier::{
+    characterize, EnergySchedule, FrontierOptions, FrontierPoint, ParetoFrontier,
+};
 use crate::sleep::{insert_sleep, SleepPlan};
+
+/// A characterized frontier plus, for a joint dynamic + static plan
+/// (Kareus), one [`SleepPlan`] per point in frontier order.
+///
+/// Kareus is the Perseus frontier with sleep windows grafted onto every
+/// point, so both policies hold the same shared `Arc`: a Kareus plan built
+/// from a Perseus plan's frontier copies no schedule. Sleep plans are
+/// derived from the points' schedules alone, never from `T'`, so a
+/// `FrontierPlan` is as cacheable as the frontier it wraps.
+#[derive(Debug, Clone)]
+pub struct FrontierPlan {
+    pub(crate) frontier: Arc<ParetoFrontier>,
+    pub(crate) sleep: Option<Vec<SleepPlan>>,
+}
+
+impl FrontierPlan {
+    /// A frequency-only plan (Perseus): the frontier, no sleep plans.
+    pub fn new(frontier: Arc<ParetoFrontier>) -> FrontierPlan {
+        FrontierPlan {
+            frontier,
+            sleep: None,
+        }
+    }
+
+    /// A joint plan (Kareus): `frontier` with one sleep plan per point,
+    /// each drawn from `power` by [`insert_sleep`] against the point's
+    /// schedule. The only place sleep plans are derived from a frontier.
+    pub fn with_sleep(
+        frontier: Arc<ParetoFrontier>,
+        ctx: &PlanContext<'_>,
+        power: &PowerStateModel,
+    ) -> FrontierPlan {
+        let sleep = frontier
+            .points()
+            .iter()
+            .map(|p| insert_sleep(ctx, &p.schedule, power))
+            .collect();
+        FrontierPlan {
+            frontier,
+            sleep: Some(sleep),
+        }
+    }
+
+    /// The shared frontier.
+    pub fn frontier(&self) -> &Arc<ParetoFrontier> {
+        &self.frontier
+    }
+
+    /// One sleep plan per frontier point, for a joint plan.
+    pub fn sleep(&self) -> Option<&[SleepPlan]> {
+        self.sleep.as_deref()
+    }
+
+    /// §3.1 straggler reaction: the frontier point for straggler
+    /// iteration time `t_prime` ([`ParetoFrontier::lookup`]; with no
+    /// straggler known, the fastest point) and the sleep plan that ships
+    /// with it (`None` for a frequency-only plan).
+    pub fn lookup(&self, t_prime: Option<f64>) -> (&FrontierPoint, Option<&SleepPlan>) {
+        let t = t_prime.unwrap_or_else(|| self.frontier.t_min());
+        let idx = self.frontier.lookup_index(t);
+        let sleep = self.sleep.as_ref().map(|plans| &plans[idx]);
+        (&self.frontier.points()[idx], sleep)
+    }
+
+    /// Re-clamps the plan to a GPU frequency cap: the frontier via
+    /// [`ParetoFrontier::clamp_to_freq_cap`], then, for a joint plan, the
+    /// sleep windows re-derived from `power` against the clamped
+    /// schedules — a cap stretches computations, moving and narrowing
+    /// the bubbles, so the old windows are not carried over. `power` is
+    /// the model the sleep plans were drawn from, `None` for a
+    /// frequency-only plan.
+    ///
+    /// # Errors
+    ///
+    /// Propagates realization failures from the profile database.
+    pub fn clamp_freq_cap(
+        &self,
+        ctx: &PlanContext<'_>,
+        cap: FreqMHz,
+        power: Option<&PowerStateModel>,
+    ) -> Result<FrontierPlan, CoreError> {
+        debug_assert_eq!(
+            power.is_some(),
+            self.sleep.is_some(),
+            "a joint plan re-clamps with the power model it was drawn from"
+        );
+        let clamped = Arc::new(self.frontier.clamp_to_freq_cap(ctx, cap)?);
+        Ok(match power {
+            Some(power) => FrontierPlan::with_sleep(clamped, ctx, power),
+            None => FrontierPlan::new(clamped),
+        })
+    }
+}
 
 /// What a planner produced for one pipeline: the `T'`-independent artifact
 /// a deployment schedule is selected from.
@@ -28,8 +124,10 @@ pub enum PlanOutput {
     /// MinEnergyOracle, EnvPipe).
     Schedule(EnergySchedule),
     /// A full iteration time–energy Pareto frontier; stragglers are
-    /// answered by lookup at `T_opt = min(T*, T')` (Perseus).
-    Frontier(ParetoFrontier),
+    /// answered by lookup at `T_opt = min(T*, T')` (Perseus). A joint plan
+    /// (Kareus) carries a sleep plan per point, and
+    /// [`PlanOutput::sleep_plan`] exposes the selected point's.
+    Frontier(FrontierPlan),
     /// A sweep of candidate schedules plus the deadline to honor when no
     /// straggler is present; selection picks the lowest-energy candidate
     /// meeting the deadline (ZeusGlobal, ZeusPerStage).
@@ -40,19 +138,6 @@ pub enum PlanOutput {
         /// typically the pipeline's own all-max iteration time, so the
         /// policy never slows training unprompted.
         no_straggler_deadline_s: f64,
-    },
-    /// A frontier whose every point carries a per-stage sleep schedule
-    /// reclaiming static energy from pipeline bubbles (Kareus). Selection
-    /// is identical to `Frontier`; [`PlanOutput::sleep_plan`] exposes the
-    /// sleep schedule of the selected point.
-    SleepFrontier {
-        /// The underlying time–energy frontier.
-        frontier: ParetoFrontier,
-        /// The power-state menu the sleep plans were drawn from (kept so
-        /// frequency-cap re-clamps can re-run sleep insertion).
-        power: PowerStateModel,
-        /// One sleep plan per frontier point, in frontier order.
-        sleep: Vec<SleepPlan>,
     },
 }
 
@@ -76,10 +161,7 @@ impl PlanOutput {
     pub fn select(&self, t_prime: Option<f64>) -> &EnergySchedule {
         match self {
             PlanOutput::Schedule(s) => s,
-            PlanOutput::Frontier(f) | PlanOutput::SleepFrontier { frontier: f, .. } => {
-                let t = t_prime.unwrap_or_else(|| f.t_min());
-                &f.lookup(t).schedule
-            }
+            PlanOutput::Frontier(plan) => &plan.lookup(t_prime).0.schedule,
             PlanOutput::Sweep {
                 schedules,
                 no_straggler_deadline_s,
@@ -113,10 +195,15 @@ impl PlanOutput {
         }
     }
 
-    /// The frontier, if this is a `Frontier` or `SleepFrontier` output.
+    /// The frontier, if this is a `Frontier` output.
     pub fn as_frontier(&self) -> Option<&ParetoFrontier> {
+        self.as_frontier_plan().map(|plan| &**plan.frontier())
+    }
+
+    /// The frontier with its sleep plans, if this is a `Frontier` output.
+    pub fn as_frontier_plan(&self) -> Option<&FrontierPlan> {
         match self {
-            PlanOutput::Frontier(f) | PlanOutput::SleepFrontier { frontier: f, .. } => Some(f),
+            PlanOutput::Frontier(plan) => Some(plan),
             _ => None,
         }
     }
@@ -128,13 +215,8 @@ impl PlanOutput {
     /// always matches the selected schedule. `None` for frequency-only
     /// outputs — callers treat that as "never sleeps".
     pub fn sleep_plan(&self, t_prime: Option<f64>) -> Option<&SleepPlan> {
-        match self {
-            PlanOutput::SleepFrontier {
-                frontier, sleep, ..
-            } => {
-                let t = t_prime.unwrap_or_else(|| frontier.t_min());
-                sleep.get(frontier.lookup_index(t))
-            }
+        match self.as_frontier_plan() {
+            Some(plan) if plan.sleep.is_some() => plan.lookup(t_prime).1,
             _ => None,
         }
     }
@@ -166,9 +248,11 @@ impl PlanOutput {
     /// Re-clamps this output to a GPU frequency cap (§2.3 power/thermal
     /// capping) without re-planning: each schedule is re-realized with
     /// frequencies limited to `cap`, and a frontier is re-clamped via
-    /// [`ParetoFrontier::clamp_to_freq_cap`]. Selection semantics are
-    /// unchanged — the cap shifts what each choice *realizes*, not how
-    /// choices are made — so cached outputs stay cacheable under caps.
+    /// [`FrontierPlan::clamp_freq_cap`], whose `power` argument this
+    /// passes on (`None` unless the output is a joint plan). Selection
+    /// semantics are unchanged — the cap shifts what each choice
+    /// *realizes*, not how choices are made — so cached outputs stay
+    /// cacheable under caps.
     ///
     /// # Errors
     ///
@@ -177,13 +261,16 @@ impl PlanOutput {
         &self,
         ctx: &PlanContext<'_>,
         cap: FreqMHz,
+        power: Option<&PowerStateModel>,
     ) -> Result<PlanOutput, CoreError> {
         let recap = |s: &EnergySchedule| {
             EnergySchedule::realize_with_cap(ctx, s.planned.clone(), Some(cap))
         };
         Ok(match self {
             PlanOutput::Schedule(s) => PlanOutput::Schedule(recap(s)?),
-            PlanOutput::Frontier(f) => PlanOutput::Frontier(f.clamp_to_freq_cap(ctx, cap)?),
+            PlanOutput::Frontier(plan) => {
+                PlanOutput::Frontier(plan.clamp_freq_cap(ctx, cap, power)?)
+            }
             PlanOutput::Sweep {
                 schedules,
                 no_straggler_deadline_s,
@@ -191,24 +278,6 @@ impl PlanOutput {
                 schedules: schedules.iter().map(recap).collect::<Result<_, _>>()?,
                 no_straggler_deadline_s: *no_straggler_deadline_s,
             },
-            PlanOutput::SleepFrontier {
-                frontier, power, ..
-            } => {
-                // The cap changes every point's realized timeline, so the
-                // sleep windows are re-derived from the clamped schedules
-                // rather than carried over.
-                let clamped = frontier.clamp_to_freq_cap(ctx, cap)?;
-                let sleep = clamped
-                    .points()
-                    .iter()
-                    .map(|p| insert_sleep(ctx, &p.schedule, power))
-                    .collect();
-                PlanOutput::SleepFrontier {
-                    frontier: clamped,
-                    power: power.clone(),
-                    sleep,
-                }
-            }
         })
     }
 }
@@ -219,7 +288,7 @@ impl PlanOutput {
 /// on worker threads and the emulator shares planners behind trait
 /// objects.
 pub trait Planner: Send + Sync {
-    /// Stable identifier used for registry lookup and reporting.
+    /// Stable identifier used in plan fingerprints and reports.
     fn name(&self) -> &'static str;
 
     /// Plans against `ctx`. The result depends only on the pipeline and
@@ -253,6 +322,8 @@ impl Planner for Perseus {
     }
 
     fn plan(&self, ctx: &PlanContext<'_>) -> Result<PlanOutput, CoreError> {
-        Ok(PlanOutput::Frontier(characterize(ctx, &self.opts)?))
+        Ok(PlanOutput::Frontier(FrontierPlan::new(Arc::new(
+            characterize(ctx, &self.opts)?,
+        ))))
     }
 }

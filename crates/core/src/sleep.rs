@@ -25,13 +25,15 @@
 //!
 //! [`attribute_schedule`]: crate::ledger::attribute_schedule
 
-use perseus_dag::NodeId;
+use std::sync::Arc;
+
 use perseus_gpu::PowerStateModel;
-use perseus_pipeline::{node_schedule_gaps, node_start_times, PipeNode};
+use perseus_pipeline::{node_schedule_gaps, PipeNode};
 
 use crate::context::{CoreError, PlanContext};
 use crate::frontier::{characterize, EnergySchedule, FrontierOptions};
-use crate::planner::{PlanOutput, Planner};
+use crate::ledger::slack_fill;
+use crate::planner::{FrontierPlan, PlanOutput, Planner};
 
 /// One sleep interval on one stage's timeline: the GPU enters the state at
 /// `start_s`, is fully awake again by `end_s`.
@@ -146,32 +148,20 @@ pub fn insert_sleep(
         return plan;
     }
     let dag = &ctx.pipe.dag;
-    let dur = |id: NodeId, _: &_| schedule.realized_dur[id.index()];
-    let (starts, makespan) = node_start_times(dag, dur);
-    let (gaps, _) = node_schedule_gaps(dag, dur);
+    let (starts, gaps, makespan) =
+        node_schedule_gaps(dag, |id, _| schedule.realized_dur[id.index()]);
     let p_blocking = ctx.gpu.blocking_w;
 
     // Slack-filled occupancy per stage: (start, filled duration) of every
-    // instruction, with the same fill rule attribute_schedule prices.
+    // instruction, with the fill rule attribute_schedule prices.
     let mut occupancy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_stages];
     for id in dag.node_ids() {
-        match dag.node(id) {
-            PipeNode::Comp(c) => {
-                let d = schedule.realized_dur[id.index()];
-                let info = ctx.info(id).expect("comp node has plan info");
-                let profile = ctx.profile_of(id).expect("comp node has profile");
-                let deadline = gaps[id.index()].max(d).min(info.t_max.max(d));
-                let fill_t = match profile.slowest_within(deadline) {
-                    Ok(entry) if entry.time_s >= d => entry.time_s,
-                    _ => d,
-                };
-                occupancy[c.stage].push((starts[id.index()], fill_t));
-            }
-            PipeNode::Fixed { stage, .. } => {
-                occupancy[*stage].push((starts[id.index()], schedule.realized_dur[id.index()]));
-            }
-            _ => {}
-        }
+        let (stage, fill_t) = match dag.node(id) {
+            PipeNode::Comp(c) => (c.stage, slack_fill(ctx, schedule, &gaps, id).0),
+            PipeNode::Fixed { stage, .. } => (*stage, schedule.realized_dur[id.index()]),
+            _ => continue,
+        };
+        occupancy[stage].push((starts[id.index()], fill_t));
     }
 
     for (stage, nodes) in occupancy.iter_mut().enumerate() {
@@ -236,16 +226,11 @@ impl Planner for KareusPlanner {
         self.power
             .validate(&ctx.gpu)
             .map_err(CoreError::PowerState)?;
-        let frontier = characterize(ctx, &self.opts)?;
-        let sleep = frontier
-            .points()
-            .iter()
-            .map(|p| insert_sleep(ctx, &p.schedule, &self.power))
-            .collect();
-        Ok(PlanOutput::SleepFrontier {
+        let frontier = Arc::new(characterize(ctx, &self.opts)?);
+        Ok(PlanOutput::Frontier(FrontierPlan::with_sleep(
             frontier,
-            power: self.power.clone(),
-            sleep,
-        })
+            ctx,
+            &self.power,
+        )))
     }
 }

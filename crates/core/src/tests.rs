@@ -1094,7 +1094,7 @@ mod fingerprint_and_cache {
 
         let cold_solver = FrontierSolver::new(&pipe);
         let (cold, built0, fp0) = cold_solver
-            .characterize_cached(&pipe, &gpu, &ctx.profiles, &opts, None, &cache)
+            .characterize_cached(&pipe, &gpu, &ctx.profiles, &opts, &cache)
             .unwrap();
         assert!(built0.is_some(), "empty cache cannot hit");
 
@@ -1102,7 +1102,7 @@ mod fingerprint_and_cache {
         // solver/server, never in the fingerprint) hits the shared entry.
         let warm_solver = FrontierSolver::new(&pipe);
         let (warm, built1, fp1) = warm_solver
-            .characterize_cached(&pipe, &gpu, &ctx.profiles, &opts, None, &cache)
+            .characterize_cached(&pipe, &gpu, &ctx.profiles, &opts, &cache)
             .unwrap();
         assert!(built1.is_none(), "identical structure must hit");
         assert_eq!(fp0, fp1);
@@ -1430,7 +1430,7 @@ mod fingerprint_and_cache {
 mod sleep_tests {
     use super::*;
     use crate::ledger::attribute_schedule_with_sleep;
-    use crate::planner::{Perseus, PlanOutput, Planner};
+    use crate::planner::{FrontierPlan, Perseus, Planner};
     use crate::sleep::{KareusPlanner, SleepPlan};
     use perseus_gpu::{PowerState, PowerStateModel};
 
@@ -1444,17 +1444,13 @@ mod sleep_tests {
     fn kareus_output(
         ctx: &PlanContext<'_>,
         power: PowerStateModel,
-    ) -> (ParetoFrontier, PowerStateModel, Vec<SleepPlan>) {
+    ) -> (ParetoFrontier, Vec<SleepPlan>) {
         let planner = KareusPlanner::new(default_opts(), power);
         assert_eq!(planner.name(), "kareus");
-        match planner.plan(ctx).unwrap() {
-            PlanOutput::SleepFrontier {
-                frontier,
-                power,
-                sleep,
-            } => (frontier, power, sleep),
-            other => panic!("kareus must emit a sleep frontier, got {other:?}"),
-        }
+        let plan = planner.plan(ctx).unwrap();
+        let plan = plan.as_frontier_plan().expect("kareus plans a frontier");
+        let sleep = plan.sleep().expect("kareus carries sleep plans");
+        ((**plan.frontier()).clone(), sleep.to_vec())
     }
 
     #[test]
@@ -1465,7 +1461,7 @@ mod sleep_tests {
         let stages = stages_with_scales(&[1.0, 1.3, 0.8, 1.2]);
         let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
         let power = PowerStateModel::default_for(&gpu);
-        let (frontier, _, sleep) = kareus_output(&ctx, power);
+        let (frontier, sleep) = kareus_output(&ctx, power);
         let perseus = Perseus::new(default_opts()).plan(&ctx).unwrap();
         assert_frontiers_bit_identical(&frontier, perseus.as_frontier().unwrap());
 
@@ -1498,7 +1494,7 @@ mod sleep_tests {
         let pipe = build_pipe(4, 6);
         let stages = stages_with_scales(&[1.0, 1.1, 0.95, 1.2]);
         let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
-        let (frontier, _, sleep) = kareus_output(&ctx, PowerStateModel::default_for(&gpu));
+        let (frontier, sleep) = kareus_output(&ctx, PowerStateModel::default_for(&gpu));
         assert_eq!(sleep.len(), frontier.len());
         for (point, plan) in frontier.points().iter().zip(&sleep) {
             for stage in 0..ctx.pipe.n_stages {
@@ -1530,7 +1526,7 @@ mod sleep_tests {
                 exit_s: 0.0,
             }],
         };
-        let (frontier, _, sleep) = kareus_output(&ctx, power);
+        let (frontier, sleep) = kareus_output(&ctx, power);
         for (point, plan) in frontier.points().iter().zip(&sleep) {
             // Every positive-length bubble is reclaimed: the idle lane of
             // the sleep-aware attribution collapses to (float) zero.
@@ -1562,16 +1558,17 @@ mod sleep_tests {
                 exit_s: 1e6,
             }],
         };
-        let (frontier, _, sleep) = kareus_output(&ctx, power);
+        let joint = KareusPlanner::new(default_opts(), power)
+            .plan(&ctx)
+            .unwrap();
         let perseus = Perseus::new(default_opts()).plan(&ctx).unwrap();
-        assert_frontiers_bit_identical(&frontier, perseus.as_frontier().unwrap());
-        assert!(sleep.iter().all(SleepPlan::is_empty));
+        assert_frontiers_bit_identical(
+            joint.as_frontier().unwrap(),
+            perseus.as_frontier().unwrap(),
+        );
+        let sleep = joint.as_frontier_plan().and_then(FrontierPlan::sleep);
+        assert!(sleep.unwrap().iter().all(SleepPlan::is_empty));
         // Bit-identical selection and energy at every frontier deadline.
-        let joint = PlanOutput::SleepFrontier {
-            frontier: frontier.clone(),
-            power: PowerStateModel::none(),
-            sleep,
-        };
         for point in perseus.as_frontier().unwrap().points() {
             let t = Some(point.planned_time_s);
             let a = joint.select(t);

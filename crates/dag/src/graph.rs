@@ -224,11 +224,6 @@ impl<N, E> Dag<N, E> {
         }
     }
 
-    /// Mutable payload of edge `e`.
-    pub fn edge_payload_mut(&mut self, e: EdgeId) -> &mut E {
-        &mut self.edges[e.index()].payload
-    }
-
     /// Iterator over all node ids in insertion order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u32).map(NodeId)
@@ -247,11 +242,6 @@ impl<N, E> Dag<N, E> {
     /// Outgoing edges of `n`.
     pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
         self.succ[n.index()].iter().map(move |&e| self.edge(e))
-    }
-
-    /// Incoming edges of `n`.
-    pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
-        self.pred[n.index()].iter().map(move |&e| self.edge(e))
     }
 
     /// Out-degree of `n`.

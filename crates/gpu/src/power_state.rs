@@ -136,11 +136,6 @@ pub struct PowerStateModel {
 }
 
 impl PowerStateModel {
-    /// A model with no states: planners degrade to frequency-only plans.
-    pub fn none() -> Self {
-        PowerStateModel { states: Vec::new() }
-    }
-
     /// The default two-state menu for a device, scaled off its blocking
     /// power the same way the analytic power model scales off TDP:
     ///

@@ -356,7 +356,7 @@ fn power_state_validation_rejects_bad_states() {
         Err(PowerStateError::InvalidLatency { .. })
     ));
     // Empty models are valid: they just never sleep.
-    PowerStateModel::none().validate(&gpu).unwrap();
+    PowerStateModel::default().validate(&gpu).unwrap();
 }
 
 #[test]

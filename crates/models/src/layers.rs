@@ -60,11 +60,6 @@ impl LayerCost {
         self.fwd_tflops / (gpu.flops_per_mhz_s * gpu.max_freq_mhz as f64)
     }
 
-    /// Backward latency at the GPU's maximum SM clock, seconds.
-    pub fn bwd_latency_at_max(&self, gpu: &GpuSpec) -> f64 {
-        self.bwd_tflops / (gpu.flops_per_mhz_s * gpu.max_freq_mhz as f64)
-    }
-
     /// Converts the forward pass into a [`Workload`] on `gpu`.
     pub fn fwd_workload(&self, gpu: &GpuSpec) -> Workload {
         cost_to_workload(self.fwd_tflops, self.fwd_mem_frac, self.fwd_util, gpu)

@@ -22,13 +22,11 @@
 //! ```
 
 mod builder;
-mod memory;
 mod persist;
 mod render;
 mod schedule;
 
 pub use builder::{DepKind, PipeNode, PipelineBuilder, PipelineDag, ScheduleError};
-pub use memory::{activation_memory, MemoryProfile};
 pub use render::{node_schedule_gaps, node_start_times, render_timeline};
 pub use schedule::{CompKind, Computation, Instruction, OpKey, ScheduleKind};
 

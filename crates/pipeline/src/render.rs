@@ -35,7 +35,8 @@ pub fn node_start_times<N, E>(dag: &Dag<N, E>, dur: impl Fn(NodeId, &N) -> f64) 
 /// The schedule gap of every node at the current earliest-start schedule:
 /// how long the node could run — start time held fixed — before it would
 /// push a successor's start (sink-adjacent nodes are bounded by the
-/// makespan). Returns `(gaps, makespan)`.
+/// makespan). Returns `(starts, gaps, makespan)`, with `starts` and
+/// `makespan` as [`node_start_times`] computes them.
 ///
 /// A node's gap is never smaller than its own duration: every successor
 /// starts no earlier than this node finishes. The frontier's
@@ -50,7 +51,7 @@ pub fn node_start_times<N, E>(dag: &Dag<N, E>, dur: impl Fn(NodeId, &N) -> f64) 
 pub fn node_schedule_gaps<N, E>(
     dag: &Dag<N, E>,
     dur: impl Fn(NodeId, &N) -> f64,
-) -> (Vec<f64>, f64) {
+) -> (Vec<f64>, Vec<f64>, f64) {
     let (starts, makespan) = node_start_times(dag, &dur);
     let mut gaps = vec![0.0f64; dag.node_count()];
     for u in dag.node_ids() {
@@ -60,7 +61,7 @@ pub fn node_schedule_gaps<N, E>(
         }
         gaps[u.index()] = limit - starts[u.index()];
     }
-    (gaps, makespan)
+    (starts, gaps, makespan)
 }
 
 /// Renders a Figure-1-style ASCII timeline: one row per stage, `F`/`B`/`R`

@@ -88,11 +88,6 @@ impl Computation {
             kind: self.kind,
         }
     }
-
-    /// Virtual pipeline stage under interleaving: `chunk · N + stage`.
-    pub fn virtual_stage(&self, n_stages: usize) -> usize {
-        self.chunk * n_stages + self.stage
-    }
 }
 
 /// One instruction of a stage's program.

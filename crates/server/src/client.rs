@@ -341,7 +341,7 @@ impl JobClient {
     }
 
     /// The delay the next retry will sleep: a decorrelated-jitter draw.
-    /// Split from [`JobClient::backoff`] so determinism tests can observe
+    /// Split from `JobClient::backoff` so determinism tests can observe
     /// delays without sleeping (each call advances the jitter stream).
     pub fn next_backoff_delay(&self) -> Duration {
         self.jitter.lock().next_delay()

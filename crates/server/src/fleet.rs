@@ -50,6 +50,11 @@ use crate::server::{
     CharacterizeTicket, Deployment, JobSpec, JobStatus, PerseusServer, ServerConfig, ServerError,
 };
 
+/// Virtual nodes per shard on the consistent-hash ring: enough to flatten
+/// the load split across a handful of shards, at a ring of a few hundred
+/// entries.
+const VIRTUAL_NODES: usize = 32;
+
 /// An accounting principal: the team or workload class a job bills its
 /// planning-service usage to. Job names are globally unique; tenants
 /// group many jobs under one quota.
@@ -99,9 +104,6 @@ pub struct FleetConfig {
     /// Token refill rate per tenant per second of fleet-clock time. One
     /// profile submission costs one token.
     pub tenant_refill_per_s: f64,
-    /// Virtual nodes per shard on the consistent-hash ring. More vnodes
-    /// flatten the load split at the price of a larger ring.
-    pub virtual_nodes: usize,
     /// Give each shard its own metric registry instead of sharing the
     /// fleet's telemetry handle. With disjoint registries,
     /// [`FleetServer::metrics_rollup`] is an exact sum over shards —
@@ -116,7 +118,7 @@ pub struct FleetConfig {
 
 impl Default for FleetConfig {
     /// 4 shards × 1 worker, unbounded admission, quotas disabled,
-    /// 32 virtual nodes per shard, telemetry disabled.
+    /// telemetry disabled.
     fn default() -> FleetConfig {
         FleetConfig {
             shards: 4,
@@ -124,7 +126,6 @@ impl Default for FleetConfig {
             max_inflight_per_shard: 0,
             tenant_burst: f64::INFINITY,
             tenant_refill_per_s: 0.0,
-            virtual_nodes: 32,
             sharded_telemetry: false,
             telemetry: Telemetry::disabled(),
         }
@@ -156,12 +157,6 @@ impl FleetConfig {
     pub fn tenant_quota(mut self, burst: f64, refill_per_s: f64) -> FleetConfig {
         self.tenant_burst = burst;
         self.tenant_refill_per_s = refill_per_s;
-        self
-    }
-
-    /// Sets virtual nodes per shard on the hash ring (floored at 1).
-    pub fn virtual_nodes(mut self, vnodes: usize) -> FleetConfig {
-        self.virtual_nodes = vnodes.max(1);
         self
     }
 
@@ -316,9 +311,9 @@ impl FleetServer {
         shards: Vec<Arc<PerseusServer>>,
         cache: Arc<PlanCache>,
     ) -> FleetServer {
-        let mut ring = Vec::with_capacity(shards.len() * cfg.virtual_nodes.max(1));
+        let mut ring = Vec::with_capacity(shards.len() * VIRTUAL_NODES);
         for (i, _) in shards.iter().enumerate() {
-            for v in 0..cfg.virtual_nodes.max(1) {
+            for v in 0..VIRTUAL_NODES {
                 ring.push((fnv64(format!("shard-{i}-{v}").as_bytes()), i));
             }
         }

@@ -317,7 +317,7 @@ impl FollowerServer {
     /// Promotes this follower to leader: the pending tail (at most
     /// `max_lag` records — never the journal from genesis) is applied,
     /// the local journal + snapshot become the promoted server's durable
-    /// [`Store`], and the role flips to [`Role::Leader`]. The promoted
+    /// store, and the role flips to [`Role::Leader`]. The promoted
     /// server keeps the follower's [`ServerConfig`] — its fault injector,
     /// snapshot cadence and the rest. Its
     /// [`PerseusServer::state_fingerprint`] is bit-identical to the old
@@ -367,7 +367,7 @@ impl Replicator {
 
     /// Ships everything the follower has not yet seen. If the leader has
     /// compacted past the follower's position, a checkpoint transfer
-    /// bridges the gap first ([`FollowerServer::install_checkpoint`]);
+    /// bridges the gap first (`FollowerServer::install_checkpoint`);
     /// tailing then resumes from the checkpoint watermark. Returns the
     /// number of records shipped this call.
     ///

@@ -44,7 +44,7 @@ use std::time::Duration;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use perseus_core::{
-    insert_sleep, CoreError, EnergySchedule, FrontierOptions, FrontierSolver, ParetoFrontier,
+    CoreError, EnergySchedule, FrontierOptions, FrontierPlan, FrontierSolver, ParetoFrontier,
     PlanCache, PlanContext, PlanFingerprint, SleepPlan, SolverStats,
 };
 use perseus_gpu::{FreqMHz, GpuSpec, PowerStateModel};
@@ -562,7 +562,7 @@ struct JobMut {
 impl JobMut {
     /// The characterized frontier, if any.
     fn frontier(&self) -> Option<&Arc<ParetoFrontier>> {
-        self.segment.as_ref().map(|s| s.frontier())
+        self.segment.as_ref().map(|s| s.plan().frontier())
     }
 
     /// Swaps in the plan of the winning submission `epoch`, made from
@@ -653,14 +653,9 @@ impl Job {
         // `built` is the context the solve fitted; `None` only on a hit.
         let (frontier, built, fingerprint) = match cache {
             Some(cache) => {
-                let (frontier, built, fp) = self.solver.characterize_cached(
-                    &self.pipe,
-                    &self.gpu,
-                    profiles,
-                    opts,
-                    self.power.as_ref(),
-                    cache,
-                )?;
+                let (frontier, built, fp) = self
+                    .solver
+                    .characterize_cached(&self.pipe, &self.gpu, profiles, opts, cache)?;
                 (frontier, built, Some(fp))
             }
             None => {
@@ -673,36 +668,24 @@ impl Job {
             }
         };
         let cache_hit = built.is_none();
-        let sleep = match self.power {
-            Some(_) => {
+        // Kareus sleep plans derive from the frontier's schedules alone
+        // (never from `T'`), so the plan is as straggler-independent as
+        // the frontier, which a Kareus job shares with Perseus jobs.
+        let plan = match &self.power {
+            Some(power) => {
                 let ctx = match built {
                     Some(ctx) => ctx,
                     None => build()?,
                 };
-                self.sleep_plans(&ctx, &frontier)
+                FrontierPlan::with_sleep(frontier, &ctx, power)
             }
-            None => None,
+            None => FrontierPlan::new(frontier),
         };
         Ok(Planned {
-            segment: Segment::new(frontier, sleep),
+            segment: Segment::new(plan),
             cache_hit,
             fingerprint,
         })
-    }
-
-    /// Kareus sleep plans for every point of `frontier`, when this job was
-    /// registered with power states; `None` for frequency-only jobs.
-    /// Derived from the frontier's schedules alone (never from `T'`), so
-    /// the result is as straggler-independent as the frontier itself.
-    fn sleep_plans(&self, ctx: &PlanContext, frontier: &ParetoFrontier) -> Option<Vec<SleepPlan>> {
-        let model = self.power.as_ref()?;
-        Some(
-            frontier
-                .points()
-                .iter()
-                .map(|p| insert_sleep(ctx, &p.schedule, model))
-                .collect(),
-        )
     }
 
     /// Effective straggler iteration time given the active stragglers:
@@ -735,15 +718,14 @@ impl Job {
         }
         let t_prime = Self::effective_t_prime(state);
         let segment = state.segment.as_ref().expect("characterized");
-        let idx = segment.frontier().lookup_index(t_prime);
-        let point = &segment.frontier().points()[idx];
+        let (point, sleep) = segment.plan().lookup(Some(t_prime));
         state.version += 1;
         let deployment = Deployment {
             version: state.version,
             t_prime,
             planned_time_s: point.planned_time_s,
             schedule: point.schedule.clone(),
-            sleep: segment.sleep().and_then(|plans| plans.get(idx)).cloned(),
+            sleep: sleep.cloned(),
         };
         state.deployed = Some(deployment.clone());
         if let Some(t0) = t0 {
@@ -1880,18 +1862,22 @@ impl PerseusServer {
                 cap,
             },
             |state| {
-                let (Some(frontier), Some(profiles)) =
-                    (state.frontier().cloned(), state.profiles.clone())
+                let (Some(segment), Some(profiles)) =
+                    (state.segment.clone(), state.profiles.clone())
                 else {
                     return Err(ServerError::NotCharacterized(name.to_string()));
                 };
                 job.faults_injected.fetch_add(1, Ordering::Relaxed);
                 let ctx = PlanContext::new(&job.pipe, &job.gpu, profiles)?;
-                let clamped = frontier.clamp_to_freq_cap(&ctx, job.gpu.clamp_freq(cap))?;
                 // Capped schedules stretch, moving and widening bubbles:
-                // re-run the Kareus pass against the capped timeline.
-                let sleep = job.sleep_plans(&ctx, &clamped);
-                state.segment = Some(Arc::new(Segment::new(Arc::new(clamped), sleep)));
+                // a Kareus plan re-derives its sleep against the capped
+                // timeline.
+                let plan = segment.plan().clamp_freq_cap(
+                    &ctx,
+                    job.gpu.clamp_freq(cap),
+                    job.power.as_ref(),
+                )?;
+                state.segment = Some(Arc::new(Segment::new(plan)));
                 Ok(job.deploy_locked(state))
             },
         )?;
@@ -2023,11 +2009,10 @@ impl PerseusServer {
 
     /// Writes a snapshot of the full server state and compacts the
     /// journal below its watermark. Only segments not yet on disk are
-    /// written; unchanged frontiers cost nothing (see the
-    /// [`crate::store`] module docs). Holds the journal lock throughout —
-    /// every mutator takes that lock before touching state, so the
-    /// serialized state is a consistent freeze. No-op on an in-memory
-    /// server.
+    /// written; unchanged frontiers cost nothing (see the `store` module
+    /// docs). Holds the journal lock throughout — every mutator takes
+    /// that lock before touching state, so the serialized state is a
+    /// consistent freeze. No-op on an in-memory server.
     ///
     /// # Errors
     ///
@@ -2141,7 +2126,7 @@ impl PerseusServer {
     /// followers. The records form a gap-free run ending at the journal's
     /// last appended sequence; if compaction has dropped part of the
     /// requested range, the run starts later than `after_seq + 1` and the
-    /// caller must fall back to [`PerseusServer::replication_checkpoint`].
+    /// caller must fall back to `PerseusServer::replication_checkpoint`.
     ///
     /// # Errors
     ///

@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use perseus_core::{fnv1a_128, EnergySchedule, FrontierOptions, ParetoFrontier, SleepPlan};
+use perseus_core::{fnv1a_128, EnergySchedule, FrontierOptions, FrontierPlan};
 use perseus_gpu::{FreqMHz, GpuSpec, PowerStateModel};
 use perseus_pipeline::{OpKey, PipelineDag};
 use perseus_profiler::ProfileDb;
@@ -292,16 +292,15 @@ impl Persist for SegmentKey {
     }
 }
 
-/// A job's characterized plan: its Pareto frontier plus, for Kareus
-/// jobs, one sleep plan per frontier point (same index order). Immutable:
-/// a characterization, drift re-plan or frequency cap builds a new one,
-/// so its cached key can never describe other bytes. On disk it is one
-/// segment file named by that key, written once and shared by every
-/// snapshot and every job that references it.
+/// A job's characterized plan ([`FrontierPlan`]: its Pareto frontier
+/// plus, for Kareus jobs, one sleep plan per point) under the key of its
+/// bytes. Immutable: a characterization, drift re-plan or frequency cap
+/// builds a new one, so its cached key can never describe other bytes. On
+/// disk it is one segment file named by that key, written once and shared
+/// by every snapshot and every job that references it.
 #[derive(Debug)]
 pub(crate) struct Segment {
-    frontier: Arc<ParetoFrontier>,
-    sleep: Option<Vec<SleepPlan>>,
+    plan: FrontierPlan,
     /// Set when a durable snapshot or checkpoint first persists the
     /// segment, or at load from the file's name; never on an in-memory
     /// server.
@@ -310,34 +309,25 @@ pub(crate) struct Segment {
 
 impl Segment {
     /// A segment whose key is not computed yet.
-    pub fn new(frontier: Arc<ParetoFrontier>, sleep: Option<Vec<SleepPlan>>) -> Segment {
+    pub fn new(plan: FrontierPlan) -> Segment {
         Segment {
-            frontier,
-            sleep,
+            plan,
             key: OnceLock::new(),
         }
     }
 
-    /// The characterized frontier.
-    pub fn frontier(&self) -> &Arc<ParetoFrontier> {
-        &self.frontier
+    /// The frontier with its sleep plans.
+    pub fn plan(&self) -> &FrontierPlan {
+        &self.plan
     }
 
-    /// One sleep plan per frontier point, for Kareus jobs.
-    pub fn sleep(&self) -> Option<&[SleepPlan]> {
-        self.sleep.as_deref()
-    }
-
-    /// Appends the payload: the frontier, then the sleep plans.
+    /// Appends the payload: the plan's codec bytes.
     pub fn encode(&self, w: &mut ByteWriter) {
-        self.frontier.encode(w);
-        self.sleep.encode(w);
+        self.plan.encode(w);
     }
 
     fn payload(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.encode(&mut w);
-        w.into_bytes()
+        self.plan.to_bytes()
     }
 
     /// The key, hashing the payload if no snapshot has yet.
@@ -347,20 +337,8 @@ impl Segment {
 
     /// Decodes the payload of the segment file stored under `key`.
     fn decode(payload: &[u8], key: SegmentKey) -> Result<Segment, StoreError> {
-        let mut r = ByteReader::new(payload);
-        let frontier = ParetoFrontier::decode(&mut r)?;
-        let sleep: Option<Vec<SleepPlan>> = Persist::decode(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(StoreError::corrupt("trailing bytes after segment payload"));
-        }
-        if sleep.as_ref().is_some_and(|s| s.len() != frontier.len()) {
-            return Err(StoreError::corrupt(
-                "segment holds a sleep plan count unlike its frontier's",
-            ));
-        }
         Ok(Segment {
-            frontier: Arc::new(frontier),
-            sleep,
+            plan: FrontierPlan::from_bytes(payload)?,
             key: OnceLock::from(key),
         })
     }

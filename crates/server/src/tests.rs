@@ -1467,8 +1467,6 @@ mod durability {
         use perseus_gpu::PowerStateModel;
         use perseus_store::{load_snapshot, write_snapshot, ByteReader, ByteWriter};
 
-        use crate::store::Segment;
-
         let gpu = GpuSpec::a100_pcie();
         let dir = unique_test_dir("segment-sleep");
         let server = PerseusServer::open(&dir, no_auto_snapshots()).unwrap();
@@ -1496,12 +1494,14 @@ mod durability {
         let path = dir.join(segment_files(&dir).remove(0));
         let payload = load_snapshot(&path).unwrap().unwrap();
         let mut r = ByteReader::new(&payload);
-        let frontier = Arc::new(ParetoFrontier::decode(&mut r).unwrap());
+        let frontier = ParetoFrontier::decode(&mut r).unwrap();
         let sleep: Vec<SleepPlan> = Option::decode(&mut r).unwrap().expect("a Kareus segment");
         assert_eq!(sleep.len(), frontier.len());
         let reopen_with = |sleep: Vec<SleepPlan>| {
+            // The segment payload: the frontier, then the sleep plans.
             let mut w = ByteWriter::new();
-            Segment::new(Arc::clone(&frontier), Some(sleep)).encode(&mut w);
+            frontier.encode(&mut w);
+            Some(sleep).encode(&mut w);
             write_snapshot(&path, &w.into_bytes()).unwrap();
             PerseusServer::open(&dir, no_auto_snapshots()).unwrap()
         };
@@ -1940,7 +1940,6 @@ mod fleet {
             .shards(3)
             .workers_per_shard(1)
             .max_inflight_per_shard(2)
-            .virtual_nodes(16)
             .tenant_quota(BURST, 0.0);
         let fleet = FleetServer::new(cfg);
         let gpu = GpuSpec::a100_pcie();
@@ -2184,6 +2183,45 @@ mod kareus {
             .wait()
             .unwrap();
         assert!(deployment.sleep.is_none());
+    }
+
+    /// The plan cache keys a frontier by what the frontier depends on,
+    /// and a Kareus job's frontier is the Perseus one: a Kareus job and a
+    /// Perseus job of one structure share one solve and one `Arc`, and
+    /// only the Kareus deployment carries sleep plans.
+    #[test]
+    fn kareus_and_perseus_jobs_share_one_cached_frontier() {
+        let gpu = GpuSpec::a100_pcie();
+        let cache = Arc::new(perseus_core::PlanCache::new());
+        let server = PerseusServer::new(ServerConfig {
+            plan_cache: Some(Arc::clone(&cache)),
+            ..ServerConfig::default()
+        });
+        let jobs = [
+            ("kareus", Some(PowerStateModel::default_for(&gpu))),
+            ("perseus", None),
+        ];
+        let mut deployed = Vec::new();
+        for (name, power_states) in jobs {
+            server
+                .register_job(JobSpec {
+                    name: name.into(),
+                    pipe: pipe(),
+                    gpu: gpu.clone(),
+                    power_states,
+                })
+                .unwrap();
+            let ticket = server
+                .submit_profiles(name, model_profiles(&gpu), &FrontierOptions::default())
+                .unwrap();
+            deployed.push(ticket.wait().unwrap());
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
+        let (kareus, perseus) = (server.frontier("kareus"), server.frontier("perseus"));
+        assert!(Arc::ptr_eq(&kareus.unwrap(), &perseus.unwrap()));
+        assert!(deployed[0].sleep.is_some(), "the kareus job sleeps");
+        assert!(deployed[1].sleep.is_none(), "the perseus job does not");
     }
 
     #[test]
@@ -3114,7 +3152,7 @@ mod replication {
     /// the entry of every other structure keeps serving hits.
     #[test]
     fn drift_replan_leaves_other_structures_cached() {
-        let cache = Arc::new(PlanCache::new());
+        let cache = Arc::new(perseus_core::PlanCache::new());
         let server = PerseusServer::new(ServerConfig {
             plan_cache: Some(Arc::clone(&cache)),
             ..one_worker()

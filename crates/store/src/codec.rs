@@ -131,11 +131,6 @@ impl ByteWriter {
         self.put_usize(v.len());
         self.buf.extend_from_slice(v.as_bytes());
     }
-
-    /// Appends raw bytes with no length prefix.
-    pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
 }
 
 /// Cursor over an encoded byte slice the [`Persist`] decoders read from.

@@ -11,10 +11,10 @@
 //!   event. Opening a journal scans it and *truncates* at the first torn
 //!   or corrupted record, so a crash mid-append (or a scribbled tail)
 //!   loses at most the unreadable suffix, never the whole file;
-//! * **[`snapshot`] files** — a single checksummed record holding a
-//!   compacted serialization of the full state, written atomically
-//!   (temp file + rename) so a crash mid-snapshot leaves the previous
-//!   snapshot intact.
+//! * **snapshot files** ([`write_snapshot`], [`load_snapshot`]) — a
+//!   single checksummed record holding a compacted serialization of the
+//!   full state, written atomically (temp file + rename) so a crash
+//!   mid-snapshot leaves the previous snapshot intact.
 //!
 //! Serialization goes through the [`Persist`] trait and the
 //! [`ByteWriter`]/[`ByteReader`] codec: fixed-width little-endian
