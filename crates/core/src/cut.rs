@@ -2,7 +2,7 @@
 //! path by (up to) the unit time `τ` with the minimum possible energy
 //! increase, via a minimum cut on the Capacity DAG.
 
-use perseus_dag::{CriticalDag, Dag, NodeId, TimingAnalysis};
+use perseus_dag::{Dag, EdgeId, NodeId, TimingAnalysis};
 use perseus_flow::{MinCut, MinCutProblem, WarmStart};
 use perseus_pipeline::PipelineDag;
 use perseus_telemetry::{span, Telemetry};
@@ -18,6 +18,17 @@ enum EcEdge {
     Fixed(f64),
     /// A pure dependency (zero duration).
     Dep,
+}
+
+impl EcEdge {
+    /// Duration of the edge at the current planned durations.
+    fn duration(self, planned: &[f64]) -> f64 {
+        match self {
+            EcEdge::Comp(n) => planned[n.index()],
+            EcEdge::Fixed(t) => t,
+            EcEdge::Dep => 0.0,
+        }
+    }
 }
 
 /// Result of one `GetNextPareto` step.
@@ -40,22 +51,27 @@ pub enum CutOutcome {
 /// The reusable edge-centric view of a pipeline DAG (Algorithm 2, step ②):
 /// each pipeline node `v` splits into `v_in → v_out` carrying the
 /// computation, and each dependency becomes a zero-duration edge. The
-/// structure (and hence the topological order) never changes across
-/// frontier iterations — only durations do — so
+/// structure (and hence the topological order the DAG keeps) never
+/// changes across frontier iterations — only durations do — so
 /// [`characterize`](crate::characterize) builds it once.
 #[derive(Debug, Clone)]
 pub struct CutSolver {
+    /// Edge `i` is the split edge of pipeline node `i`; the dependency
+    /// edges follow.
     ec: Dag<(), EcEdge>,
     halves: Vec<(NodeId, NodeId)>,
-    order: Vec<NodeId>,
 }
 
 impl CutSolver {
     /// Builds the edge-centric DAG for `pipe`.
     pub fn new(pipe: &PipelineDag) -> CutSolver {
         let (ec, halves) = edge_centric(pipe);
-        let order = ec.topo_order().expect("pipeline DAGs are acyclic");
-        CutSolver { ec, halves, order }
+        ec.topo_order().expect("pipeline DAGs are acyclic");
+        CutSolver { ec, halves }
+    }
+
+    fn order(&self) -> &[NodeId] {
+        self.ec.topo_order().expect("checked acyclic in `new`")
     }
 }
 
@@ -73,7 +89,8 @@ fn edge_centric(pipe: &PipelineDag) -> (Dag<(), EcEdge>, Vec<(NodeId, NodeId)>) 
             perseus_pipeline::PipeNode::Fixed { time_s, .. } => EcEdge::Fixed(*time_s),
             _ => EcEdge::Dep,
         };
-        ec.add_edge_unchecked(v_in, v_out, payload);
+        let split = ec.add_edge_unchecked(v_in, v_out, payload);
+        debug_assert_eq!(split.index(), id.index());
         halves.push((v_in, v_out));
     }
     for e in pipe.dag.edge_refs() {
@@ -86,15 +103,19 @@ fn edge_centric(pipe: &PipelineDag) -> (Dag<(), EcEdge>, Vec<(NodeId, NodeId)>) 
 
 /// Counters accumulated by a [`SolverArena`] across Phillips–Dessouky
 /// iterations. `augmenting_paths_saved` estimates the searches a warm hit
-/// avoided as the path count of the most recent cold solve minus the hit's
+/// avoided as the path count of the most recent rebuild minus the hit's
 /// own count (the honest measurement — actual cold vs warm full-frontier
 /// totals — is what the `solver` claims of the `claims` bin gate on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Min-cut solves performed.
     pub solves: u64,
-    /// Solves that reused the previous iteration's flow.
+    /// Solves that reused the previous iteration's flow on an unchanged
+    /// critical topology.
     pub warm_start_hits: u64,
+    /// Solves of a changed critical topology rebuilt carrying the previous
+    /// iteration's flow.
+    pub seeded_solves: u64,
     /// Augmenting paths actually searched, warm and cold combined.
     pub augmenting_paths: u64,
     /// Estimated paths avoided by warm starts (see type docs).
@@ -102,27 +123,52 @@ pub struct ArenaStats {
 }
 
 /// Preallocated workspace for the Phillips–Dessouky iteration: every
-/// buffer `get_next_pareto_arena` needs — the compacted
-/// [`MinCutProblem`], its solution, the contraction maps, cut
-/// scratch — plus the [`WarmStart`] handle that carries the previous
-/// iteration's max flow forward. Build one per pipeline characterization
-/// and reuse it across all frontier steps; consecutive steps patch
-/// capacities into the same buffers instead of reallocating, and (while
-/// the critical topology is stable) re-augment instead of re-solving.
+/// buffer `get_next_pareto_arena` needs — edge durations and timing, the
+/// critical mask, the compacted [`MinCutProblem`] and its chain map, its
+/// solution, cut scratch — plus the [`WarmStart`] handle that carries the
+/// previous iteration's max flow forward. Build one per pipeline
+/// characterization and reuse it across all frontier steps: consecutive
+/// steps refill the same buffers instead of reallocating. While the
+/// critical topology is stable the max flow re-augments from the previous
+/// one; when it changes, the rebuilt network starts from the previous
+/// flow carried along the contracted chains.
 #[derive(Debug)]
 pub struct SolverArena {
     warm: WarmStart,
     warm_enabled: bool,
     problem: MinCutProblem,
     sol: MinCut,
-    caps: Vec<EdgeCap>,
-    contractible: Vec<bool>,
+    /// Per edge-centric edge: its duration under the current plan.
+    ec_dur: Vec<f64>,
+    /// Longest-path timing of the edge-centric DAG. After a step that
+    /// reduced the makespan, `earliest` and `makespan` describe the plan
+    /// the step left (the stretch pass reads them).
+    timing: TimingAnalysis,
+    /// Per edge-centric edge: on the critical DAG this step.
+    critical: Vec<bool>,
+    /// Per edge-centric node: critical in- and out-degree.
+    crit_in: Vec<u32>,
+    crit_out: Vec<u32>,
+    /// Per edge-centric node: its node in the compacted problem.
     compact: Vec<Option<usize>>,
+    /// Compacted edge `i` contracts the edge-centric chain
+    /// `chain_edges[chain_start[i]..chain_start[i + 1]]`.
+    chain_start: Vec<usize>,
+    chain_edges: Vec<EdgeId>,
+    /// Per compacted edge: (speed target, slow target).
     edge_meta: Vec<(Option<NodeId>, Option<NodeId>)>,
+    /// Per edge-centric edge: the flow the last solve carried through it
+    /// (0 off that step's critical DAG).
+    ec_flow: Vec<f64>,
+    /// Seed flow per compacted edge, the compacted topological order, and
+    /// its incidence lists.
+    seed: Vec<f64>,
+    seed_order: Vec<usize>,
+    incidence: Incidence,
     cut_scratch: Vec<usize>,
     speed_targets: Vec<NodeId>,
     backup: Vec<(NodeId, f64)>,
-    /// Path count of the most recent cold solve (the per-hit savings
+    /// Path count of the most recent rebuild (the per-hit savings
     /// baseline).
     last_cold_paths: u64,
     stats: ArenaStats,
@@ -142,10 +188,19 @@ impl SolverArena {
             warm_enabled: true,
             problem: MinCutProblem::default(),
             sol: MinCut::default(),
-            caps: Vec::new(),
-            contractible: Vec::new(),
+            ec_dur: Vec::new(),
+            timing: TimingAnalysis::default(),
+            critical: Vec::new(),
+            crit_in: Vec::new(),
+            crit_out: Vec::new(),
             compact: Vec::new(),
+            chain_start: Vec::new(),
+            chain_edges: Vec::new(),
             edge_meta: Vec::new(),
+            ec_flow: Vec::new(),
+            seed: Vec::new(),
+            seed_order: Vec::new(),
+            incidence: Incidence::default(),
             cut_scratch: Vec::new(),
             speed_targets: Vec::new(),
             backup: Vec::new(),
@@ -155,19 +210,130 @@ impl SolverArena {
     }
 
     /// Enables or disables warm starting. Disabled, every solve rebuilds
-    /// the flow network from scratch through the same code path — the cold
-    /// baseline the `solver` claims of the `claims` bin compare against.
-    /// Outputs are identical either way; only the work differs.
+    /// the flow network from zero flow through the same code path — the
+    /// cold baseline the `solver` claims of the `claims` bin compare
+    /// against — and no flow is carried or seeded. Outputs are identical
+    /// either way; only the work differs.
     pub fn set_warm(&mut self, enabled: bool) {
         self.warm_enabled = enabled;
         if !enabled {
             self.warm.invalidate();
+            self.ec_flow.clear();
         }
     }
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> ArenaStats {
         self.stats
+    }
+}
+
+/// Incoming and outgoing edge lists of every node of a [`MinCutProblem`],
+/// in edge order.
+#[derive(Debug, Default)]
+pub(crate) struct Incidence {
+    out_start: Vec<usize>,
+    out: Vec<usize>,
+    in_start: Vec<usize>,
+    inc: Vec<usize>,
+}
+
+impl Incidence {
+    fn rebuild(&mut self, problem: &MinCutProblem) {
+        let (n, edges) = (problem.node_count(), problem.edges());
+        group(
+            n,
+            edges.len(),
+            |i| edges[i].src,
+            &mut self.out_start,
+            &mut self.out,
+        );
+        group(
+            n,
+            edges.len(),
+            |i| edges[i].dst,
+            &mut self.in_start,
+            &mut self.inc,
+        );
+    }
+
+    fn out_edges(&self, v: usize) -> &[usize] {
+        &self.out[self.out_start[v]..self.out_start[v + 1]]
+    }
+
+    fn in_edges(&self, v: usize) -> &[usize] {
+        &self.inc[self.in_start[v]..self.in_start[v + 1]]
+    }
+}
+
+/// Counting sort of items `0..m` by `key` into `n` groups: group `v` is
+/// `list[start[v]..start[v + 1]]`, in item order.
+fn group(
+    n: usize,
+    m: usize,
+    key: impl Fn(usize) -> usize,
+    start: &mut Vec<usize>,
+    list: &mut Vec<usize>,
+) {
+    start.clear();
+    start.resize(n + 1, 0);
+    for i in 0..m {
+        start[key(i) + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    // Place each item at its group's cursor; the cursors end one group
+    // ahead, so shift them back.
+    list.clear();
+    list.resize(m, 0);
+    for i in 0..m {
+        let k = key(i);
+        list[start[k]] = i;
+        start[k] += 1;
+    }
+    for v in (1..=n).rev() {
+        start[v] = start[v - 1];
+    }
+    start[0] = 0;
+}
+
+/// Makes `flow` a feasible flow of the acyclic `problem`: given flows
+/// within `[0, cap]` on every edge, two trimming sweeps over the nodes in
+/// topological `order` restore conservation at every node but `s` and
+/// `t`. The first sweep trims each node's out-flow down to its in-flow;
+/// the second, in reverse order, trims each node's in-flow down to its
+/// out-flow. Each sweep finalizes a node's flows before it reaches the
+/// node's neighbours, and flows only shrink, so capacities keep holding;
+/// what remains is rounding at the last bit of the sums.
+pub(crate) fn repair_seed(
+    problem: &MinCutProblem,
+    order: &[usize],
+    (s, t): (usize, usize),
+    flow: &mut [f64],
+    incidence: &mut Incidence,
+) {
+    fn trim(edges: &[usize], flow: &mut [f64], mut excess: f64) {
+        for &e in edges {
+            if excess <= 0.0 {
+                break;
+            }
+            let cut = flow[e].min(excess);
+            flow[e] -= cut;
+            excess -= cut;
+        }
+    }
+    let total = |edges: &[usize], flow: &[f64]| edges.iter().map(|&e| flow[e]).sum::<f64>();
+    incidence.rebuild(problem);
+    for &v in order.iter().filter(|&&v| v != s && v != t) {
+        let (ins, outs) = (incidence.in_edges(v), incidence.out_edges(v));
+        let excess = total(outs, flow) - total(ins, flow);
+        trim(outs, flow, excess);
+    }
+    for &v in order.iter().rev().filter(|&&v| v != s && v != t) {
+        let (ins, outs) = (incidence.in_edges(v), incidence.out_edges(v));
+        let excess = total(ins, flow) - total(outs, flow);
+        trim(ins, flow, excess);
     }
 }
 
@@ -182,6 +348,59 @@ struct EdgeCap {
     slow: Option<NodeId>,
     /// Energy reclaimed per τ of slowing `slow` (tie-break for chains).
     slow_gain: f64,
+}
+
+impl EdgeCap {
+    /// An edge the cut may not cross forward and no slowdown targets.
+    const FIXED: EdgeCap = EdgeCap {
+        cap: f64::INFINITY,
+        speed: None,
+        slow: None,
+        slow_gain: 0.0,
+    };
+
+    /// The Eq. 8 capacity of a critical edge under the current plan.
+    fn of(ctx: &PlanContext<'_>, edge: EcEdge, planned: &[f64], tau: f64) -> EdgeCap {
+        let EcEdge::Comp(n) = edge else {
+            return EdgeCap::FIXED;
+        };
+        let info = ctx.info(n).expect("comp node has plan info");
+        let tiny = tau * 1e-9;
+        let tcur = planned[n.index()];
+        let can_speed = tcur > info.t_min + tiny;
+        let can_slow = tcur < info.t_max - tiny;
+        // Price the capacities over steps CLAMPED to the measured range,
+        // normalized back to a per-τ rate so edges stay comparable.
+        // Evaluating the exponential below t_min (or above t_max)
+        // extrapolates where it was never fitted and can blow capacities
+        // up by orders of magnitude, which both misprices the cut and
+        // poisons the flow solver's relative epsilon.
+        let e_plus = if can_speed {
+            let t_to = (tcur - tau).max(info.t_min);
+            (info.fit.energy(t_to) - info.fit.energy(tcur)).max(0.0) * (tau / (tcur - t_to))
+        } else {
+            0.0
+        };
+        let e_minus = if can_slow {
+            let t_to = (tcur + tau).min(info.t_max);
+            (info.fit.energy(tcur) - info.fit.energy(t_to)).max(0.0) * (tau / (t_to - tcur))
+        } else {
+            0.0
+        };
+        // The Eq. 8 lower bounds (the slowdown rewards e⁻) are relaxed to
+        // zero: the post-step stretch pass (see `characterize`) reclaims
+        // every gap a backward-crossing slowdown would have exploited,
+        // because the fitted energy is decreasing on [t_min, t_max] —
+        // zero-slack schedules dominate. e⁻ still breaks ties for which
+        // chain member to slow when a backward cut edge does appear.
+        EdgeCap {
+            // At t_min the cut may not cross the edge forward.
+            cap: if can_speed { e_plus } else { f64::INFINITY },
+            speed: can_speed.then_some(n),
+            slow: can_slow.then_some(n),
+            slow_gain: e_minus,
+        }
+    }
 }
 
 /// One step along the frontier: reduce the DAG's execution time with
@@ -229,12 +448,16 @@ pub fn get_next_pareto(ctx: &PlanContext<'_>, planned: &mut [f64], tau: f64) -> 
 ///   DAG compose as `cap = min`; a cut crosses a chain at its cheapest
 ///   edge.
 ///
-/// The compacted problem, solution, and cut buffers live in the arena
-/// (capacity patches instead of rebuilds), and when consecutive calls
-/// produce the same compacted topology — the common case along a frontier,
-/// where only durations drift — the max flow is warm-started from the
-/// previous iteration's flow instead of re-derived from zero. `telemetry`
-/// counts cut solves and is threaded into the min-cut solver.
+/// The step works in the arena's buffers: one full timing pass marks the
+/// critical edges in place, chains contract straight off the edge-centric
+/// DAG, and the post-apply makespan check runs the forward pass alone.
+/// When consecutive calls produce the same compacted topology — the common
+/// case along a frontier, where only durations drift — the max flow is
+/// warm-started from the previous iteration's flow; when the topology
+/// changes, the rebuilt network is seeded with that flow, carried along
+/// each new chain (its minimum over the chain's edges, trimmed feasible).
+/// `telemetry` counts cut solves, times the step's phases as spans, and is
+/// threaded into the min-cut solver.
 ///
 /// Output is bit-identical to the cold path: the solver extracts the
 /// minimal source-side min cut, which is unique across all maximum flows.
@@ -249,181 +472,136 @@ pub fn get_next_pareto_arena(
     if telemetry.is_enabled() {
         telemetry.counter("perseus_cut_solves_total").inc();
     }
-    // Disjoint borrows of every arena buffer; the construction below fills
-    // them in place instead of allocating.
+    // Disjoint borrows of every arena buffer; the step fills them in
+    // place instead of allocating.
     let SolverArena {
         warm,
         warm_enabled,
         problem,
         sol,
-        caps,
-        contractible,
+        ec_dur,
+        timing,
+        critical,
+        crit_in,
+        crit_out,
         compact,
+        chain_start,
+        chain_edges,
         edge_meta,
+        ec_flow,
+        seed,
+        seed_order,
+        incidence,
         cut_scratch,
         speed_targets,
         backup,
         last_cold_paths,
         stats,
     } = arena;
-    let (ec, halves) = (&solver.ec, &solver.halves);
-    let dur = |_: perseus_dag::EdgeId, e: &EcEdge| match e {
-        EcEdge::Comp(n) => planned[n.index()],
-        EcEdge::Fixed(t) => *t,
-        EcEdge::Dep => 0.0,
-    };
-    let timing = TimingAnalysis::compute_with_order(ec, &solver.order, dur);
-    let makespan = timing.makespan;
-    // Slack below τ/2 counts as critical: folding near-critical paths into
-    // the cut guarantees each iteration advances by at least ~τ/2 (instead
-    // of crawling from one microscopic slack event to the next) while
-    // keeping every step overshoot-free. The price is a slightly
-    // conservative cut — a few more edges constrained than strictly
-    // necessary — which costs marginal energy, not correctness.
-    let tol = (tau * 0.5).max(makespan * 1e-12);
-
-    let crit: CriticalDag<(), EcEdge> = CriticalDag::extract(ec, &timing, dur, tol);
-
+    let (ec, halves, order) = (&solver.ec, &solver.halves, solver.order());
     // The split edges of the pipeline source/sink are always critical.
     let (source_in, _) = halves[ctx.pipe.source.index()];
     let (_, sink_out) = halves[ctx.pipe.sink.index()];
-    let (Some(s), Some(t)) = (
-        crit.node_map[source_in.index()],
-        crit.node_map[sink_out.index()],
-    ) else {
-        return CutOutcome::AtMinimumTime;
+
+    let makespan = {
+        let _span = span!(telemetry, "timing");
+        ec_dur.clear();
+        ec_dur.extend(ec.edge_refs().map(|r| r.payload.duration(planned)));
+        timing.refill(ec, order, ec_dur);
+        let makespan = timing.makespan;
+        // Slack below τ/2 counts as critical: folding near-critical paths
+        // into the cut guarantees each iteration advances by at least ~τ/2
+        // (instead of crawling from one microscopic slack event to the
+        // next) while keeping every step overshoot-free. The price is a
+        // slightly conservative cut — a few more edges constrained than
+        // strictly necessary — which costs marginal energy, not
+        // correctness.
+        let tol = (tau * 0.5).max(makespan * 1e-12);
+        critical.clear();
+        crit_in.clear();
+        crit_in.resize(ec.node_count(), 0);
+        crit_out.clear();
+        crit_out.resize(ec.node_count(), 0);
+        for r in ec.edge_refs() {
+            let on = timing.slack(r.src, r.dst, ec_dur[r.id.index()]) <= tol;
+            critical.push(on);
+            if on {
+                crit_out[r.src.index()] += 1;
+                crit_in[r.dst.index()] += 1;
+            }
+        }
+        makespan
     };
+    let on_critical_dag = |v: NodeId| crit_in[v.index()] + crit_out[v.index()] > 0;
+    if !on_critical_dag(source_in) || !on_critical_dag(sink_out) {
+        return CutOutcome::AtMinimumTime;
+    }
 
-    // Annotate each critical edge with its Eq. 8 capacity.
-    let inf = MinCutProblem::unbounded();
-    let tiny = tau * 1e-9;
-    let cg = &crit.graph;
-    caps.clear();
-    caps.extend(cg.edge_refs().map(|r| match r.payload {
-        EcEdge::Comp(n) => {
-            let info = ctx.info(*n).expect("comp node has plan info");
-            let tcur = planned[n.index()];
-            let can_speed = tcur > info.t_min + tiny;
-            let can_slow = tcur < info.t_max - tiny;
-            // Price the capacities over steps CLAMPED to the measured
-            // range, normalized back to a per-τ rate so edges stay
-            // comparable. Evaluating the exponential below t_min (or
-            // above t_max) extrapolates where it was never fitted and
-            // can blow capacities up by orders of magnitude, which both
-            // misprices the cut and poisons the flow solver's relative
-            // epsilon.
-            let e_plus = if can_speed {
-                let t_to = (tcur - tau).max(info.t_min);
-                (info.fit.energy(t_to) - info.fit.energy(tcur)).max(0.0) * (tau / (tcur - t_to))
-            } else {
-                0.0
-            };
-            let e_minus = if can_slow {
-                let t_to = (tcur + tau).min(info.t_max);
-                (info.fit.energy(tcur) - info.fit.energy(t_to)).max(0.0) * (tau / (t_to - tcur))
-            } else {
-                0.0
-            };
-            // The Eq. 8 lower bounds (the slowdown rewards e⁻) are
-            // relaxed to zero: the post-step stretch pass (see
-            // `characterize`) reclaims every gap a backward-crossing
-            // slowdown would have exploited, because the fitted energy
-            // is decreasing on [t_min, t_max] — zero-slack schedules
-            // dominate. e⁻ still breaks ties for which chain member to
-            // slow when a backward cut edge does appear.
-            match (can_speed, can_slow) {
-                (true, true) => EdgeCap {
-                    cap: e_plus,
-                    speed: Some(*n),
-                    slow: Some(*n),
-                    slow_gain: e_minus,
-                },
-                // Slowest: cannot slow further, may speed.
-                (true, false) => EdgeCap {
-                    cap: e_plus,
-                    speed: Some(*n),
-                    slow: None,
-                    slow_gain: 0.0,
-                },
-                // Fastest: cannot speed, may slow.
-                (false, true) => EdgeCap {
-                    cap: inf,
-                    speed: None,
-                    slow: Some(*n),
-                    slow_gain: e_minus,
-                },
-                (false, false) => EdgeCap {
-                    cap: inf,
-                    speed: None,
-                    slow: None,
-                    slow_gain: 0.0,
-                },
+    {
+        let _span = span!(telemetry, "contract");
+        // Series contraction: a node (other than s/t) with exactly one
+        // incoming and one outgoing critical edge is a pass-through; flow
+        // through a chain equals flow through each of its edges, so the
+        // chain behaves like one edge with `cap = min(cap_i)` (a forward
+        // cut picks the cheapest edge to speed; a backward cut slows the
+        // edge with the largest reclaim). Nodes and chains are numbered in
+        // node and edge-id order, so the compacted problem is the same
+        // edge for edge whatever else the step reuses.
+        let contractible = |v: NodeId| {
+            v != source_in && v != sink_out && crit_in[v.index()] == 1 && crit_out[v.index()] == 1
+        };
+        compact.clear();
+        compact.resize(ec.node_count(), None);
+        let mut n_compact = 0usize;
+        for v in ec.node_ids() {
+            if on_critical_dag(v) && !contractible(v) {
+                compact[v.index()] = Some(n_compact);
+                n_compact += 1;
             }
         }
-        EcEdge::Fixed(_) | EcEdge::Dep => EdgeCap {
-            cap: inf,
-            speed: None,
-            slow: None,
-            slow_gain: 0.0,
-        },
-    }));
-
-    // Series contraction: a node (other than s/t) with exactly one
-    // incoming and one outgoing edge is a pass-through; flow through a
-    // chain equals flow through each of its edges, so the chain behaves
-    // like one edge with `cap = min(cap_i)` (a forward cut picks the
-    // cheapest edge to speed; a backward cut slows the edge with the
-    // largest reclaim).
-    contractible.clear();
-    contractible.extend(
-        cg.node_ids()
-            .map(|v| v != s && v != t && cg.in_degree(v) == 1 && cg.out_degree(v) == 1),
-    );
-    compact.clear();
-    compact.resize(cg.node_count(), None);
-    let mut n_compact = 0usize;
-    for v in cg.node_ids() {
-        if !contractible[v.index()] {
-            compact[v.index()] = Some(n_compact);
-            n_compact += 1;
-        }
-    }
-    problem.reset(n_compact);
-    // Per contracted edge: (speed target, slow target).
-    edge_meta.clear();
-    for u in cg.node_ids() {
-        if contractible[u.index()] {
-            continue;
-        }
-        for first in cg.out_edges(u) {
-            let mut chain = caps[first.id.index()];
-            let mut head = first.dst;
-            while contractible[head.index()] {
-                let next = cg.out_edges(head).next().expect("out-degree 1");
-                let c = caps[next.id.index()];
-                if c.cap < chain.cap {
-                    chain.cap = c.cap;
-                    chain.speed = c.speed;
+        problem.reset(n_compact);
+        edge_meta.clear();
+        chain_start.clear();
+        chain_start.push(0);
+        chain_edges.clear();
+        let critical_out = |v: NodeId| ec.out_edges(v).filter(|r| critical[r.id.index()]);
+        for u in ec.node_ids() {
+            let Some(cu) = compact[u.index()] else {
+                continue;
+            };
+            for first in critical_out(u) {
+                let mut chain = EdgeCap::of(ctx, *first.payload, planned, tau);
+                chain_edges.push(first.id);
+                let mut head = first.dst;
+                while contractible(head) {
+                    let next = critical_out(head).next().expect("out-degree 1");
+                    let c = EdgeCap::of(ctx, *next.payload, planned, tau);
+                    if c.cap < chain.cap {
+                        chain.cap = c.cap;
+                        chain.speed = c.speed;
+                    }
+                    // A backward cut slows ONE chain member; pick the one
+                    // with the largest reclaim.
+                    if c.slow_gain > chain.slow_gain {
+                        chain.slow_gain = c.slow_gain;
+                        chain.slow = c.slow;
+                    }
+                    chain_edges.push(next.id);
+                    head = next.dst;
                 }
-                // A backward cut slows ONE chain member; pick the one with
-                // the largest reclaim.
-                if c.slow_gain > chain.slow_gain {
-                    chain.slow_gain = c.slow_gain;
-                    chain.slow = c.slow;
-                }
-                head = next.dst;
+                problem.add_edge(
+                    cu,
+                    compact[head.index()].expect("non-contractible"),
+                    chain.cap,
+                );
+                edge_meta.push((chain.speed, chain.slow));
+                chain_start.push(chain_edges.len());
             }
-            problem.add_edge(
-                compact[u.index()].expect("non-contractible"),
-                compact[head.index()].expect("non-contractible"),
-                chain.cap,
-            );
-            edge_meta.push((chain.speed, chain.slow));
         }
     }
-    let (s, t) = (
-        compact[s.index()].expect("terminal"),
-        compact[t.index()].expect("terminal"),
+    let st = (
+        compact[source_in.index()].expect("terminal"),
+        compact[sink_out.index()].expect("terminal"),
     );
 
     if !*warm_enabled {
@@ -432,7 +610,43 @@ pub fn get_next_pareto_arena(
     stats.solves += 1;
     let solved = {
         let _span = span!(telemetry, "cut_solve");
-        problem.solve_warm_into(s, t, warm, sol, telemetry)
+        // A changed topology starts from the previous flow: each new edge
+        // carries the least the previous solve sent through any edge of its
+        // chain (0 for an edge that was not critical then), clipped to its
+        // capacity and trimmed feasible.
+        let seeding = *warm_enabled && ec_flow.len() == ec.edge_count() && !warm.matches(problem);
+        if seeding {
+            seed.clear();
+            seed.extend(problem.edges().iter().enumerate().map(|(i, e)| {
+                chain_edges[chain_start[i]..chain_start[i + 1]]
+                    .iter()
+                    .fold(e.cap, |f, c| f.min(ec_flow[c.index()]))
+                    .max(0.0)
+            }));
+            seed_order.clear();
+            seed_order.extend(order.iter().filter_map(|v| compact[v.index()]));
+            repair_seed(problem, seed_order, st, seed, incidence);
+            stats.seeded_solves += 1;
+        }
+        let solved = problem.solve_warm_into(
+            st.0,
+            st.1,
+            warm,
+            seeding.then_some(&seed[..]),
+            sol,
+            telemetry,
+        );
+        if *warm_enabled && solved.is_ok() {
+            ec_flow.clear();
+            ec_flow.resize(ec.edge_count(), 0.0);
+            for i in 0..problem.edges().len() {
+                let f = warm.flow_on(i);
+                for c in &chain_edges[chain_start[i]..chain_start[i + 1]] {
+                    ec_flow[c.index()] = f;
+                }
+            }
+        }
+        solved
     };
     let Ok(hit) = solved else {
         return CutOutcome::AtMinimumTime;
@@ -452,6 +666,8 @@ pub fn get_next_pareto_arena(
     } else {
         *last_cold_paths = paths;
     }
+
+    let _span = span!(telemetry, "apply");
     if problem.cut_capacity(&sol.source_side).is_infinite() {
         return CutOutcome::AtMinimumTime;
     }
@@ -479,11 +695,14 @@ pub fn get_next_pareto_arena(
     if delta <= 0.0 {
         return CutOutcome::AtMinimumTime;
     }
+    // Split edge `n` carries node `n`, so a changed duration patches one
+    // entry of the edge durations.
     let mut sped_up = Vec::new();
     let mut slowed_down = Vec::new();
     for &n in speed_targets.iter() {
         let info = ctx.info(n).expect("comp");
         planned[n.index()] = (planned[n.index()] - delta).max(info.t_min);
+        ec_dur[n.index()] = planned[n.index()];
         sped_up.push(n);
     }
     sol.backward_cut_edges_into(problem, cut_scratch);
@@ -497,34 +716,63 @@ pub fn get_next_pareto_arena(
     for &(n, t_old) in backup.iter() {
         let info = ctx.info(n).expect("comp");
         planned[n.index()] = (t_old + delta).min(info.t_max);
+        ec_dur[n.index()] = planned[n.index()];
         slowed_down.push(n);
     }
 
     // Defensive re-check: the theory says the makespan shrinks by δ; if a
     // numerically marginal slowdown ever lengthened it instead, revert the
-    // slowdowns (keeping the speedups, which can only help).
-    let mut new_makespan =
-        TimingAnalysis::compute_with_order(ec, &solver.order, dur_of(planned)).makespan;
-    if new_makespan > makespan - tau * 1e-6 {
+    // slowdowns (keeping the speedups, which can only help). Only the
+    // makespan is read, so the forward pass suffices; it also leaves the
+    // start times the stretch pass reads.
+    timing.refill_earliest(ec, order, ec_dur);
+    if timing.makespan > makespan - tau * 1e-6 {
         for &(n, t_old) in backup.iter() {
             planned[n.index()] = t_old;
+            ec_dur[n.index()] = t_old;
         }
         slowed_down.clear();
-        new_makespan =
-            TimingAnalysis::compute_with_order(ec, &solver.order, dur_of(planned)).makespan;
+        timing.refill_earliest(ec, order, ec_dur);
     }
     CutOutcome::Reduced {
-        new_makespan,
+        new_makespan: timing.makespan,
         sped_up,
         slowed_down,
     }
 }
 
-/// Duration closure over the current planned durations.
-fn dur_of(planned: &[f64]) -> impl FnMut(perseus_dag::EdgeId, &EcEdge) -> f64 + '_ {
-    move |_, e: &EcEdge| match e {
-        EcEdge::Comp(n) => planned[n.index()],
-        EcEdge::Fixed(t) => *t,
-        EcEdge::Dep => 0.0,
+/// Stretches every computation into its schedule gap without moving any
+/// start time: with start times fixed at the current earliest schedule,
+/// `dur(v)` may grow to `min(t_max_v, min over successors of
+/// start(succ) − start(v))` (sink-adjacent nodes are bounded by the
+/// makespan). Because the fitted energy decreases on `[t_min, t_max]`,
+/// this is a pure improvement — it reclaims both the step overshoot of the
+/// coarse τ sweep and everything a backward-crossing (lower-bound)
+/// slowdown in the exact Phillips–Dessouky formulation would have
+/// captured.
+///
+/// Must follow a [`get_next_pareto_arena`] step that returned
+/// [`CutOutcome::Reduced`] for `planned`: the start times are that step's
+/// last forward pass (a node starts when its in-event occurs), which are
+/// the starts a node-centric pass over `planned` computes — the same
+/// maxima over the same sums.
+pub(crate) fn stretch_into_slack(
+    ctx: &PlanContext<'_>,
+    solver: &CutSolver,
+    arena: &SolverArena,
+    planned: &mut [f64],
+) {
+    let timing = &arena.timing;
+    let start = |v: NodeId| timing.earliest[solver.halves[v.index()].0.index()];
+    let dag = &ctx.pipe.dag;
+    for id in dag.node_ids() {
+        let Some(info) = ctx.info(id) else { continue };
+        let limit = dag
+            .out_edges(id)
+            .fold(timing.makespan, |limit, e| limit.min(start(e.dst)));
+        let gap = limit - start(id);
+        if gap > planned[id.index()] {
+            planned[id.index()] = gap.min(info.t_max).max(planned[id.index()]);
+        }
     }
 }

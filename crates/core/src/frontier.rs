@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use perseus_dag::NodeId;
 use perseus_gpu::FreqMHz;
-use perseus_pipeline::{node_schedule_gaps, node_start_times, PipeNode, PipelineDag};
-use perseus_telemetry::Telemetry;
+use perseus_pipeline::{node_start_times, PipeNode, PipelineDag};
+use perseus_telemetry::{span, Telemetry};
 
 use crate::cache::PlanCache;
 use crate::context::{CoreError, PlanContext};
-use crate::cut::{get_next_pareto_arena, CutOutcome, CutSolver, SolverArena};
+use crate::cut::{get_next_pareto_arena, stretch_into_slack, CutOutcome, CutSolver, SolverArena};
 use crate::energy::{pipeline_energy, PipelineEnergy};
 use crate::fingerprint::{plan_fingerprint, PlanFingerprint};
 use crate::parallel::parallel_map;
@@ -66,42 +66,62 @@ impl EnergySchedule {
         let mut realized_dur = vec![0.0f64; n];
         let mut realized_energy = vec![0.0f64; n];
         for id in ctx.pipe.dag.node_ids() {
-            match ctx.pipe.dag.node(id) {
-                PipeNode::Comp(_) => {
-                    let info = ctx.info(id).expect("comp node has plan info");
-                    let profile = ctx.profile_of(id).expect("comp node has profile");
-                    let deadline = planned[id.index()].clamp(info.t_min, info.t_max);
-                    let entry = match cap {
-                        Some(cap) => profile
-                            .best_under_cap(deadline, cap)
-                            .unwrap_or_else(|| profile.slowest_entry()),
-                        None => profile
-                            .slowest_within(deadline)
-                            .expect("clamped deadline is always satisfiable"),
-                    };
-                    freqs[id.index()] = Some(entry.freq);
-                    realized_dur[id.index()] = entry.time_s;
-                    realized_energy[id.index()] = entry.energy_j;
-                }
-                PipeNode::Fixed {
-                    time_s, power_w, ..
-                } => {
-                    realized_dur[id.index()] = *time_s;
-                    realized_energy[id.index()] = time_s * power_w;
-                }
-                _ => {}
+            let i = id.index();
+            (freqs[i], realized_dur[i], realized_energy[i]) =
+                realize_node(ctx, id, planned[i], cap);
+        }
+        Ok(EnergySchedule::evaluate(
+            ctx,
+            planned,
+            freqs,
+            realized_dur,
+            realized_energy,
+        ))
+    }
+
+    /// [`EnergySchedule::realize`] of `planned` given the realization
+    /// `prev` of a plan that differs from it in a few nodes: copies
+    /// `prev`'s per-node frequencies, durations and energies and
+    /// re-realizes only the nodes whose planned duration differs in bits.
+    /// Realization is per node, and time and energy are evaluated afresh,
+    /// so the result is bit-identical to a full realization.
+    fn realize_from(
+        ctx: &PlanContext<'_>,
+        prev: &EnergySchedule,
+        planned: Vec<f64>,
+    ) -> EnergySchedule {
+        let mut freqs = prev.freqs.clone();
+        let mut realized_dur = prev.realized_dur.clone();
+        let mut realized_energy = prev.realized_energy.clone();
+        for id in ctx.pipe.dag.node_ids() {
+            let i = id.index();
+            if planned[i].to_bits() != prev.planned[i].to_bits() {
+                (freqs[i], realized_dur[i], realized_energy[i]) =
+                    realize_node(ctx, id, planned[i], None);
             }
         }
+        EnergySchedule::evaluate(ctx, planned, freqs, realized_dur, realized_energy)
+    }
+
+    /// Assembles a schedule from its per-node realization: one forward
+    /// pass for the iteration time, an index-order sum for the energy.
+    fn evaluate(
+        ctx: &PlanContext<'_>,
+        planned: Vec<f64>,
+        freqs: Vec<Option<FreqMHz>>,
+        realized_dur: Vec<f64>,
+        realized_energy: Vec<f64>,
+    ) -> EnergySchedule {
         let (_, time_s) = node_start_times(&ctx.pipe.dag, |id, _| realized_dur[id.index()]);
         let compute_j = realized_energy.iter().sum();
-        Ok(EnergySchedule {
+        EnergySchedule {
             planned,
             freqs,
             realized_dur,
             realized_energy,
             time_s,
             compute_j,
-        })
+        }
     }
 
     /// Full Eq. 3 energy report for this schedule given straggler time
@@ -137,6 +157,36 @@ impl EnergySchedule {
     /// The frequency assigned to `node`, if it is a computation.
     pub fn freq_of(&self, node: NodeId) -> Option<FreqMHz> {
         self.freqs[node.index()]
+    }
+}
+
+/// Lowers one node's planned duration to (frequency, realized duration,
+/// realized energy), with frequencies limited to `cap` when one is given.
+fn realize_node(
+    ctx: &PlanContext<'_>,
+    id: NodeId,
+    planned: f64,
+    cap: Option<FreqMHz>,
+) -> (Option<FreqMHz>, f64, f64) {
+    match ctx.pipe.dag.node(id) {
+        PipeNode::Comp(_) => {
+            let info = ctx.info(id).expect("comp node has plan info");
+            let profile = ctx.profile_of(id).expect("comp node has profile");
+            let deadline = planned.clamp(info.t_min, info.t_max);
+            let entry = match cap {
+                Some(cap) => profile
+                    .best_under_cap(deadline, cap)
+                    .unwrap_or_else(|| profile.slowest_entry()),
+                None => profile
+                    .slowest_within(deadline)
+                    .expect("clamped deadline is always satisfiable"),
+            };
+            (Some(entry.freq), entry.time_s, entry.energy_j)
+        }
+        PipeNode::Fixed {
+            time_s, power_w, ..
+        } => (None, *time_s, time_s * power_w),
+        _ => (None, 0.0, 0.0),
     }
 }
 
@@ -349,27 +399,6 @@ fn default_tau(ctx: &PlanContext<'_>) -> f64 {
     (spans[spans.len() / 2] * 0.05).clamp(0.2e-3, 20e-3)
 }
 
-/// Stretches every computation into its schedule gap without moving any
-/// start time: with start times fixed at the current earliest schedule,
-/// `dur(v)` may grow to `min(t_max_v, min over successors of
-/// start(succ) − start(v))` (sink-adjacent nodes are bounded by the
-/// makespan). Because the fitted energy decreases on `[t_min, t_max]`,
-/// this is a pure improvement — it reclaims both the step overshoot of the
-/// coarse τ sweep and everything a backward-crossing (lower-bound)
-/// slowdown in the exact Phillips–Dessouky formulation would have
-/// captured.
-fn stretch_into_slack(ctx: &PlanContext<'_>, planned: &mut [f64]) {
-    let dag = &ctx.pipe.dag;
-    let (_, gaps, _) = node_schedule_gaps(dag, |id, _| planned[id.index()]);
-    for id in dag.node_ids() {
-        let Some(info) = ctx.info(id) else { continue };
-        let gap = gaps[id.index()];
-        if gap > planned[id.index()] {
-            planned[id.index()] = gap.min(info.t_max).max(planned[id.index()]);
-        }
-    }
-}
-
 /// The reusable characterization engine for one pipeline.
 ///
 /// Building the edge-centric DAG and its topological order (inside
@@ -389,6 +418,8 @@ pub struct FrontierSolver {
     runs: AtomicUsize,
     /// Warm-started min-cut solves across all characterizations.
     warm_start_hits: AtomicU64,
+    /// Changed-topology min-cut solves seeded with the previous flow.
+    seeded_solves: AtomicU64,
     /// Augmenting paths searched across all characterizations.
     augmenting_paths: AtomicU64,
     /// Estimated paths avoided by warm starts (see
@@ -415,6 +446,9 @@ pub struct SolverStats {
     pub artifact_reuses: usize,
     /// Phillips–Dessouky solves that reused the previous iteration's flow.
     pub warm_start_hits: u64,
+    /// Solves of a changed critical topology rebuilt carrying the previous
+    /// iteration's flow.
+    pub seeded_solves: u64,
     /// Augmenting paths actually searched across all solves.
     pub augmenting_paths: u64,
     /// Estimated augmenting-path searches avoided by warm starts.
@@ -445,6 +479,7 @@ impl FrontierSolver {
             node_count: pipe.dag.node_count(),
             runs: AtomicUsize::new(0),
             warm_start_hits: AtomicU64::new(0),
+            seeded_solves: AtomicU64::new(0),
             augmenting_paths: AtomicU64::new(0),
             augmenting_paths_saved: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -473,6 +508,7 @@ impl FrontierSolver {
             runs,
             artifact_reuses: runs.saturating_sub(1),
             warm_start_hits: self.warm_start_hits.load(Ordering::Relaxed),
+            seeded_solves: self.seeded_solves.load(Ordering::Relaxed),
             augmenting_paths: self.augmenting_paths.load(Ordering::Relaxed),
             augmenting_paths_saved: self.augmenting_paths_saved.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -517,6 +553,10 @@ impl FrontierSolver {
         if ctx.pipe.computation_count() == 0 {
             return Err(CoreError::EmptyFrontier);
         }
+        // The solve, one nested span per phase: per step `timing`,
+        // `contract`, `cut_solve` and `apply` (see `get_next_pareto_arena`)
+        // and `stretch`, then `realize` once.
+        let _frontier = span!(tel, "frontier");
         let fastest = ctx.fastest_durations();
         let (_, t_floor) = node_start_times(&ctx.pipe.dag, |id, _| fastest[id.index()]);
         let mut planned = ctx.min_energy_durations();
@@ -536,9 +576,10 @@ impl FrontierSolver {
         // iterations.
         let floor_margin = (tau * 0.5).min(t_floor * 5e-4);
         let mut pd_iterations = 0u64;
-        // One arena for the whole sweep: the compacted problem and the
-        // previous iteration's max flow persist across steps, so most
-        // iterations patch capacities and re-augment instead of rebuilding.
+        // One arena for the whole sweep: the timing buffers, the compacted
+        // problem and the previous iteration's max flow persist across
+        // steps, so iterations refill buffers and re-augment (or start
+        // from the carried flow) instead of rebuilding.
         let mut arena = SolverArena::new();
         arena.set_warm(opts.warm_start);
         for _ in 0..opts.max_iters {
@@ -556,7 +597,8 @@ impl FrontierSolver {
                     }
                     makespan = new_makespan;
                     if opts.stretch {
-                        stretch_into_slack(ctx, &mut planned);
+                        let _span = span!(tel, "stretch");
+                        stretch_into_slack(ctx, &self.cut, &arena, &mut planned);
                     }
                     raw_points.push((new_makespan, planned.clone()));
                 }
@@ -566,26 +608,40 @@ impl FrontierSolver {
         let arena_stats = arena.stats();
         self.warm_start_hits
             .fetch_add(arena_stats.warm_start_hits, Ordering::Relaxed);
+        self.seeded_solves
+            .fetch_add(arena_stats.seeded_solves, Ordering::Relaxed);
         self.augmenting_paths
             .fetch_add(arena_stats.augmenting_paths, Ordering::Relaxed);
         self.augmenting_paths_saved
             .fetch_add(arena_stats.augmenting_paths_saved, Ordering::Relaxed);
 
         // Ascending time; drop any non-Pareto stragglers produced by
-        // clamping.
+        // clamping. Consecutive points differ in a few durations, so each
+        // point's fitted energies and realization start from the previous
+        // one's and redo only the nodes whose planned duration changed.
+        let _realize = span!(tel, "realize");
         raw_points.reverse();
-        let mut points = Vec::with_capacity(raw_points.len());
+        let mut points: Vec<FrontierPoint> = Vec::with_capacity(raw_points.len());
         let mut best_energy = f64::INFINITY;
+        let mut node_energy = vec![0.0f64; ctx.pipe.dag.node_count()];
+        let mut last: Vec<f64> = Vec::new();
         for (time, durations) in raw_points {
             let mut planned_energy = 0.0;
             for id in ctx.pipe.dag.node_ids() {
-                if let Some(info) = ctx.info(id) {
-                    planned_energy += info.fit.energy(durations[id.index()]);
+                let Some(info) = ctx.info(id) else { continue };
+                let (i, t) = (id.index(), durations[id.index()]);
+                if last.get(i).map_or(true, |l| l.to_bits() != t.to_bits()) {
+                    node_energy[i] = info.fit.energy(t);
                 }
+                planned_energy += node_energy[i];
             }
+            last.clone_from(&durations);
             if planned_energy < best_energy {
                 best_energy = planned_energy;
-                let schedule = EnergySchedule::realize(ctx, durations)?;
+                let schedule = match points.last() {
+                    Some(prev) => EnergySchedule::realize_from(ctx, &prev.schedule, durations),
+                    None => EnergySchedule::realize(ctx, durations)?,
+                };
                 points.push(FrontierPoint {
                     planned_time_s: time,
                     planned_energy_j: planned_energy,

@@ -45,27 +45,127 @@ fn warm_started_characterize_is_bit_identical_to_cold() {
     let pipe = build_pipe(4, 6);
     let stages = stages_with_scales(&[1.0, 1.1, 0.95, 1.2]);
     let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
-    let mut opts = FrontierOptions {
+    // The second sweep's coarse τ without the stretch pass changes the
+    // critical topology often, so its warm run also seeds rebuilds.
+    for (tau_s, stretch) in [(2e-3, true), (10e-3, false)] {
+        let mut opts = FrontierOptions {
+            tau_s: Some(tau_s),
+            stretch,
+            ..FrontierOptions::default()
+        };
+        let warm_solver = FrontierSolver::new(&pipe);
+        let warm = warm_solver.characterize(&ctx, &opts).unwrap();
+        opts.warm_start = false;
+        let cold_solver = FrontierSolver::new(&pipe);
+        let cold = cold_solver.characterize(&ctx, &opts).unwrap();
+
+        assert_frontiers_bit_identical(&warm, &cold);
+        let ws = warm_solver.stats();
+        let cs = cold_solver.stats();
+        assert!(ws.warm_start_hits > 0, "warm sweep never warm-started");
+        assert!(ws.seeded_solves > 0, "warm sweep never seeded a rebuild");
+        assert_eq!(cs.warm_start_hits, 0, "cold sweep must not warm-start");
+        assert_eq!(cs.seeded_solves, 0, "cold sweep must not seed");
+        assert!(
+            ws.augmenting_paths < cs.augmenting_paths,
+            "warm starting did not reduce augmenting-path searches: {} vs {}",
+            ws.augmenting_paths,
+            cs.augmenting_paths
+        );
+    }
+}
+
+/// A traced characterization splits its wall time into one span per
+/// solver phase: the per-step spans run once per Phillips–Dessouky
+/// iteration, the final realization once.
+#[test]
+fn characterize_spans_every_solver_phase() {
+    let gpu = GpuSpec::a100_pcie();
+    let pipe = build_pipe(4, 6);
+    let stages = stages_with_scales(&[1.0, 1.1, 0.95, 1.2]);
+    let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
+    let tel = perseus_telemetry::Telemetry::enabled();
+    let opts = FrontierOptions {
         tau_s: Some(2e-3),
         ..FrontierOptions::default()
     };
+    FrontierSolver::with_telemetry(&pipe, tel.clone())
+        .characterize(&ctx, &opts)
+        .unwrap();
+    let snap = tel.snapshot();
+    let calls = |path: &str| snap.value_of("perseus_span_calls_total", &[("span", path)]);
+    let iterations = snap.value_of("perseus_pd_iterations_total", &[]).unwrap();
+    assert!(iterations > 1.0);
+    for phase in ["timing", "contract", "cut_solve", "apply", "stretch"] {
+        assert_eq!(
+            calls(&format!("frontier/{phase}")),
+            Some(iterations),
+            "{phase}"
+        );
+    }
+    assert_eq!(calls("frontier/realize"), Some(1.0));
+    assert_eq!(calls("frontier"), Some(1.0));
+}
 
-    let warm_solver = FrontierSolver::new(&pipe);
-    let warm = warm_solver.characterize(&ctx, &opts).unwrap();
-    opts.warm_start = false;
-    let cold_solver = FrontierSolver::new(&pipe);
-    let cold = cold_solver.characterize(&ctx, &opts).unwrap();
+/// FNV-1a over every bit of every frontier point: planned time and
+/// energy, and the schedule's planned durations, frequencies, realized
+/// durations and energies, time and compute energy.
+fn frontier_bits_hash(frontier: &ParetoFrontier) -> u128 {
+    let mut bytes = Vec::new();
+    let mut put = |bits: u64| bytes.extend_from_slice(&bits.to_le_bytes());
+    for p in frontier.points() {
+        put(p.planned_time_s.to_bits());
+        put(p.planned_energy_j.to_bits());
+        let s = &p.schedule;
+        s.planned.iter().for_each(|x| put(x.to_bits()));
+        s.freqs
+            .iter()
+            .for_each(|f| put(f.map_or(u64::MAX, |f| u64::from(f.0))));
+        s.realized_dur.iter().for_each(|x| put(x.to_bits()));
+        s.realized_energy.iter().for_each(|x| put(x.to_bits()));
+        put(s.time_s.to_bits());
+        put(s.compute_j.to_bits());
+    }
+    crate::fnv1a_128(&bytes)
+}
 
-    assert_frontiers_bit_identical(&warm, &cold);
-    let ws = warm_solver.stats();
-    let cs = cold_solver.stats();
-    assert!(ws.warm_start_hits > 0, "warm sweep never warm-started");
-    assert_eq!(cs.warm_start_hits, 0, "cold sweep must not warm-start");
-    assert!(
-        ws.augmenting_paths < cs.augmenting_paths,
-        "warm starting did not reduce augmenting-path searches: {} vs {}",
-        ws.augmenting_paths,
-        cs.augmenting_paths
+/// The [`frontier_bits_hash`] of the frontier of an `n`-stage,
+/// `m`-microbatch 1F1B pipeline with per-stage work `scales`.
+fn pinned_frontier_hash(
+    n: usize,
+    m: usize,
+    scales: &[f64],
+    tau_s: Option<f64>,
+    stretch: bool,
+) -> u128 {
+    let gpu = GpuSpec::a100_pcie();
+    let pipe = build_pipe(n, m);
+    let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages_with_scales(scales)).unwrap();
+    let opts = FrontierOptions {
+        tau_s,
+        stretch,
+        ..FrontierOptions::default()
+    };
+    frontier_bits_hash(&characterize(&ctx, &opts).unwrap())
+}
+
+/// Pins the frontier bit for bit on three small shapes, one of them a
+/// coarse-τ sweep without the stretch pass, whose critical topology
+/// changes often. The 4-decimal goldens cannot see a 1-ulp drift in a
+/// solver rewrite; these hashes can.
+#[test]
+fn frontier_bits_are_pinned() {
+    assert_eq!(
+        pinned_frontier_hash(4, 6, &[1.0, 1.1, 0.95, 1.2], Some(2e-3), true),
+        0xf3ef_9d90_f706_f888_5a94_f76b_51a5_8869
+    );
+    assert_eq!(
+        pinned_frontier_hash(3, 8, &[1.2, 1.0, 0.8], None, true),
+        0x0dfb_f5f3_bddb_12df_b986_9298_384b_80dd
+    );
+    assert_eq!(
+        pinned_frontier_hash(4, 8, &[1.0, 1.3, 0.9, 1.15], Some(10e-3), false),
+        0xd281_f7da_4dd6_84ad_8928_0b13_7468_d6ed
     );
 }
 
@@ -762,6 +862,52 @@ mod prop {
                 frontier.lookup(f64::INFINITY).planned_time_s,
                 t_star
             );
+        }
+    }
+
+    proptest! {
+        // The seed a changed critical topology starts from, repaired by the
+        // two trimming sweeps, is a feasible flow whatever flows the
+        // previous solve left on the new edges: within every capacity
+        // (unbounded edges included) and conserved at every node but the
+        // terminals, to the flow solver's own relative tolerance.
+        #[test]
+        fn repaired_seed_is_feasible(
+            n in 3usize..12,
+            raw in proptest::collection::vec(
+                (any::<u16>(), any::<u16>(), 0.0f64..8.0, any::<bool>(), 0.0f64..1.0),
+                1..48,
+            ),
+        ) {
+            let (s, t) = (0, n - 1);
+            let mut problem = perseus_flow::MinCutProblem::new(n);
+            let mut flow = Vec::new();
+            for (a, b, cap, unbounded, fill) in raw {
+                let (u, v) = ((a as usize) % n, (b as usize) % n);
+                if u < v {
+                    let cap = if unbounded { f64::INFINITY } else { cap };
+                    problem.add_edge(u, v, cap);
+                    flow.push(cap.min(8.0) * fill);
+                }
+            }
+            let order: Vec<usize> = (0..n).collect();
+            crate::cut::repair_seed(
+                &problem,
+                &order,
+                (s, t),
+                &mut flow,
+                &mut crate::cut::Incidence::default(),
+            );
+            let tol = perseus_flow::CAP_EPS * flow.iter().fold(1.0f64, |m, &f| m.max(f));
+            let mut balance = vec![0.0f64; n];
+            for (e, &f) in problem.edges().iter().zip(&flow) {
+                prop_assert!(0.0 <= f && f <= e.cap, "flow {} cap {}", f, e.cap);
+                balance[e.dst] += f;
+                balance[e.src] -= f;
+            }
+            for (v, b) in balance.iter().enumerate().filter(|&(v, _)| v != s && v != t) {
+                prop_assert!(b.abs() <= tol, "node {} unbalanced by {}", v, b);
+            }
         }
     }
 

@@ -1,12 +1,12 @@
 //! Generic DAG container with index-based node and edge handles.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Handle to a node inside a [`Dag`].
 ///
 /// Node ids are dense indices assigned in insertion order and remain valid
-/// for the lifetime of the graph (nodes are never removed; build a new graph
-/// with [`Dag::filter_edges`] instead).
+/// for the lifetime of the graph (nodes are never removed).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
@@ -105,12 +105,18 @@ struct EdgeData<E> {
 /// Acyclicity is enforced lazily: [`Dag::add_edge`] performs a reachability
 /// check so the structure can never hold a cycle, which keeps every
 /// downstream algorithm (topological sort, longest path) total.
+///
+/// The graph keeps its topological order once computed: every longest-path
+/// pass over an unchanged structure reads it instead of sorting again.
 #[derive(Debug, Clone)]
 pub struct Dag<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeData<E>>,
     succ: Vec<Vec<EdgeId>>,
     pred: Vec<Vec<EdgeId>>,
+    /// Kahn order of the current structure; reset by every node or edge
+    /// insertion.
+    topo: OnceLock<Result<Vec<NodeId>, DagError>>,
 }
 
 impl<N, E> Default for Dag<N, E> {
@@ -127,6 +133,7 @@ impl<N, E> Dag<N, E> {
             edges: Vec::new(),
             succ: Vec::new(),
             pred: Vec::new(),
+            topo: OnceLock::new(),
         }
     }
 
@@ -137,6 +144,7 @@ impl<N, E> Dag<N, E> {
             edges: Vec::with_capacity(edges),
             succ: Vec::with_capacity(nodes),
             pred: Vec::with_capacity(nodes),
+            topo: OnceLock::new(),
         }
     }
 
@@ -156,6 +164,7 @@ impl<N, E> Dag<N, E> {
         self.nodes.push(payload);
         self.succ.push(Vec::new());
         self.pred.push(Vec::new());
+        self.topo = OnceLock::new();
         id
     }
 
@@ -200,6 +209,7 @@ impl<N, E> Dag<N, E> {
         self.edges.push(EdgeData { src, dst, payload });
         self.succ[src.index()].push(id);
         self.pred[dst.index()].push(id);
+        self.topo = OnceLock::new();
         id
     }
 
@@ -277,11 +287,19 @@ impl<N, E> Dag<N, E> {
         false
     }
 
-    /// Kahn topological sort.
+    /// Kahn topological sort, computed on first use and kept until the
+    /// structure next changes.
     ///
     /// Returns [`DagError::Cyclic`] if unchecked edge insertion introduced a
     /// cycle.
-    pub fn topo_order(&self) -> Result<Vec<NodeId>, DagError> {
+    pub fn topo_order(&self) -> Result<&[NodeId], DagError> {
+        self.topo
+            .get_or_init(|| self.kahn())
+            .as_deref()
+            .map_err(Clone::clone)
+    }
+
+    fn kahn(&self) -> Result<Vec<NodeId>, DagError> {
         let n = self.nodes.len();
         let mut indeg: Vec<usize> = (0..n).map(|i| self.pred[i].len()).collect();
         let mut queue: Vec<NodeId> = (0..n as u32)
@@ -321,55 +339,5 @@ impl<N, E> Dag<N, E> {
         self.node_ids()
             .filter(|&n| self.out_degree(n) == 0)
             .collect()
-    }
-
-    /// Builds a new DAG retaining only edges for which `keep` returns true,
-    /// dropping nodes that end up isolated (unless `keep_node` forces them).
-    ///
-    /// Returns the filtered graph together with the mapping from old node
-    /// ids to new ones (`None` for dropped nodes).
-    pub fn filter_edges<F, G>(
-        &self,
-        mut keep: F,
-        mut keep_node: G,
-    ) -> (Dag<N, E>, Vec<Option<NodeId>>)
-    where
-        N: Clone,
-        E: Clone,
-        F: FnMut(EdgeRef<'_, E>) -> bool,
-        G: FnMut(NodeId) -> bool,
-    {
-        let kept_edges: Vec<EdgeId> = self
-            .edge_refs()
-            .filter(|r| keep(*r))
-            .map(|r| r.id)
-            .collect();
-        let mut used = vec![false; self.nodes.len()];
-        for &e in &kept_edges {
-            let d = &self.edges[e.index()];
-            used[d.src.index()] = true;
-            used[d.dst.index()] = true;
-        }
-        for n in self.node_ids() {
-            if keep_node(n) {
-                used[n.index()] = true;
-            }
-        }
-        let mut mapping: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        let mut out = Dag::with_capacity(self.nodes.len(), kept_edges.len());
-        for n in self.node_ids() {
-            if used[n.index()] {
-                mapping[n.index()] = Some(out.add_node(self.nodes[n.index()].clone()));
-            }
-        }
-        for &e in &kept_edges {
-            let d = &self.edges[e.index()];
-            let (src, dst) = (
-                mapping[d.src.index()].expect("endpoint kept"),
-                mapping[d.dst.index()].expect("endpoint kept"),
-            );
-            out.add_edge_unchecked(src, dst, d.payload.clone());
-        }
-        (out, mapping)
     }
 }

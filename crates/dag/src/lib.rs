@@ -6,7 +6,7 @@
 //!
 //! * an **edge-centric** view of the same DAG, where computations live on
 //!   edges and nodes are pure synchronization points,
-//! * **earliest / latest start** annotation to extract the *Critical DAG*
+//! * **earliest / latest start** annotation to mark the *Critical DAG*
 //!   (computations with zero slack),
 //! * longest-path (makespan) evaluation of a schedule.
 //!
@@ -29,7 +29,7 @@ mod graph;
 mod timing;
 
 pub use graph::{Dag, DagError, EdgeId, EdgeRef, NodeId};
-pub use timing::{CriticalDag, TimingAnalysis};
+pub use timing::TimingAnalysis;
 
 #[cfg(test)]
 mod tests;

@@ -1,4 +1,4 @@
-use crate::{CriticalDag, Dag, DagError, NodeId, TimingAnalysis};
+use crate::{Dag, DagError, NodeId, TimingAnalysis};
 
 fn diamond() -> (Dag<&'static str, f64>, [NodeId; 4]) {
     // s -> a (2.0) -> t (1.0)
@@ -53,6 +53,22 @@ fn invalid_node_rejected() {
     let a = g.add_node(());
     let ghost = NodeId(99);
     assert_eq!(g.add_edge(a, ghost, ()), Err(DagError::InvalidNode(ghost)));
+}
+
+#[test]
+fn topo_order_follows_structural_changes() {
+    let mut g: Dag<(), ()> = Dag::new();
+    let a = g.add_node(());
+    let b = g.add_node(());
+    assert_eq!(g.topo_order().unwrap(), [a, b]);
+    // The kept order is dropped on every insertion, never served stale.
+    g.add_edge(b, a, ()).unwrap();
+    assert_eq!(g.topo_order().unwrap(), [b, a]);
+    let c = g.add_node(());
+    g.add_edge_unchecked(c, b, ());
+    assert_eq!(g.topo_order().unwrap(), [c, b, a]);
+    g.add_edge_unchecked(a, c, ());
+    assert_eq!(g.topo_order(), Err(DagError::Cyclic));
 }
 
 #[test]
@@ -129,38 +145,6 @@ fn node_criticality() {
 }
 
 #[test]
-fn critical_dag_drops_slack_path() {
-    let (g, _) = diamond();
-    let timing = TimingAnalysis::compute(&g, |_, &d| d).unwrap();
-    let crit = CriticalDag::extract(&g, &timing, |_, &d| d, 1e-9);
-    // Only the s->a->t path survives: 2 edges, 3 nodes.
-    assert_eq!(crit.graph.edge_count(), 2);
-    assert_eq!(crit.graph.node_count(), 3);
-    // Edge origins point back into the full graph.
-    for (i, r) in crit.graph.edge_refs().enumerate() {
-        let orig = g.edge(crit.edge_origin[i]);
-        assert_eq!(orig.payload, r.payload);
-    }
-}
-
-#[test]
-fn critical_dag_keeps_parallel_critical_paths() {
-    // Two equal-length parallel paths: both must survive.
-    let mut g: Dag<(), f64> = Dag::new();
-    let s = g.add_node(());
-    let a = g.add_node(());
-    let b = g.add_node(());
-    let t = g.add_node(());
-    g.add_edge(s, a, 2.0).unwrap();
-    g.add_edge(s, b, 2.0).unwrap();
-    g.add_edge(a, t, 1.0).unwrap();
-    g.add_edge(b, t, 1.0).unwrap();
-    let timing = TimingAnalysis::compute(&g, |_, &d| d).unwrap();
-    let crit = CriticalDag::extract(&g, &timing, |_, &d| d, 1e-9);
-    assert_eq!(crit.graph.edge_count(), 4);
-}
-
-#[test]
 fn empty_graph_timing() {
     let g: Dag<(), f64> = Dag::new();
     let timing = TimingAnalysis::compute(&g, |_, &d| d).unwrap();
@@ -180,15 +164,6 @@ fn single_chain_timing() {
     for n in g.node_ids() {
         assert!(timing.node_is_critical(n, 1e-9));
     }
-}
-
-#[test]
-fn filter_edges_forced_node() {
-    let (g, [_, _, b, _]) = diamond();
-    let (fg, map) = g.filter_edges(|_| false, |n| n == b);
-    assert_eq!(fg.node_count(), 1);
-    assert_eq!(fg.edge_count(), 0);
-    assert!(map[b.index()].is_some());
 }
 
 mod prop {
@@ -242,15 +217,6 @@ mod prop {
             }
         }
 
-        #[test]
-        fn critical_dag_preserves_makespan(g in arb_dag()) {
-            let t = TimingAnalysis::compute(&g, |_, &d| d).unwrap();
-            let crit = CriticalDag::extract(&g, &t, |_, &d| d, 1e-9);
-            if crit.graph.edge_count() > 0 {
-                let ct = TimingAnalysis::compute(&crit.graph, |_, &d| d).unwrap();
-                prop_assert!((ct.makespan - t.makespan).abs() < 1e-6);
-            }
-        }
     }
 }
 
@@ -259,10 +225,35 @@ fn compute_with_order_matches_compute() {
     let (g, _) = diamond();
     let order = g.topo_order().unwrap();
     let a = TimingAnalysis::compute(&g, |_, &d| d).unwrap();
-    let b = TimingAnalysis::compute_with_order(&g, &order, |_, &d| d);
+    let b = TimingAnalysis::compute_with_order(&g, order, |_, &d| d);
     assert_eq!(a.earliest, b.earliest);
     assert_eq!(a.latest, b.latest);
     assert_eq!(a.makespan, b.makespan);
+}
+
+#[test]
+fn refills_match_a_fresh_analysis() {
+    let (g, [s, a, b, t]) = diamond();
+    let order = g.topo_order().unwrap();
+    let mut timing = TimingAnalysis::default();
+    timing.refill(&g, order, &[2.0, 1.0, 1.0, 1.0]);
+    // Refilling with new durations overwrites every buffer in place.
+    let durations = [1.0, 3.0, 0.5, 1.0];
+    timing.refill(&g, order, &durations);
+    let fresh = TimingAnalysis::compute(&g, |e, _| durations[e.index()]).unwrap();
+    assert_eq!(timing.earliest, fresh.earliest);
+    assert_eq!(timing.latest, fresh.latest);
+    assert_eq!(timing.makespan, 4.0);
+    // The forward pass alone moves `earliest` and the makespan only.
+    timing.refill_earliest(&g, order, &[2.0, 1.0, 1.0, 1.0]);
+    assert_eq!(timing.makespan, 3.0);
+    assert_eq!(timing.earliest[a.index()], 2.0);
+    assert_eq!(timing.latest, fresh.latest);
+    assert_eq!(
+        (timing.earliest[s.index()], timing.earliest[b.index()]),
+        (0.0, 1.0)
+    );
+    assert_eq!(timing.earliest[t.index()], 3.0);
 }
 
 #[test]

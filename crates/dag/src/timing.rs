@@ -1,5 +1,5 @@
-//! Schedule timing analysis: earliest/latest event times, slack, and the
-//! *Critical DAG* extraction used by `GetNextPareto` (paper Algorithm 2,
+//! Schedule timing analysis: earliest/latest event times and slack, from
+//! which `GetNextPareto` marks the *Critical DAG* (paper Algorithm 2,
 //! steps ② and ③).
 //!
 //! The analysis operates on an **edge-centric** DAG: nodes are dependency
@@ -11,7 +11,7 @@
 use crate::graph::{Dag, DagError, EdgeId, NodeId};
 
 /// Result of a forward/backward pass over an edge-weighted DAG.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TimingAnalysis {
     /// Earliest time each node (event) can occur.
     pub earliest: Vec<f64>,
@@ -34,12 +34,10 @@ impl TimingAnalysis {
         dag: &Dag<N, E>,
         dur: impl FnMut(EdgeId, &E) -> f64,
     ) -> Result<TimingAnalysis, DagError> {
-        let order = dag.topo_order()?;
-        Ok(Self::compute_with_order(dag, &order, dur))
+        Ok(Self::compute_with_order(dag, dag.topo_order()?, dur))
     }
 
-    /// [`TimingAnalysis::compute`] with a precomputed topological order —
-    /// the fast path for repeated passes over a structurally static graph.
+    /// [`TimingAnalysis::compute`] with a given topological order.
     ///
     /// # Panics
     ///
@@ -49,24 +47,25 @@ impl TimingAnalysis {
         order: &[NodeId],
         mut dur: impl FnMut(EdgeId, &E) -> f64,
     ) -> TimingAnalysis {
-        debug_assert_eq!(order.len(), dag.node_count());
-        let n = dag.node_count();
-        let mut earliest = vec![0.0f64; n];
         // Cache durations so the closure runs once per edge.
-        let mut durations = vec![0.0f64; dag.edge_count()];
-        for r in dag.edge_refs() {
-            durations[r.id.index()] = dur(r.id, r.payload);
-        }
-        for &u in order {
-            for e in dag.out_edges(u) {
-                let cand = earliest[u.index()] + durations[e.id.index()];
-                if cand > earliest[e.dst.index()] {
-                    earliest[e.dst.index()] = cand;
-                }
-            }
-        }
-        let makespan = earliest.iter().copied().fold(0.0, f64::max);
-        let mut latest = vec![makespan; n];
+        let durations: Vec<f64> = dag.edge_refs().map(|r| dur(r.id, r.payload)).collect();
+        let mut timing = TimingAnalysis::default();
+        timing.refill(dag, order, &durations);
+        timing
+    }
+
+    /// Both passes in place, reusing this analysis's buffers:
+    /// `durations[e]` is the duration of edge `e`. Repeated passes over a
+    /// structurally static graph allocate nothing after the first.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `order` covers every node exactly once.
+    pub fn refill<N, E>(&mut self, dag: &Dag<N, E>, order: &[NodeId], durations: &[f64]) {
+        self.refill_earliest(dag, order, durations);
+        let latest = &mut self.latest;
+        latest.clear();
+        latest.resize(dag.node_count(), self.makespan);
         for &u in order.iter().rev() {
             for e in dag.out_edges(u) {
                 let cand = latest[e.dst.index()] - durations[e.id.index()];
@@ -75,11 +74,30 @@ impl TimingAnalysis {
                 }
             }
         }
-        TimingAnalysis {
-            earliest,
-            latest,
-            makespan,
+    }
+
+    /// The forward pass alone: refills `earliest` and `makespan` and
+    /// leaves `latest` as it was, for callers that read only start times
+    /// and the schedule length.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `order` covers every node exactly once.
+    pub fn refill_earliest<N, E>(&mut self, dag: &Dag<N, E>, order: &[NodeId], durations: &[f64]) {
+        debug_assert_eq!(order.len(), dag.node_count());
+        debug_assert_eq!(durations.len(), dag.edge_count());
+        let earliest = &mut self.earliest;
+        earliest.clear();
+        earliest.resize(dag.node_count(), 0.0);
+        for &u in order {
+            for e in dag.out_edges(u) {
+                let cand = earliest[u.index()] + durations[e.id.index()];
+                if cand > earliest[e.dst.index()] {
+                    earliest[e.dst.index()] = cand;
+                }
+            }
         }
+        self.makespan = earliest.iter().copied().fold(0.0, f64::max);
     }
 
     /// Slack of edge `e = (u, v)` with duration `d`:
@@ -93,60 +111,5 @@ impl TimingAnalysis {
     /// timing-feasible schedule at the same instant).
     pub fn node_is_critical(&self, n: NodeId, tol: f64) -> bool {
         (self.latest[n.index()] - self.earliest[n.index()]).abs() <= tol
-    }
-}
-
-/// The critical sub-DAG of an edge-centric computation DAG: every edge with
-/// zero slack, i.e. every computation that lies on some critical path.
-///
-/// Reducing the makespan of the full DAG by `τ` is exactly reducing the
-/// length of *all* critical paths by `τ` (paper §4.3), so the cut search
-/// only needs this subgraph.
-#[derive(Debug, Clone)]
-pub struct CriticalDag<N, E> {
-    /// The filtered graph containing only critical edges.
-    pub graph: Dag<N, E>,
-    /// Old node id -> new node id (None if dropped).
-    pub node_map: Vec<Option<NodeId>>,
-    /// For each edge in `graph`, the id of the originating edge in the
-    /// full DAG.
-    pub edge_origin: Vec<EdgeId>,
-}
-
-impl<N: Clone, E: Clone> CriticalDag<N, E> {
-    /// Extracts the critical sub-DAG.
-    ///
-    /// `timing` must come from [`TimingAnalysis::compute`] over the same
-    /// graph with the same durations; `tol` is the absolute slack tolerance
-    /// below which an edge counts as critical (pick a small fraction of the
-    /// unit time `τ`).
-    pub fn extract<F>(
-        dag: &Dag<N, E>,
-        timing: &TimingAnalysis,
-        mut dur: F,
-        tol: f64,
-    ) -> CriticalDag<N, E>
-    where
-        F: FnMut(EdgeId, &E) -> f64,
-    {
-        let mut critical = vec![false; dag.edge_count()];
-        for r in dag.edge_refs() {
-            let d = dur(r.id, r.payload);
-            critical[r.id.index()] = timing.slack(r.src, r.dst, d) <= tol;
-        }
-        let (graph, node_map) = dag.filter_edges(|r| critical[r.id.index()], |_| false);
-        // Recover edge origins: filter_edges preserves edge insertion order.
-        let mut edge_origin = Vec::with_capacity(graph.edge_count());
-        for r in dag.edge_refs() {
-            if critical[r.id.index()] {
-                edge_origin.push(r.id);
-            }
-        }
-        debug_assert_eq!(edge_origin.len(), graph.edge_count());
-        CriticalDag {
-            graph,
-            node_map,
-            edge_origin,
-        }
     }
 }

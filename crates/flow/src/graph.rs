@@ -2,8 +2,9 @@
 //!
 //! Besides the classic mutable-graph API, [`FlowGraph`] has the
 //! incremental entry points the Phillips–Dessouky loop needs: retune a
-//! single edge's capacity in place ([`FlowGraph::retune_edge`]) and
-//! re-augment from the previous flow instead of from zero
+//! single edge's capacity in place ([`FlowGraph::retune_edge`]), build an
+//! edge that already carries flow ([`FlowGraph::add_edge_with_flow`]), and
+//! re-augment from the flow the network carries instead of from zero
 //! ([`FlowGraph::max_flow_incremental_with`]).
 
 use std::collections::VecDeque;
@@ -44,6 +45,8 @@ pub struct FlowGraph {
     iter: Vec<usize>,
     queue: VecDeque<usize>,
     parent: Vec<usize>,
+    /// Arcs of the level-graph path the blocking flow is extending.
+    path: Vec<usize>,
 }
 
 impl FlowGraph {
@@ -61,6 +64,7 @@ impl FlowGraph {
             iter: Vec::new(),
             queue: VecDeque::new(),
             parent: Vec::new(),
+            path: Vec::new(),
         }
     }
 
@@ -98,6 +102,25 @@ impl FlowGraph {
         if cap.is_finite() && cap > self.eps / CAP_EPS {
             self.eps = cap * CAP_EPS;
         }
+        id
+    }
+
+    /// [`FlowGraph::add_edge`] for an edge that already carries `flow`
+    /// (clamped to `[0, cap]`): its residual pair starts at
+    /// `(cap − flow, flow)` instead of `(cap, 0)`. Build a network from a
+    /// feasible flow this way — conserved at every node but the terminals
+    /// — and [`FlowGraph::max_flow_incremental_with`] augments from that
+    /// flow instead of from zero.
+    ///
+    /// # Panics
+    ///
+    /// As [`FlowGraph::add_edge`], and if `flow` is NaN.
+    pub fn add_edge_with_flow(&mut self, u: usize, v: usize, cap: f64, flow: f64) -> usize {
+        assert!(!flow.is_nan(), "flows must be numbers");
+        let id = self.add_edge(u, v, cap);
+        let flow = flow.clamp(0.0, cap);
+        self.cap[2 * id] = cap - flow;
+        self.cap[2 * id + 1] = flow;
         id
     }
 
@@ -319,14 +342,7 @@ impl FlowGraph {
                 break;
             }
             iter.iter_mut().for_each(|i| *i = 0);
-            loop {
-                let pushed = self.dfs_blocking(s, t, f64::INFINITY, &level, &mut iter);
-                if pushed <= self.eps {
-                    break;
-                }
-                total += pushed;
-                augmentations += 1;
-            }
+            self.blocking_flow(s, t, &level, &mut iter, &mut total, &mut augmentations);
         }
         self.level = level;
         self.iter = iter;
@@ -370,33 +386,67 @@ impl FlowGraph {
         self.last_augmentations
     }
 
-    /// One DFS augmentation along the level graph (Dinic inner loop).
-    fn dfs_blocking(
+    /// One Dinic phase: saturates the level graph with augmenting paths,
+    /// adding each path's flow to `total` and counting it in `paths`.
+    ///
+    /// The search is an explicit walk, not a recursion, so deep pipeline
+    /// networks cannot overflow the stack. After each augmentation it
+    /// retreats only to the tail of the first arc the push saturated:
+    /// re-walking from `s` would pass the same still-usable prefix arcs
+    /// (`iter` has not moved off them) and stop at the same place, so the
+    /// paths found, their order and their flows are those of a search
+    /// that restarts from `s`.
+    fn blocking_flow(
         &mut self,
-        u: usize,
+        s: usize,
         t: usize,
-        limit: f64,
         level: &[u32],
         iter: &mut [usize],
-    ) -> f64 {
-        if u == t {
-            return limit;
-        }
-        while iter[u] < self.adj[u].len() {
-            let a = self.adj[u][iter[u]];
-            let to = self.head[a];
-            let cap = self.cap[a];
-            if level[to] == level[u] + 1 && self.usable(cap) {
-                let pushed = self.dfs_blocking(to, t, limit.min(cap), level, iter);
-                if pushed > self.eps {
+        total: &mut f64,
+        paths: &mut u64,
+    ) {
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        let mut u = s;
+        loop {
+            if u == t {
+                // Every arc on the path is usable, so the bottleneck
+                // exceeds `eps`, and the arc that sets it saturates.
+                let pushed = path.iter().fold(f64::INFINITY, |m, &a| m.min(self.cap[a]));
+                for &a in &path {
                     self.cap[a] -= pushed;
                     self.cap[a ^ 1] += pushed;
-                    return pushed;
                 }
+                *total += pushed;
+                *paths += 1;
+                let keep = path
+                    .iter()
+                    .position(|&a| !self.usable(self.cap[a]))
+                    .expect("the bottleneck arc saturates");
+                path.truncate(keep);
+                u = path.last().map_or(s, |&a| self.head[a]);
+                continue;
             }
-            iter[u] += 1;
+            let mut advanced = false;
+            while iter[u] < self.adj[u].len() {
+                let a = self.adj[u][iter[u]];
+                let to = self.head[a];
+                if level[to] == level[u] + 1 && self.usable(self.cap[a]) {
+                    path.push(a);
+                    u = to;
+                    advanced = true;
+                    break;
+                }
+                iter[u] += 1;
+            }
+            if !advanced {
+                // Dead end: retreat one arc and skip it at its tail.
+                let Some(a) = path.pop() else { break };
+                u = self.head[a ^ 1];
+                iter[u] += 1;
+            }
         }
-        0.0
+        self.path = path;
     }
 
     /// Nodes reachable from `s` in the current residual graph. After

@@ -10,12 +10,13 @@
 //!
 //! * [`FlowGraph`] — a residual-pair network with Dinic max flow (the paper
 //!   analyzes Edmonds–Karp; Dinic has the same answers, faster)
-//!   ([`FlowGraph::max_flow`]), in-place capacity retuning with
-//!   re-augmentation from the previous flow, and residual reachability for
-//!   min-cut extraction,
+//!   ([`FlowGraph::max_flow`]), in-place capacity retuning, edges built
+//!   carrying flow, re-augmentation from the flow the network carries, and
+//!   residual reachability for min-cut extraction,
 //! * [`MinCutProblem`] — the minimal source-side minimum cut of a network
-//!   whose edges may be unbounded, warm-started across consecutive solves
-//!   of one topology through a [`WarmStart`].
+//!   whose edges may be unbounded, solved three ways through a
+//!   [`WarmStart`]: cold, retuned (consecutive solves of one topology),
+//!   or seeded (a changed topology rebuilt carrying a feasible flow).
 //!
 //! # Examples
 //!

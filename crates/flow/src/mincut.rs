@@ -4,9 +4,11 @@
 //! cost of speeding it up by `τ` (paper Eq. 8); fixed operations and pure
 //! dependencies are unbounded. The minimal source-side minimum cut names
 //! the computations to speed up (forward edges) and to slow down
-//! (backward edges). Consecutive Phillips–Dessouky steps solve networks
-//! of one topology with drifting capacities, so a [`WarmStart`] carries
-//! the solved [`FlowGraph`] from one solve into the next.
+//! (backward edges). Consecutive Phillips–Dessouky steps mostly solve
+//! networks of one topology with drifting capacities, so a [`WarmStart`]
+//! carries the solved [`FlowGraph`] from one solve into the next; when
+//! the topology does change, the caller may seed the rebuilt network
+//! with a feasible flow carried over from the previous solve.
 
 use std::fmt;
 
@@ -102,8 +104,10 @@ impl MinCut {
 /// endpoints in the same order) and differ only in capacities — exactly
 /// the shape of consecutive Phillips–Dessouky iterations — the cached
 /// graph is retuned in place and re-augmented from the previous flow
-/// instead of rebuilt and solved from zero. A fresh handle always misses,
-/// so a solve through one is the cold solve.
+/// instead of rebuilt and solved from zero. On a mismatch the graph is
+/// rebuilt, from the caller's seed flow if one is given and from zero
+/// otherwise. A fresh handle always misses, so an unseeded solve through
+/// one is the cold solve.
 #[derive(Debug, Default)]
 pub struct WarmStart {
     graph: Option<FlowGraph>,
@@ -114,8 +118,10 @@ pub struct WarmStart {
     stack: Vec<usize>,
     /// Solves that reused the cached flow.
     pub hits: u64,
-    /// Solves that (re)built the graph from scratch.
+    /// Solves that (re)built the graph, seeded or from zero.
     pub misses: u64,
+    /// Misses that rebuilt the graph carrying a caller's seed flow.
+    pub seeded: u64,
 }
 
 impl WarmStart {
@@ -131,7 +137,9 @@ impl WarmStart {
         self.sig_n = 0;
     }
 
-    fn matches(&self, problem: &MinCutProblem) -> bool {
+    /// Whether the cached graph was built for `problem`'s topology, so
+    /// solving `problem` next would retune it rather than rebuild.
+    pub fn matches(&self, problem: &MinCutProblem) -> bool {
         self.graph.is_some()
             && self.sig_n == problem.n
             && self.sig.len() == problem.edges.len()
@@ -140,6 +148,12 @@ impl WarmStart {
                 .iter()
                 .zip(&problem.edges)
                 .all(|(sig, e)| *sig == (e.src, e.dst))
+    }
+
+    /// Flow on edge `e` of the most recently solved problem (0 before
+    /// any solve).
+    pub fn flow_on(&self, e: usize) -> f64 {
+        self.graph.as_ref().map_or(0.0, |g| g.flow_on(e))
     }
 }
 
@@ -211,8 +225,15 @@ impl MinCutProblem {
     /// caller-owned [`MinCut`]. Returns `Ok(true)` when `warm` held the
     /// previous solve of this topology and its flow was reused
     /// ([`FlowGraph::retune_edge`] +
-    /// [`FlowGraph::max_flow_incremental_with`]), `Ok(false)` on a cold
-    /// (re)build.
+    /// [`FlowGraph::max_flow_incremental_with`]), `Ok(false)` when the
+    /// graph was (re)built.
+    ///
+    /// `seed` matters only on a rebuild: given, the new graph carries
+    /// `seed[i]` on edge `i` ([`FlowGraph::add_edge_with_flow`]) and
+    /// augments from there; absent, it solves from zero. A seed must be a
+    /// feasible flow of this problem — within every edge's capacity and
+    /// conserved at every node but `s` and `t` — or the cut may not be
+    /// minimum.
     ///
     /// The minimal source-side min cut is unique across all maximum flows,
     /// so `out.source_side` (and everything derived from it) is identical
@@ -222,11 +243,16 @@ impl MinCutProblem {
     ///
     /// [`FlowError::InvalidBounds`] / [`FlowError::InvalidTerminals`] on
     /// malformed input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed does not have one flow per edge.
     pub fn solve_warm_into(
         &self,
         s: usize,
         t: usize,
         warm: &mut WarmStart,
+        seed: Option<&[f64]>,
         out: &mut MinCut,
         telemetry: &Telemetry,
     ) -> Result<bool, FlowError> {
@@ -250,11 +276,16 @@ impl MinCutProblem {
             g.max_flow_incremental_with(s, t, telemetry);
         } else {
             warm.misses += 1;
-            let mut g = FlowGraph::new(self.n);
-            for e in &self.edges {
-                g.add_edge(e.src, e.dst, cap(e.cap));
+            if let Some(seed) = seed {
+                assert_eq!(seed.len(), self.edges.len(), "one seed flow per edge");
+                warm.seeded += 1;
             }
-            g.max_flow_with(s, t, telemetry);
+            let mut g = FlowGraph::new(self.n);
+            for (i, e) in self.edges.iter().enumerate() {
+                let flow = seed.map_or(0.0, |seed| seed[i]);
+                g.add_edge_with_flow(e.src, e.dst, cap(e.cap), flow);
+            }
+            g.max_flow_incremental_with(s, t, telemetry);
             warm.sig_n = self.n;
             warm.sig.clear();
             warm.sig.extend(self.edges.iter().map(|e| (e.src, e.dst)));

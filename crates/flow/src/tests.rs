@@ -10,6 +10,7 @@ fn solve_cold(p: &MinCutProblem, s: usize, t: usize) -> Result<MinCut, FlowError
         s,
         t,
         &mut WarmStart::new(),
+        None,
         &mut sol,
         &Telemetry::disabled(),
     )?;
@@ -244,6 +245,86 @@ mod prop {
             })
     }
 
+    /// A layered DAG network: `s = 0`, then ranks of nodes, then `t`; every
+    /// edge points to a later rank, so node order is topological. Each
+    /// node has an edge from its rank's predecessor rank (or `s`), plus
+    /// random forward edges.
+    fn arb_layered() -> impl Strategy<Value = Net> {
+        (
+            1usize..5,
+            1usize..4,
+            proptest::collection::vec(0.1f64..8.0, 32..33),
+            proptest::collection::vec((any::<u16>(), any::<u16>(), 0.1f64..8.0), 0..24),
+        )
+            .prop_map(|(layers, width, caps, extra)| {
+                let n = layers * width + 2;
+                let t = n - 1;
+                let rank = |v: usize| {
+                    if v == 0 {
+                        0
+                    } else if v == t {
+                        layers + 1
+                    } else {
+                        1 + (v - 1) / width
+                    }
+                };
+                let mut edges = Vec::new();
+                for v in 1..n {
+                    let u = if rank(v) == 1 {
+                        0
+                    } else if v == t {
+                        t - 1
+                    } else {
+                        v - width
+                    };
+                    edges.push((u, v, caps[v % caps.len()]));
+                }
+                for (a, b, c) in extra {
+                    let (u, v) = ((a as usize) % n, (b as usize) % n);
+                    if rank(u) < rank(v) {
+                        edges.push((u, v, c));
+                    }
+                }
+                Net { n, edges }
+            })
+    }
+
+    /// Makes `flow` feasible on a problem whose node order is topological:
+    /// trim each node's out-flow to its in-flow in order, then its in-flow
+    /// to its out-flow in reverse.
+    fn trim_to_feasible(p: &MinCutProblem, s: usize, t: usize, flow: &mut [f64]) {
+        let trim = |flow: &mut [f64], edges: &[usize], mut excess: f64| {
+            for &e in edges {
+                let cut = flow[e].min(excess.max(0.0));
+                flow[e] -= cut;
+                excess -= cut;
+            }
+        };
+        let ends = |v: usize, out: bool| -> Vec<usize> {
+            (0..p.edges().len())
+                .filter(|&i| {
+                    if out {
+                        p.edges()[i].src == v
+                    } else {
+                        p.edges()[i].dst == v
+                    }
+                })
+                .collect()
+        };
+        let sum = |flow: &[f64], edges: &[usize]| edges.iter().map(|&e| flow[e]).sum::<f64>();
+        let inner: Vec<usize> = (0..p.node_count()).filter(|&v| v != s && v != t).collect();
+        for &v in &inner {
+            let (ins, outs) = (ends(v, false), ends(v, true));
+            let excess = sum(flow, &outs) - sum(flow, &ins);
+            trim(flow, &outs, excess);
+        }
+        for &v in inner.iter().rev() {
+            let (ins, outs) = (ends(v, false), ends(v, true));
+            let excess = sum(flow, &ins) - sum(flow, &outs);
+            trim(flow, &ins, excess);
+        }
+    }
+
     proptest! {
         #[test]
         fn maxflow_equals_mincut(net in arb_net()) {
@@ -359,11 +440,63 @@ mod prop {
                 for (i, &(u, v, c)) in net.edges.iter().enumerate() {
                     p.add_edge(u, v, c * round[i % round.len()]);
                 }
-                p.solve_warm_into(s, t, &mut warm, &mut sol, &tel).unwrap();
+                p.solve_warm_into(s, t, &mut warm, None, &mut sol, &tel).unwrap();
                 let cold = solve_cold(&p, s, t).unwrap();
                 prop_assert_eq!(&sol.source_side, &cold.source_side);
             }
             prop_assert_eq!(warm.hits + warm.misses, scales.len() as u64);
+        }
+
+        // A changed topology solved from a feasible flow carried over from
+        // the previous network cuts exactly where a cold solve does.
+        #[test]
+        fn seeded_rebuild_matches_cold(
+            net in arb_layered(),
+            keep in proptest::collection::vec(0.0f64..1.0, 1..64),
+            scale in proptest::collection::vec(0.05f64..2.0, 1..64),
+            added in proptest::collection::vec((any::<u16>(), any::<u16>(), 0.1f64..8.0), 0..12),
+        ) {
+            let (s, t) = (0, net.n - 1);
+            let tel = Telemetry::disabled();
+            let mut first = MinCutProblem::new(net.n);
+            for &(u, v, c) in &net.edges {
+                first.add_edge(u, v, c);
+            }
+            let mut warm = WarmStart::new();
+            let mut sol = MinCut::default();
+            first.solve_warm_into(s, t, &mut warm, None, &mut sol, &tel).unwrap();
+
+            // Drop edges, rescale the survivors (their old flow clipped to
+            // the new capacity), add fresh edges carrying nothing.
+            let mut next = MinCutProblem::new(net.n);
+            let mut seed = Vec::new();
+            for (i, &(u, v, c)) in net.edges.iter().enumerate() {
+                if keep[i % keep.len()] < 0.8 {
+                    let cap = c * scale[i % scale.len()];
+                    next.add_edge(u, v, cap);
+                    seed.push(warm.flow_on(i).clamp(0.0, cap));
+                }
+            }
+            for &(a, b, c) in &added {
+                let (u, v) = ((a as usize) % net.n, (b as usize) % net.n);
+                if u < v {
+                    next.add_edge(u, v, c);
+                    seed.push(0.0);
+                }
+            }
+            trim_to_feasible(&next, s, t, &mut seed);
+            let hit = next
+                .solve_warm_into(s, t, &mut warm, Some(&seed), &mut sol, &tel)
+                .unwrap();
+            prop_assert!(hit || warm.seeded == 1, "a changed topology must take the seed");
+            if !hit {
+                let cold = solve_cold(&next, s, t).unwrap();
+                prop_assert_eq!(&sol.source_side, &cold.source_side);
+                prop_assert_eq!(
+                    next.cut_capacity(&sol.source_side).to_bits(),
+                    next.cut_capacity(&cold.source_side).to_bits()
+                );
+            }
         }
 
         #[test]
@@ -515,13 +648,13 @@ fn warm_solve_hit_matches_cold_solution() {
     let mut sol = MinCut::default();
     let first = build(&[3.0, 2.0, 2.0, 3.0, 1.0]);
     let hit = first
-        .solve_warm_into(0, 3, &mut warm, &mut sol, &tel)
+        .solve_warm_into(0, 3, &mut warm, None, &mut sol, &tel)
         .unwrap();
     assert!(!hit, "first solve must be cold");
 
     let second = build(&[3.0, 0.5, 2.0, 3.0, 1.0]);
     let hit = second
-        .solve_warm_into(0, 3, &mut warm, &mut sol, &tel)
+        .solve_warm_into(0, 3, &mut warm, None, &mut sol, &tel)
         .unwrap();
     assert!(hit, "same topology must reuse the cached graph");
     assert_eq!(warm.hits, 1);
@@ -543,11 +676,14 @@ fn warm_solve_topology_change_is_a_miss() {
     let mut p = MinCutProblem::new(3);
     p.add_edge(0, 1, 2.0);
     p.add_edge(1, 2, 2.0);
-    p.solve_warm_into(0, 2, &mut warm, &mut sol, &tel).unwrap();
+    p.solve_warm_into(0, 2, &mut warm, None, &mut sol, &tel)
+        .unwrap();
     let mut q = MinCutProblem::new(3);
     q.add_edge(0, 1, 2.0);
     q.add_edge(0, 2, 2.0); // different endpoint
-    let hit = q.solve_warm_into(0, 2, &mut warm, &mut sol, &tel).unwrap();
+    let hit = q
+        .solve_warm_into(0, 2, &mut warm, None, &mut sol, &tel)
+        .unwrap();
     assert!(!hit);
     assert_eq!(warm.misses, 2);
 }

@@ -10,7 +10,9 @@ use crate::schedule::CompKind;
 /// durations, plus the makespan.
 ///
 /// `dur(node)` must return the execution duration of the node's payload
-/// (zero for events). Returns `(starts, makespan)`.
+/// (zero for events). Returns `(starts, makespan)`. The pass walks the
+/// topological order the graph keeps, so repeated evaluations of one DAG
+/// sort it once.
 ///
 /// # Panics
 ///
@@ -20,7 +22,7 @@ pub fn node_start_times<N, E>(dag: &Dag<N, E>, dur: impl Fn(NodeId, &N) -> f64) 
     let order = dag.topo_order().expect("pipeline DAGs are acyclic");
     let mut start = vec![0.0f64; dag.node_count()];
     let mut makespan = 0.0f64;
-    for &u in &order {
+    for &u in order {
         let finish = start[u.index()] + dur(u, dag.node(u));
         makespan = makespan.max(finish);
         for e in dag.out_edges(u) {
