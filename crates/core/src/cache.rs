@@ -65,7 +65,9 @@ impl CacheInner {
 /// One journaled cache mutation.
 ///
 /// Tags 0, 2 and 3 belonged to the epoch-stamped format this one
-/// replaced; they decode as corrupt, so replay of an old log stops at its
+/// replaced, and tag 4 was an insert keyed by the byte-at-a-time hash
+/// that [`crate::content_hash`] replaced: such a key can never be looked
+/// up again. They decode as corrupt, so replay of an old log stops at its
 /// first such record and keeps what came before.
 enum CacheEvent {
     /// A frontier entered the cache.
@@ -78,7 +80,7 @@ enum CacheEvent {
 }
 
 const INVALIDATE_TAG: u8 = 1;
-const INSERT_TAG: u8 = 4;
+const INSERT_TAG: u8 = 5;
 
 impl Persist for CacheEvent {
     fn encode(&self, w: &mut ByteWriter) {

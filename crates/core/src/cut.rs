@@ -52,8 +52,9 @@ pub enum CutOutcome {
 /// each pipeline node `v` splits into `v_in → v_out` carrying the
 /// computation, and each dependency becomes a zero-duration edge. The
 /// structure (and hence the topological order the DAG keeps) never
-/// changes across frontier iterations — only durations do — so
-/// [`characterize`](crate::characterize) builds it once.
+/// changes across frontier iterations — only durations do — so a
+/// [`FrontierSolver`](crate::FrontierSolver) builds it once, on its first
+/// characterization.
 #[derive(Debug, Clone)]
 pub struct CutSolver {
     /// Edge `i` is the split edge of pipeline node `i`; the dependency
@@ -64,6 +65,11 @@ pub struct CutSolver {
 
 impl CutSolver {
     /// Builds the edge-centric DAG for `pipe`.
+    ///
+    /// # Panics
+    ///
+    /// If `pipe` has a cycle. A server rejects such a pipeline when the
+    /// job registers.
     pub fn new(pipe: &PipelineDag) -> CutSolver {
         let (ec, halves) = edge_centric(pipe);
         ec.topo_order().expect("pipeline DAGs are acyclic");

@@ -2,7 +2,7 @@
 //! frontier, plus the straggler lookup of §3.1.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use perseus_dag::NodeId;
 use perseus_gpu::FreqMHz;
@@ -408,11 +408,19 @@ fn default_tau(ctx: &PlanContext<'_>) -> f64 {
 /// options change; holding a `FrontierSolver` per job makes those reruns
 /// reuse the graph artifacts instead of rebuilding them.
 ///
-/// The solver is `Send + Sync` (the counters are atomic), so one instance
-/// can serve characterizations scheduled from any worker thread.
+/// The artifacts are built by the first [`FrontierSolver::characterize`],
+/// not by the constructor: a job whose every plan is a plan-cache hit
+/// ([`FrontierSolver::characterize_cached`]) never solves, so it never
+/// pays for them nor keeps them.
+///
+/// The solver is `Send + Sync` (the counters are atomic, the artifacts
+/// behind a [`OnceLock`]), so one instance can serve characterizations
+/// scheduled from any worker thread; concurrent first solves build the
+/// artifacts once.
 #[derive(Debug)]
 pub struct FrontierSolver {
-    cut: CutSolver,
+    /// Built by the first characterization.
+    cut: OnceLock<CutSolver>,
     node_count: usize,
     /// Characterizations run through this solver.
     runs: AtomicUsize,
@@ -463,8 +471,9 @@ pub struct SolverStats {
 }
 
 impl FrontierSolver {
-    /// Builds the reusable artifacts (edge-centric DAG, topological order)
-    /// for `pipe`, with telemetry disabled.
+    /// A solver for `pipe`, with telemetry disabled. Only the node count
+    /// is recorded here; the reusable artifacts (edge-centric DAG,
+    /// topological order) are built by the first characterization.
     pub fn new(pipe: &PipelineDag) -> FrontierSolver {
         FrontierSolver::with_telemetry(pipe, Telemetry::disabled())
     }
@@ -475,7 +484,7 @@ impl FrontierSolver {
     /// handle down into the max-flow substrate.
     pub fn with_telemetry(pipe: &PipelineDag, telemetry: Telemetry) -> FrontierSolver {
         FrontierSolver {
-            cut: CutSolver::new(pipe),
+            cut: OnceLock::new(),
             node_count: pipe.dag.node_count(),
             runs: AtomicUsize::new(0),
             warm_start_hits: AtomicU64::new(0),
@@ -500,6 +509,12 @@ impl FrontierSolver {
         self.runs().saturating_sub(1)
     }
 
+    /// The artifacts, once a characterization has built them.
+    #[cfg(test)]
+    pub(crate) fn built_cut(&self) -> Option<&CutSolver> {
+        self.cut.get()
+    }
+
     /// Both reuse counters as a named struct, plus the accumulated
     /// warm-start counters.
     pub fn stats(&self) -> SolverStats {
@@ -518,7 +533,8 @@ impl FrontierSolver {
     }
 
     /// Algorithm 1 against the cached artifacts: characterizes the full
-    /// Pareto frontier of `ctx`'s pipeline.
+    /// Pareto frontier of `ctx`'s pipeline. The first call builds the
+    /// artifacts from `ctx`'s pipeline.
     ///
     /// `ctx` must describe the same pipeline this solver was built for
     /// (same DAG structure); its profiles/fits may differ between calls.
@@ -531,7 +547,8 @@ impl FrontierSolver {
     ///
     /// # Panics
     ///
-    /// Debug builds assert the context's DAG matches the solver's.
+    /// If the pipeline DAG has a cycle (see [`CutSolver::new`]). Debug
+    /// builds also assert the context's DAG matches the solver's.
     pub fn characterize(
         &self,
         ctx: &PlanContext<'_>,
@@ -557,6 +574,7 @@ impl FrontierSolver {
         // `contract`, `cut_solve` and `apply` (see `get_next_pareto_arena`)
         // and `stretch`, then `realize` once.
         let _frontier = span!(tel, "frontier");
+        let cut = self.cut.get_or_init(|| CutSolver::new(&ctx.pipe));
         let fastest = ctx.fastest_durations();
         let (_, t_floor) = node_start_times(&ctx.pipe.dag, |id, _| fastest[id.index()]);
         let mut planned = ctx.min_energy_durations();
@@ -587,7 +605,7 @@ impl FrontierSolver {
                 break;
             }
             pd_iterations += 1;
-            match get_next_pareto_arena(ctx, &self.cut, &mut planned, tau, &mut arena, tel) {
+            match get_next_pareto_arena(ctx, cut, &mut planned, tau, &mut arena, tel) {
                 CutOutcome::Reduced { new_makespan, .. } => {
                     // Steps may legitimately shrink below τ when a cut edge
                     // has little headroom left; only a truly stalled step
@@ -598,7 +616,7 @@ impl FrontierSolver {
                     makespan = new_makespan;
                     if opts.stretch {
                         let _span = span!(tel, "stretch");
-                        stretch_into_slack(ctx, &self.cut, &arena, &mut planned);
+                        stretch_into_slack(ctx, cut, &arena, &mut planned);
                     }
                     raw_points.push((new_makespan, planned.clone()));
                 }

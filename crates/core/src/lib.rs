@@ -61,7 +61,7 @@ pub use cut::{
 };
 pub use energy::{pipeline_energy, PipelineEnergy};
 pub use error::Error;
-pub use fingerprint::{fnv1a_128, plan_fingerprint, PlanFingerprint};
+pub use fingerprint::{content_hash, plan_fingerprint, PlanFingerprint};
 pub use frontier::{
     characterize, EnergySchedule, FrontierOptions, FrontierPoint, FrontierSolver, ParetoFrontier,
     SolverStats,

@@ -107,6 +107,16 @@ fn characterize_spans_every_solver_phase() {
     assert_eq!(calls("frontier"), Some(1.0));
 }
 
+/// FNV-1a over a 128-bit state, one byte per round: the hash the
+/// [`frontier_bits_are_pinned`] constants were taken with. Production
+/// code hashes with [`crate::content_hash`].
+fn fnv1a_128_bytewise(bytes: &[u8]) -> u128 {
+    use crate::fingerprint::{FNV128_OFFSET, FNV128_PRIME};
+    bytes.iter().fold(FNV128_OFFSET, |h, &b| {
+        (h ^ u128::from(b)).wrapping_mul(FNV128_PRIME)
+    })
+}
+
 /// FNV-1a over every bit of every frontier point: planned time and
 /// energy, and the schedule's planned durations, frequencies, realized
 /// durations and energies, time and compute energy.
@@ -126,7 +136,7 @@ fn frontier_bits_hash(frontier: &ParetoFrontier) -> u128 {
         put(s.time_s.to_bits());
         put(s.compute_j.to_bits());
     }
-    crate::fnv1a_128(&bytes)
+    fnv1a_128_bytewise(&bytes)
 }
 
 /// The [`frontier_bits_hash`] of the frontier of an `n`-stage,
@@ -1275,6 +1285,113 @@ mod fingerprint_and_cache {
         );
     }
 
+    /// A solver that only answers plan-cache hits never builds its
+    /// edge-centric DAG. Its first solve builds it, and later solves,
+    /// concurrent ones included, all read that one build.
+    #[test]
+    fn a_solver_builds_its_cut_dag_on_the_first_solve_only() {
+        let gpu = GpuSpec::a100_pcie();
+        let pipe = build_pipe(3, 5);
+        let stages = stages_with_scales(&[1.0, 1.1, 0.9]);
+        let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
+        let opts = default_opts();
+        let cache = PlanCache::new();
+        FrontierSolver::new(&pipe)
+            .characterize_cached(&pipe, &gpu, &ctx.profiles, &opts, &cache)
+            .unwrap();
+
+        let solver = FrontierSolver::new(&pipe);
+        for _ in 0..2 {
+            let (_, built, _) = solver
+                .characterize_cached(&pipe, &gpu, &ctx.profiles, &opts, &cache)
+                .unwrap();
+            assert!(built.is_none(), "identical structure must hit");
+        }
+        assert_eq!(solver.stats().cache_hits, 2);
+        assert!(
+            solver.built_cut().is_none(),
+            "a cache hit built the edge-centric DAG"
+        );
+
+        // Two characterizations released together: both read the one
+        // build, and so does a third.
+        let start = std::sync::Barrier::new(2);
+        let seen: Vec<usize> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        solver.characterize(&ctx, &opts).unwrap();
+                        solver.built_cut().expect("a solve builds the DAG") as *const _ as usize
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        solver.characterize(&ctx, &opts).unwrap();
+        let last = solver.built_cut().unwrap() as *const _ as usize;
+        assert_eq!(seen, vec![last; 2], "the edge-centric DAG was rebuilt");
+        assert_eq!(solver.stats().runs, 3);
+    }
+
+    /// The plan key of `model` on A100 at `stages` × `microbatches`: the
+    /// model partitioned for minimum imbalance, 1F1B, model profiles.
+    fn fleet_key_bytes(
+        model: &perseus_models::ModelSpec,
+        stages: usize,
+        microbatches: usize,
+    ) -> Vec<u8> {
+        let gpu = GpuSpec::a100_pcie();
+        let partition =
+            perseus_models::min_imbalance_partition(&model.fwd_latency_weights(&gpu), stages)
+                .unwrap();
+        let workloads = model.stage_workloads(&partition, &gpu).unwrap();
+        let pipe = build_pipe(stages, microbatches);
+        let profiles = crate::model_profiles(&pipe, &gpu, &workloads);
+        crate::fingerprint::plan_key_bytes("perseus", &pipe, &gpu, &profiles, &default_opts())
+    }
+
+    /// Flipping any one bit of a real plan key changes the key: each
+    /// round of the word-wise hash is a bijection of its state.
+    #[test]
+    fn every_bit_of_a_plan_key_moves_the_key() {
+        let mut bytes = fleet_key_bytes(&perseus_models::zoo::gpt3_xl(4), 4, 8);
+        assert!(
+            bytes.len() % 8 != 0,
+            "the key should exercise the byte tail"
+        );
+        let key = crate::content_hash(&bytes);
+        for bit in 0..bytes.len() * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(crate::content_hash(&bytes), key, "flipping bit {bit}");
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        // A zero byte appended to the tail, or a zero word appended to the
+        // words, lengthens the input; the folded-in length tells them apart.
+        for pad in [1, 8] {
+            let mut longer = bytes.clone();
+            longer.resize(bytes.len() + pad, 0);
+            assert_ne!(crate::content_hash(&longer), key, "{pad} zero bytes");
+        }
+    }
+
+    /// The 27 structures of a fleet of GPT-3 1.3B, Bloom 3B and BERT 1.3B
+    /// on A100 at 2/4/8 stages × 4/8/16 microbatches key apart.
+    #[test]
+    fn fleet_structures_have_distinct_keys() {
+        use perseus_models::zoo;
+        let mut keys = std::collections::HashSet::new();
+        for model in [zoo::gpt3_xl(4), zoo::bloom_3b(4), zoo::bert_huge(8)] {
+            for stages in [2, 4, 8] {
+                for microbatches in [4, 8, 16] {
+                    let bytes = fleet_key_bytes(&model, stages, microbatches);
+                    keys.insert(crate::content_hash(&bytes));
+                }
+            }
+        }
+        assert_eq!(keys.len(), 27);
+    }
+
     /// A fresh path `<tmp>/<unique dir>/plan-cache.wal` and its directory.
     fn temp_wal(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -1447,7 +1564,8 @@ mod fingerprint_and_cache {
         }
         // Records of the epoch-stamped format: a tag-0 insert (fingerprint,
         // epoch, then the frontier under the plan-output tag 1), a tag-2
-        // epoch advance and a tag-3 sweep.
+        // epoch advance and a tag-3 sweep. Then a tag-4 insert, keyed by
+        // the byte-at-a-time hash, which no lookup can produce any more.
         // CRC-valid frames, so only the payload decode can refuse one;
         // replay stops there even when current records follow it.
         let mut old_insert = ByteWriter::new();
@@ -1456,10 +1574,15 @@ mod fingerprint_and_cache {
         old_insert.put_u64(1);
         old_insert.put_u8(1);
         frontiers[0].encode(&mut old_insert);
+        let mut bytewise_insert = ByteWriter::new();
+        bytewise_insert.put_u8(4);
+        PlanFingerprint(9).encode(&mut bytewise_insert);
+        frontiers[0].encode(&mut bytewise_insert);
         let old_records = [
             old_insert.into_bytes(),
             vec![2, 2, 0, 0, 0, 0, 0, 0, 0],
             vec![3, 2, 0, 0, 0, 0, 0, 0, 0],
+            bytewise_insert.into_bytes(),
         ];
         for old in &old_records {
             for k in [all, 3] {

@@ -113,7 +113,9 @@ pub struct Dag<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeData<E>>,
     succ: Vec<Vec<EdgeId>>,
-    pred: Vec<Vec<EdgeId>>,
+    /// In-degree per node. Degree queries and Kahn's sort need only the
+    /// count, so no in-edge list is kept.
+    in_deg: Vec<u32>,
     /// Kahn order of the current structure; reset by every node or edge
     /// insertion.
     topo: OnceLock<Result<Vec<NodeId>, DagError>>,
@@ -132,7 +134,7 @@ impl<N, E> Dag<N, E> {
             nodes: Vec::new(),
             edges: Vec::new(),
             succ: Vec::new(),
-            pred: Vec::new(),
+            in_deg: Vec::new(),
             topo: OnceLock::new(),
         }
     }
@@ -143,7 +145,7 @@ impl<N, E> Dag<N, E> {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
             succ: Vec::with_capacity(nodes),
-            pred: Vec::with_capacity(nodes),
+            in_deg: Vec::with_capacity(nodes),
             topo: OnceLock::new(),
         }
     }
@@ -163,7 +165,7 @@ impl<N, E> Dag<N, E> {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(payload);
         self.succ.push(Vec::new());
-        self.pred.push(Vec::new());
+        self.in_deg.push(0);
         self.topo = OnceLock::new();
         id
     }
@@ -208,7 +210,7 @@ impl<N, E> Dag<N, E> {
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeData { src, dst, payload });
         self.succ[src.index()].push(id);
-        self.pred[dst.index()].push(id);
+        self.in_deg[dst.index()] += 1;
         self.topo = OnceLock::new();
         id
     }
@@ -261,7 +263,7 @@ impl<N, E> Dag<N, E> {
 
     /// In-degree of `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
-        self.pred[n.index()].len()
+        self.in_deg[n.index()] as usize
     }
 
     /// True iff `to` is reachable from `from` (including `from == to`).
@@ -301,7 +303,7 @@ impl<N, E> Dag<N, E> {
 
     fn kahn(&self) -> Result<Vec<NodeId>, DagError> {
         let n = self.nodes.len();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.pred[i].len()).collect();
+        let mut indeg = self.in_deg.clone();
         let mut queue: Vec<NodeId> = (0..n as u32)
             .map(NodeId)
             .filter(|id| indeg[id.index()] == 0)

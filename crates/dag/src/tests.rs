@@ -268,3 +268,70 @@ fn deep_chain_timing_is_exact() {
     let t = TimingAnalysis::compute(&g, |_, &d| d).unwrap();
     assert!((t.makespan - 4999.5).abs() < 1e-6);
 }
+
+/// Checks `in_degree`, `sources` and `topo_order` against a recount
+/// from `edge_refs`.
+fn assert_degrees_match_edges(g: &Dag<(), ()>) {
+    let mut indeg = vec![0usize; g.node_count()];
+    for e in g.edge_refs() {
+        indeg[e.dst.index()] += 1;
+    }
+    for n in g.node_ids() {
+        assert_eq!(g.in_degree(n), indeg[n.index()], "in-degree of {n:?}");
+    }
+    let sources: Vec<NodeId> = g.node_ids().filter(|n| indeg[n.index()] == 0).collect();
+    assert_eq!(g.sources(), sources);
+    let order = g.topo_order().unwrap();
+    let mut pos = vec![usize::MAX; g.node_count()];
+    for (i, n) in order.iter().enumerate() {
+        assert_eq!(pos[n.index()], usize::MAX, "{n:?} ordered twice");
+        pos[n.index()] = i;
+    }
+    assert!(
+        pos.iter().all(|&p| p < g.node_count()),
+        "a node is unordered"
+    );
+    for e in g.edge_refs() {
+        assert!(pos[e.src.index()] < pos[e.dst.index()]);
+    }
+}
+
+#[test]
+fn degrees_sources_and_order_match_the_edges_on_random_dags() {
+    // A seeded LCG: the graphs repeat exactly across runs.
+    let mut state = 0x0DA6_5EED_u64;
+    let mut below = |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % n as u64) as usize
+    };
+    for _ in 0..64 {
+        let n = 1 + below(48);
+        let mut g: Dag<(), ()> = Dag::new();
+        let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
+        // Edges point up a random ranking of the nodes, so the graph is
+        // acyclic but its insertion order is no topological order;
+        // repeated pairs become parallel edges.
+        let mut rank: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rank.swap(i, below(i + 1));
+        }
+        for _ in 0..below(4 * n + 1) {
+            let (a, b) = (below(n), below(n));
+            if rank[a] < rank[b] {
+                g.add_edge_unchecked(nodes[a], nodes[b], ());
+            }
+        }
+        // Cloned before either computes its order, so each sorts itself.
+        let mut copy = g.clone();
+        assert_degrees_match_edges(&g);
+        assert_degrees_match_edges(&copy);
+        // The clone grows on its own; the original keeps its counts.
+        let added = copy.add_node(());
+        copy.add_edge(nodes[0], added, ()).unwrap();
+        assert_degrees_match_edges(&copy);
+        assert_eq!(copy.in_degree(added), 1);
+        assert_degrees_match_edges(&g);
+    }
+}

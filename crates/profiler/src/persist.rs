@@ -30,8 +30,14 @@ impl Persist for ProfileEntry {
 }
 
 impl Persist for OpProfile {
+    /// The entries as a `Vec<ProfileEntry>` encodes them, written from
+    /// the slice.
     fn encode(&self, w: &mut ByteWriter) {
-        self.entries().to_vec().encode(w);
+        let entries = self.entries();
+        w.put_usize(entries.len());
+        for e in entries {
+            e.encode(w);
+        }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
         let entries = Vec::<ProfileEntry>::decode(r)?;

@@ -268,3 +268,20 @@ fn fit_is_stable_for_large_absolute_times() {
         assert!(rel < 1e-3, "at t={t}: fit {} vs truth {e}", fit.energy(t));
     }
 }
+
+/// A profile encodes as exactly the bytes of its entries as a
+/// `Vec<ProfileEntry>`, and decodes back to the same entries.
+#[test]
+fn profile_encodes_as_its_entry_vec() {
+    use perseus_store::Persist;
+
+    let mut gpu = SimGpu::new(GpuSpec::a100_pcie()).with_noise(NoiseModel::realistic(7));
+    let profile = OnlineProfiler::default().profile(&mut gpu, &wl());
+    assert!(profile.entries().len() > 1);
+    let bytes = profile.to_bytes();
+    assert_eq!(bytes, profile.entries().to_vec().to_bytes());
+    assert_eq!(
+        OpProfile::from_bytes(&bytes).unwrap().entries(),
+        profile.entries()
+    );
+}

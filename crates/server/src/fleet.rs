@@ -413,7 +413,9 @@ impl FleetServer {
     ///
     /// # Errors
     ///
-    /// [`ServerError::DuplicateJob`] if the name is taken on its shard.
+    /// As [`PerseusServer::register_job`] on the job's home shard:
+    /// [`ServerError::DuplicateJob`] if the name is taken on its shard,
+    /// [`ServerError::InvalidPipeline`] if its DAG has a cycle.
     pub fn register_job(&self, spec: JobSpec) -> Result<(), ServerError> {
         self.shards[self.shard_of(&spec.name)].register_job(spec)
     }

@@ -15,7 +15,9 @@
 //!
 //! Each job owns a [`FrontierSolver`], so re-characterizations (fresh
 //! profiles mid-training) reuse the job's edge-centric DAG and
-//! topological order instead of rebuilding them.
+//! topological order instead of rebuilding them. The job's first solve
+//! builds them; a job whose plans all come from the plan cache never
+//! does.
 //!
 //! Every server is built from one [`ServerConfig`], fixed for its
 //! lifetime. Every job-state mutation goes through one journaled-write
@@ -133,6 +135,15 @@ pub enum ServerError {
         /// What was wrong with the profile.
         reason: String,
     },
+    /// A registered pipeline was structurally invalid (its DAG has a
+    /// cycle) and was rejected at the API boundary before anything was
+    /// journaled.
+    InvalidPipeline {
+        /// The job the registration named.
+        job: String,
+        /// What was wrong with the pipeline.
+        reason: String,
+    },
     /// The durable backing store failed (journal or snapshot I/O,
     /// unrecoverable corruption).
     Store(StoreError),
@@ -204,6 +215,9 @@ impl fmt::Display for ServerError {
             }
             ServerError::InvalidProfile { job, reason } => {
                 write!(f, "invalid profile submitted for job {job:?}: {reason}")
+            }
+            ServerError::InvalidPipeline { job, reason } => {
+                write!(f, "invalid pipeline registered for job {job:?}: {reason}")
             }
             ServerError::Store(e) => write!(f, "durable store failed: {e}"),
             ServerError::Overloaded {
@@ -619,8 +633,9 @@ struct Job {
 
 impl Job {
     /// The one constructor, for registration and snapshot restore alike.
-    /// The solver is built from the pipeline (deterministic artifacts, so
-    /// never persisted); the volatile fault counters start at zero.
+    /// The solver's artifacts are deterministic in the pipeline, built
+    /// by its first solve and never persisted; the volatile fault
+    /// counters start at zero.
     fn new(spec: JobSpec, next_epoch: u64, state: JobMut, telemetry: &Telemetry) -> Job {
         Job {
             solver: FrontierSolver::with_telemetry(&spec.pipe, telemetry.clone()),
@@ -1305,12 +1320,14 @@ impl PerseusServer {
         )
     }
 
-    /// Registers a job (§3.2 step ⓪) and builds its reusable
-    /// characterization artifacts.
+    /// Registers a job (§3.2 step ⓪). Its reusable characterization
+    /// artifacts are built by its first solve, which a plan-cache hit
+    /// skips.
     ///
     /// # Errors
     ///
     /// [`ServerError::DuplicateJob`] if the name is taken;
+    /// [`ServerError::InvalidPipeline`] if the pipeline DAG has a cycle;
     /// [`ServerError::Core`] if the spec's power states are invalid for
     /// its GPU (a sleep state must draw less than `P_blocking` and have
     /// finite, non-negative transition latencies);
@@ -1321,6 +1338,15 @@ impl PerseusServer {
     }
 
     fn register_job_inner(&self, spec: JobSpec) -> Result<(), ServerError> {
+        // The pipeline keeps the order this computes; every later pass
+        // over it reads that order.
+        spec.pipe
+            .dag
+            .topo_order()
+            .map_err(|e| ServerError::InvalidPipeline {
+                job: spec.name.clone(),
+                reason: e.to_string(),
+            })?;
         if let Some(model) = spec.power_states.as_ref() {
             model
                 .validate(&spec.gpu)

@@ -26,8 +26,10 @@
 //! * `server.journal` — the write-ahead journal;
 //! * `frontier-<key>.seg` — one immutable [`Segment`] per distinct
 //!   characterized plan: a job's frontier plus its Kareus sleep plans.
-//!   `<key>` is the FNV-1a-128 hash of the segment's payload, so equal
-//!   plans share one file and a file, once written, never changes;
+//!   `<key>` is the [`content_hash`] of the segment's payload, so equal
+//!   plans share one file and a file, once written, never changes. A
+//!   segment loads under the name `server.snap` records for it, so files
+//!   named under an earlier hash still load;
 //! * `server.snap` — a [`ServerSnapshot`]: every job's small mutable
 //!   state (profiles, straggler/clock state, deployment) with its
 //!   segment's key, plus the `applied_seq` watermark of the last journal
@@ -55,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use perseus_core::{fnv1a_128, EnergySchedule, FrontierOptions, FrontierPlan};
+use perseus_core::{content_hash, EnergySchedule, FrontierOptions, FrontierPlan};
 use perseus_gpu::{FreqMHz, GpuSpec, PowerStateModel};
 use perseus_pipeline::{OpKey, PipelineDag};
 use perseus_profiler::ProfileDb;
@@ -265,14 +267,14 @@ impl Persist for Deployment {
     }
 }
 
-/// Content address of a [`Segment`]: FNV-1a-128 of its payload bytes.
-/// Names the segment's file, `frontier-<32 hex digits>.seg`.
+/// Content address of a [`Segment`]: the [`content_hash`] of its payload
+/// bytes. Names the segment's file, `frontier-<32 hex digits>.seg`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct SegmentKey(u128);
 
 impl SegmentKey {
     fn of(payload: &[u8]) -> SegmentKey {
-        SegmentKey(fnv1a_128(payload))
+        SegmentKey(content_hash(payload))
     }
 
     fn file_name(self) -> String {

@@ -1827,6 +1827,49 @@ mod fleet {
         assert_eq!(server.peak_inflight_characterizations(), 1);
     }
 
+    /// A pipeline whose DAG has a cycle is refused at registration with a
+    /// typed error, on a server and through a fleet: no panic, nothing
+    /// registered, and both go on serving other jobs.
+    #[test]
+    fn cyclic_pipelines_are_rejected_at_registration() {
+        let gpu = GpuSpec::a100_pcie();
+        let cyclic = || {
+            let mut spec = spec("loop");
+            let (sink, source) = (spec.pipe.sink, spec.pipe.source);
+            spec.pipe
+                .dag
+                .add_edge_unchecked(sink, source, perseus_pipeline::DepKind::Boundary);
+            spec
+        };
+        let rejected = |err: ServerError| {
+            assert!(
+                matches!(&err, ServerError::InvalidPipeline { job, .. } if job == "loop"),
+                "got {err:?}"
+            );
+            assert!(err.to_string().contains("cycle"), "{err}");
+        };
+
+        let server = PerseusServer::new(one_worker());
+        rejected(server.register_job(cyclic()).unwrap_err());
+        assert!(server.job_names().is_empty());
+        server.register_job(spec("ok")).unwrap();
+        server
+            .submit_profiles("ok", model_profiles(&gpu), &opts())
+            .unwrap()
+            .wait()
+            .unwrap();
+
+        let fleet = FleetServer::new(FleetConfig::default().shards(2).workers_per_shard(1));
+        rejected(fleet.register_job(cyclic()).unwrap_err());
+        assert!((0..2).all(|i| fleet.shard(i).job_names().is_empty()));
+        fleet.register_job(spec("ok")).unwrap();
+        fleet
+            .submit_profiles(&TenantId::from("t"), "ok", model_profiles(&gpu), &opts())
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+
     #[test]
     fn fleet_shares_one_plan_cache_across_shards_and_jobs() {
         let fleet = FleetServer::new(FleetConfig::default().shards(4).workers_per_shard(1));
