@@ -4,12 +4,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use perseus_baselines::{AllMaxFreq, EnvPipe, MinEnergyOracle, ZeusGlobal, ZeusPerStage};
 use perseus_core::{
-    attribute_schedule, attribute_schedule_with_sleep, BloatLedger, CoreError, EnergyBreakdown,
+    AttributionSums, BloatLedger, CoreError, EnergyBreakdown, EnergySchedule, EnergySums,
     FrontierOptions, FrontierPlan, FrontierSolver, ParetoFrontier, PipelineEnergy, PlanContext,
     PlanOutput, Planner, ScheduleAttribution,
 };
@@ -64,6 +64,8 @@ pub enum EmulatorError {
     Core(CoreError),
     /// A straggler degree below 1.0 was requested.
     InvalidDegree(f64),
+    /// The configuration asks for zero data-parallel pipelines.
+    NoPipelines,
 }
 
 impl fmt::Display for EmulatorError {
@@ -74,6 +76,9 @@ impl fmt::Display for EmulatorError {
             EmulatorError::Schedule(e) => write!(f, "schedule error: {e}"),
             EmulatorError::Core(e) => write!(f, "frontier error: {e}"),
             EmulatorError::InvalidDegree(d) => write!(f, "straggler degree {d} must be >= 1"),
+            EmulatorError::NoPipelines => {
+                f.write_str("data-parallel pipeline count must be positive")
+            }
         }
     }
 }
@@ -286,6 +291,13 @@ pub struct Savings {
 /// iteration never re-fits a profile. So is the frontier: it is
 /// characterized once, and the Perseus and Kareus plans share its `Arc`
 /// (Kareus adds only its sleep plans).
+///
+/// Every selected schedule is priced once, too. Of Eq. 3 and the bloat
+/// ledger only the gradient-sync wait depends on `T'`, so the emulator
+/// keeps each selection's `T'`-independent halves ([`EnergySums`],
+/// [`AttributionSums`]), keyed by policy and
+/// [`PlanOutput::select_index`]. An iteration on a schedule already
+/// priced only evaluates them at its sync time, in O(`n_stages`).
 pub struct Emulator {
     config: ClusterConfig,
     /// The one planning context; owns the emulated pipeline.
@@ -293,6 +305,10 @@ pub struct Emulator {
     stages: Vec<StageWorkloads>,
     frontier: Arc<ParetoFrontier>,
     plan_cache: Mutex<HashMap<Policy, Arc<PlanOutput>>>,
+    /// The priced halves of every selection made from `plan_cache`, so
+    /// at most one entry per schedule of a cached plan; dropped with the
+    /// plans when a cap lands.
+    priced: Mutex<HashMap<(Policy, usize), Arc<Priced>>>,
     /// Active datacenter frequency cap, if any; plans computed after the
     /// cap landed are clamped to it so cached and fresh plans agree.
     freq_cap: Option<FreqMHz>,
@@ -322,6 +338,9 @@ impl Emulator {
         config: ClusterConfig,
         telemetry: Telemetry,
     ) -> Result<Emulator, EmulatorError> {
+        if config.n_pipelines == 0 {
+            return Err(EmulatorError::NoPipelines);
+        }
         let model = config.model.with_tensor_parallel(config.tensor_parallel)?;
         let weights = model.fwd_latency_weights(&config.gpu);
         // Interleaved schedules split the model into stages × chunks
@@ -341,6 +360,7 @@ impl Emulator {
             stages,
             frontier: Arc::new(frontier),
             plan_cache: Mutex::new(HashMap::new()),
+            priced: Mutex::new(HashMap::new()),
             freq_cap: None,
             telemetry,
         })
@@ -480,13 +500,39 @@ impl Emulator {
         Ok(out)
     }
 
+    /// The policy's selection for straggler time `t_prime`: its plan, the
+    /// index [`PlanOutput::select_index`] picks, and that schedule's
+    /// priced halves (shared with every earlier pricing of it).
+    fn selection(&self, policy: Policy, t_prime: Option<f64>) -> Result<Selection, EmulatorError> {
+        let plan = self.plan_of(policy)?;
+        let index = plan.select_index(t_prime);
+        let priced = Arc::clone(self.priced.lock().entry((policy, index)).or_default());
+        Ok(Selection {
+            plan,
+            index,
+            priced,
+        })
+    }
+
+    /// How many priced halves the emulator holds: a probe for tests that
+    /// each (policy, selection) is priced at most once.
+    #[cfg(test)]
+    pub(crate) fn priced_parts(&self) -> usize {
+        self.priced
+            .lock()
+            .values()
+            .map(|p| usize::from(p.energy.get().is_some()) + usize::from(p.ledger.get().is_some()))
+            .sum()
+    }
+
     /// A datacenter frequency cap landed on the cluster (§2.3): frontier
     /// points assigning clocks above `cap` are no longer realizable. The
     /// characterized frontier is re-clamped once, via
     /// [`ParetoFrontier::clamp_to_freq_cap`], and the Perseus and Kareus
     /// plans are rebuilt on it at their next use (Kareus re-deriving its
     /// sleep windows against the capped timeline); every cached baseline
-    /// plan is re-clamped via [`PlanOutput::clamp_freq_cap`]. Nothing
+    /// plan is re-clamped via [`PlanOutput::clamp_freq_cap`]. The priced
+    /// halves of every selection go with the plans they priced. Nothing
     /// panics at deploy time, and the cap is remembered so baselines
     /// planned lazily afterwards are clamped the same way. Clamping is
     /// monotone, so repeated caps converge: only the lowest cap matters.
@@ -510,6 +556,7 @@ impl Emulator {
         }
         self.frontier = frontier;
         *self.plan_cache.get_mut() = clamped;
+        self.priced.get_mut().clear();
         self.freq_cap = Some(cap);
         Ok(())
     }
@@ -555,23 +602,21 @@ impl Emulator {
         actual_t_prime: Option<f64>,
     ) -> Result<ClusterReport, EmulatorError> {
         let ctx = &self.ctx;
-        let plan = self.plan_of(policy)?;
-        let schedule = plan.select(believed_t_prime);
+        let chosen = self.selection(policy, believed_t_prime)?;
         // If the belief is stale the non-straggler pipeline itself may be
         // the slowest participant.
-        let sync = actual_t_prime.unwrap_or(0.0).max(schedule.time_s);
+        let sync = actual_t_prime.unwrap_or(0.0).max(chosen.schedule().time_s);
         // The sleep plan follows the *believed* selection — it ships with
         // the deployed schedule; a stale belief never re-plans sleep.
-        let non_straggler =
-            schedule.energy_report_with_sleep(ctx, Some(sync), plan.sleep_plan(believed_t_prime));
+        let non_straggler = chosen.energy(ctx).at(Some(sync));
         // The straggler itself runs at max frequency; its computations are
         // stretched to fill T' (e.g. throttled clocks), and it then waits
         // for the sync like everyone else, so it is charged its
         // max-frequency computation energy plus blocking up to the sync.
         let straggler = match actual_t_prime {
             Some(t) => {
-                let base = self.plan_of(Policy::AllMax)?;
-                let mut r = base.select(None).energy_report(ctx, Some(sync.max(t)));
+                let base = self.selection(Policy::AllMax, None)?;
+                let mut r = base.energy(ctx).at(Some(sync.max(t)));
                 r.sync_time_s = sync.max(t);
                 Some(r)
             }
@@ -620,23 +665,13 @@ impl Emulator {
         actual_t_prime: Option<f64>,
     ) -> Result<ClusterAttribution, EmulatorError> {
         let ctx = &self.ctx;
-        let plan = self.plan_of(policy)?;
-        let schedule = plan.select(believed_t_prime);
-        let sync = actual_t_prime.unwrap_or(0.0).max(schedule.time_s);
-        let non_straggler = attribute_schedule_with_sleep(
-            ctx,
-            schedule,
-            Some(sync),
-            plan.sleep_plan(believed_t_prime),
-        );
+        let chosen = self.selection(policy, believed_t_prime)?;
+        let sync = actual_t_prime.unwrap_or(0.0).max(chosen.schedule().time_s);
+        let non_straggler = chosen.attribution(ctx).at(Some(sync));
         let straggler = match actual_t_prime {
             Some(t) => {
-                let base = self.plan_of(Policy::AllMax)?;
-                Some(attribute_schedule(
-                    ctx,
-                    base.select(None),
-                    Some(sync.max(t)),
-                ))
+                let base = self.selection(Policy::AllMax, None)?;
+                Some(base.attribution(ctx).at(Some(sync.max(t))))
             }
             None => None,
         };
@@ -665,6 +700,47 @@ impl Emulator {
         Ok(Savings {
             savings_pct,
             slowdown_pct,
+        })
+    }
+}
+
+/// The `T'`-independent halves of pricing one selected schedule, each
+/// built on its first use: Eq. 3's sums for [`Emulator::report`] and the
+/// ledger's lanes for [`Emulator::attribute`].
+#[derive(Default)]
+struct Priced {
+    energy: OnceLock<EnergySums>,
+    ledger: OnceLock<AttributionSums>,
+}
+
+/// One policy's selection: the plan, the selected index, and the priced
+/// halves of the schedule at that index.
+struct Selection {
+    plan: Arc<PlanOutput>,
+    index: usize,
+    priced: Arc<Priced>,
+}
+
+impl Selection {
+    /// The selected schedule.
+    fn schedule(&self) -> &EnergySchedule {
+        self.plan.schedule_at(self.index)
+    }
+
+    /// Eq. 3's sums of the selected schedule with the sleep plan that
+    /// ships with it.
+    fn energy(&self, ctx: &PlanContext<'_>) -> &EnergySums {
+        self.priced.energy.get_or_init(|| {
+            self.schedule()
+                .energy_sums(ctx, self.plan.sleep_plan_at(self.index))
+        })
+    }
+
+    /// The ledger's lanes of the selected schedule with the sleep plan
+    /// that ships with it.
+    fn attribution(&self, ctx: &PlanContext<'_>) -> &AttributionSums {
+        self.priced.ledger.get_or_init(|| {
+            AttributionSums::new(ctx, self.schedule(), self.plan.sleep_plan_at(self.index))
         })
     }
 }

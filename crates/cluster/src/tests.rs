@@ -4,7 +4,7 @@ use perseus_gpu::{FreqMHz, GpuSpec, PowerStateModel};
 use perseus_models::zoo;
 use perseus_pipeline::ScheduleKind;
 
-use crate::emulator::{ClusterConfig, Emulator, Policy, StragglerCause};
+use crate::emulator::{ClusterConfig, Emulator, EmulatorError, Policy, StragglerCause};
 
 fn small_config() -> ClusterConfig {
     ClusterConfig {
@@ -181,6 +181,24 @@ fn cluster_totals_scale_with_pipelines_and_tp() {
     let one = report.non_straggler.total_j();
     assert!((report.total_j() - one * 8.0 * 2.0).abs() / report.total_j() < 1e-9);
     assert!(report.avg_power_w() > 0.0);
+}
+
+/// A cluster of zero pipelines is refused at construction, before the
+/// replica arithmetic (`n_pipelines - stragglers`) could wrap.
+#[test]
+fn zero_pipelines_are_refused() {
+    let config = ClusterConfig {
+        n_pipelines: 0,
+        ..small_config()
+    };
+    let err = Emulator::new(config)
+        .err()
+        .expect("zero pipelines must be refused");
+    assert!(matches!(err, EmulatorError::NoPipelines), "{err}");
+    assert_eq!(
+        err.to_string(),
+        "data-parallel pipeline count must be positive"
+    );
 }
 
 #[test]
@@ -699,17 +717,22 @@ fn ctx_is_built_once_and_survives_a_freq_cap() {
     );
 }
 
-/// Pricing through the kept context is bit-identical to pricing through a
-/// freshly built [`perseus_core::PlanContext`], the way every call priced
-/// before the context was kept, over a seeded straggler trace with stale
-/// and current beliefs.
+/// Pricing through the kept context and the priced halves it keeps is
+/// bit-identical to pricing each selected schedule afresh through a newly
+/// built [`perseus_core::PlanContext`], the way every call priced before
+/// either was kept. The trace is seeded, with stale and current beliefs;
+/// each iteration is priced twice, so the second reads the memo; the
+/// policies span a frontier, a joint plan, single schedules and a sweep;
+/// and a frequency cap lands halfway through, so a memo that outlived
+/// the plans it priced would price the uncapped schedules.
 #[test]
 fn kept_context_prices_like_a_fresh_one_over_a_seeded_trace() {
     use perseus_core::{attribute_schedule, attribute_schedule_with_sleep, PlanContext};
 
-    let emu = Emulator::new(small_config()).unwrap();
-    let fresh =
-        PlanContext::from_model_profiles(emu.pipe(), &emu.config().gpu, emu.stages()).unwrap();
+    let mut emu = Emulator::new(small_config()).unwrap();
+    let fresh = PlanContext::from_model_profiles(emu.pipe(), &emu.config().gpu, emu.stages())
+        .unwrap()
+        .into_owned();
     // SplitMix64: the trace's straggler degrees and belief staleness.
     let mut state = 0x5EED_u64;
     let mut draw = move || {
@@ -721,6 +744,9 @@ fn kept_context_prices_like_a_fresh_one_over_a_seeded_trace() {
     };
     let mut believed = None;
     for iter in 0..24 {
+        if iter == 12 {
+            emu.apply_freq_cap(FreqMHz(800)).unwrap();
+        }
         let r = draw();
         let actual = match r % 3 {
             0 => None,
@@ -732,10 +758,13 @@ fn kept_context_prices_like_a_fresh_one_over_a_seeded_trace() {
                 )
             }
         };
-        for policy in [Policy::Perseus, Policy::Kareus, Policy::AllMax] {
-            let report = emu.report_with_belief(policy, believed, actual).unwrap();
-            let attr = emu.attribute_with_belief(policy, believed, actual).unwrap();
-
+        for policy in [
+            Policy::Perseus,
+            Policy::Kareus,
+            Policy::AllMax,
+            Policy::ZeusGlobal,
+            Policy::EnvPipe,
+        ] {
             let plan = emu.plan_of(policy).unwrap();
             let schedule = plan.select(believed);
             let sync = actual.unwrap_or(0.0).max(schedule.time_s);
@@ -750,32 +779,37 @@ fn kept_context_prices_like_a_fresh_one_over_a_seeded_trace() {
                 non_straggler: schedule.energy_report_with_sleep(&fresh, Some(sync), sleep),
                 straggler,
                 sync_time_s: sync,
-                n_pipelines: report.n_pipelines,
-                tensor_parallel: report.tensor_parallel,
+                n_pipelines: emu.config().n_pipelines,
+                tensor_parallel: emu.config().tensor_parallel,
             };
             let expected_attr = crate::ClusterAttribution {
                 non_straggler: attribute_schedule_with_sleep(&fresh, schedule, Some(sync), sleep),
                 straggler: actual
                     .map(|t| attribute_schedule(&fresh, base.select(None), Some(sync.max(t)))),
-                n_pipelines: attr.n_pipelines,
-                tensor_parallel: attr.tensor_parallel,
+                n_pipelines: emu.config().n_pipelines,
+                tensor_parallel: emu.config().tensor_parallel,
             };
 
-            // Debug prints every f64 in its shortest round-tripping form,
-            // so equal text means bit-equal joules, times and lanes.
-            let at = format!("iteration {iter}, {policy}");
-            assert_eq!(format!("{report:?}"), format!("{expected:?}"), "{at}");
-            assert_eq!(format!("{attr:?}"), format!("{expected_attr:?}"), "{at}");
-            assert_eq!(
-                report.total_j().to_bits(),
-                expected.total_j().to_bits(),
-                "{at}"
-            );
-            assert_eq!(
-                format!("{:?}", attr.total()),
-                format!("{:?}", expected_attr.total()),
-                "{at}"
-            );
+            for pass in 0..2 {
+                let report = emu.report_with_belief(policy, believed, actual).unwrap();
+                let attr = emu.attribute_with_belief(policy, believed, actual).unwrap();
+                // Debug prints every f64 in its shortest round-tripping
+                // form, so equal text means bit-equal joules, times and
+                // lanes.
+                let at = format!("iteration {iter}, {policy}, pass {pass}");
+                assert_eq!(format!("{report:?}"), format!("{expected:?}"), "{at}");
+                assert_eq!(format!("{attr:?}"), format!("{expected_attr:?}"), "{at}");
+                assert_eq!(
+                    report.total_j().to_bits(),
+                    expected.total_j().to_bits(),
+                    "{at}"
+                );
+                assert_eq!(
+                    format!("{:?}", attr.total()),
+                    format!("{:?}", expected_attr.total()),
+                    "{at}"
+                );
+            }
         }
         // The next iteration's schedule answers this one's straggler, or
         // rides a stale belief.
@@ -783,6 +817,38 @@ fn kept_context_prices_like_a_fresh_one_over_a_seeded_trace() {
             believed = actual;
         }
     }
+}
+
+/// Pricing 100 iterations at three distinct straggler times builds each
+/// (policy, selection)'s halves once: afterwards the emulator holds
+/// exactly the two halves of every selection the iterations made, the
+/// all-max straggler's included.
+#[test]
+fn each_selection_is_priced_once() {
+    let emu = Emulator::new(small_config()).unwrap();
+    let t_primes: Vec<Option<f64>> = [1.05, 1.2, 1.5]
+        .into_iter()
+        .map(|degree| {
+            Some(
+                emu.straggler_iteration_time(StragglerCause::Slowdown { degree })
+                    .unwrap(),
+            )
+        })
+        .collect();
+    let mut selections = std::collections::HashSet::from([(Policy::AllMax, 0)]);
+    for iter in 0..100 {
+        let t = t_primes[iter % t_primes.len()];
+        for policy in Policy::ALL {
+            emu.report_with_belief(policy, t, t).unwrap();
+            emu.attribute_with_belief(policy, t, t).unwrap();
+            selections.insert((policy, emu.plan_of(policy).unwrap().select_index(t)));
+        }
+    }
+    assert!(
+        selections.len() > Policy::ALL.len(),
+        "some policy must select different schedules for different T'"
+    );
+    assert_eq!(emu.priced_parts(), 2 * selections.len());
 }
 
 /// A policy slower than the straggler's `T'` sets the cluster's sync

@@ -12,9 +12,10 @@ use perseus_telemetry::{span, Telemetry};
 use crate::cache::PlanCache;
 use crate::context::{CoreError, PlanContext};
 use crate::cut::{get_next_pareto_arena, stretch_into_slack, CutOutcome, CutSolver, SolverArena};
-use crate::energy::{pipeline_energy, PipelineEnergy};
+use crate::energy::{EnergySums, PipelineEnergy};
 use crate::fingerprint::{plan_fingerprint, PlanFingerprint};
 use crate::parallel::parallel_map;
+use crate::sleep::SleepPlan;
 
 /// A realized energy schedule: planned per-computation durations lowered
 /// to concrete GPU frequencies (§4.3's conversion rule: the slowest
@@ -127,13 +128,7 @@ impl EnergySchedule {
     /// Full Eq. 3 energy report for this schedule given straggler time
     /// `t_prime` (`None` = no straggler).
     pub fn energy_report(&self, ctx: &PlanContext<'_>, t_prime: Option<f64>) -> PipelineEnergy {
-        pipeline_energy(
-            &ctx.pipe,
-            |id, _| self.realized_dur[id.index()],
-            |id, _| self.realized_energy[id.index()],
-            ctx.gpu.blocking_w,
-            t_prime,
-        )
+        self.energy_report_with_sleep(ctx, t_prime, None)
     }
 
     /// [`EnergySchedule::energy_report`] with an optional sleep plan
@@ -145,13 +140,23 @@ impl EnergySchedule {
         &self,
         ctx: &PlanContext<'_>,
         t_prime: Option<f64>,
-        sleep: Option<&crate::sleep::SleepPlan>,
+        sleep: Option<&SleepPlan>,
     ) -> PipelineEnergy {
-        let mut report = self.energy_report(ctx, t_prime);
-        if let Some(plan) = sleep {
-            report.blocking_j -= plan.saved_j(ctx.gpu.blocking_w);
-        }
-        report
+        self.energy_sums(ctx, sleep).at(t_prime)
+    }
+
+    /// The `T'`-independent half of
+    /// [`EnergySchedule::energy_report_with_sleep`]: one walk of this
+    /// schedule, after which [`EnergySums::at`] prices it at any
+    /// straggler time.
+    pub fn energy_sums(&self, ctx: &PlanContext<'_>, sleep: Option<&SleepPlan>) -> EnergySums {
+        EnergySums::new(
+            &ctx.pipe,
+            |id, _| self.realized_dur[id.index()],
+            |id, _| self.realized_energy[id.index()],
+            ctx.gpu.blocking_w,
+        )
+        .with_sleep(sleep)
     }
 
     /// The frequency assigned to `node`, if it is a computation.

@@ -228,82 +228,123 @@ pub fn attribute_schedule_with_sleep(
     t_prime: Option<f64>,
     sleep: Option<&SleepPlan>,
 ) -> ScheduleAttribution {
-    let dag = &ctx.pipe.dag;
-    let (_, gaps, makespan) = node_schedule_gaps(dag, |id, _| schedule.realized_dur[id.index()]);
-    let sync = t_prime.map_or(makespan, |t| t.max(makespan));
-    let p_blocking = ctx.gpu.blocking_w;
-    let n_stages = ctx.pipe.n_stages;
+    AttributionSums::new(ctx, schedule, sleep).at(t_prime)
+}
 
-    let mut per_stage = vec![EnergyBreakdown::default(); n_stages];
-    let mut per_kind = [EnergyBreakdown::default(); 7];
-    // Per-stage occupancy of the slack-filling schedule: realized busy
-    // time plus the slack each alternative additionally fills. Stages
-    // execute serially and gaps never cross the next same-stage start, so
-    // this stays within the makespan.
-    let mut busy_fill = vec![0.0f64; n_stages];
+/// The `T'`-independent half of [`attribute_schedule_with_sleep`]: every
+/// lane but the gradient-sync wait, per stage and per kind. Built by one
+/// walk of the schedule; [`AttributionSums::at`] then adds the `SyncWait`
+/// lane for any straggler time in O(`n_stages`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttributionSums {
+    makespan_s: f64,
+    p_blocking_w: f64,
+    /// Useful and intrinsic joules per stage; extrinsic is still zero.
+    per_stage: Vec<EnergyBreakdown>,
+    /// Every lane per kind, `SyncWait` still zero.
+    per_kind: [EnergyBreakdown; 7],
+}
 
-    for id in dag.node_ids() {
-        match dag.node(id) {
-            PipeNode::Comp(c) => {
-                let d = schedule.realized_dur[id.index()];
-                let e = schedule.realized_energy[id.index()];
-                let (fill_t, fill_e) = slack_fill(ctx, schedule, &gaps, id);
-                let useful = fill_e.min(e);
-                let intrinsic = (e - useful) + p_blocking * (fill_t - d);
-                busy_fill[c.stage] += fill_t;
-                per_stage[c.stage].useful_j += useful;
-                per_stage[c.stage].intrinsic_j += intrinsic;
-                let k = EnergyKind::of_comp(c.kind).index();
-                per_kind[k].useful_j += useful;
-                per_kind[k].intrinsic_j += intrinsic;
+impl AttributionSums {
+    /// Walks `schedule` (with `sleep`'s windows overlaid, if any): the
+    /// slack-fill pricing of every instruction, then the bubble of each
+    /// stage split into sleep windows and `Idle`.
+    pub fn new(
+        ctx: &PlanContext<'_>,
+        schedule: &EnergySchedule,
+        sleep: Option<&SleepPlan>,
+    ) -> AttributionSums {
+        let dag = &ctx.pipe.dag;
+        let (_, gaps, makespan) =
+            node_schedule_gaps(dag, |id, _| schedule.realized_dur[id.index()]);
+        let p_blocking = ctx.gpu.blocking_w;
+        let n_stages = ctx.pipe.n_stages;
+
+        let mut per_stage = vec![EnergyBreakdown::default(); n_stages];
+        let mut per_kind = [EnergyBreakdown::default(); 7];
+        // Per-stage occupancy of the slack-filling schedule: realized busy
+        // time plus the slack each alternative additionally fills. Stages
+        // execute serially and gaps never cross the next same-stage start,
+        // so this stays within the makespan.
+        let mut busy_fill = vec![0.0f64; n_stages];
+
+        for id in dag.node_ids() {
+            match dag.node(id) {
+                PipeNode::Comp(c) => {
+                    let d = schedule.realized_dur[id.index()];
+                    let e = schedule.realized_energy[id.index()];
+                    let (fill_t, fill_e) = slack_fill(ctx, schedule, &gaps, id);
+                    let useful = fill_e.min(e);
+                    let intrinsic = (e - useful) + p_blocking * (fill_t - d);
+                    busy_fill[c.stage] += fill_t;
+                    per_stage[c.stage].useful_j += useful;
+                    per_stage[c.stage].intrinsic_j += intrinsic;
+                    let k = EnergyKind::of_comp(c.kind).index();
+                    per_kind[k].useful_j += useful;
+                    per_kind[k].intrinsic_j += intrinsic;
+                }
+                PipeNode::Fixed { stage, .. } => {
+                    // Fixed ops have exactly one frequency choice: useful
+                    // in full, no alternative to compare against.
+                    busy_fill[*stage] += schedule.realized_dur[id.index()];
+                    let e = schedule.realized_energy[id.index()];
+                    per_stage[*stage].useful_j += e;
+                    per_kind[EnergyKind::Fixed.index()].useful_j += e;
+                }
+                _ => {}
             }
-            PipeNode::Fixed { stage, .. } => {
-                // Fixed ops have exactly one frequency choice: useful in
-                // full, no alternative to compare against.
-                busy_fill[*stage] += schedule.realized_dur[id.index()];
-                let e = schedule.realized_energy[id.index()];
-                per_stage[*stage].useful_j += e;
-                per_kind[EnergyKind::Fixed.index()].useful_j += e;
+        }
+
+        // The bubble: in-pipeline blocking that survives even
+        // slack-filling. Sleep windows replace their slice of it with the
+        // state's actual draw; the subtraction is left unclamped so the
+        // lane totals match the sleep-aware energy report bit-for-bit.
+        for (stage, fill) in busy_fill.iter().enumerate() {
+            let mut idle = p_blocking * (makespan - fill).max(0.0);
+            if let Some(plan) = sleep {
+                for w in plan.stage_windows(stage) {
+                    let cost = w.actual_j(p_blocking);
+                    idle -= p_blocking * w.span_s();
+                    per_stage[stage].useful_j += cost;
+                    per_kind[EnergyKind::StaticSleep.index()].useful_j += cost;
+                }
             }
-            _ => {}
+            per_stage[stage].useful_j += idle;
+            per_kind[EnergyKind::Idle.index()].useful_j += idle;
+        }
+        AttributionSums {
+            makespan_s: makespan,
+            p_blocking_w: p_blocking,
+            per_stage,
+            per_kind,
         }
     }
 
-    // The bubble: in-pipeline blocking that survives even slack-filling.
-    // Sleep windows replace their slice of it with the state's actual
-    // draw; the subtraction is left unclamped so the lane totals match
-    // the sleep-aware energy report bit-for-bit.
-    for (stage, fill) in busy_fill.iter().enumerate() {
-        let mut idle = p_blocking * (makespan - fill).max(0.0);
-        if let Some(plan) = sleep {
-            for w in plan.stage_windows(stage) {
-                let cost = w.actual_j(p_blocking);
-                idle -= p_blocking * w.span_s();
-                per_stage[stage].useful_j += cost;
-                per_kind[EnergyKind::StaticSleep.index()].useful_j += cost;
-            }
+    /// The attribution at straggler iteration time `t_prime` (`None` = no
+    /// straggler): these lanes plus the gradient-sync wait, in which all
+    /// stages block until the straggler finishes.
+    pub fn at(&self, t_prime: Option<f64>) -> ScheduleAttribution {
+        let makespan = self.makespan_s;
+        let sync = t_prime.map_or(makespan, |t| t.max(makespan));
+        let mut per_stage = self.per_stage.clone();
+        let mut per_kind = self.per_kind;
+        let wait = self.p_blocking_w * (sync - makespan).max(0.0);
+        for stage in per_stage.iter_mut() {
+            stage.extrinsic_j += wait;
         }
-        per_stage[stage].useful_j += idle;
-        per_kind[EnergyKind::Idle.index()].useful_j += idle;
-    }
-    // The gradient-sync wait: all stages block until the straggler
-    // finishes.
-    let wait = p_blocking * (sync - makespan).max(0.0);
-    for stage in per_stage.iter_mut() {
-        stage.extrinsic_j += wait;
-    }
-    per_kind[EnergyKind::SyncWait.index()].extrinsic_j += wait * n_stages as f64;
+        per_kind[EnergyKind::SyncWait.index()].extrinsic_j += wait * per_stage.len() as f64;
 
-    let mut total = EnergyBreakdown::default();
-    for stage in &per_stage {
-        total.accumulate(*stage);
-    }
-    ScheduleAttribution {
-        iter_time_s: makespan,
-        sync_time_s: sync,
-        total,
-        per_stage,
-        per_kind,
+        let mut total = EnergyBreakdown::default();
+        for stage in &per_stage {
+            total.accumulate(*stage);
+        }
+        ScheduleAttribution {
+            iter_time_s: makespan,
+            sync_time_s: sync,
+            total,
+            per_stage,
+            per_kind,
+        }
     }
 }
 

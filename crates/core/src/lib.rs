@@ -59,7 +59,7 @@ pub use context::{model_profiles, CoreError, NodePlanInfo, PlanContext};
 pub use cut::{
     get_next_pareto, get_next_pareto_arena, ArenaStats, CutOutcome, CutSolver, SolverArena,
 };
-pub use energy::{pipeline_energy, PipelineEnergy};
+pub use energy::{pipeline_energy, EnergySums, PipelineEnergy};
 pub use error::Error;
 pub use fingerprint::{content_hash, plan_fingerprint, PlanFingerprint};
 pub use frontier::{
@@ -67,8 +67,8 @@ pub use frontier::{
     SolverStats,
 };
 pub use ledger::{
-    attribute_schedule, attribute_schedule_with_sleep, BloatLedger, EnergyBreakdown, EnergyKind,
-    ScheduleAttribution,
+    attribute_schedule, attribute_schedule_with_sleep, AttributionSums, BloatLedger,
+    EnergyBreakdown, EnergyKind, ScheduleAttribution,
 };
 pub use planner::{FrontierPlan, Perseus, PlanOutput, Planner};
 pub use sleep::{insert_sleep, KareusPlanner, SleepPlan, SleepWindow};

@@ -80,10 +80,26 @@ impl FrontierPlan {
     /// straggler known, the fastest point) and the sleep plan that ships
     /// with it (`None` for a frequency-only plan).
     pub fn lookup(&self, t_prime: Option<f64>) -> (&FrontierPoint, Option<&SleepPlan>) {
+        self.point(self.lookup_index(t_prime))
+    }
+
+    /// Index of the point [`FrontierPlan::lookup`] returns for `t_prime`
+    /// ([`ParetoFrontier::lookup_index`] at `t_prime`, or at `T_min` with
+    /// no straggler known).
+    pub(crate) fn lookup_index(&self, t_prime: Option<f64>) -> usize {
         let t = t_prime.unwrap_or_else(|| self.frontier.t_min());
-        let idx = self.frontier.lookup_index(t);
-        let sleep = self.sleep.as_ref().map(|plans| &plans[idx]);
-        (&self.frontier.points()[idx], sleep)
+        self.frontier.lookup_index(t)
+    }
+
+    /// Frontier point `index` and the sleep plan that ships with it
+    /// (`None` for a frequency-only plan).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a point of the frontier.
+    pub(crate) fn point(&self, index: usize) -> (&FrontierPoint, Option<&SleepPlan>) {
+        let sleep = self.sleep.as_ref().map(|plans| &plans[index]);
+        (&self.frontier.points()[index], sleep)
     }
 
     /// Re-clamps the plan to a GPU frequency cap: the frontier via
@@ -143,10 +159,25 @@ pub enum PlanOutput {
 
 impl PlanOutput {
     /// Picks the schedule to deploy for straggler iteration time `t_prime`
-    /// (`None` = no straggler known).
+    /// (`None` = no straggler known): the schedule at
+    /// [`PlanOutput::select_index`].
     ///
-    /// * `Schedule` — returned as-is; the policy is straggler-unaware.
-    /// * `Frontier` — frontier lookup at `t_prime` (Eq. 2's
+    /// # Panics
+    ///
+    /// Panics if a `Sweep` holds no schedules; planners never produce
+    /// empty sweeps.
+    pub fn select(&self, t_prime: Option<f64>) -> &EnergySchedule {
+        self.schedule_at(self.select_index(t_prime))
+    }
+
+    /// Index of the schedule to deploy for straggler iteration time
+    /// `t_prime` (`None` = no straggler known). The one selection rule:
+    /// [`PlanOutput::select`] and [`PlanOutput::sleep_plan`] read the
+    /// schedule and sleep plan at this index, so anything keyed on it
+    /// names exactly the deployed schedule.
+    ///
+    /// * `Schedule` — 0; the policy is straggler-unaware.
+    /// * `Frontier` — the frontier lookup index at `t_prime` (Eq. 2's
     ///   `T_opt = min(T*, T')` is applied by the lookup itself); with no
     ///   straggler, the fastest frontier point.
     /// * `Sweep` — the lowest-energy candidate whose iteration time meets
@@ -156,34 +187,51 @@ impl PlanOutput {
     ///
     /// # Panics
     ///
-    /// Panics if a `Sweep` holds no schedules; planners never produce
-    /// empty sweeps.
-    pub fn select(&self, t_prime: Option<f64>) -> &EnergySchedule {
+    /// Panics if a `Sweep` holds no schedules.
+    pub fn select_index(&self, t_prime: Option<f64>) -> usize {
         match self {
-            PlanOutput::Schedule(s) => s,
-            PlanOutput::Frontier(plan) => &plan.lookup(t_prime).0.schedule,
+            PlanOutput::Schedule(_) => 0,
+            PlanOutput::Frontier(plan) => plan.lookup_index(t_prime),
             PlanOutput::Sweep {
                 schedules,
                 no_straggler_deadline_s,
             } => {
                 let deadline = t_prime.unwrap_or(*no_straggler_deadline_s);
-                let mut best: Option<&EnergySchedule> = None;
-                for s in schedules {
+                let mut best: Option<usize> = None;
+                for (i, s) in schedules.iter().enumerate() {
                     if s.time_s <= deadline || best.is_none() {
                         let better = match best {
                             None => true,
                             Some(b) => {
+                                let b = &schedules[b];
                                 s.time_s <= deadline
                                     && (b.time_s > deadline || s.compute_j < b.compute_j)
                             }
                         };
                         if better {
-                            best = Some(s);
+                            best = Some(i);
                         }
                     }
                 }
                 best.expect("sweep is non-empty")
             }
+        }
+    }
+
+    /// The schedule at selection index `index` (see
+    /// [`PlanOutput::select_index`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` names no schedule of this output.
+    pub fn schedule_at(&self, index: usize) -> &EnergySchedule {
+        match self {
+            PlanOutput::Schedule(s) => {
+                assert_eq!(index, 0, "a single-schedule output has only index 0");
+                s
+            }
+            PlanOutput::Frontier(plan) => &plan.point(index).0.schedule,
+            PlanOutput::Sweep { schedules, .. } => &schedules[index],
         }
     }
 
@@ -211,14 +259,17 @@ impl PlanOutput {
     /// The sleep plan accompanying the schedule [`PlanOutput::select`]
     /// picks for `t_prime`, if this output carries one.
     ///
-    /// Uses the same frontier lookup as `select`, so the returned plan
-    /// always matches the selected schedule. `None` for frequency-only
-    /// outputs — callers treat that as "never sleeps".
+    /// Reads the same [`PlanOutput::select_index`] as `select`, so the
+    /// returned plan always matches the selected schedule. `None` for
+    /// frequency-only outputs — callers treat that as "never sleeps".
     pub fn sleep_plan(&self, t_prime: Option<f64>) -> Option<&SleepPlan> {
-        match self.as_frontier_plan() {
-            Some(plan) if plan.sleep.is_some() => plan.lookup(t_prime).1,
-            _ => None,
-        }
+        self.sleep_plan_at(self.select_index(t_prime))
+    }
+
+    /// The sleep plan that ships with the schedule at selection index
+    /// `index`, if this output carries sleep plans.
+    pub fn sleep_plan_at(&self, index: usize) -> Option<&SleepPlan> {
+        self.as_frontier_plan().and_then(|plan| plan.point(index).1)
     }
 
     /// The candidate sweep, if this is a `Sweep` output.

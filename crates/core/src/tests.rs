@@ -494,6 +494,196 @@ fn energy_report_accounts_blocking_and_straggler_wait() {
     assert!(waiting.avg_power_w() < free.avg_power_w());
 }
 
+/// Eq. 3 and the bloat ledger, each split into a `T'`-independent half
+/// and an evaluation at the sync time, against a reference copy of the
+/// whole-walk arithmetic they replaced.
+mod split_pricing {
+    use super::*;
+    use crate::energy::PipelineEnergy;
+    use crate::ledger::{
+        attribute_schedule_with_sleep, slack_fill, AttributionSums, EnergyBreakdown,
+        ScheduleAttribution,
+    };
+    use crate::planner::FrontierPlan;
+    use crate::sleep::SleepPlan;
+    use perseus_gpu::PowerStateModel;
+    use perseus_models::{min_imbalance_partition, zoo};
+    use perseus_pipeline::{node_schedule_gaps, PipeNode};
+
+    /// Eq. 3 priced in one walk, sleep savings subtracted at the end.
+    fn reference_report(
+        ctx: &PlanContext<'_>,
+        schedule: &EnergySchedule,
+        t_prime: Option<f64>,
+        sleep: Option<&SleepPlan>,
+    ) -> PipelineEnergy {
+        let pipe = &ctx.pipe;
+        let (_, makespan) = node_start_times(&pipe.dag, |id, _| schedule.realized_dur[id.index()]);
+        let sync = t_prime.map_or(makespan, |t| t.max(makespan));
+        let mut busy = vec![0.0f64; pipe.n_stages];
+        let mut compute_j = 0.0;
+        let mut fixed_j = 0.0;
+        for id in pipe.dag.node_ids() {
+            match pipe.dag.node(id) {
+                PipeNode::Comp(c) => {
+                    busy[c.stage] += schedule.realized_dur[id.index()];
+                    compute_j += schedule.realized_energy[id.index()];
+                }
+                PipeNode::Fixed { stage, .. } => {
+                    busy[*stage] += schedule.realized_dur[id.index()];
+                    fixed_j += schedule.realized_energy[id.index()];
+                }
+                _ => {}
+            }
+        }
+        let blocking_time: f64 = busy.iter().map(|b| (sync - b).max(0.0)).sum();
+        let mut report = PipelineEnergy {
+            iter_time_s: makespan,
+            sync_time_s: sync,
+            compute_j,
+            fixed_j,
+            blocking_j: ctx.gpu.blocking_w * blocking_time,
+        };
+        if let Some(plan) = sleep {
+            report.blocking_j -= plan.saved_j(ctx.gpu.blocking_w);
+        }
+        report
+    }
+
+    /// The ledger in one walk: every lane, the sync wait included.
+    fn reference_attribution(
+        ctx: &PlanContext<'_>,
+        schedule: &EnergySchedule,
+        t_prime: Option<f64>,
+        sleep: Option<&SleepPlan>,
+    ) -> ScheduleAttribution {
+        let dag = &ctx.pipe.dag;
+        let (_, gaps, makespan) =
+            node_schedule_gaps(dag, |id, _| schedule.realized_dur[id.index()]);
+        let sync = t_prime.map_or(makespan, |t| t.max(makespan));
+        let p_blocking = ctx.gpu.blocking_w;
+        let n_stages = ctx.pipe.n_stages;
+        let mut per_stage = vec![EnergyBreakdown::default(); n_stages];
+        let mut per_kind = [EnergyBreakdown::default(); 7];
+        let mut busy_fill = vec![0.0f64; n_stages];
+        for id in dag.node_ids() {
+            match dag.node(id) {
+                PipeNode::Comp(c) => {
+                    let d = schedule.realized_dur[id.index()];
+                    let e = schedule.realized_energy[id.index()];
+                    let (fill_t, fill_e) = slack_fill(ctx, schedule, &gaps, id);
+                    let useful = fill_e.min(e);
+                    let intrinsic = (e - useful) + p_blocking * (fill_t - d);
+                    busy_fill[c.stage] += fill_t;
+                    per_stage[c.stage].useful_j += useful;
+                    per_stage[c.stage].intrinsic_j += intrinsic;
+                    let k = match c.kind {
+                        perseus_pipeline::CompKind::Forward => EnergyKind::Forward,
+                        perseus_pipeline::CompKind::Backward => EnergyKind::Backward,
+                        perseus_pipeline::CompKind::Recompute => EnergyKind::Recompute,
+                    }
+                    .index();
+                    per_kind[k].useful_j += useful;
+                    per_kind[k].intrinsic_j += intrinsic;
+                }
+                PipeNode::Fixed { stage, .. } => {
+                    busy_fill[*stage] += schedule.realized_dur[id.index()];
+                    let e = schedule.realized_energy[id.index()];
+                    per_stage[*stage].useful_j += e;
+                    per_kind[EnergyKind::Fixed.index()].useful_j += e;
+                }
+                _ => {}
+            }
+        }
+        for (stage, fill) in busy_fill.iter().enumerate() {
+            let mut idle = p_blocking * (makespan - fill).max(0.0);
+            if let Some(plan) = sleep {
+                for w in plan.stage_windows(stage) {
+                    let cost = w.actual_j(p_blocking);
+                    idle -= p_blocking * w.span_s();
+                    per_stage[stage].useful_j += cost;
+                    per_kind[EnergyKind::StaticSleep.index()].useful_j += cost;
+                }
+            }
+            per_stage[stage].useful_j += idle;
+            per_kind[EnergyKind::Idle.index()].useful_j += idle;
+        }
+        let wait = p_blocking * (sync - makespan).max(0.0);
+        for stage in per_stage.iter_mut() {
+            stage.extrinsic_j += wait;
+        }
+        per_kind[EnergyKind::SyncWait.index()].extrinsic_j += wait * n_stages as f64;
+        let mut total = EnergyBreakdown::default();
+        for stage in &per_stage {
+            total.accumulate(*stage);
+        }
+        ScheduleAttribution {
+            iter_time_s: makespan,
+            sync_time_s: sync,
+            total,
+            per_stage,
+            per_kind,
+        }
+    }
+
+    /// Every point of a real frontier (GPT-3 1.3B on A100, 4 stages × 8
+    /// microbatches), with and without its Kareus sleep plan, at `T'`
+    /// absent, below, at and above the point's makespan: the public
+    /// pricers and one set of sums evaluated at every `T'` all equal the
+    /// reference bit for bit.
+    #[test]
+    fn split_pricing_is_bit_identical_to_one_walk() {
+        let gpu = GpuSpec::a100_pcie();
+        let model = zoo::gpt3_xl(4);
+        let partition = min_imbalance_partition(&model.fwd_latency_weights(&gpu), 4).unwrap();
+        let stages = model.stage_workloads(&partition, &gpu).unwrap();
+        let pipe = build_pipe(4, 8);
+        let ctx = PlanContext::from_model_profiles(&pipe, &gpu, &stages).unwrap();
+        let frontier =
+            std::sync::Arc::new(characterize(&ctx, &FrontierOptions::default()).unwrap());
+        let plan = FrontierPlan::with_sleep(frontier, &ctx, &PowerStateModel::default_for(&gpu));
+        let sleep_plans = plan.sleep().unwrap();
+        assert!(
+            sleep_plans.iter().any(|p| !p.is_empty()),
+            "the frontier must exercise sleep windows"
+        );
+
+        for (i, point) in plan.frontier().points().iter().enumerate() {
+            let schedule = &point.schedule;
+            let t = schedule.time_s;
+            for sleep in [None, Some(&sleep_plans[i])] {
+                let energy = schedule.energy_sums(&ctx, sleep);
+                let lanes = AttributionSums::new(&ctx, schedule, sleep);
+                for t_prime in [None, Some(0.5 * t), Some(t), Some(1.3 * t)] {
+                    let at = format!("point {i}, sleep {}, T' {t_prime:?}", sleep.is_some());
+                    // Debug prints every f64 in its shortest round-tripping
+                    // form, so equal text means bit-equal joules and times.
+                    let want = format!("{:?}", reference_report(&ctx, schedule, t_prime, sleep));
+                    let report = schedule.energy_report_with_sleep(&ctx, t_prime, sleep);
+                    assert_eq!(format!("{report:?}"), want, "{at}");
+                    assert_eq!(format!("{:?}", energy.at(t_prime)), want, "{at}");
+                    if sleep.is_none() {
+                        let plain = schedule.energy_report(&ctx, t_prime);
+                        assert_eq!(format!("{plain:?}"), want, "{at}");
+                    }
+
+                    let want = format!(
+                        "{:?}",
+                        reference_attribution(&ctx, schedule, t_prime, sleep)
+                    );
+                    let attr = attribute_schedule_with_sleep(&ctx, schedule, t_prime, sleep);
+                    assert_eq!(format!("{attr:?}"), want, "{at}");
+                    assert_eq!(format!("{:?}", lanes.at(t_prime)), want, "{at}");
+                    if sleep.is_none() {
+                        let plain = attribute_schedule(&ctx, schedule, t_prime);
+                        assert_eq!(format!("{plain:?}"), want, "{at}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn fixed_ops_are_never_modified() {
     let gpu = GpuSpec::a100_pcie();

@@ -476,9 +476,13 @@ impl FleetServer {
     }
 
     /// Applies `f` to `tenant`'s accounting entry, creating it on first
-    /// touch.
+    /// touch; the id is cloned only to insert a new tenant.
     fn tenant_stat(&self, tenant: &TenantId, f: impl FnOnce(&mut TenantStats)) {
-        f(self.tenant_stats.lock().entry(tenant.clone()).or_default())
+        let mut stats = self.tenant_stats.lock();
+        match stats.get_mut(tenant) {
+            Some(entry) => f(entry),
+            None => f(stats.entry(tenant.clone()).or_default()),
+        }
     }
 
     /// Routes a straggler notification to the job's home shard. Never

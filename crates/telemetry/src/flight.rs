@@ -73,20 +73,33 @@ pub struct FlightSummary {
 }
 
 impl FlightSummary {
-    /// Folds retained `samples` (oldest first) into a summary — the one
-    /// place the ring's counts are computed.
+    /// Folds retained `samples` (oldest first) into a summary.
     fn fold<'a>(samples: impl Iterator<Item = &'a IterationSample>, dropped: u64) -> FlightSummary {
         let mut summary = FlightSummary {
             dropped,
             ..FlightSummary::default()
         };
         for s in samples {
-            summary.samples += 1;
-            summary.degraded_samples += usize::from(s.degraded);
-            summary.faults += s.faults;
-            summary.last_iteration = Some(s.iteration);
+            summary.retain(s);
         }
         summary
+    }
+
+    /// Counts `s` in as the newest retained sample — the one place a
+    /// sample's counts are added.
+    fn retain(&mut self, s: &IterationSample) {
+        self.samples += 1;
+        self.degraded_samples += usize::from(s.degraded);
+        self.faults += s.faults;
+        self.last_iteration = Some(s.iteration);
+    }
+
+    /// Counts the oldest retained sample `s` out as evicted.
+    fn evict(&mut self, s: &IterationSample) {
+        self.samples -= 1;
+        self.degraded_samples -= usize::from(s.degraded);
+        self.faults -= s.faults;
+        self.dropped += 1;
     }
 }
 
@@ -181,9 +194,10 @@ impl FlightSnapshot {
 /// A fixed-capacity per-iteration flight recorder.
 ///
 /// Recording is a short critical section on a ring buffer (no
-/// allocation once the ring is warm); snapshots copy the ring out, and
-/// summaries fold it in place. Only the owning [`crate::ObsPipeline`]
-/// records; every public method reads.
+/// allocation once the ring is warm) that also keeps the ring's summary
+/// counts current; snapshots copy the ring out, and summaries read the
+/// counts. Only the owning [`crate::ObsPipeline`] records; every public
+/// method reads.
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
@@ -191,12 +205,13 @@ pub struct FlightRecorder {
     dumps: AtomicU64,
 }
 
-/// The retained samples plus the count evicted to make room for them,
-/// behind one lock so the two always agree.
+/// The retained samples plus their running summary (the count evicted
+/// to make room for them included), behind one lock so the two always
+/// agree.
 #[derive(Debug)]
 struct Ring {
     samples: VecDeque<IterationSample>,
-    dropped: u64,
+    summary: FlightSummary,
 }
 
 impl FlightRecorder {
@@ -207,7 +222,7 @@ impl FlightRecorder {
             capacity,
             ring: Mutex::new(Ring {
                 samples: VecDeque::with_capacity(capacity),
-                dropped: 0,
+                summary: FlightSummary::default(),
             }),
             dumps: AtomicU64::new(0),
         }
@@ -227,9 +242,11 @@ impl FlightRecorder {
     pub(crate) fn record(&self, sample: IterationSample) {
         let mut ring = self.ring.lock();
         if ring.samples.len() == self.capacity {
-            ring.samples.pop_front();
-            ring.dropped += 1;
+            if let Some(old) = ring.samples.pop_front() {
+                ring.summary.evict(&old);
+            }
         }
+        ring.summary.retain(&sample);
         ring.samples.push_back(sample);
     }
 
@@ -238,16 +255,15 @@ impl FlightRecorder {
         let ring = self.ring.lock();
         FlightSnapshot {
             capacity: self.capacity,
-            dropped: ring.dropped,
+            dropped: ring.summary.dropped,
             samples: ring.samples.iter().copied().collect(),
         }
     }
 
-    /// The summary of the current ring contents, folded under the lock
-    /// without copying the ring.
+    /// The summary of the current ring contents: the running counts,
+    /// read in O(1) without walking the ring.
     pub fn summary(&self) -> FlightSummary {
-        let ring = self.ring.lock();
-        FlightSummary::fold(ring.samples.iter(), ring.dropped)
+        self.ring.lock().summary
     }
 
     /// Writes the current snapshot as a JSON post-mortem to `path`,

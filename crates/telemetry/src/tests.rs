@@ -239,7 +239,11 @@ mod flight {
         assert_eq!(summary.samples, 4);
         assert_eq!(summary.dropped, 6);
         assert_eq!(summary.last_iteration, Some(9));
-        assert_eq!(rec.summary(), summary, "in-place fold matches the copy's");
+        assert_eq!(
+            rec.summary(),
+            summary,
+            "running counts match the copy's fold"
+        );
     }
 
     #[test]
@@ -255,6 +259,42 @@ mod flight {
         assert_eq!(snap.summary().degraded_samples, 3);
         assert_eq!(rec.summary(), snap.summary());
         assert!((snap.samples[0].total_j() - 119.5).abs() < 1e-12);
+    }
+
+    /// The running summary equals the counts folded from a snapshot after
+    /// seeded record sequences that evict, at a small and the default
+    /// capacity, checked after every record.
+    #[test]
+    fn running_summary_matches_the_ring_through_evictions() {
+        for capacity in [4, 256] {
+            let rec = FlightRecorder::new(capacity);
+            // SplitMix64: which samples are degraded and how many faults
+            // each carries.
+            let mut state = 0xF11E_u64 + capacity as u64;
+            let mut draw = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            for i in 0..(3 * capacity as u64 + 7) {
+                let r = draw();
+                rec.record(IterationSample {
+                    faults: r % 4,
+                    ..sample(i, r & 0x10 != 0)
+                });
+                assert_eq!(
+                    rec.summary(),
+                    rec.snapshot().summary(),
+                    "capacity {capacity}, after iteration {i}"
+                );
+            }
+            let summary = rec.summary();
+            assert_eq!(summary.samples, capacity);
+            assert_eq!(summary.dropped, 2 * capacity as u64 + 7);
+            assert_eq!(summary.last_iteration, Some(3 * capacity as u64 + 6));
+        }
     }
 
     /// The training loop's numbers reach the dump unvalidated, so a

@@ -89,6 +89,20 @@ fn unknown_model_and_command_fail_cleanly() {
     let (ok, _, stderr) = perseus(&["frontier", "bert-base", "--stages", "zebra"]);
     assert!(!ok);
     assert!(stderr.contains("expects an integer"));
+    let (ok, _, stderr) = perseus(&[
+        "emulate",
+        "gpt3-xl",
+        "--stages",
+        "4",
+        "--microbatches",
+        "8",
+        "--pipelines",
+        "0",
+        "--straggler",
+        "1.2",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("pipeline count must be positive"));
 }
 
 #[test]
