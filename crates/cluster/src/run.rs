@@ -10,6 +10,8 @@
 //! (straggler appeared, schedule still fast) or *become the straggler
 //! themselves* (straggler recovered, schedule still slow).
 
+use std::collections::HashMap;
+
 use perseus_core::BloatLedger;
 
 use crate::emulator::{Emulator, EmulatorError, Policy, StragglerCause};
@@ -91,17 +93,9 @@ impl StragglerTimeline {
 
     /// Straggler state per pipeline in effect at iteration `iter`.
     pub fn state_at(&self, iter: usize) -> Vec<(usize, StragglerCause)> {
-        let mut active: std::collections::HashMap<usize, StragglerCause> =
-            std::collections::HashMap::new();
+        let mut active = HashMap::new();
         for e in self.events.iter().take_while(|e| e.at_iteration <= iter) {
-            match e.cause {
-                Some(c) => {
-                    active.insert(e.pipeline, c);
-                }
-                None => {
-                    active.remove(&e.pipeline);
-                }
-            }
+            apply(&mut active, e);
         }
         active.into_iter().collect()
     }
@@ -113,13 +107,67 @@ impl StragglerTimeline {
     ///
     /// Propagates emulation failures (e.g. invalid straggler degrees).
     pub fn t_prime_at(&self, emu: &Emulator, iter: usize) -> Result<Option<f64>, EmulatorError> {
-        let mut worst: Option<f64> = None;
-        for (_, cause) in self.state_at(iter) {
-            let t = emu.straggler_iteration_time(cause)?;
-            worst = Some(worst.map_or(t, |w: f64| w.max(t)));
-        }
-        Ok(worst)
+        worst_t_prime(emu, self.state_at(iter).into_iter().map(|(_, c)| c))
     }
+
+    /// [`StragglerTimeline::t_prime_at`] for every iteration below
+    /// `iterations`, in one pass over the events: the worst `T'` only
+    /// changes where an event lands, so the active causes are re-priced
+    /// once per iteration that has events and carried over the rest.
+    /// Bit-identical to calling `t_prime_at` per iteration: each value is
+    /// a max over the same set of causes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates emulation failures of causes active before
+    /// `iterations`.
+    pub fn t_prime_per_iteration(
+        &self,
+        emu: &Emulator,
+        iterations: usize,
+    ) -> Result<Vec<Option<f64>>, EmulatorError> {
+        let mut active = HashMap::new();
+        let mut events = self.events.iter().peekable();
+        let mut worst = None;
+        let mut out = Vec::with_capacity(iterations);
+        for iter in 0..iterations {
+            let mut changed = false;
+            while let Some(e) = events.next_if(|e| e.at_iteration <= iter) {
+                apply(&mut active, e);
+                changed = true;
+            }
+            if changed {
+                worst = worst_t_prime(emu, active.values().copied())?;
+            }
+            out.push(worst);
+        }
+        Ok(out)
+    }
+}
+
+/// Applies one event to the per-pipeline straggler state.
+fn apply(active: &mut HashMap<usize, StragglerCause>, e: &TraceEvent) {
+    match e.cause {
+        Some(c) => {
+            active.insert(e.pipeline, c);
+        }
+        None => {
+            active.remove(&e.pipeline);
+        }
+    }
+}
+
+/// The worst straggler iteration time over `causes`, or `None` with none.
+fn worst_t_prime(
+    emu: &Emulator,
+    causes: impl Iterator<Item = StragglerCause>,
+) -> Result<Option<f64>, EmulatorError> {
+    let mut worst: Option<f64> = None;
+    for cause in causes {
+        let t = emu.straggler_iteration_time(cause)?;
+        worst = Some(worst.map_or(t, |w: f64| w.max(t)));
+    }
+    Ok(worst)
 }
 
 /// Simulates `cfg.iterations` synchronized iterations of `emu`'s cluster
@@ -194,7 +242,7 @@ fn simulate_run_impl(
 ) -> Result<RunSummary, EmulatorError> {
     let tel = emu.telemetry();
     let _span = perseus_telemetry::span!(tel, "simulate_run", policy = policy);
-    let timeline = StragglerTimeline::new(trace);
+    let t_prime = StragglerTimeline::new(trace).t_prime_per_iteration(emu, cfg.iterations)?;
     let mut per_iteration = Vec::with_capacity(cfg.iterations);
     let mut total_energy = 0.0;
     let mut total_time = 0.0;
@@ -203,8 +251,8 @@ fn simulate_run_impl(
     let mut stage_busy = vec![0.0_f64; emu.config().n_stages];
     let mut stage_idle = vec![0.0_f64; emu.config().n_stages];
     for iter in 0..cfg.iterations {
-        let actual = timeline.t_prime_at(emu, iter)?;
-        let believed = timeline.t_prime_at(emu, iter.saturating_sub(cfg.reaction_delay_iters))?;
+        let actual = t_prime[iter];
+        let believed = t_prime[iter.saturating_sub(cfg.reaction_delay_iters)];
         let report = emu.report_with_belief(policy, believed, actual)?;
         total_energy += report.total_j();
         total_time += report.sync_time_s;

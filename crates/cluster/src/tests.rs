@@ -350,6 +350,84 @@ mod run_simulation {
         assert!((summary.total_energy_j - expected).abs() / expected < 1e-9);
     }
 
+    /// The one-pass `T'` of every iteration equals `t_prime_at` bit for
+    /// bit, over a seeded trace mixing all three causes, with several
+    /// events in one iteration, events out of order, recoveries, and
+    /// events past the last iteration.
+    #[test]
+    fn one_pass_straggler_times_match_t_prime_at_bit_for_bit() {
+        use crate::run::StragglerTimeline;
+
+        let emu = Emulator::new(small_config()).unwrap();
+        let gpu = &emu.config().gpu;
+        // SplitMix64: event iterations, pipelines and causes.
+        let mut state = 0x7EA5_u64;
+        let mut draw = move |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let iterations = 40;
+        let mut trace: Vec<TraceEvent> = (0..48)
+            .map(|_| {
+                let cause = match draw(6) {
+                    0..=2 => None,
+                    3 => Some(StragglerCause::Slowdown {
+                        degree: 1.0 + draw(500) as f64 / 1000.0,
+                    }),
+                    4 => Some(StragglerCause::ThermalThrottle {
+                        freq_cap: FreqMHz(
+                            gpu.min_freq_mhz
+                                + draw(u64::from(gpu.max_freq_mhz - gpu.min_freq_mhz)) as u32,
+                        ),
+                    }),
+                    _ => Some(StragglerCause::IoStall {
+                        stall_s: draw(20) as f64 * 1e-3,
+                    }),
+                };
+                TraceEvent {
+                    at_iteration: draw(iterations as u64 + 8) as usize,
+                    pipeline: draw(2) as usize,
+                    cause,
+                }
+            })
+            .collect();
+        // Out of order on purpose; several iterations carry more than one
+        // event, so their order within an iteration matters.
+        trace.reverse();
+        let timeline = StragglerTimeline::new(&trace);
+        let one_pass = timeline.t_prime_per_iteration(&emu, iterations).unwrap();
+        assert_eq!(one_pass.len(), iterations);
+        let mut kinds = [false; 3];
+        for (iter, t) in one_pass.iter().enumerate() {
+            let want = timeline.t_prime_at(&emu, iter).unwrap();
+            assert_eq!(
+                t.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "iteration {iter}"
+            );
+            for (_, cause) in timeline.state_at(iter) {
+                kinds[match cause {
+                    StragglerCause::Slowdown { .. } => 0,
+                    StragglerCause::ThermalThrottle { .. } => 1,
+                    StragglerCause::IoStall { .. } => 2,
+                }] = true;
+            }
+        }
+        assert_eq!(kinds, [true; 3], "every cause is active somewhere");
+        assert!(one_pass.iter().any(Option::is_none));
+        let mut per_iteration = vec![0; iterations];
+        for e in trace.iter().filter(|e| e.at_iteration < iterations) {
+            per_iteration[e.at_iteration] += 1;
+        }
+        assert!(
+            per_iteration.iter().any(|&n| n > 1),
+            "same-iteration events"
+        );
+    }
+
     #[test]
     fn straggler_trace_changes_energy_and_recovers() {
         let emu = Emulator::new(small_config()).unwrap();

@@ -14,10 +14,11 @@
 //! When the leader compacts its journal below the follower's position,
 //! the gap is bridged by a checkpoint transfer
 //! ([`PerseusServer::replication_checkpoint`]): the follower installs
-//! the full-state snapshot at the leader's watermark and resumes
-//! tailing from there. Still never from genesis. The checkpoint shares
-//! the leader's frontier segments, so the follower persists only the
-//! small snapshot plus the segment files its directory lacks.
+//! the full-state snapshot at the leader's watermark into the server it
+//! already runs and resumes tailing from there. Still never from
+//! genesis. The checkpoint shares the leader's segments, so the follower
+//! persists only the small snapshot plus the segment files its directory
+//! lacks.
 //!
 //! [`FollowerServer::promote`] applies the pending tail, attaches the
 //! follower's journal + snapshot as a durable [`Store`], and flips the
@@ -33,10 +34,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use perseus_store::{Journal, Persist, Record, StoreError};
-use perseus_telemetry::Telemetry;
+use perseus_telemetry::{span, Telemetry};
 
 use crate::server::{PerseusServer, Role, ServerConfig, ServerError};
-use crate::store::{open_dir, write_state, JournalEvent, OpenedDir, ServerSnapshot, Store};
+use crate::store::{open_dir, persist, JournalEvent, OpenedDir, ServerSnapshot, Store};
 
 /// Journal frame overhead per record: `len:u32 + crc:u32 + seq:u64`.
 const FRAME_OVERHEAD: u64 = 16;
@@ -91,7 +92,7 @@ pub struct FollowerServer {
     shipped_seq: u64,
     applied_seq: u64,
     max_lag: u64,
-    /// Segment files written by checkpoint installs.
+    /// Frontier segment files written by checkpoint installs.
     segments_written: u64,
 }
 
@@ -106,7 +107,9 @@ impl FollowerServer {
     ///
     /// # Errors
     ///
-    /// [`ServerError::Store`] if the directory or journal is unusable.
+    /// [`ServerError::Store`] if the directory or journal is unusable or
+    /// `server.snap` is of the previous format (as
+    /// [`PerseusServer::open`]).
     pub fn open(dir: impl AsRef<Path>, cfg: ServerConfig) -> Result<FollowerServer, ServerError> {
         let dir = dir.as_ref();
         let OpenedDir {
@@ -160,7 +163,8 @@ impl FollowerServer {
 
     /// The follower's read-only server: statuses, frontiers, and
     /// fingerprints reflect everything applied so far; every mutation
-    /// answers [`ServerError::NotLeader`].
+    /// answers [`ServerError::NotLeader`]. The same server for the
+    /// follower's whole life: checkpoints install into it.
     pub fn server(&self) -> &PerseusServer {
         &self.state
     }
@@ -185,9 +189,9 @@ impl FollowerServer {
         self.applied_seq
     }
 
-    /// Segment files this follower wrote while installing checkpoints:
-    /// one per frontier its directory lacked, so a checkpoint of
-    /// unchanged frontiers writes none.
+    /// Frontier segment files this follower wrote while installing
+    /// checkpoints: one per frontier its directory lacked, so a
+    /// checkpoint of unchanged frontiers writes none.
     pub fn segments_written(&self) -> u64 {
         self.segments_written
     }
@@ -294,22 +298,20 @@ impl FollowerServer {
     }
 
     /// Installs a full-state checkpoint from the leader (compaction gap
-    /// bridge): the in-memory state is rebuilt — from the same
-    /// [`ServerConfig`] — from the snapshot, the snapshot is persisted
+    /// bridge), inside a `checkpoint` span: the snapshot is persisted
     /// locally — only the segment files the directory lacks are written —
-    /// the local journal drops everything the checkpoint covers, and
-    /// shipping resumes from the checkpoint's watermark.
+    /// the local journal, whose every record the checkpoint covers, is
+    /// truncated, the running server's jobs are swapped for the
+    /// snapshot's, and shipping resumes from the checkpoint's watermark.
     pub(crate) fn install_checkpoint(&mut self, snap: ServerSnapshot) -> Result<(), ServerError> {
-        let fresh = PerseusServer::new(self.state.config().clone());
-        fresh.set_role(Role::Follower, self.state.leader_hint());
-        self.segments_written += write_state(&self.dir, &snap)?;
-        self.journal.compact_below(snap.applied_seq)?;
+        let tel = &self.state.config().telemetry;
+        let _span = span!(tel, "checkpoint");
+        self.segments_written += persist(&self.dir, &mut self.journal, &snap, tel)?;
         self.shipped_seq = snap.applied_seq;
         self.applied_seq = snap.applied_seq;
         self.pending.clear();
         self.pending_bytes = 0;
-        fresh.restore_snapshot(snap);
-        self.state = fresh;
+        self.state.restore_snapshot(snap);
         self.publish_stats();
         Ok(())
     }

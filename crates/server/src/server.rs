@@ -60,8 +60,8 @@ use perseus_telemetry::{
 
 use crate::replica::ReplicationStats;
 use crate::store::{
-    fingerprint_bytes, open_dir, DurabilityStats, JobSnapshot, JournalEvent, OpenedDir, Segment,
-    ServerSnapshot, Store, DEFAULT_SNAPSHOT_EVERY,
+    fingerprint_bytes, open_dir, DurabilityStats, JobInputs, JobSnapshot, JournalEvent, OpenedDir,
+    Segment, ServerSnapshot, Store, DEFAULT_SNAPSHOT_EVERY,
 };
 
 /// How long [`CharacterizeTicket::wait`] is willing to sit on a silent
@@ -292,6 +292,23 @@ pub struct Deployment {
     /// registered with power states ([`JobSpec::power_states`]); `None`
     /// for frequency-only jobs.
     pub sleep: Option<SleepPlan>,
+}
+
+impl Deployment {
+    /// The deployment answering `t_prime` from `plan` under `version`:
+    /// the point [`FrontierPlan::lookup`] finds and its sleep plan. The
+    /// one way a deployment is made — by a lookup, and again by a
+    /// snapshot load, which stores only `version` and `t_prime`.
+    pub(crate) fn from_plan(plan: &FrontierPlan, version: u64, t_prime: f64) -> Deployment {
+        let (point, sleep) = plan.lookup(Some(t_prime));
+        Deployment {
+            version,
+            t_prime,
+            planned_time_s: point.planned_time_s,
+            schedule: point.schedule.clone(),
+            sleep: sleep.cloned(),
+        }
+    }
 }
 
 /// A fault to apply to one profile submission, decided by a
@@ -541,11 +558,12 @@ struct JobMut {
     /// whenever the frontier changes, for jobs that plan sleep states).
     /// Replaced whole, never mutated, so the segment key it caches for
     /// durable snapshots always matches its bytes.
-    segment: Option<Arc<Segment>>,
+    segment: Option<Arc<Segment<FrontierPlan>>>,
     /// Epoch of the submission that produced `segment` (0 = none yet).
     characterized_epoch: u64,
-    /// Profiles behind `segment`, kept for cap-induced re-clamps.
-    profiles: Option<ProfileDb<OpKey>>,
+    /// Profiles behind `segment`, kept for cap-induced re-clamps and
+    /// drift re-plans; replaced whole with `segment`.
+    profiles: Option<Arc<Segment<ProfileDb<OpKey>>>>,
     /// The last characterization attempt died (lost or panicked);
     /// lookups fall back to the previous frontier until a fresh
     /// submission deploys.
@@ -576,7 +594,7 @@ struct JobMut {
 impl JobMut {
     /// The characterized frontier, if any.
     fn frontier(&self) -> Option<&Arc<ParetoFrontier>> {
-        self.segment.as_ref().map(|s| s.plan().frontier())
+        self.segment.as_ref().map(|s| s.frontier())
     }
 
     /// Swaps in the plan of the winning submission `epoch`, made from
@@ -586,7 +604,7 @@ impl JobMut {
         &mut self,
         epoch: u64,
         planned: Planned,
-        profiles: ProfileDb<OpKey>,
+        profiles: Arc<Segment<ProfileDb<OpKey>>>,
         opts: &FrontierOptions,
     ) -> Option<PlanFingerprint> {
         self.characterized_epoch = epoch;
@@ -601,7 +619,7 @@ impl JobMut {
 /// What [`Job::plan`] produced for one characterization.
 struct Planned {
     /// The frontier with its sleep plans.
-    segment: Segment,
+    segment: Segment<FrontierPlan>,
     /// The plan cache answered; the solver did not run.
     cache_hit: bool,
     /// Structural fingerprint of the planning inputs; `Some` only when a
@@ -613,11 +631,9 @@ struct Planned {
 /// between the server map and in-flight characterization tasks.
 struct Job {
     name: String,
-    pipe: PipelineDag,
-    gpu: GpuSpec,
-    /// Sleep states available to this job's accelerators; `None` plans
-    /// frequencies only.
-    power: Option<PowerStateModel>,
+    /// Pipeline, GPU model and sleep states (`None` plans frequencies
+    /// only), shared with snapshots and the journal.
+    inputs: Arc<Segment<JobInputs>>,
     /// Reusable characterization artifacts for this job's pipeline.
     solver: FrontierSolver,
     /// Monotonic submission counter; newer submissions supersede older
@@ -636,13 +652,17 @@ impl Job {
     /// The solver's artifacts are deterministic in the pipeline, built
     /// by its first solve and never persisted; the volatile fault
     /// counters start at zero.
-    fn new(spec: JobSpec, next_epoch: u64, state: JobMut, telemetry: &Telemetry) -> Job {
+    fn new(
+        name: String,
+        inputs: Arc<Segment<JobInputs>>,
+        next_epoch: u64,
+        state: JobMut,
+        telemetry: &Telemetry,
+    ) -> Job {
         Job {
-            solver: FrontierSolver::with_telemetry(&spec.pipe, telemetry.clone()),
-            name: spec.name,
-            pipe: spec.pipe,
-            gpu: spec.gpu,
-            power: spec.power_states,
+            solver: FrontierSolver::with_telemetry(&inputs.pipe, telemetry.clone()),
+            name,
+            inputs,
             next_epoch: AtomicU64::new(next_epoch),
             degraded_lookups: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
@@ -664,13 +684,14 @@ impl Job {
         opts: &FrontierOptions,
         cache: Option<&PlanCache>,
     ) -> Result<Planned, CoreError> {
-        let build = || PlanContext::new(&self.pipe, &self.gpu, profiles.clone());
+        let JobInputs { pipe, gpu, power } = &**self.inputs;
+        let build = || PlanContext::new(pipe, gpu, profiles.clone());
         // `built` is the context the solve fitted; `None` only on a hit.
         let (frontier, built, fingerprint) = match cache {
             Some(cache) => {
                 let (frontier, built, fp) = self
                     .solver
-                    .characterize_cached(&self.pipe, &self.gpu, profiles, opts, cache)?;
+                    .characterize_cached(pipe, gpu, profiles, opts, cache)?;
                 (frontier, built, Some(fp))
             }
             None => {
@@ -686,7 +707,7 @@ impl Job {
         // Kareus sleep plans derive from the frontier's schedules alone
         // (never from `T'`), so the plan is as straggler-independent as
         // the frontier, which a Kareus job shares with Perseus jobs.
-        let plan = match &self.power {
+        let plan = match power {
             Some(power) => {
                 let ctx = match built {
                     Some(ctx) => ctx,
@@ -733,15 +754,8 @@ impl Job {
         }
         let t_prime = Self::effective_t_prime(state);
         let segment = state.segment.as_ref().expect("characterized");
-        let (point, sleep) = segment.plan().lookup(Some(t_prime));
         state.version += 1;
-        let deployment = Deployment {
-            version: state.version,
-            t_prime,
-            planned_time_s: point.planned_time_s,
-            schedule: point.schedule.clone(),
-            sleep: sleep.cloned(),
-        };
+        let deployment = Deployment::from_plan(segment, state.version, t_prime);
         state.deployed = Some(deployment.clone());
         if let Some(t0) = t0 {
             self.telemetry
@@ -1009,7 +1023,9 @@ impl PerseusServer {
     /// # Errors
     ///
     /// [`ServerError::Store`] if the directory cannot be created or the
-    /// journal cannot be opened. Corruption is *not* an error: corrupt
+    /// journal cannot be opened, or [`StoreError::Unsupported`] if its
+    /// `server.snap` is of the previous format, with nothing in the
+    /// directory changed. Corruption is *not* an error: corrupt
     /// journal tails are truncated and a corrupt snapshot falls back to
     /// journal-only replay, both surfaced in [`DurabilityStats`].
     pub fn open(dir: impl AsRef<Path>, cfg: ServerConfig) -> Result<PerseusServer, ServerError> {
@@ -1119,14 +1135,16 @@ impl PerseusServer {
         recovery
     }
 
-    /// Rebuilds the jobs map from a snapshot. Solvers are not persisted:
+    /// Replaces the jobs map with a snapshot's, swapped in under one
+    /// write lock: recovery into a fresh server, and a checkpoint
+    /// installed into a running follower. Solvers are not persisted:
     /// each is rebuilt from the job's pipeline (deterministic artifacts).
     /// Volatile observability counters (degraded lookups, faults
     /// absorbed) restart at zero, like any process-local counter, and so
     /// does the volatile planning state (plan fingerprint, last options,
     /// drift accumulators).
     pub(crate) fn restore_snapshot(&self, snap: ServerSnapshot) {
-        let mut jobs = self.jobs.write();
+        let mut jobs = HashMap::with_capacity(snap.jobs.len());
         for js in snap.jobs {
             let state = JobMut {
                 segment: js.segment,
@@ -1148,15 +1166,17 @@ impl PerseusServer {
                 deployed: js.deployed,
                 ..JobMut::default()
             };
-            let spec = JobSpec {
-                name: js.name,
-                pipe: js.pipe,
-                gpu: js.gpu,
-                power_states: js.power,
-            };
-            let job = Job::new(spec, js.next_epoch, state, &self.cfg.telemetry);
+            let job = Job::new(
+                js.name,
+                js.inputs,
+                js.next_epoch,
+                state,
+                &self.cfg.telemetry,
+            );
             jobs.insert(job.name.clone(), Arc::new(job));
         }
+        // The replaced jobs drop after the lock is released.
+        let _replaced = std::mem::replace(&mut *self.jobs.write(), jobs);
     }
 
     /// Applies one journaled event during recovery or replication. The
@@ -1170,18 +1190,8 @@ impl PerseusServer {
     /// event unapplied.
     pub(crate) fn replay_event(&self, event: JournalEvent) -> ReplayOutcome {
         match event {
-            JournalEvent::RegisterJob {
-                name,
-                pipe,
-                gpu,
-                power,
-            } => {
-                let _ = self.register_job_inner(JobSpec {
-                    name,
-                    pipe,
-                    gpu,
-                    power_states: power,
-                });
+            JournalEvent::RegisterJob { name, inputs } => {
+                let _ = self.register_job_inner(name, inputs);
             }
             JournalEvent::Characterized {
                 name,
@@ -1227,7 +1237,7 @@ impl PerseusServer {
         &self,
         name: &str,
         epoch: u64,
-        profiles: ProfileDb<OpKey>,
+        profiles: Arc<Segment<ProfileDb<OpKey>>>,
         opts: &FrontierOptions,
     ) -> ReplayOutcome {
         let Ok(job) = self.job(name) else {
@@ -1334,33 +1344,47 @@ impl PerseusServer {
     /// [`ServerError::NotLeader`] on a replication follower.
     pub fn register_job(&self, spec: JobSpec) -> Result<(), ServerError> {
         self.ensure_leader()?;
-        self.register_job_inner(spec)
+        let inputs = JobInputs {
+            pipe: spec.pipe,
+            gpu: spec.gpu,
+            power: spec.power_states,
+        };
+        self.register_job_inner(spec.name, Arc::new(Segment::new(inputs)))
     }
 
-    fn register_job_inner(&self, spec: JobSpec) -> Result<(), ServerError> {
+    fn register_job_inner(
+        &self,
+        name: String,
+        inputs: Arc<Segment<JobInputs>>,
+    ) -> Result<(), ServerError> {
         // The pipeline keeps the order this computes; every later pass
         // over it reads that order.
-        spec.pipe
+        inputs
+            .pipe
             .dag
             .topo_order()
             .map_err(|e| ServerError::InvalidPipeline {
-                job: spec.name.clone(),
+                job: name.clone(),
                 reason: e.to_string(),
             })?;
-        if let Some(model) = spec.power_states.as_ref() {
+        if let Some(model) = inputs.power.as_ref() {
             model
-                .validate(&spec.gpu)
+                .validate(&inputs.gpu)
                 .map_err(|e| ServerError::Core(CoreError::PowerState(e)))?;
         }
-        let job = Arc::new(Job::new(spec, 0, JobMut::default(), &self.cfg.telemetry));
+        let job = Arc::new(Job::new(
+            name,
+            inputs,
+            0,
+            JobMut::default(),
+            &self.cfg.telemetry,
+        ));
         journaled(
             self.store.as_deref(),
             &self.jobs,
             || JournalEvent::RegisterJob {
                 name: job.name.clone(),
-                pipe: job.pipe.clone(),
-                gpu: job.gpu.clone(),
-                power: job.power.clone(),
+                inputs: Arc::clone(&job.inputs),
             },
             |jobs| {
                 if jobs.contains_key(&job.name) {
@@ -1685,16 +1709,16 @@ impl PerseusServer {
             }
         };
         let fingerprint = planned.fingerprint;
-        // The journal gets its own copy of the profiles; the job state
-        // keeps these. Only durable servers pay for the copy.
-        let journal_copy = store.map(|_| profiles.clone());
+        // The journal and the job state share the profiles.
+        let profiles = Arc::new(Segment::new(profiles));
+        let journal_copy = Arc::clone(&profiles);
         journaled(
             store,
             &job.state,
             move || JournalEvent::Characterized {
                 name: job.name.clone(),
                 epoch,
-                profiles: journal_copy.expect("only durable servers build events"),
+                profiles: journal_copy,
                 opts: opts.clone(),
             },
             |state| {
@@ -1894,15 +1918,12 @@ impl PerseusServer {
                     return Err(ServerError::NotCharacterized(name.to_string()));
                 };
                 job.faults_injected.fetch_add(1, Ordering::Relaxed);
-                let ctx = PlanContext::new(&job.pipe, &job.gpu, profiles)?;
+                let JobInputs { pipe, gpu, power } = &**job.inputs;
+                let ctx = PlanContext::new(pipe, gpu, ProfileDb::clone(&profiles))?;
                 // Capped schedules stretch, moving and widening bubbles:
                 // a Kareus plan re-derives its sleep against the capped
                 // timeline.
-                let plan = segment.plan().clamp_freq_cap(
-                    &ctx,
-                    job.gpu.clamp_freq(cap),
-                    job.power.as_ref(),
-                )?;
+                let plan = segment.clamp_freq_cap(&ctx, gpu.clamp_freq(cap), power.as_ref())?;
                 state.segment = Some(Arc::new(Segment::new(plan)));
                 Ok(job.deploy_locked(state))
             },
@@ -1990,8 +2011,9 @@ impl PerseusServer {
 
     /// Freezes the jobs map for a snapshot, checkpoint or fingerprint.
     /// Jobs are sorted by name and straggler maps by accelerator id, so
-    /// equal states always yield equal bytes. Segments are shared, not
-    /// copied. `for_fingerprint` zeroes the in-flight submission counter
+    /// equal states always yield equal bytes. Segments — planning inputs,
+    /// profiles and plans — are shared, not copied. `for_fingerprint`
+    /// zeroes the in-flight submission counter
     /// (see [`PerseusServer::state_fingerprint`]).
     pub(crate) fn snapshot_jobs(&self, for_fingerprint: bool) -> Vec<JobSnapshot> {
         let jobs = self.jobs.read();
@@ -2007,9 +2029,7 @@ impl PerseusServer {
                 stragglers.sort_by_key(|&(gpu_id, _)| gpu_id);
                 JobSnapshot {
                     name: job.name.clone(),
-                    pipe: job.pipe.clone(),
-                    gpu: job.gpu.clone(),
-                    power: job.power.clone(),
+                    inputs: Arc::clone(&job.inputs),
                     next_epoch: if for_fingerprint {
                         0
                     } else {
@@ -2033,16 +2053,17 @@ impl PerseusServer {
             .collect()
     }
 
-    /// Writes a snapshot of the full server state and compacts the
-    /// journal below its watermark. Only segments not yet on disk are
-    /// written; unchanged frontiers cost nothing (see the `store` module
-    /// docs). Holds the journal lock throughout — every mutator takes
-    /// that lock before touching state, so the serialized state is a
-    /// consistent freeze. No-op on an in-memory server.
+    /// Writes a snapshot of the full server state, then truncates the
+    /// journal, every record of which it covers. Only segments not yet
+    /// on disk are written; unchanged frontiers, profiles and pipelines
+    /// cost nothing (see the `store` module docs). Holds the journal lock
+    /// throughout — every mutator takes that lock before touching state,
+    /// so the serialized state is a consistent freeze. No-op on an
+    /// in-memory server.
     ///
     /// # Errors
     ///
-    /// [`ServerError::Store`] if the snapshot or compaction I/O fails
+    /// [`ServerError::Store`] if the snapshot or truncation I/O fails
     /// (the journal itself is still intact and recovery still works —
     /// it just replays more).
     pub fn snapshot_now(&self) -> Result<(), ServerError> {
@@ -2103,11 +2124,6 @@ impl PerseusServer {
         let mut repl = self.replication.write();
         repl.role = role;
         repl.leader_hint = leader_hint;
-    }
-
-    /// The configured leader hint (empty when unset).
-    pub(crate) fn leader_hint(&self) -> String {
-        self.replication.read().leader_hint.clone()
     }
 
     /// Fails with [`ServerError::NotLeader`] unless this server is the

@@ -21,30 +21,40 @@
 //!
 //! # What gets snapshotted
 //!
-//! A store directory holds three kinds of file:
+//! A store directory holds five kinds of file:
 //!
 //! * `server.journal` — the write-ahead journal;
 //! * `frontier-<key>.seg` — one immutable [`Segment`] per distinct
-//!   characterized plan: a job's frontier plus its Kareus sleep plans.
-//!   `<key>` is the [`content_hash`] of the segment's payload, so equal
-//!   plans share one file and a file, once written, never changes. A
-//!   segment loads under the name `server.snap` records for it, so files
-//!   named under an earlier hash still load;
+//!   characterized plan: a job's frontier plus its Kareus sleep plans;
+//! * `job-<key>.seg` — one per distinct [`JobInputs`] (pipeline, GPU
+//!   model, sleep states), fixed at registration, so jobs of one shape
+//!   share one file;
+//! * `profiles-<key>.seg` — one per distinct profile database, replaced
+//!   by every characterization and drift re-plan;
 //! * `server.snap` — a [`ServerSnapshot`]: every job's small mutable
-//!   state (profiles, straggler/clock state, deployment) with its
-//!   segment's key, plus the `applied_seq` watermark of the last journal
-//!   record it covers.
+//!   state (epochs, degradation, straggler and clock state, and the
+//!   deployment as its version and `T'`) with the keys of its segments,
+//!   plus the `applied_seq` watermark of the last journal record it
+//!   covers.
 //!
-//! A snapshot therefore writes only the segments not yet on disk — one
-//! after each characterization, drift re-plan or frequency cap — and the
-//! small `server.snap`. A segment's key is computed once, by the first
-//! durable snapshot or checkpoint that persists it, and cached inside
-//! the segment. [`write_state`] fixes the write order and [`open_dir`]
-//! the load path. Recovery loads the snapshot (falling back to
-//! journal-only replay if it or a segment it references is missing or
+//! `<key>` is the [`content_hash`] of the segment's payload, so equal
+//! values share one file and a file, once written, never changes. A
+//! segment loads under the name `server.snap` records for it, so files
+//! named under an earlier hash still load. A deployment is not stored
+//! whole: it is its segment's lookup at its `T'`
+//! ([`Deployment::from_plan`]), which load repeats.
+//!
+//! A snapshot therefore writes only the segments not yet on disk — after
+//! a registration, characterization, drift re-plan or frequency cap — and
+//! the small `server.snap`. A segment's key is computed once, by the
+//! first durable snapshot or checkpoint that persists it, and cached
+//! inside the segment. [`write_state`] fixes the write order and
+//! [`open_dir`] the load path. Recovery loads the snapshot (falling back
+//! to journal-only replay if it or a segment it references is missing or
 //! corrupt) and replays only the journal tail past the watermark,
 //! skipping the expensive re-characterizations the snapshot already
-//! embodies. Journal compaction below the watermark comes last.
+//! embodies. Truncating the journal the snapshot covers comes last
+//! ([`persist`]).
 //!
 //! Volatile observability counters (degraded lookups, faults absorbed)
 //! are *not* persisted — like any process-local Prometheus counter they
@@ -52,6 +62,7 @@
 //! record that a restart happened.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -64,7 +75,7 @@ use perseus_profiler::ProfileDb;
 use perseus_store::{
     load_snapshot, write_snapshot, ByteReader, ByteWriter, Journal, Persist, Record, StoreError,
 };
-use perseus_telemetry::Telemetry;
+use perseus_telemetry::{span, Telemetry};
 
 use crate::server::{Deployment, ServerConfig};
 
@@ -72,13 +83,17 @@ use crate::server::{Deployment, ServerConfig};
 pub(crate) const JOURNAL_FILE: &str = "server.journal";
 /// File name of the state snapshot inside the store directory.
 const SNAPSHOT_FILE: &str = "server.snap";
-/// Segment files are named `frontier-<key>.seg`.
-const SEGMENT_PREFIX: &str = "frontier-";
+/// Every segment file is named `<prefix><key>.seg`.
 const SEGMENT_SUFFIX: &str = ".seg";
-/// First word of every `server.snap` payload. A snapshot written before
-/// frontiers moved into segments starts with its watermark instead and
-/// fails to decode, taking the corrupt-snapshot fallback.
-const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"PSEGSNAP");
+/// First word of every `server.snap` payload.
+const SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"PKEYSNAP");
+/// First word of the previous format's `server.snap`, whose planning
+/// inputs, profiles and deployments were inline. No reader is kept: a
+/// directory of that format fails [`open_dir`] with
+/// [`StoreError::Unsupported`] rather than open as a corrupt snapshot,
+/// whose recovery would keep only what the journal holds and sweep every
+/// frontier segment.
+const PREVIOUS_SNAPSHOT_FORMAT: u64 = u64::from_le_bytes(*b"PSEGSNAP");
 /// Default journal appends between automatic snapshots.
 pub(crate) const DEFAULT_SNAPSHOT_EVERY: u64 = 64;
 
@@ -90,12 +105,9 @@ pub(crate) enum JournalEvent {
     RegisterJob {
         /// Job name.
         name: String,
-        /// The job's pipeline DAG.
-        pipe: PipelineDag,
-        /// The job's GPU model.
-        gpu: GpuSpec,
-        /// Sleep states available to the job's accelerators, if any.
-        power: Option<PowerStateModel>,
+        /// The job's pipeline, GPU model and sleep states, shared with
+        /// the job.
+        inputs: Arc<Segment<JobInputs>>,
     },
     /// A profile submission won epoch supersession and deployed: replay
     /// re-runs the (deterministic) characterization with these inputs.
@@ -104,8 +116,8 @@ pub(crate) enum JournalEvent {
         name: String,
         /// Submission epoch that won.
         epoch: u64,
-        /// The submitted profile database.
-        profiles: ProfileDb<OpKey>,
+        /// The submitted profile database, shared with the job.
+        profiles: Arc<Segment<ProfileDb<OpKey>>>,
         /// Solver options of the submission.
         opts: FrontierOptions,
     },
@@ -152,17 +164,10 @@ pub(crate) enum JournalEvent {
 impl Persist for JournalEvent {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
-            JournalEvent::RegisterJob {
-                name,
-                pipe,
-                gpu,
-                power,
-            } => {
+            JournalEvent::RegisterJob { name, inputs } => {
                 w.put_u8(0);
                 w.put_str(name);
-                pipe.encode(w);
-                gpu.encode(w);
-                power.encode(w);
+                inputs.encode(w);
             }
             JournalEvent::Characterized {
                 name,
@@ -214,14 +219,12 @@ impl Persist for JournalEvent {
         match r.get_u8()? {
             0 => Ok(JournalEvent::RegisterJob {
                 name: r.get_str()?,
-                pipe: PipelineDag::decode(r)?,
-                gpu: GpuSpec::decode(r)?,
-                power: Persist::decode(r)?,
+                inputs: Arc::new(Segment::new(JobInputs::decode(r)?)),
             }),
             1 => Ok(JournalEvent::Characterized {
                 name: r.get_str()?,
                 epoch: r.get_u64()?,
-                profiles: ProfileDb::<OpKey>::decode(r)?,
+                profiles: Arc::new(Segment::new(ProfileDb::<OpKey>::decode(r)?)),
                 opts: FrontierOptions::decode(r)?,
             }),
             2 => Ok(JournalEvent::SetStraggler {
@@ -268,17 +271,13 @@ impl Persist for Deployment {
 }
 
 /// Content address of a [`Segment`]: the [`content_hash`] of its payload
-/// bytes. Names the segment's file, `frontier-<32 hex digits>.seg`.
+/// bytes. Names the segment's file, `<prefix><32 hex digits>.seg`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct SegmentKey(u128);
 
 impl SegmentKey {
     fn of(payload: &[u8]) -> SegmentKey {
         SegmentKey(content_hash(payload))
-    }
-
-    fn file_name(self) -> String {
-        format!("{SEGMENT_PREFIX}{:032x}{SEGMENT_SUFFIX}", self.0)
     }
 }
 
@@ -294,78 +293,151 @@ impl Persist for SegmentKey {
     }
 }
 
-/// A job's characterized plan ([`FrontierPlan`]: its Pareto frontier
-/// plus, for Kareus jobs, one sleep plan per point) under the key of its
-/// bytes. Immutable: a characterization, drift re-plan or frequency cap
-/// builds a new one, so its cached key can never describe other bytes. On
-/// disk it is one segment file named by that key, written once and shared
-/// by every snapshot and every job that references it.
+/// A value kept in segment files, and the prefix of their names.
+pub(crate) trait Stored: Persist {
+    /// Every file of this kind is named `<PREFIX><key>.seg`.
+    const PREFIX: &'static str;
+}
+
+impl Stored for FrontierPlan {
+    const PREFIX: &'static str = "frontier-";
+}
+
+impl Stored for JobInputs {
+    const PREFIX: &'static str = "job-";
+}
+
+impl Stored for ProfileDb<OpKey> {
+    const PREFIX: &'static str = "profiles-";
+}
+
+/// Every prefix a segment file name starts with.
+const SEGMENT_PREFIXES: [&str; 3] = [
+    <FrontierPlan as Stored>::PREFIX,
+    <JobInputs as Stored>::PREFIX,
+    <ProfileDb<OpKey> as Stored>::PREFIX,
+];
+
+/// An immutable value under the key of its bytes: a characterized plan
+/// ([`FrontierPlan`]), a job's registered [`JobInputs`], or the profiles
+/// of its last characterization. A characterization, drift re-plan or
+/// frequency cap builds a new one rather than changing one, so its cached
+/// key can never describe other bytes. On disk it is one file named by
+/// that key, written once and shared by every snapshot and every job that
+/// references it.
 #[derive(Debug)]
-pub(crate) struct Segment {
-    plan: FrontierPlan,
+pub(crate) struct Segment<T> {
+    value: T,
     /// Set when a durable snapshot or checkpoint first persists the
     /// segment, or at load from the file's name; never on an in-memory
     /// server.
     key: OnceLock<SegmentKey>,
 }
 
-impl Segment {
+impl<T> Segment<T> {
     /// A segment whose key is not computed yet.
-    pub fn new(plan: FrontierPlan) -> Segment {
+    pub fn new(value: T) -> Segment<T> {
         Segment {
-            plan,
+            value,
             key: OnceLock::new(),
         }
     }
+}
 
-    /// The frontier with its sleep plans.
-    pub fn plan(&self) -> &FrontierPlan {
-        &self.plan
+impl<T> Deref for Segment<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
     }
+}
 
-    /// Appends the payload: the plan's codec bytes.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        self.plan.encode(w);
-    }
-
-    fn payload(&self) -> Vec<u8> {
-        self.plan.to_bytes()
+impl<T: Stored> Segment<T> {
+    fn file_name(key: SegmentKey) -> String {
+        format!("{}{:032x}{SEGMENT_SUFFIX}", T::PREFIX, key.0)
     }
 
     /// The key, hashing the payload if no snapshot has yet.
     fn key(&self) -> SegmentKey {
-        *self.key.get_or_init(|| SegmentKey::of(&self.payload()))
+        *self
+            .key
+            .get_or_init(|| SegmentKey::of(&self.value.to_bytes()))
     }
 
-    /// Decodes the payload of the segment file stored under `key`.
-    fn decode(payload: &[u8], key: SegmentKey) -> Result<Segment, StoreError> {
-        Ok(Segment {
-            plan: FrontierPlan::from_bytes(payload)?,
-            key: OnceLock::from(key),
-        })
+    /// Writes the segment's file into `dir` unless `present` (the files
+    /// `dir` held) or `referenced` (the files this snapshot already
+    /// named) has it, and adds it to `referenced`. The first persist
+    /// encodes the payload once, for both the hash and the file; later
+    /// ones find the key cached. Returns whether a file was written.
+    fn persist(
+        &self,
+        dir: &Path,
+        present: &HashSet<String>,
+        referenced: &mut HashSet<String>,
+    ) -> Result<bool, StoreError> {
+        let mut payload = None;
+        let key = *self.key.get_or_init(|| {
+            let bytes = self.value.to_bytes();
+            let key = SegmentKey::of(&bytes);
+            payload = Some(bytes);
+            key
+        });
+        let name = Self::file_name(key);
+        let path = dir.join(&name);
+        let on_disk = present.contains(&name);
+        if !referenced.insert(name) || on_disk {
+            return Ok(false);
+        }
+        write_snapshot(&path, &payload.unwrap_or_else(|| self.value.to_bytes()))?;
+        Ok(true)
     }
 }
 
-/// State of one job inside a [`ServerSnapshot`].
-#[derive(Debug, Clone)]
-pub(crate) struct JobSnapshot {
-    /// Job name.
-    pub name: String,
+/// What a job's registration fixes besides its name: the pipeline, the
+/// GPU model and the sleep states, the planning inputs every
+/// characterization of the job reads. Jobs of one shape share one
+/// `job-<key>.seg` file.
+#[derive(Debug)]
+pub(crate) struct JobInputs {
     /// The job's pipeline DAG.
     pub pipe: PipelineDag,
     /// The job's GPU model.
     pub gpu: GpuSpec,
     /// Sleep states available to the job's accelerators, if any.
     pub power: Option<PowerStateModel>,
+}
+
+impl Persist for JobInputs {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.pipe.encode(w);
+        self.gpu.encode(w);
+        self.power.encode(w);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
+        Ok(JobInputs {
+            pipe: PipelineDag::decode(r)?,
+            gpu: GpuSpec::decode(r)?,
+            power: Persist::decode(r)?,
+        })
+    }
+}
+
+/// State of one job inside a [`ServerSnapshot`]. Its segments are shared
+/// with the job, not copied.
+#[derive(Debug, Clone)]
+pub(crate) struct JobSnapshot {
+    /// Job name.
+    pub name: String,
+    /// The job's pipeline, GPU model and sleep states.
+    pub inputs: Arc<Segment<JobInputs>>,
     /// Next submission epoch counter.
     pub next_epoch: u64,
     /// Epoch of the deployed frontier (0 = none).
     pub characterized_epoch: u64,
-    /// The characterized frontier and its sleep plans, if any, shared
-    /// with the job. `server.snap` stores only its key.
-    pub segment: Option<Arc<Segment>>,
+    /// The characterized frontier and its sleep plans, if any.
+    pub segment: Option<Arc<Segment<FrontierPlan>>>,
     /// Profiles behind the frontier, if any.
-    pub profiles: Option<ProfileDb<OpKey>>,
+    pub profiles: Option<Arc<Segment<ProfileDb<OpKey>>>>,
     /// Degradation flag.
     pub degraded: bool,
     /// Active stragglers, sorted by accelerator id for deterministic
@@ -378,71 +450,119 @@ pub(crate) struct JobSnapshot {
     pub clock_s: f64,
     /// Deployment version counter.
     pub version: u64,
-    /// Last deployment pushed to clients.
+    /// Last deployment pushed to clients: the lookup of `segment` at its
+    /// `T'`.
     pub deployed: Option<Deployment>,
 }
 
+/// Appends `segment`: its payload when `inline`, else its key.
+fn put_segment<T: Stored>(w: &mut ByteWriter, segment: &Segment<T>, inline: bool) {
+    if inline {
+        segment.value.encode(w);
+    } else {
+        segment.key().encode(w);
+    }
+}
+
+/// [`put_segment`] behind an `Option` tag.
+fn put_optional<T: Stored>(w: &mut ByteWriter, segment: Option<&Arc<Segment<T>>>, inline: bool) {
+    match segment {
+        None => w.put_u8(0),
+        Some(segment) => {
+            w.put_u8(1);
+            put_segment(w, segment, inline);
+        }
+    }
+}
+
 impl JobSnapshot {
-    /// Appends the job, with `segment` writing its segment: the key in
-    /// `server.snap`, the whole payload in the state fingerprint.
-    fn encode_with(&self, w: &mut ByteWriter, segment: fn(&Segment, &mut ByteWriter)) {
+    /// Appends the job. `inline` writes every segment's payload and the
+    /// whole deployment (the state fingerprint); otherwise each segment
+    /// is its key and the deployment its version and `T'`
+    /// (`server.snap`).
+    fn encode_with(&self, w: &mut ByteWriter, inline: bool) {
         w.put_str(&self.name);
-        self.pipe.encode(w);
-        self.gpu.encode(w);
-        self.power.encode(w);
+        put_segment(w, &self.inputs, inline);
         w.put_u64(self.next_epoch);
         w.put_u64(self.characterized_epoch);
-        match &self.segment {
-            None => w.put_u8(0),
-            Some(s) => {
-                w.put_u8(1);
-                segment(s, w);
-            }
-        }
-        self.profiles.encode(w);
+        put_optional(w, self.segment.as_ref(), inline);
+        put_optional(w, self.profiles.as_ref(), inline);
         w.put_bool(self.degraded);
         self.stragglers.encode(w);
         self.pending.encode(w);
         w.put_f64(self.clock_s);
         w.put_u64(self.version);
-        self.deployed.encode(w);
+        if inline {
+            self.deployed.encode(w);
+        } else {
+            if let Some(d) = &self.deployed {
+                debug_assert!(
+                    self.segment.as_ref().is_some_and(|s| {
+                        Deployment::from_plan(s, d.version, d.t_prime).to_bytes() == d.to_bytes()
+                    }),
+                    "job {}: the deployment is not its segment's lookup at its T'",
+                    self.name
+                );
+            }
+            self.deployed
+                .as_ref()
+                .map(|d| (d.version, d.t_prime))
+                .encode(w);
+        }
     }
 
-    /// Decodes a job from `server.snap`, resolving its segment key
-    /// through `segment`.
-    fn decode_with(
-        r: &mut ByteReader<'_>,
-        segment: &mut impl FnMut(SegmentKey) -> Result<Arc<Segment>, StoreError>,
-    ) -> Result<JobSnapshot, StoreError> {
+    /// Decodes a job from `server.snap`, loading its segments through
+    /// `loader` and rebuilding its deployment from its segment.
+    fn decode(r: &mut ByteReader<'_>, loader: &mut Loader<'_>) -> Result<JobSnapshot, StoreError> {
+        let name = r.get_str()?;
+        let inputs = load(loader.dir, &mut loader.inputs, SegmentKey::decode(r)?)?;
+        let next_epoch = r.get_u64()?;
+        let characterized_epoch = r.get_u64()?;
+        let segment = Option::<SegmentKey>::decode(r)?
+            .map(|key| load(loader.dir, &mut loader.plans, key))
+            .transpose()?;
+        let profiles = Option::<SegmentKey>::decode(r)?
+            .map(|key| load(loader.dir, &mut loader.profiles, key))
+            .transpose()?;
+        let degraded = r.get_bool()?;
+        let stragglers = Persist::decode(r)?;
+        let pending = Persist::decode(r)?;
+        let clock_s = r.get_f64()?;
+        let version = r.get_u64()?;
+        let deployed = match (Option::<(u64, f64)>::decode(r)?, &segment) {
+            (None, _) => None,
+            (Some((version, t_prime)), Some(s)) => Some(Deployment::from_plan(s, version, t_prime)),
+            (Some(_), None) => {
+                return Err(StoreError::corrupt(format!(
+                    "job {name:?} has a deployment but no frontier"
+                )))
+            }
+        };
         Ok(JobSnapshot {
-            name: r.get_str()?,
-            pipe: PipelineDag::decode(r)?,
-            gpu: GpuSpec::decode(r)?,
-            power: Persist::decode(r)?,
-            next_epoch: r.get_u64()?,
-            characterized_epoch: r.get_u64()?,
-            segment: Option::<SegmentKey>::decode(r)?
-                .map(&mut *segment)
-                .transpose()?,
-            profiles: Persist::decode(r)?,
-            degraded: r.get_bool()?,
-            stragglers: Persist::decode(r)?,
-            pending: Persist::decode(r)?,
-            clock_s: r.get_f64()?,
-            version: r.get_u64()?,
-            deployed: Persist::decode(r)?,
+            name,
+            inputs,
+            next_epoch,
+            characterized_epoch,
+            segment,
+            profiles,
+            degraded,
+            stragglers,
+            pending,
+            clock_s,
+            version,
+            deployed,
         })
     }
 }
 
-/// Bytes of `jobs` with every segment's payload inline: equal bytes ⇔
-/// bit-identical jobs. Needs no segment key, so an in-memory server
-/// never hashes.
+/// Bytes of `jobs` with every segment's payload and every deployment
+/// inline: equal bytes ⇔ bit-identical jobs. Needs no segment key, so an
+/// in-memory server never hashes.
 pub(crate) fn fingerprint_bytes(jobs: &[JobSnapshot]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_usize(jobs.len());
     for job in jobs {
-        job.encode_with(&mut w, Segment::encode);
+        job.encode_with(&mut w, true);
     }
     w.into_bytes()
 }
@@ -460,35 +580,44 @@ pub(crate) struct ServerSnapshot {
 
 impl ServerSnapshot {
     /// The `server.snap` payload: format marker, watermark, then every
-    /// job with its segment key.
+    /// job with its segment keys.
     fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(SNAPSHOT_FORMAT);
         w.put_u64(self.applied_seq);
         w.put_usize(self.jobs.len());
         for job in &self.jobs {
-            job.encode_with(&mut w, |s, w| s.key().encode(w));
+            job.encode_with(&mut w, false);
         }
         w.into_bytes()
     }
 
-    /// Decodes a `server.snap` payload, resolving segment keys through
-    /// `segment`.
-    fn from_bytes(
-        bytes: &[u8],
-        mut segment: impl FnMut(SegmentKey) -> Result<Arc<Segment>, StoreError>,
-    ) -> Result<ServerSnapshot, StoreError> {
+    /// Decodes a `server.snap` payload, loading the segments it names
+    /// from `dir`.
+    fn from_bytes(bytes: &[u8], dir: &Path) -> Result<ServerSnapshot, StoreError> {
         let mut r = ByteReader::new(bytes);
-        if r.get_u64()? != SNAPSHOT_FORMAT {
-            return Err(StoreError::corrupt(
-                "snapshot predates frontier segments or is not a server snapshot",
-            ));
+        match r.get_u64()? {
+            SNAPSHOT_FORMAT => {}
+            PREVIOUS_SNAPSHOT_FORMAT => {
+                return Err(StoreError::Unsupported {
+                    reason: "server.snap has the previous layout (PSEGSNAP), which this \
+                             build does not read"
+                        .into(),
+                })
+            }
+            _ => return Err(StoreError::corrupt("not a server snapshot")),
         }
         let applied_seq = r.get_u64()?;
         let n = r.get_len(1)?;
+        let mut loader = Loader {
+            dir,
+            inputs: HashMap::new(),
+            plans: HashMap::new(),
+            profiles: HashMap::new(),
+        };
         let mut jobs = Vec::with_capacity(n);
         for _ in 0..n {
-            jobs.push(JobSnapshot::decode_with(&mut r, &mut segment)?);
+            jobs.push(JobSnapshot::decode(&mut r, &mut loader)?);
         }
         if !r.is_exhausted() {
             return Err(StoreError::corrupt("trailing bytes after snapshot"));
@@ -497,10 +626,40 @@ impl ServerSnapshot {
     }
 }
 
+/// The segments one `server.snap` load has read, by kind: a segment
+/// several jobs share is read once and shared again.
+struct Loader<'a> {
+    dir: &'a Path,
+    inputs: HashMap<SegmentKey, Arc<Segment<JobInputs>>>,
+    plans: HashMap<SegmentKey, Arc<Segment<FrontierPlan>>>,
+    profiles: HashMap<SegmentKey, Arc<Segment<ProfileDb<OpKey>>>>,
+}
+
+/// The segment stored in `dir` under `key`, read unless `loaded` has it.
+/// A missing, torn or undecodable file is [`StoreError::Corrupt`].
+fn load<T: Stored>(
+    dir: &Path,
+    loaded: &mut HashMap<SegmentKey, Arc<Segment<T>>>,
+    key: SegmentKey,
+) -> Result<Arc<Segment<T>>, StoreError> {
+    if let Some(seg) = loaded.get(&key) {
+        return Ok(Arc::clone(seg));
+    }
+    let path = dir.join(Segment::<T>::file_name(key));
+    let payload = load_snapshot(&path)?
+        .ok_or_else(|| StoreError::corrupt(format!("segment {} is missing", path.display())))?;
+    let seg = Arc::new(Segment {
+        value: T::from_bytes(&payload)?,
+        key: OnceLock::from(key),
+    });
+    loaded.insert(key, Arc::clone(&seg));
+    Ok(seg)
+}
+
 /// A store directory as found at open: the journal (torn tail already
 /// truncated), its valid records, and the snapshot with its segments.
 pub(crate) struct OpenedDir {
-    /// The open journal.
+    /// The open journal, numbering past the snapshot's watermark.
     pub journal: Journal,
     /// Every valid journal record, in order.
     pub records: Vec<Record>,
@@ -513,7 +672,12 @@ pub(crate) struct OpenedDir {
 
 /// Opens the store directory `dir` (creating it if needed): the journal,
 /// then `server.snap` and every segment it references — the one load
-/// path of leader and follower alike.
+/// path of leader and follower alike. A journal whose every record the
+/// snapshot covers is compacted at its watermark: those are records a
+/// crash kept although the snapshot's compaction dropped them, and a
+/// record appended behind them would break the journal's numbering. The
+/// compaction also moves the sequence counter past the watermark, whose
+/// numbers the snapshot owns.
 ///
 /// The snapshot counts as corrupt, never as an error, when `server.snap`
 /// or any segment it references is torn, fails its checksum or does not
@@ -524,19 +688,26 @@ pub(crate) struct OpenedDir {
 /// # Errors
 ///
 /// [`StoreError::Io`] on filesystem failures, [`StoreError::Corrupt`] if
-/// the journal's header is destroyed.
+/// the journal's header is destroyed, [`StoreError::Unsupported`] if
+/// `server.snap` is of the previous format — before anything in `dir`
+/// is changed but a torn journal tail.
 pub(crate) fn open_dir(dir: &Path) -> Result<OpenedDir, StoreError> {
     std::fs::create_dir_all(dir)?;
-    let (journal, records) = Journal::open(dir.join(JOURNAL_FILE))?;
+    let (mut journal, records) = Journal::open(dir.join(JOURNAL_FILE))?;
     let (snapshot, corrupt_snapshot) = match load_state(dir) {
         Ok(Some(snap)) => (Some(snap), false),
         Ok(None) => {
             let from_genesis = records.first().is_some_and(|r| r.seq == 1);
             (None, !from_genesis && has_segments(dir)?)
         }
-        Err(e @ StoreError::Io(_)) => return Err(e),
+        Err(e @ (StoreError::Io(_) | StoreError::Unsupported { .. })) => return Err(e),
         Err(_) => (None, true),
     };
+    if let Some(snap) = &snapshot {
+        if records.last().map_or(0, |r| r.seq) <= snap.applied_seq {
+            journal.compact_below(snap.applied_seq)?;
+        }
+    }
     Ok(OpenedDir {
         journal,
         records,
@@ -546,93 +717,107 @@ pub(crate) fn open_dir(dir: &Path) -> Result<OpenedDir, StoreError> {
 }
 
 /// Loads `server.snap` and its segments; every error but
-/// [`StoreError::Io`] makes the snapshot corrupt (see [`open_dir`]). A
-/// segment two jobs share is read once.
+/// [`StoreError::Io`] makes the snapshot corrupt (see [`open_dir`]).
 fn load_state(dir: &Path) -> Result<Option<ServerSnapshot>, StoreError> {
     let Some(bytes) = load_snapshot(&dir.join(SNAPSHOT_FILE))? else {
         return Ok(None);
     };
-    let mut loaded: HashMap<SegmentKey, Arc<Segment>> = HashMap::new();
-    ServerSnapshot::from_bytes(&bytes, |key| {
-        if let Some(seg) = loaded.get(&key) {
-            return Ok(Arc::clone(seg));
-        }
-        let path = dir.join(key.file_name());
-        let payload = load_snapshot(&path)?
-            .ok_or_else(|| StoreError::corrupt(format!("segment {} is missing", path.display())))?;
-        let seg = Arc::new(Segment::decode(&payload, key)?);
-        loaded.insert(key, Arc::clone(&seg));
-        Ok(seg)
-    })
-    .map(Some)
+    ServerSnapshot::from_bytes(&bytes, dir).map(Some)
 }
 
 /// Persists `snap` into the store directory `dir`, in crash-safe order:
 ///
 /// 1. every referenced segment the directory lacks is written and
-///    fsynced (its key computed now if no earlier snapshot did), and the
-///    directory is synced;
-/// 2. `server.snap` is atomically replaced;
+///    fsynced (its key computed now if no earlier snapshot did) — the
+///    job input and profile files (span `inputs`), then the frontier
+///    files (span `segments`);
+/// 2. if any was written, the directory is synced; `server.snap` is
+///    atomically replaced; the directory is synced again, making the
+///    new `server.snap` durable before the caller truncates the journal
+///    it covers (span `state`, which also holds step 3);
 /// 3. segments it no longer references and temp files of interrupted
-///    writes are deleted, after a directory sync makes step 2 durable.
+///    writes are deleted.
 ///
 /// A crash anywhere leaves the previous `server.snap` and every segment
-/// it references readable. The caller compacts the journal after this
-/// returns, last. Returns the number of segment files written.
+/// it references readable. One directory listing serves both the
+/// presence checks of step 1 and the deletions of step 3. Returns the
+/// number of frontier segment files written.
 ///
 /// # Errors
 ///
 /// [`StoreError::Io`] if a segment or `server.snap` cannot be written.
 /// Deletion is best effort: a file that cannot be removed is garbage the
 /// next snapshot retries, never state anyone reads.
-pub(crate) fn write_state(dir: &Path, snap: &ServerSnapshot) -> Result<u64, StoreError> {
-    let mut referenced: HashSet<SegmentKey> = HashSet::new();
-    let mut written = 0;
-    for seg in snap.jobs.iter().filter_map(|j| j.segment.as_deref()) {
-        // The first persist encodes the payload once, for both the hash
-        // and the file; later snapshots find the key cached.
-        let mut payload = None;
-        let key = *seg.key.get_or_init(|| {
-            let bytes = seg.payload();
-            let key = SegmentKey::of(&bytes);
-            payload = Some(bytes);
-            key
-        });
-        let path = dir.join(key.file_name());
-        if referenced.insert(key) && !path.exists() {
-            write_snapshot(&path, &payload.unwrap_or_else(|| seg.payload()))?;
-            written += 1;
+fn write_state(dir: &Path, snap: &ServerSnapshot, tel: &Telemetry) -> Result<u64, StoreError> {
+    let present: HashSet<String> = std::fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .filter(|name| is_segment_file(name) || name.ends_with(".tmp"))
+        .collect();
+    let mut referenced: HashSet<String> = HashSet::new();
+    let mut inputs_written = false;
+    {
+        let _span = span!(tel, "inputs");
+        for job in &snap.jobs {
+            inputs_written |= job.inputs.persist(dir, &present, &mut referenced)?;
+            if let Some(profiles) = &job.profiles {
+                inputs_written |= profiles.persist(dir, &present, &mut referenced)?;
+            }
         }
     }
-    if written > 0 {
+    let mut written = 0;
+    {
+        let _span = span!(tel, "segments");
+        for seg in snap.jobs.iter().filter_map(|j| j.segment.as_deref()) {
+            written += u64::from(seg.persist(dir, &present, &mut referenced)?);
+        }
+    }
+    let _span = span!(tel, "state");
+    if inputs_written || written > 0 {
         sync_dir(dir)?;
     }
     write_snapshot(&dir.join(SNAPSHOT_FILE), &snap.to_bytes())?;
-
-    let keep: HashSet<String> = referenced.iter().map(|k| k.file_name()).collect();
-    let stale: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(Result::ok)
-        .filter(|entry| {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let ours = name.starts_with(SEGMENT_PREFIX) || name.starts_with("server.");
-            (ours && name.ends_with(".tmp"))
-                || (is_segment_file(&name) && !keep.contains(name.as_ref()))
-        })
-        .map(|entry| entry.path())
-        .collect();
-    if !stale.is_empty() {
-        sync_dir(dir)?;
-        for path in stale {
-            let _ = std::fs::remove_file(path);
+    sync_dir(dir)?;
+    for name in &present {
+        let ours =
+            name.starts_with("server.") || SEGMENT_PREFIXES.iter().any(|p| name.starts_with(p));
+        let stale = if name.ends_with(".tmp") {
+            ours
+        } else {
+            !referenced.contains(name)
+        };
+        if stale {
+            let _ = std::fs::remove_file(dir.join(name));
         }
     }
     Ok(written)
 }
 
-/// Whether `name` is a segment file's name, `frontier-<key>.seg`.
+/// Persists `snap` ([`write_state`]), then truncates `journal`, whose
+/// every record the snapshot covers (span `compact`) — last, so a failed
+/// snapshot leaves the full journal behind it. The one path of a leader
+/// snapshot and a follower's checkpoint install. Returns the number of
+/// frontier segment files written.
+///
+/// # Errors
+///
+/// As [`write_state`]; [`StoreError::Uncovered`] if `journal` holds a
+/// record past the snapshot's watermark.
+pub(crate) fn persist(
+    dir: &Path,
+    journal: &mut Journal,
+    snap: &ServerSnapshot,
+    tel: &Telemetry,
+) -> Result<u64, StoreError> {
+    let written = write_state(dir, snap, tel)?;
+    let _span = span!(tel, "compact");
+    journal.compact_below(snap.applied_seq)?;
+    Ok(written)
+}
+
+/// Whether `name` is a segment file's name, `<prefix><key>.seg`.
 fn is_segment_file(name: &str) -> bool {
-    name.starts_with(SEGMENT_PREFIX) && name.ends_with(SEGMENT_SUFFIX)
+    name.ends_with(SEGMENT_SUFFIX) && SEGMENT_PREFIXES.iter().any(|p| name.starts_with(p))
 }
 
 /// Whether `dir` holds any segment file.
@@ -643,7 +828,8 @@ fn has_segments(dir: &Path) -> Result<bool, StoreError> {
 }
 
 /// Makes the directory entries created or renamed so far durable, so a
-/// later rename or unlink cannot reach the disk before them.
+/// later rename, unlink or journal truncation cannot reach the disk
+/// before them.
 fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     #[cfg(unix)]
     std::fs::File::open(dir)?.sync_all()?;
@@ -680,8 +866,9 @@ pub struct DurabilityStats {
     pub recharacterizations_avoided: u64,
     /// Snapshots written by this process.
     pub snapshots_written: u64,
-    /// Segment files those snapshots wrote: one per frontier not yet on
-    /// disk, so a snapshot of unchanged frontiers writes none.
+    /// Frontier segment files those snapshots wrote: one per frontier not
+    /// yet on disk, so a snapshot of unchanged frontiers writes none.
+    /// Job input and profile files are not counted.
     pub segments_written: u64,
     /// 1 if recovery found the snapshot corrupt and fell back to
     /// journal-only replay.
@@ -765,17 +952,17 @@ impl Store {
         }
     }
 
-    /// Persists `snap` ([`write_state`]), then compacts the journal the
-    /// caller holds locked below the snapshot's watermark — last, so a
-    /// failed snapshot leaves the full journal behind it.
+    /// Persists `snap`, which covers every record of the journal the
+    /// caller holds locked, and truncates that journal ([`persist`]),
+    /// inside a `snapshot` span.
     pub fn snapshot_locked(
         &self,
         journal: &mut Journal,
         snap: &ServerSnapshot,
     ) -> Result<(), StoreError> {
-        let written = write_state(&self.dir, snap)?;
+        let _span = span!(self.telemetry, "snapshot");
+        let written = persist(&self.dir, journal, snap, &self.telemetry)?;
         self.segments_written.fetch_add(written, Ordering::Relaxed);
-        journal.compact_below(snap.applied_seq)?;
         self.appends_since_snapshot.store(0, Ordering::Relaxed);
         self.snapshots_written.fetch_add(1, Ordering::Relaxed);
         Ok(())

@@ -909,10 +909,15 @@ mod durability {
 
     /// The segment files of a store directory, sorted by name.
     fn segment_files(dir: &Path) -> Vec<String> {
+        files_named(dir, "frontier-")
+    }
+
+    /// The `<prefix><key>.seg` files of a store directory, sorted by name.
+    fn files_named(dir: &Path, prefix: &str) -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with("frontier-") && n.ends_with(".seg"))
+            .filter(|n| n.starts_with(prefix) && n.ends_with(".seg"))
             .collect();
         names.sort();
         names
@@ -1259,6 +1264,289 @@ mod durability {
         assert!(fp.windows(frontier.len()).any(|w| w == frontier));
     }
 
+    /// Writes `journal` as the journal of a fresh copy of `dir` and opens
+    /// a server over the copy.
+    fn open_with_journal(dir: &Path, journal: &[u8], tag: &str) -> PerseusServer {
+        let copy = unique_test_dir(tag);
+        copy_dir(dir, &copy);
+        std::fs::write(copy.join("server.journal"), journal).unwrap();
+        PerseusServer::open(&copy, no_auto_snapshots()).unwrap()
+    }
+
+    /// A snapshot truncates the journal in place without a sync, so a
+    /// crash can lose the truncation. Both shapes it leaves — the covered
+    /// records alone, and the covered records behind records appended
+    /// after the snapshot (where the truncation left them, and whole at a
+    /// frame boundary) — recover the uninterrupted state, and so do the
+    /// covered records reappearing after a restart snapshotted the
+    /// emptied journal: the restart's snapshot still owns their numbers.
+    #[test]
+    fn lost_journal_truncations_recover_the_uninterrupted_state() {
+        let dir = unique_test_dir("lost-trunc");
+        let server = PerseusServer::open(&dir, no_auto_snapshots()).unwrap();
+        let fps = scripted_history(&server);
+        let journal = server.journal_path().unwrap();
+        let covered = std::fs::read(&journal).unwrap();
+        server.snapshot_now().unwrap();
+        assert_eq!(std::fs::metadata(&journal).unwrap().len(), 8, "header only");
+        let snapped = unique_test_dir("lost-trunc-snapped");
+        copy_dir(&dir, &snapped);
+        server.set_straggler("gpt", 1, 0.0, 1.25).unwrap();
+        server.advance_time("gpt", 40.0).unwrap();
+        let after = server.state_fingerprint();
+        drop(server);
+        let appended = std::fs::read(&journal).unwrap();
+        assert!(appended.len() < covered.len());
+
+        let stale = open_with_journal(&snapped, &covered, "lost-trunc-stale");
+        assert_eq!(&stale.state_fingerprint(), fps.last().unwrap());
+        assert_eq!(stale.durability().replayed_events, 0);
+        assert_eq!(stale.durability().corrupt_snapshots, 0);
+        drop(PerseusServer::open(&snapped, no_auto_snapshots()).unwrap());
+        let restarted = open_with_journal(&snapped, &covered, "lost-trunc-restarted");
+        assert_eq!(&restarted.state_fingerprint(), fps.last().unwrap());
+        assert_eq!(restarted.durability().replayed_events, 0);
+
+        let mut overlaid = appended.clone();
+        overlaid.extend_from_slice(&covered[appended.len()..]);
+        let mut aligned = appended.clone();
+        aligned.extend_from_slice(&covered[8..]);
+        for (shape, bytes) in [("overlaid", overlaid), ("aligned", aligned)] {
+            let behind = open_with_journal(&dir, &bytes, "lost-trunc-behind");
+            assert_eq!(behind.state_fingerprint(), after, "{shape}");
+            assert_eq!(behind.durability().replayed_events, 2, "{shape}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&snapped);
+    }
+
+    /// `server.snap` holds only each job's small mutable state and the
+    /// keys of its segments: for `durable-train`'s four jobs (GPT-3 1.3B
+    /// on A100, 4 stages × 32 microbatches, stragglers active and
+    /// pending) it stays under 2 KiB, and the four jobs share one
+    /// `job-<key>.seg`.
+    #[test]
+    fn server_snap_of_four_durable_train_jobs_is_under_2_kib() {
+        use perseus_models::{min_imbalance_partition, zoo};
+        use perseus_pipeline::{PipelineBuilder, ScheduleKind};
+
+        let gpu = GpuSpec::a100_pcie();
+        let model = zoo::gpt3_xl(4);
+        let partition = min_imbalance_partition(&model.fwd_latency_weights(&gpu), 4).unwrap();
+        let stages = model.stage_workloads(&partition, &gpu).unwrap();
+        let pipe = PipelineBuilder::new(ScheduleKind::OneFOneB, 4, 32)
+            .build()
+            .unwrap();
+        let profiles = perseus_core::model_profiles(&pipe, &gpu, &stages);
+        let dir = unique_test_dir("small-snap");
+        // One plan cache: the jobs share one solve.
+        let server = PerseusServer::open(
+            &dir,
+            ServerConfig {
+                plan_cache: Some(Arc::new(PlanCache::new())),
+                ..no_auto_snapshots()
+            },
+        )
+        .unwrap();
+        for j in 0..4 {
+            let name = format!("train-{j}");
+            server
+                .register_job(JobSpec {
+                    name: name.clone(),
+                    pipe: pipe.clone(),
+                    gpu: gpu.clone(),
+                    power_states: None,
+                })
+                .unwrap();
+            server
+                .submit_profiles(&name, profiles.clone(), &FrontierOptions::default())
+                .unwrap()
+                .wait()
+                .unwrap();
+            server.set_straggler(&name, j, 0.0, 1.2).unwrap();
+            server.set_straggler(&name, 7, 30.0, 1.1).unwrap();
+        }
+        server.snapshot_now().unwrap();
+        let bytes = std::fs::metadata(dir.join("server.snap")).unwrap().len();
+        assert!(bytes < 2048, "server.snap holds {bytes} B");
+        assert_eq!(files_named(&dir, "job-").len(), 1);
+        assert_eq!(files_named(&dir, "profiles-").len(), 1);
+        assert_eq!(segment_files(&dir).len(), 1);
+
+        let want = server.state_fingerprint();
+        drop(server);
+        let reopened = PerseusServer::open(&dir, no_auto_snapshots()).unwrap();
+        assert_eq!(reopened.state_fingerprint(), want);
+        assert_eq!(reopened.durability().corrupt_snapshots, 0);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot round trip restores every kind of job bit for bit — one
+    /// never characterized, a Kareus job with a straggler, a capped job
+    /// with a pending notification, a degraded job — and the reopened
+    /// server goes on exactly as the original does.
+    #[test]
+    fn reopen_round_trips_every_kind_of_job() {
+        use std::collections::VecDeque;
+
+        use perseus_gpu::PowerStateModel;
+
+        use crate::{FaultInjector, SubmissionFault};
+
+        let gpu = GpuSpec::a100_pcie();
+        let script = Arc::new(super::Script(parking_lot::Mutex::new(VecDeque::new())));
+        let cfg = ServerConfig {
+            fault_injector: Some(Arc::clone(&script) as Arc<dyn FaultInjector>),
+            ..no_auto_snapshots()
+        };
+        let dir = unique_test_dir("round-trip");
+        let server = PerseusServer::open(&dir, cfg.clone()).unwrap();
+        let submit = |name: &str| {
+            server
+                .submit_profiles(name, model_profiles(&gpu), &FrontierOptions::default())
+                .unwrap()
+                .wait()
+        };
+        register_named(&server, "bare");
+        server
+            .register_job(JobSpec {
+                name: "kareus".into(),
+                pipe: pipe(),
+                gpu: gpu.clone(),
+                power_states: Some(PowerStateModel::default_for(&gpu)),
+            })
+            .unwrap();
+        submit("kareus").unwrap();
+        server.set_straggler("kareus", 1, 0.0, 1.3).unwrap();
+        register_named(&server, "capped");
+        submit("capped").unwrap();
+        let cap = FreqMHz((gpu.min_freq_mhz + gpu.max_freq_mhz) / 2);
+        server.apply_freq_cap("capped", cap).unwrap();
+        server.set_straggler("capped", 2, 30.0, 1.4).unwrap();
+        register_named(&server, "degraded");
+        submit("degraded").unwrap();
+        script.0.lock().push_back(SubmissionFault::Drop);
+        assert!(matches!(
+            submit("degraded"),
+            Err(ServerError::SubmissionLost(_))
+        ));
+        assert!(server.job_status("degraded").unwrap().degraded);
+        server.snapshot_now().unwrap();
+        let copy = unique_test_dir("round-trip-copy");
+        copy_dir(&dir, &copy);
+
+        let reopened = PerseusServer::open(&copy, cfg).unwrap();
+        assert_eq!(reopened.state_fingerprint(), server.state_fingerprint());
+        let stats = reopened.durability();
+        assert_eq!(stats.corrupt_snapshots, 0);
+        assert_eq!(stats.replayed_events, 0);
+        assert_eq!(stats.recharacterizations_avoided, 3);
+        assert!(reopened.job_status("degraded").unwrap().degraded);
+        assert!(reopened.job_status("bare").unwrap().deployment.is_none());
+        let sleep = |s: &PerseusServer| s.job_status("kareus").unwrap().deployment.unwrap().sleep;
+        assert!(sleep(&reopened).is_some());
+
+        // The pending notification fires alike on both.
+        let fired = server.advance_time("capped", 40.0).unwrap();
+        let refired = reopened.advance_time("capped", 40.0).unwrap();
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].to_bytes(), refired[0].to_bytes());
+        assert_eq!(reopened.state_fingerprint(), server.state_fingerprint());
+        drop(server);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&copy);
+    }
+
+    /// Seeded mutations of a journal that alone holds the scripted
+    /// history — bit flips, truncations, and frame-aligned removals,
+    /// duplicates and swaps — never panic a leader's or a follower's
+    /// open. Each either fails with a typed store error or recovers the
+    /// state after some prefix of the history: a record is never replayed
+    /// without every record before it.
+    #[test]
+    fn mutated_journals_recover_a_prefix_without_panicking() {
+        use crate::replica::FollowerServer;
+
+        let dir = unique_test_dir("wal-fuzz");
+        let server = PerseusServer::open(&dir, no_auto_snapshots()).unwrap();
+        let mut prefixes = vec![PerseusServer::new(one_worker()).state_fingerprint()];
+        prefixes.extend(scripted_history(&server));
+        let journal = server.journal_path().unwrap();
+        drop(server);
+        let (pristine, ends) = record_boundaries(&journal);
+        let mut starts = vec![8];
+        starts.extend_from_slice(&ends[..ends.len() - 1]);
+        let frame = |k: usize| pristine[starts[k]..ends[k]].to_vec();
+        // One plan cache: every intact characterization replays as a hit.
+        let cfg = ServerConfig {
+            plan_cache: Some(Arc::new(PlanCache::new())),
+            ..no_auto_snapshots()
+        };
+
+        let mut rng = SplitMix64(0x0A11_F00D);
+        let n = ends.len() as u64;
+        let mut shortened = 0;
+        for run in 0..200 {
+            let kind = rng.below(5);
+            let bytes = match kind {
+                0 => {
+                    let mut bytes = pristine.clone();
+                    for _ in 0..=rng.below(3) {
+                        let bit = rng.below(bytes.len() as u64 * 8) as usize;
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    bytes
+                }
+                1 => pristine[..rng.below(pristine.len() as u64) as usize].to_vec(),
+                _ => {
+                    let i = rng.below(n) as usize;
+                    let j = rng.below(n) as usize;
+                    let mut frames: Vec<Vec<u8>> = (0..ends.len()).map(frame).collect();
+                    match kind {
+                        2 => {
+                            frames.remove(i);
+                        }
+                        3 => frames.insert(i, frame(j)),
+                        _ => frames.swap(i, j),
+                    }
+                    let mut bytes = pristine[..8].to_vec();
+                    frames.iter().for_each(|f| bytes.extend_from_slice(f));
+                    bytes
+                }
+            };
+            let leader_dir = unique_test_dir("wal-fuzz-leader");
+            std::fs::write(leader_dir.join("server.journal"), &bytes).unwrap();
+            let follower_dir = unique_test_dir("wal-fuzz-follower");
+            std::fs::write(follower_dir.join("server.journal"), &bytes).unwrap();
+            let leader = PerseusServer::open(&leader_dir, cfg.clone());
+            let follower = FollowerServer::open(&follower_dir, cfg.clone());
+            let states = [
+                leader.map(|s| s.state_fingerprint()),
+                follower.map(|f| f.server().state_fingerprint()),
+            ];
+            for state in states {
+                match state {
+                    Ok(fp) => {
+                        let k = prefixes.iter().position(|p| *p == fp);
+                        assert!(
+                            k.is_some(),
+                            "run {run} (kind {kind}): recovered a state no prefix of the history reaches"
+                        );
+                        shortened += u64::from(k != Some(prefixes.len() - 1));
+                    }
+                    Err(ServerError::Store(_)) => {}
+                    Err(e) => panic!("run {run} (kind {kind}): untyped failure {e}"),
+                }
+            }
+            let _ = std::fs::remove_dir_all(&leader_dir);
+            let _ = std::fs::remove_dir_all(&follower_dir);
+        }
+        assert!(shortened > 0, "some mutation must cut the history short");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Write-once: a snapshot of unchanged frontiers writes no segment;
     /// a drift re-plan writes exactly one, and the segment it replaced
     /// is deleted once the next snapshot lands.
@@ -1408,9 +1696,10 @@ mod durability {
     }
 
     /// Seeded corruption of the snapshot's files: bit flips, truncations
-    /// and deletions of `server.snap` and of the segment it references.
-    /// Opening never panics; it either counts a corrupt snapshot and
-    /// replays the journal alone, or fails with a typed store error.
+    /// and deletions of `server.snap` and of each segment it references —
+    /// the frontier, the job's inputs and its profiles. Opening never
+    /// panics; it either counts a corrupt snapshot and replays the journal
+    /// alone, or fails with a typed store error.
     #[test]
     fn corrupt_snapshot_files_fall_back_without_panicking() {
         let pristine = unique_test_dir("corrupt-src");
@@ -1419,16 +1708,21 @@ mod durability {
         server.snapshot_now().unwrap();
         drop(server);
         let segment = segment_files(&pristine).remove(0);
-        let targets = ["server.snap".to_string(), segment];
+        let targets = [
+            "server.snap".to_string(),
+            segment,
+            files_named(&pristine, "job-").remove(0),
+            files_named(&pristine, "profiles-").remove(0),
+        ];
 
         let mut rng = SplitMix64(0x5E6_C0DE);
-        for round in 0..24u64 {
+        for round in 0..48u64 {
             let dir = unique_test_dir("corrupt");
             copy_dir(&pristine, &dir);
-            let target = &targets[(round % 2) as usize];
+            let target = &targets[(round % 4) as usize];
             let path = dir.join(target);
             let mut bytes = std::fs::read(&path).unwrap();
-            let mutation = (round / 2) % 3;
+            let mutation = (round / 4) % 3;
             match mutation {
                 0 => {
                     let at = rng.below(bytes.len() as u64) as usize;
@@ -1456,6 +1750,53 @@ mod durability {
             let _ = std::fs::remove_dir_all(&dir);
         }
         let _ = std::fs::remove_dir_all(&pristine);
+    }
+
+    /// A `server.snap` of the previous format (`PSEGSNAP`) fails `open`
+    /// with a typed error, as leader and as follower, and leaves every
+    /// file as it was: opening it as a corrupt snapshot would keep only
+    /// what the journal holds and sweep the frontier segment.
+    #[test]
+    fn previous_snapshot_format_fails_open_and_keeps_every_file() {
+        use perseus_store::{write_snapshot, StoreError};
+
+        use crate::replica::FollowerServer;
+
+        let dir = unique_test_dir("previous-format");
+        let server = characterized_server(&dir);
+        server.snapshot_now().unwrap();
+        drop(server);
+        let mut payload = b"PSEGSNAP".to_vec();
+        payload.extend_from_slice(&[0; 16]);
+        write_snapshot(&dir.join("server.snap"), &payload).unwrap();
+        let files = || {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    let bytes = std::fs::read(e.path()).unwrap();
+                    (e.file_name().to_string_lossy().into_owned(), bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = files();
+        assert_eq!(segment_files(&dir).len(), 1);
+
+        let unsupported =
+            |e: &ServerError| matches!(e, ServerError::Store(StoreError::Unsupported { .. }));
+        let err = PerseusServer::open(&dir, one_worker())
+            .err()
+            .expect("refused");
+        assert!(unsupported(&err), "leader: {err}");
+        assert_eq!(files(), before, "leader open changed the directory");
+        let err = FollowerServer::open(&dir, one_worker())
+            .err()
+            .expect("refused");
+        assert!(unsupported(&err), "follower: {err}");
+        assert_eq!(files(), before, "follower open changed the directory");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A segment whose sleep plans do not pair one for one with its
@@ -2941,6 +3282,212 @@ mod replication {
         assert_eq!(status.chaos.faults_injected, 1);
 
         drop(promoted);
+        let _ = std::fs::remove_dir_all(&leader_dir);
+        let _ = std::fs::remove_dir_all(&follower_dir);
+    }
+
+    /// A checkpoint installs into the follower's running server: the
+    /// server and everything it holds besides its jobs — here the
+    /// observability pipeline and its flight record — outlive every
+    /// install.
+    #[test]
+    fn checkpoints_install_into_the_running_follower() {
+        use perseus_telemetry::IterationSample;
+
+        let leader_dir = unique_test_dir("inplace-leader");
+        let follower_dir = unique_test_dir("inplace-follower");
+        // Snapshotting after every append compacts the leader's journal
+        // past the follower before every sync.
+        let leader = Arc::new(
+            PerseusServer::open(
+                &leader_dir,
+                ServerConfig {
+                    snapshot_every: 1,
+                    ..one_worker()
+                },
+            )
+            .unwrap(),
+        );
+        drive_leader(&leader);
+        let replicator = Replicator::new(Arc::clone(&leader));
+        let mut follower = FollowerServer::open(&follower_dir, one_worker()).unwrap();
+        let server: *const PerseusServer = follower.server();
+        let obs = Arc::clone(follower.server().obs());
+        follower.server().observe_iteration(
+            "gpt",
+            IterationSample {
+                iteration: 7,
+                sync_time_s: 0.5,
+                useful_j: 900.0,
+                intrinsic_j: 40.0,
+                extrinsic_j: 10.0,
+                freq_min_mhz: 1100,
+                freq_max_mhz: 1410,
+                degraded: false,
+                degraded_lookups: 0,
+                faults: 0,
+            },
+        );
+        for round in 0..3u32 {
+            if round > 0 {
+                leader
+                    .set_straggler("gpt", 3, 0.0, 1.1 + 0.1 * f64::from(round))
+                    .unwrap();
+            }
+            assert_eq!(replicator.sync(&mut follower).unwrap(), 0, "round {round}");
+            assert_eq!(
+                follower.shipped_seq(),
+                leader.replication_watermark().unwrap()
+            );
+            assert!(std::ptr::eq(server, follower.server()), "round {round}");
+            assert!(Arc::ptr_eq(&obs, follower.server().obs()), "round {round}");
+            assert_eq!(follower.server().flight_record().samples.len(), 1);
+            assert_eq!(follower.server().role(), Role::Follower);
+            assert_eq!(
+                follower.server().state_fingerprint(),
+                leader.state_fingerprint(),
+                "round {round}"
+            );
+        }
+        drop(follower);
+        drop(replicator);
+        drop(leader);
+        let _ = std::fs::remove_dir_all(&leader_dir);
+        let _ = std::fs::remove_dir_all(&follower_dir);
+    }
+
+    /// A checkpoint install truncates the follower's journal in place
+    /// without a sync. Both shapes a lost truncation leaves — the covered
+    /// records alone, and the covered records behind records shipped
+    /// after the install (where the truncation left them, and whole at a
+    /// frame boundary) — reopen to the uninterrupted follower's state and
+    /// position. A follower reopened over the covered records alone keeps
+    /// what it ships next across a further reopen: the open drops the
+    /// covered records before the shipped ones could land behind them.
+    #[test]
+    fn follower_lost_journal_truncations_recover_the_uninterrupted_state() {
+        let leader_dir = unique_test_dir("lost-trunc-leader");
+        let follower_dir = unique_test_dir("lost-trunc-follower");
+        let leader = Arc::new(PerseusServer::open(&leader_dir, one_worker()).unwrap());
+        drive_leader(&leader);
+        let replicator = Replicator::new(Arc::clone(&leader));
+        let mut follower = FollowerServer::open(&follower_dir, one_worker()).unwrap();
+        follower.set_max_lag(0);
+        replicator.sync(&mut follower).unwrap();
+        let journal = follower_dir.join("server.journal");
+        let covered = std::fs::read(&journal).unwrap();
+
+        // The leader compacts past the follower: the next sync installs a
+        // checkpoint, which truncates the follower's journal.
+        leader.set_straggler("gpt", 3, 0.0, 1.1).unwrap();
+        leader.snapshot_now().unwrap();
+        replicator.sync(&mut follower).unwrap();
+        assert_eq!(std::fs::metadata(&journal).unwrap().len(), 8, "header only");
+        let installed = (
+            follower.shipped_seq(),
+            follower.server().state_fingerprint(),
+        );
+        let snapped = unique_test_dir("lost-trunc-snapped");
+        for entry in std::fs::read_dir(&follower_dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), snapped.join(entry.file_name())).unwrap();
+        }
+        leader.set_straggler("gpt", 1, 0.0, 1.3).unwrap();
+        leader.advance_time("gpt", 5.0).unwrap();
+        replicator.sync(&mut follower).unwrap();
+        let after = (
+            follower.shipped_seq(),
+            follower.server().state_fingerprint(),
+        );
+        assert_eq!(after.1, leader.state_fingerprint());
+        drop(follower);
+        let appended = std::fs::read(&journal).unwrap();
+        assert!(appended.len() < covered.len());
+
+        let copy_with_journal = |dir: &std::path::Path, bytes: &[u8]| {
+            let copy = unique_test_dir("lost-trunc-copy");
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let entry = entry.unwrap();
+                std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+            }
+            std::fs::write(copy.join("server.journal"), bytes).unwrap();
+            copy
+        };
+        let position = |f: &FollowerServer| (f.shipped_seq(), f.server().state_fingerprint());
+        let reopen = |dir: &std::path::Path, bytes: &[u8]| {
+            let copy = copy_with_journal(dir, bytes);
+            let got = position(&FollowerServer::open(&copy, one_worker()).unwrap());
+            let _ = std::fs::remove_dir_all(&copy);
+            got
+        };
+        assert_eq!(reopen(&snapped, &covered), installed, "stale records alone");
+        let mut overlaid = appended.clone();
+        overlaid.extend_from_slice(&covered[appended.len()..]);
+        let mut aligned = appended.clone();
+        aligned.extend_from_slice(&covered[8..]);
+        assert_eq!(reopen(&follower_dir, &overlaid), after, "overlaid");
+        assert_eq!(reopen(&follower_dir, &aligned), after, "aligned");
+
+        let stale = copy_with_journal(&snapped, &covered);
+        let mut reopened = FollowerServer::open(&stale, one_worker()).unwrap();
+        reopened.set_max_lag(0);
+        assert_eq!(
+            replicator.sync(&mut reopened).unwrap(),
+            2,
+            "records, not a checkpoint"
+        );
+        assert_eq!(
+            position(&reopened),
+            after,
+            "shipped behind the stale records"
+        );
+        drop(reopened);
+        let again = FollowerServer::open(&stale, one_worker()).unwrap();
+        assert_eq!(position(&again), after, "reopened after shipping");
+        drop(again);
+        let _ = std::fs::remove_dir_all(&stale);
+
+        drop(replicator);
+        drop(leader);
+        let _ = std::fs::remove_dir_all(&leader_dir);
+        let _ = std::fs::remove_dir_all(&follower_dir);
+        let _ = std::fs::remove_dir_all(&snapped);
+    }
+
+    /// A leader snapshot and a follower's checkpoint install each emit
+    /// one span, with one child per step: the job input and profile
+    /// files, the frontier segments, `server.snap` with its directory
+    /// syncs, and the journal truncation.
+    #[test]
+    fn snapshots_and_checkpoints_span_every_step() {
+        use perseus_telemetry::Telemetry;
+
+        let leader_tel = Telemetry::enabled();
+        let follower_tel = Telemetry::enabled();
+        let traced = |telemetry: &Telemetry| ServerConfig {
+            telemetry: telemetry.clone(),
+            snapshot_every: u64::MAX,
+            ..one_worker()
+        };
+        let leader_dir = unique_test_dir("span-leader");
+        let follower_dir = unique_test_dir("span-follower");
+        let leader = Arc::new(PerseusServer::open(&leader_dir, traced(&leader_tel)).unwrap());
+        drive_leader(&leader);
+        leader.snapshot_now().unwrap();
+        let mut follower = FollowerServer::open(&follower_dir, traced(&follower_tel)).unwrap();
+        Replicator::new(Arc::clone(&leader))
+            .sync(&mut follower)
+            .unwrap();
+        for (tel, root) in [(&leader_tel, "snapshot"), (&follower_tel, "checkpoint")] {
+            let snap = tel.snapshot();
+            let calls = |path: &str| snap.value_of("perseus_span_calls_total", &[("span", path)]);
+            assert_eq!(calls(root), Some(1.0), "{root}");
+            for step in ["inputs", "segments", "state", "compact"] {
+                assert_eq!(calls(&format!("{root}/{step}")), Some(1.0), "{root}/{step}");
+            }
+        }
+        drop(follower);
+        drop(leader);
         let _ = std::fs::remove_dir_all(&leader_dir);
         let _ = std::fs::remove_dir_all(&follower_dir);
     }

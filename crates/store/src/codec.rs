@@ -26,6 +26,22 @@ pub enum StoreError {
     },
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
+    /// A journal compaction was asked to drop records its snapshot does
+    /// not cover: the watermark is below the journal's last record.
+    Uncovered {
+        /// The snapshot's watermark.
+        watermark: u64,
+        /// Sequence of the journal's last record.
+        last: u64,
+    },
+    /// An intact file of an earlier format that this build does not read.
+    /// Unlike a [`StoreError::Corrupt`] file, which recovery may do
+    /// without, it stops an open: recovering without it would overwrite
+    /// the file and delete what it refers to.
+    Unsupported {
+        /// Which file, and of what format.
+        reason: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -36,6 +52,11 @@ impl fmt::Display for StoreError {
             }
             StoreError::Corrupt { reason } => write!(f, "corrupt record: {reason}"),
             StoreError::Io(e) => write!(f, "store I/O failed: {e}"),
+            StoreError::Uncovered { watermark, last } => write!(
+                f,
+                "compaction at watermark {watermark} would drop journal records up to {last}"
+            ),
+            StoreError::Unsupported { reason } => write!(f, "unsupported store format: {reason}"),
         }
     }
 }

@@ -10,20 +10,37 @@
 //! body   := seq:u64le payload:bytes           (crc = crc32(body))
 //! ```
 //!
-//! Sequence numbers ascend strictly; they are the replay watermark
-//! (records at or below a snapshot's sequence are skipped) and the
-//! idempotence key (a record whose sequence was already applied is a
-//! no-op on replay).
+//! Within one file, sequence numbers are consecutive: the first record
+//! may carry any sequence (a compacted journal starts past the snapshot
+//! that covers the rest) and every later one its predecessor's plus one.
+//! They are the replay watermark (records at or below a snapshot's
+//! sequence are skipped) and the idempotence key (a record whose
+//! sequence was already applied is a no-op on replay).
 //!
 //! # Corruption semantics
 //!
 //! [`Journal::open`] scans the file record by record and stops at the
 //! first record that is torn (length overruns the file), fails its CRC,
-//! or decodes to a non-monotone sequence. The file is truncated to the
-//! last valid record and the journal continues from there — a crash
+//! or breaks the consecutive numbering — a rewind onto stale bytes, or a
+//! gap where a record went missing. The file is truncated to the last
+//! valid record and the journal continues from there — a crash
 //! mid-append or a scribbled tail loses the unreadable suffix, nothing
-//! before it. No resynchronization is attempted past the first bad
-//! record: once framing is lost, anything after it is untrustworthy.
+//! before it, and no record is ever replayed without its predecessor. No
+//! resynchronization is attempted past the first bad record: once
+//! framing is lost, anything after it is untrustworthy.
+//!
+//! # Compaction
+//!
+//! [`Journal::compact_below`] drops every record once a snapshot covers
+//! them all, by truncating the file to its header in place. The
+//! truncation is not synced: if a crash loses it, the records it dropped
+//! reappear, and they are harmless. Alone, they sit at or below the
+//! snapshot's watermark, so replay skips them; whoever opens the journal
+//! under that snapshot compacts them again before appending, since a
+//! record appended behind them would break the consecutive numbering and
+//! be lost at the next open. Behind records appended after the
+//! truncation, they break the numbering (their sequences are at or below
+//! the watermark, the new ones above it), so the scan stops at them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -90,6 +107,8 @@ pub struct Journal {
     path: PathBuf,
     /// Byte offset of the end of the last valid record.
     end: u64,
+    /// Sequence of the last record in the file, if it holds any.
+    last_seq: Option<u64>,
     next_seq: u64,
     stats: JournalStats,
 }
@@ -121,9 +140,8 @@ impl Journal {
         let file_len = file.metadata()?.len();
 
         let mut stats = JournalStats::default();
-        let mut records = Vec::new();
+        let mut records: Vec<Record> = Vec::new();
         let mut end = HEADER_LEN;
-        let mut next_seq = 1u64;
 
         if file_len == 0 {
             // Fresh journal: write the header.
@@ -148,14 +166,13 @@ impl Journal {
             }
             let mut pos = HEADER_LEN as usize;
             loop {
-                match next_record(&bytes, pos, next_seq) {
+                match next_record(&bytes, pos, records.last().map(|r| r.seq)) {
                     Some((seq, crc, payload, next_pos)) => {
                         records.push(Record {
                             seq,
                             payload: payload.to_vec(),
                             crc,
                         });
-                        next_seq = seq + 1;
                         pos = next_pos;
                         end = next_pos as u64;
                     }
@@ -174,12 +191,14 @@ impl Journal {
             file.set_len(end)?;
         }
         file.seek(SeekFrom::Start(end))?;
+        let last_seq = records.last().map(|r| r.seq);
         Ok((
             Journal {
                 file,
                 path,
                 end,
-                next_seq,
+                last_seq,
+                next_seq: last_seq.map_or(1, |seq| seq.saturating_add(1)),
                 stats,
             },
             records,
@@ -198,8 +217,9 @@ impl Journal {
         Ok(seq)
     }
 
-    /// Appends a record with an explicit sequence number (compaction and
-    /// test-journal construction; live appends use [`Journal::append`]).
+    /// Appends a record with an explicit sequence number (a follower
+    /// journaling a leader's records, and test-journal construction; live
+    /// appends use [`Journal::append`]).
     ///
     /// # Errors
     ///
@@ -213,7 +233,8 @@ impl Journal {
         self.file.write_all(&frame)?;
         self.file.flush()?;
         self.end += frame.len() as u64;
-        self.next_seq = self.next_seq.max(seq + 1);
+        self.last_seq = Some(seq);
+        self.next_seq = self.next_seq.max(seq.saturating_add(1));
         self.stats.appends += 1;
         Ok(())
     }
@@ -248,64 +269,37 @@ impl Journal {
         Ok(())
     }
 
-    /// Drops every record at or below `watermark` by atomically rewriting
-    /// the journal (called after a snapshot covering those records). The
-    /// sequence counter is preserved, so post-compaction appends continue
-    /// the same numbering — and never restart at or below `watermark`,
-    /// whose numbers the snapshot owns even when this journal never held
-    /// them (a follower installing a leader's checkpoint).
+    /// Drops every record once a snapshot covering all of them — its
+    /// watermark at or past the last record — is durable, by truncating
+    /// the file to its header in place (see the module docs for why a
+    /// lost truncation is harmless). The sequence counter moves past
+    /// `watermark`, so later appends continue the numbering — and never
+    /// restart at or below `watermark`, whose numbers the snapshot owns
+    /// even when this journal never held them (a follower installing a
+    /// leader's checkpoint). A record reusing one would replay over a
+    /// state that already holds the original.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on filesystem failures.
+    /// [`StoreError::Uncovered`], leaving every record in place, if
+    /// `watermark` is below the last record; [`StoreError::Io`] on
+    /// filesystem failures.
     pub fn compact_below(&mut self, watermark: u64) -> Result<(), StoreError> {
-        // Re-read the surviving tail from our own valid range.
-        let mut bytes = Vec::with_capacity(self.end as usize);
-        self.file.seek(SeekFrom::Start(0))?;
-        std::io::Read::by_ref(&mut self.file)
-            .take(self.end)
-            .read_to_end(&mut bytes)?;
-        let mut keep: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut pos = HEADER_LEN as usize;
-        let mut expect = 1u64;
-        while let Some((seq, _, payload, next_pos)) = next_record(&bytes, pos, expect) {
-            if seq > watermark {
-                keep.push((seq, payload.to_vec()));
-            }
-            expect = seq + 1;
-            pos = next_pos;
+        if let Some(last) = self.last_seq.filter(|&last| last > watermark) {
+            return Err(StoreError::Uncovered { watermark, last });
         }
-
-        let tmp = self.path.with_extension("journal.tmp");
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(MAGIC)?;
-            out.write_all(&VERSION.to_le_bytes())?;
-            for (seq, payload) in &keep {
-                let body = frame_body(*seq, payload);
-                out.write_all(&(body.len() as u32).to_le_bytes())?;
-                out.write_all(&crc32(&body).to_le_bytes())?;
-                out.write_all(&body)?;
-            }
-            out.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        let next_seq = self.next_seq;
-        let stats = self.stats;
-        let (reopened, _) = Journal::open(&self.path)?;
-        self.file = reopened.file;
-        self.end = reopened.end;
-        self.next_seq = next_seq
-            .max(reopened.next_seq)
-            .max(watermark.saturating_add(1));
-        self.stats = stats;
+        self.file.set_len(HEADER_LEN)?;
+        self.file.seek(SeekFrom::Start(HEADER_LEN))?;
+        self.end = HEADER_LEN;
+        self.last_seq = None;
+        self.next_seq = self.next_seq.max(watermark.saturating_add(1));
         Ok(())
     }
 
     /// Every valid record with sequence strictly greater than
     /// `after_seq`, in order — the replication feed. Re-reads the
-    /// journal's own valid range (like [`Journal::compact_below`]), so a
-    /// scribbled-but-unflushed tail never ships downstream.
+    /// journal's own valid range, so a scribbled-but-unflushed tail never
+    /// ships downstream.
     ///
     /// Compaction may have dropped records at or below a snapshot
     /// watermark; callers asking for a tail older than the oldest
@@ -325,8 +319,8 @@ impl Journal {
         self.file.seek(SeekFrom::Start(self.end))?;
         let mut out = Vec::new();
         let mut pos = HEADER_LEN as usize;
-        let mut expect = 1u64;
-        while let Some((seq, crc, payload, next_pos)) = next_record(&bytes, pos, expect) {
+        let mut prev = None;
+        while let Some((seq, crc, payload, next_pos)) = next_record(&bytes, pos, prev) {
             if seq > after_seq {
                 out.push(Record {
                     seq,
@@ -334,7 +328,7 @@ impl Journal {
                     crc,
                 });
             }
-            expect = seq + 1;
+            prev = Some(seq);
             pos = next_pos;
         }
         Ok(out)
@@ -359,8 +353,9 @@ impl Journal {
 
 /// Parses the record starting at `pos`, returning `(seq, crc, payload,
 /// next_pos)` or `None` if the bytes from `pos` are not a valid record
-/// whose sequence is at least `min_seq`.
-fn next_record(bytes: &[u8], pos: usize, min_seq: u64) -> Option<(u64, u32, &[u8], usize)> {
+/// following the record numbered `prev` (any sequence from 1 for the
+/// first record, `prev + 1` after it).
+fn next_record(bytes: &[u8], pos: usize, prev: Option<u64>) -> Option<(u64, u32, &[u8], usize)> {
     let frame_start = pos;
     if bytes.len() - frame_start < 8 {
         return None;
@@ -380,9 +375,14 @@ fn next_record(bytes: &[u8], pos: usize, min_seq: u64) -> Option<(u64, u32, &[u8
         return None;
     }
     let seq = u64::from_le_bytes(body[0..8].try_into().ok()?);
-    if seq < min_seq {
-        // Sequences ascend strictly; a rewind means the framing drifted
-        // onto stale bytes.
+    let follows = match prev {
+        None => seq >= 1,
+        Some(prev) => prev.checked_add(1) == Some(seq),
+    };
+    if !follows {
+        // A rewind means the framing drifted onto stale bytes; a gap
+        // means a record went missing, and replaying past it would build
+        // a state no run passed through.
         return None;
     }
     Some((seq, crc, &body[8..], body_end))

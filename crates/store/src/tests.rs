@@ -4,7 +4,9 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{crc32, load_snapshot, write_snapshot, ByteReader, ByteWriter, Journal, Persist};
+use crate::{
+    crc32, load_snapshot, write_snapshot, ByteReader, ByteWriter, Journal, Persist, StoreError,
+};
 
 /// A unique scratch directory per call, cleaned up on drop.
 struct Scratch {
@@ -293,18 +295,28 @@ fn journal_compaction_preserves_tail_and_sequence() {
     for i in 0..10u8 {
         j.append(&[i]).unwrap();
     }
-    j.compact_below(7).unwrap();
+    // A watermark below the last record would drop records no snapshot
+    // covers: refused, and every record stays where it was.
+    let err = j.compact_below(7).unwrap_err();
+    assert!(matches!(
+        err,
+        StoreError::Uncovered {
+            watermark: 7,
+            last: 10
+        }
+    ));
     assert_eq!(j.next_seq(), 11);
-    j.append(b"post-compact").unwrap();
+    assert_eq!(j.tail_from(0).unwrap().len(), 10);
+    j.append(b"post-refusal").unwrap();
     drop(j);
 
     let (_, recs) = Journal::open(&path).unwrap();
     assert_eq!(
         recs.iter().map(|r| r.seq).collect::<Vec<_>>(),
-        [8, 9, 10, 11]
+        (1..=11).collect::<Vec<u64>>()
     );
-    assert_eq!(recs[0].payload, [7u8]);
-    assert_eq!(recs[3].payload, b"post-compact");
+    assert_eq!(recs[6].payload, [6u8]);
+    assert_eq!(recs[10].payload, b"post-refusal");
 }
 
 #[test]
@@ -456,11 +468,85 @@ fn journal_tail_from_after_compaction_starts_late() {
     for payload in [b"one".as_ref(), b"two", b"three", b"four"] {
         j.append(payload).unwrap();
     }
-    j.compact_below(2).unwrap();
+    j.compact_below(4).unwrap();
+    j.append(b"five").unwrap();
+    j.append(b"six").unwrap();
     // A follower at seq 1 asks for 2..: compaction dropped it, so the
     // tail starts later than after_seq + 1 — the caller's signal to fall
     // back to a checkpoint transfer.
     let tail = j.tail_from(1).unwrap();
-    assert_eq!(tail.iter().map(|r| r.seq).collect::<Vec<_>>(), [3, 4]);
+    assert_eq!(tail.iter().map(|r| r.seq).collect::<Vec<_>>(), [5, 6]);
     assert_ne!(tail[0].seq, 2);
+    assert_eq!(tail[0].payload, b"five");
+    drop(j);
+    let (_, recs) = Journal::open(&path).unwrap();
+    assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), [5, 6]);
+}
+
+/// Frame boundaries of a journal file: the offset each record starts at,
+/// then the end of the last.
+fn frame_offsets(bytes: &[u8]) -> Vec<usize> {
+    let mut offsets = vec![8];
+    let mut pos = 8;
+    while pos + 8 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 8 + len;
+        offsets.push(pos);
+    }
+    offsets
+}
+
+#[test]
+fn journal_missing_a_middle_record_stops_before_the_gap() {
+    let scratch = Scratch::new("gap");
+    let path = scratch.path("wal");
+    let (mut j, _) = Journal::open(&path).unwrap();
+    for payload in [b"one".as_ref(), b"two", b"three"] {
+        j.append(payload).unwrap();
+    }
+    drop(j);
+    // Cut the middle frame out: record 3 now follows record 1.
+    let bytes = std::fs::read(&path).unwrap();
+    let at = frame_offsets(&bytes);
+    let mut cut = bytes[..at[1]].to_vec();
+    cut.extend_from_slice(&bytes[at[2]..]);
+    std::fs::write(&path, &cut).unwrap();
+
+    let (mut j, recs) = Journal::open(&path).unwrap();
+    assert_eq!(recs.len(), 1, "record 3 must not replay without record 2");
+    assert_eq!(recs[0].payload, b"one");
+    assert_eq!(j.stats().truncated_records, 1);
+    // The gap is cut like a torn tail: appends continue after record 1.
+    assert_eq!(j.append(b"two again").unwrap(), 2);
+    assert_eq!(j.tail_from(0).unwrap().len(), 2);
+}
+
+#[test]
+fn journal_compaction_truncates_in_place_and_a_lost_truncation_is_harmless() {
+    let scratch = Scratch::new("lost-truncation");
+    let path = scratch.path("wal");
+    let (mut j, _) = Journal::open(&path).unwrap();
+    for payload in [b"one".as_ref(), b"two", b"three"] {
+        j.append(payload).unwrap();
+    }
+    let before = std::fs::read(&path).unwrap();
+    j.compact_below(3).unwrap();
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), 8, "header only");
+    assert_eq!(j.len_bytes(), 8);
+    assert_eq!(j.append(b"four").unwrap(), 4);
+    drop(j);
+    let after = std::fs::read(&path).unwrap();
+
+    // Stale records behind new ones — overlaid where the truncation left
+    // them, and appended whole at a frame boundary — stop the scan: their
+    // sequences do not follow record 4.
+    let mut overlaid = after.clone();
+    overlaid.extend_from_slice(&before[after.len()..]);
+    let mut aligned = after.clone();
+    aligned.extend_from_slice(&before[8..]);
+    for bytes in [overlaid, aligned] {
+        std::fs::write(&path, &bytes).unwrap();
+        let (_, recs) = Journal::open(&path).unwrap();
+        assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), [4]);
+    }
 }
